@@ -119,14 +119,22 @@ def train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
 
 def model_config_from(cfg: dict, dataset: datagen.Dataset, target_domain: int) -> ModelConfig:
     n_sources = int(np.unique(dataset.domain_ids).size) - 1
+    return _model_config(cfg, dataset.feature_dim, dataset.num_classes, n_sources)
+
+
+def _model_config(cfg: dict, input_dim: int, num_classes: int, num_domains: int) -> ModelConfig:
     hidden_raw = cfg.get("hidden_sizes")
-    hidden = (tuple(int(h) for h in hidden_raw.split(",")) if hidden_raw
-              else ModelConfig.hidden_sizes)
+    try:
+        hidden = (tuple(int(h) for h in hidden_raw.split(",")) if hidden_raw
+                  else ModelConfig.hidden_sizes)
+    except ValueError:
+        raise UsageError(
+            f"config key hidden_sizes: expected comma-separated ints, got {hidden_raw!r}") from None
     mc = ModelConfig(
-        input_dim=dataset.feature_dim,
+        input_dim=input_dim,
         hidden_sizes=hidden,
-        num_classes=dataset.num_classes,
-        num_domains=n_sources,
+        num_classes=num_classes,
+        num_domains=num_domains,
         use_on=_as_bool(cfg, "use_on", True),
         use_aug=_as_bool(cfg, "use_aug", True),
         classifier_mode=cfg.get("classifier_mode", "independent"),
@@ -224,13 +232,17 @@ def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
     dataset = datagen.load(_require(cfg, "dataset"))
     target = _target_domain(cfg, dataset)
     _, target_set = datagen.split_lodo(dataset, target)
+    requested = strategy_override or cfg.get("strategy")
     try:
-        strategy = FusionStrategy.from_name(
-            strategy_override or cfg.get("strategy", FusionStrategy.MEAN_MEAN_IM.value))
+        strategy = (FusionStrategy.from_name(requested) if requested
+                    else inference.default_strategy(model))
         scope = SubpathScope.from_name(
             scope_override or cfg.get("scope", SubpathScope.INDEPENDENT_ONLY.value))
     except ValueError as e:
         raise UsageError(str(e)) from None
+    if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
+        raise UsageError(f"strategy {strategy.value} needs sub-path predictions, "
+                         f"but the model was trained without a bank (use_aug = false)")
     report = inference.evaluate(model, target_set.features, target_set.labels,
                                 strategy, scope)
     rows = [[name, _fmt(acc)] for name, acc in sorted(report.per_path.items())]
@@ -294,10 +306,17 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
         "num_domains": _as_int(cfg, "num_domains", datagen.DEFAULT_DOMAINS),
         "per_cell": _as_int(cfg, "per_cell", datagen.DEFAULT_PER_CELL),
         "feature_dim": _as_int(cfg, "feature_dim", datagen.DEFAULT_FEATURE_DIM),
+        "separation": _as_float(cfg, "separation", datagen.DEFAULT_SEPARATION),
+        "noise_sigma": _as_float(cfg, "noise_sigma", datagen.DEFAULT_NOISE_SIGMA),
     }
+    last = gen_kwargs["num_domains"] - 1
+    if _as_int(cfg, "target_domain", last) != last:
+        raise UsageError(f"config key target_domain: ablate holds out the last domain "
+                         f"({last}), got {cfg['target_domain']!r}")
+    base = _model_config(cfg, gen_kwargs["feature_dim"], gen_kwargs["num_classes"], last)
     rows_out = experiments.ablation_grid(
         seeds, shift_kappa=_as_float(cfg, "shift_kappa", 2.0), train_config=tc,
-        generate_kwargs=gen_kwargs)
+        base_model_config=base, generate_kwargs=gen_kwargs)
     path = out / "ablation.csv"
     _write_csv_atomic(path, ["variant", "mean_tgt_acc", "std_tgt_acc"],
                       [[r["variant"], _fmt(r["mean_tgt_acc"]), _fmt(r["std_tgt_acc"])]

@@ -23,16 +23,11 @@ VARIANTS: dict[str, tuple[bool, bool, bool]] = {
 
 
 def make_benchmark(seed: int, shift_kappa: float = 2.0,
-                   num_classes: int = datagen.DEFAULT_CLASSES,
-                   num_domains: int = datagen.DEFAULT_DOMAINS,
-                   per_cell: int = datagen.DEFAULT_PER_CELL,
-                   feature_dim: int = datagen.DEFAULT_FEATURE_DIM) -> tuple[Dataset, int]:
+                   **generate_kwargs) -> tuple[Dataset, int]:
     """Default benchmark: N-1 source domains plus the last domain held out
-    as the shifted target."""
-    ds, _ = datagen.generate(num_classes=num_classes, num_domains=num_domains,
-                             per_cell=per_cell, feature_dim=feature_dim,
-                             shift_kappa=shift_kappa, seed=seed)
-    return ds, num_domains - 1
+    as the shifted target. `generate_kwargs` go to `datagen.generate`."""
+    ds, _ = datagen.generate(shift_kappa=shift_kappa, seed=seed, **generate_kwargs)
+    return ds, ds.num_domains - 1
 
 
 def model_config_for(dataset: Dataset, target_domain: int,

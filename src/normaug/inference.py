@@ -118,6 +118,13 @@ def fuse(p_main: np.ndarray, p_subs: list[np.ndarray],
     raise ValueError(f"fuse: unhandled strategy {strategy}")
 
 
+def default_strategy(model: TwoPathNetwork) -> FusionStrategy:
+    """MeanMeanIM for a model with a bank, MainOnly for one without."""
+    if model.config.use_aug:
+        return FusionStrategy.MEAN_MEAN_IM
+    return FusionStrategy.MAIN_ONLY
+
+
 def subpath_subsets(model: TwoPathNetwork, scope: SubpathScope) -> list[DomainSubset]:
     if not model.config.use_aug:
         return []

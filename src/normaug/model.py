@@ -8,6 +8,7 @@ outputs never depend on how a split is batched.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -193,16 +194,18 @@ class TwoPathNetwork:
             h = T.global_avg_pool(h)
         return h
 
+    def _normalize_main(self, unit: BNUnit, h: Tensor, mode: str) -> Tensor:
+        if self.config.use_on:
+            return nb.on_forward(unit, h, mode)
+        return nb.bn_forward(unit, h, None, mode)
+
     def forward_main(self, x, mode: str = "train") -> tuple[Tensor, Tensor]:
         """Whole-batch route; returns (logits, penultimate features)."""
         t = self._check_input(x)
         exact = mode == "eval"
 
         def normalize(i: int, h: Tensor) -> Tensor:
-            unit = self.main_units[i]
-            if self.config.use_on:
-                return nb.on_forward(unit, h, mode)
-            return nb.bn_forward(unit, h, None, mode)
+            return self._normalize_main(self.main_units[i], h, mode)
 
         feats = self._backbone(t, normalize, exact)
         logits = self.classifier_main(feats, exact=exact)
@@ -230,7 +233,7 @@ class TwoPathNetwork:
         feats = self._backbone(t, normalize, exact)
         out: dict[DomainSubset, tuple[np.ndarray, Tensor]] = {}
         for group in partition:
-            idx = np.flatnonzero(np.isin(domain_ids, group.indices))
+            idx = group.rows(domain_ids)
             if idx.size == 0:
                 continue
             clf = self._aux_classifier(group)
@@ -280,49 +283,27 @@ class TwoPathNetwork:
         the statistics of the probe batch merged with an optional companion
         batch. Parameters stay fixed; running statistics are not touched.
 
-        Merged moments use the exact two-group pooling identity, so a
-        companion that is a bitwise copy of the probe leaves the features
-        bitwise unchanged.
+        The stacked rows run once through the main route in evaluation mode
+        with the pooled moments standing in for the running ones. Moments
+        merge by the exact two-group identity and the product is
+        chunk-invariant, so a companion that is a bitwise copy of the probe
+        leaves the features bitwise unchanged.
         """
-        probe = np.asarray(probe, dtype=np.float64)
-        blocks = [probe] if companion is None else [probe, np.asarray(companion, np.float64)]
-        with T.no_grad():
-            hs = [self._check_input(b) for b in blocks]
-            if self.config.backbone == "smallconv":
-                side = math.isqrt(self.config.input_dim)
-                hs = [T.reshape(h, (h.shape[0], 1, side, side)) for h in hs]
-            for i, layer in enumerate(self.layers):
-                hs = [layer(h) for h in hs]
-                hs = self._normalize_pooled(i, hs)
-                hs = [T.relu(h) for h in hs]
-            if self.config.backbone == "smallconv":
-                hs = [T.global_avg_pool(h) for h in hs]
-        return hs[0].data
+        blocks = [self._check_input(b).data for b in (probe, companion) if b is not None]
+        n = blocks[0].shape[0]
 
-    def _normalize_pooled(self, site: int, hs: list[Tensor]) -> list[Tensor]:
-        unit = self.main_units[site]
-        moments = [nb._channel_stats(h.data) for h in hs]
-        if len(hs) == 1:
-            mu, var = moments[0]
-        else:
-            (mu_a, var_a), (mu_b, var_b) = moments
-            mu, var = nb.pooled_moments(mu_a, var_a, hs[0].shape[0],
-                                        mu_b, var_b, hs[1].shape[0])
-        sigma = np.sqrt(var + unit.eps)
-        if hs[0].ndim == 4:
-            mu = mu[None, :, None, None]
-            sigma = sigma[None, :, None, None]
-        out = []
-        for h in hs:
-            bn_hat = (h - Tensor(mu)) / Tensor(sigma)
-            if self.config.use_on:
-                w = unit.mixture_weights()
-                in_hat = nb._standardize_instance(h, unit.eps)
-                xhat = bn_hat * float(w[0]) + in_hat * float(w[1])
-            else:
-                xhat = bn_hat
-            out.append(nb._affine(xhat, unit))
-        return out
+        def normalize(i: int, h: Tensor) -> Tensor:
+            mu, var = nb._channel_stats(h.data[:n])
+            if h.shape[0] > n:
+                mu_c, var_c = nb._channel_stats(h.data[n:])
+                mu, var = nb.pooled_moments(mu, var, n, mu_c, var_c, h.shape[0] - n)
+            unit = copy.copy(self.main_units[i])
+            unit.running_mean, unit.running_var = mu, var
+            return self._normalize_main(unit, h, "eval")
+
+        with T.no_grad():
+            feats = self._backbone(Tensor(np.concatenate(blocks)), normalize, exact=True)
+        return feats.data[:n]
 
 
 def init_model(config: ModelConfig, seed: int) -> TwoPathNetwork:

@@ -61,6 +61,10 @@ class DomainSubset:
     def label(self) -> str:
         return "+".join(str(i) for i in self.indices)
 
+    def rows(self, domain_ids: np.ndarray) -> np.ndarray:
+        """Positions of the rows whose domain id lies in this subset."""
+        return np.flatnonzero(np.isin(domain_ids, self.indices))
+
     def validate(self, num_domains: int) -> None:
         if self.mask >= 1 << num_domains:
             raise ValueError(
@@ -198,11 +202,6 @@ class ONUnit(BNUnit):
     def parameters(self) -> list[tuple[str, Tensor]]:
         return super().parameters() + [("mix", self.mix_logits)]
 
-    def mixture_weights(self) -> np.ndarray:
-        z = self.mix_logits.data - self.mix_logits.data.max()
-        e = np.exp(z)
-        return e / e.sum()
-
 
 def _reduce_axes(ndim: int) -> tuple[int, ...]:
     # batch statistics: over rows for rank-2, over rows and space for rank-4
@@ -270,8 +269,7 @@ def pooled_moments(mu_a: np.ndarray, var_a: np.ndarray, count_a: int,
     return mu, var
 
 
-def _standardize_batch(x: Tensor, unit: BNUnit, mode: str,
-                       update: bool = True) -> Tensor:
+def _standardize_batch(x: Tensor, unit: BNUnit, mode: str) -> Tensor:
     """(x - mu) / sigma with batch statistics (train) or running statistics
     (eval). Gradients flow through the batch statistics."""
     axes = _reduce_axes(x.ndim)
@@ -280,10 +278,7 @@ def _standardize_batch(x: Tensor, unit: BNUnit, mode: str,
         var = T.mean((x - mu) ** 2, axis=axes, keepdims=True)
         sigma = T.sqrt(var + unit.eps)
         out = (x - mu) / sigma
-        if update:
-            with T.no_grad():
-                unit.update_running(mu.data.reshape(unit.channels).copy(),
-                                    var.data.reshape(unit.channels).copy())
+        unit.update_running(mu.data.reshape(unit.channels), var.data.reshape(unit.channels))
         return out
     rm = unit.running_mean
     rv = unit.running_var
@@ -425,8 +420,7 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
     num_rows = features.shape[0]
     out: Tensor | None = None
     for group, unit in units.items():
-        sel = np.isin(domain_ids, group.indices)
-        idx = np.flatnonzero(sel)
+        idx = group.rows(domain_ids)
         if mode == "train" and idx.size < 2:
             raise ValueError(
                 f"partitioned_forward: degenerate sub-batch for {{{group.label()}}} "

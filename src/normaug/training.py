@@ -320,19 +320,13 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
                 raise RuntimeError(f"train: aborted at epoch {epoch}: {e}") from e
         src = inference.evaluate(model, val_pool.features, val_pool.labels,
                                  inference.FusionStrategy.MAIN_ONLY)
-        if model.config.use_aug:
-            tgt = inference.evaluate(model, target.features, target.labels,
-                                     inference.FusionStrategy.MEAN_MEAN_IM)
-            tgt_main = tgt.per_path["main"]
-        else:
-            tgt = inference.evaluate(model, target.features, target.labels,
-                                     inference.FusionStrategy.MAIN_ONLY)
-            tgt_main = tgt.fused_accuracy
+        tgt = inference.evaluate(model, target.features, target.labels,
+                                 inference.default_strategy(model))
         rows.append({
             "epoch": epoch,
             "train_loss": total / config.iters_per_epoch,
             "src_acc": src.fused_accuracy,
-            "tgt_acc_main": tgt_main,
+            "tgt_acc_main": tgt.per_path["main"],
             "tgt_acc_ensemble": tgt.fused_accuracy,
         })
 

@@ -1,11 +1,14 @@
 """End-to-end CLI runs in temp directories: artifacts, exit codes, determinism."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normaug.cli import main, parse_config
+from normaug import datagen, training
+from normaug.cli import _model_config, main, parse_config
+from normaug.model import ModelConfig
 
 SMALL_GEN = """
 # small benchmark
@@ -38,17 +41,22 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
-@pytest.fixture()
-def pipeline(tmp_path):
-    """gen-data + train once; shared by the downstream command tests."""
+def run_pipeline(tmp_path, extra_train=""):
+    """gen-data + train once; returns (tmp, out dir, dataset, train config)."""
     gen_cfg = write_config(tmp_path, SMALL_GEN, "gen.txt")
     out = tmp_path / "out"
     assert main(["gen-data", "--config", gen_cfg, "--out", str(out)]) == 0
     dataset = out / "dataset.csv"
     train_cfg = write_config(
-        tmp_path, SMALL_TRAIN + f"dataset = {dataset}\n", "train.txt")
+        tmp_path, SMALL_TRAIN + extra_train + f"dataset = {dataset}\n", "train.txt")
     assert main(["train", "--config", train_cfg, "--out", str(out)]) == 0
     return tmp_path, out, dataset, train_cfg
+
+
+@pytest.fixture()
+def pipeline(tmp_path):
+    """Shared by the downstream command tests."""
+    return run_pipeline(tmp_path)
 
 
 class TestGenData:
@@ -131,6 +139,20 @@ class TestEvalCommand:
                      "--strategy", "bogus"])
         assert code == 2
 
+    def test_model_without_bank(self, tmp_path):
+        """The default rule follows the model; a sub-path rule is a usage error."""
+        tmp, out, dataset, _ = run_pipeline(tmp_path, "use_aug = false\n")
+        eval_cfg = write_config(
+            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n", "eval.txt")
+        eout = tmp_path / "eo"
+        assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
+        rows = {r[0]: r[1] for r in read_csv(eout / "accuracy.csv")[1:]}
+        assert set(rows) == {"main", "fused"}
+        assert rows["fused"] == rows["main"] == read_csv(out / "metrics.csv")[-1][4]
+        for strategy in ("MeanMeanIM", "MeanI"):
+            assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x"),
+                         "--strategy", strategy]) == 2
+
 
 class TestDiagnoseCommand:
     def test_writes_divergence_and_probe(self, pipeline, tmp_path):
@@ -151,9 +173,7 @@ class TestDiagnoseCommand:
         assert copy_disp == [0.0]
 
 
-class TestAblateCommand:
-    def test_small_grid(self, tmp_path):
-        cfg = write_config(tmp_path, """
+SMALL_GRID = """
 seeds = 0,1
 num_classes = 3
 num_domains = 3
@@ -164,7 +184,12 @@ iters_per_epoch = 3
 batch_per_domain = 4
 hidden_sizes = 8,4
 shift_kappa = 2.0
-""")
+"""
+
+
+class TestAblateCommand:
+    def test_small_grid(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_GRID)
         out = tmp_path / "grid"
         assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
         rows = read_csv(out / "ablation.csv")
@@ -172,6 +197,52 @@ shift_kappa = 2.0
         assert [r[0] for r in rows[1:]] == ["baseline", "on", "on_aug", "on_aug_ep"]
         for r in rows[1:]:
             assert 0.0 <= float(r[1]) <= 1.0
+
+    def test_keys_reach_every_cell(self, tmp_path, monkeypatch):
+        models, generated = [], []
+        train, generate = training.train, datagen.generate
+
+        def spy_train(model, *args, **kwargs):
+            models.append(model.config)
+            return train(model, *args, **kwargs)
+
+        def spy_generate(**kwargs):
+            generated.append(kwargs)
+            return generate(**kwargs)
+
+        monkeypatch.setattr(training, "train", spy_train)
+        monkeypatch.setattr(datagen, "generate", spy_generate)
+        cfg = write_config(tmp_path, SMALL_GRID.replace("feature_dim = 6", "feature_dim = 9")
+                           + "backbone = smallconv\nclassifier_mode = shared_two\n"
+                             "bn_momentum = 0.3\nbn_eps = 0.5\nseparation = 2.5\n"
+                             "noise_sigma = 3.0\ntarget_domain = 2\n")
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "grid")]) == 0
+        assert len(models) == 6  # 2 seeds x (baseline, on, on_aug); on_aug_ep reuses on_aug
+        for c in models:
+            assert (c.hidden_sizes, c.backbone, c.classifier_mode, c.bn_momentum,
+                    c.bn_eps) == ((8, 4), "smallconv", "shared_two", 0.3, 0.5)
+        assert len(generated) == 2
+        for kw in generated:
+            assert (kw["separation"], kw["noise_sigma"]) == (2.5, 3.0)
+
+    @pytest.mark.parametrize("extra", ["target_domain = 0\n", "backbone = smallconv\n",
+                                       "hidden_sizes = 8,x\n"],
+                             ids=["target_domain", "backbone", "hidden_sizes"])
+    def test_bad_keys_are_usage_errors(self, tmp_path, extra):
+        cfg = write_config(tmp_path, SMALL_GRID + extra)
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "grid")]) == 2
+
+    def test_benchmark_config_is_the_default_model(self):
+        """configs/benchmark.txt sets its model keys to the defaults, so the
+        grid it runs is the one an empty config runs."""
+        cfg = parse_config(Path(__file__).parents[1] / "configs" / "benchmark.txt")
+        assert _model_config(cfg, 16, 5, 3) == ModelConfig(input_dim=16, num_classes=5,
+                                                           num_domains=3)
+        assert float(cfg.get("separation", datagen.DEFAULT_SEPARATION)) == \
+            datagen.DEFAULT_SEPARATION
+        assert float(cfg.get("noise_sigma", datagen.DEFAULT_NOISE_SIGMA)) == \
+            datagen.DEFAULT_NOISE_SIGMA
+        assert int(cfg["target_domain"]) == int(cfg["num_domains"]) - 1
 
 
 class TestUsageErrors:

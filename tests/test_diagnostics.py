@@ -1,5 +1,7 @@
 """Divergence arithmetic and the statistics-perturbation probe."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -77,14 +79,66 @@ class TestDivergenceArithmetic:
         assert rep.d_s2t <= mean_dist + 1e-12
 
 
+# (use_on, backbone, input_dim): every main-route normalization on both backbones
+ROUTES = [(False, "mlp", 6), (True, "mlp", 6), (False, "smallconv", 9),
+          (True, "smallconv", 9)]
+
+
+def _route_model(use_on, backbone, input_dim):
+    return tiny_model(use_on=use_on, backbone=backbone, input_dim=input_dim,
+                      hidden=(4, 3) if backbone == "smallconv" else (8, 4))
+
+
+def _running_state(model):
+    return [(u.running_mean.copy(), u.running_var.copy(), u.update_count)
+            for u in model.main_units]
+
+
+class TestProbeOracle:
+    """The probe measures the main route: with no companion it is the route's
+    train-mode normalization of the probe batch, with a companion the
+    train-mode normalization of the joint batch, restricted to the probe rows."""
+
+    @pytest.mark.parametrize("use_on,backbone,input_dim", ROUTES)
+    def test_alone_matches_train_mode_route(self, use_on, backbone, input_dim):
+        m = _route_model(use_on, backbone, input_dim)
+        m.main_units[0].running_mean = np.linspace(-1.0, 1.0, m.main_units[0].channels)
+        m.main_units[0].update_count = 7
+        x = np.random.default_rng(4).standard_normal((10, input_dim))
+        ref_model = copy.deepcopy(m)
+        before = _running_state(m)
+        got = m.features_with_batch_stats(x)
+        _, ref = ref_model.forward_main(x, mode="train")
+        # the probe runs the chunk-invariant product, the train route the
+        # plain one: agreement is to rounding, not bitwise
+        assert np.abs(got - ref.data).max() <= 1e-12
+        for (mean_a, var_a, count_a), (mean_b, var_b, count_b) in zip(
+                before, _running_state(m)):
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(var_a, var_b)
+            assert count_a == count_b
+
+    @pytest.mark.parametrize("use_on,backbone,input_dim", ROUTES)
+    def test_companion_matches_train_mode_on_joint_rows(self, use_on, backbone,
+                                                        input_dim):
+        m = _route_model(use_on, backbone, input_dim)
+        rng = np.random.default_rng(5)
+        probe = rng.standard_normal((10, input_dim))
+        comp = rng.standard_normal((7, input_dim)) * 2.0 + 1.5
+        got = m.features_with_batch_stats(probe, comp)
+        _, ref = copy.deepcopy(m).forward_main(np.concatenate([probe, comp]),
+                                               mode="train")
+        assert np.abs(got - ref.data[:10]).max() <= 1e-12
+
+
 class TestPerturbationProbe:
     def test_probe_copy_displacement_exactly_zero(self):
         rng = np.random.default_rng(2)
-        for use_on in (False, True):
-            m = tiny_model(use_on=use_on)
-            probe = rng.standard_normal((11, 6))
+        for route in ROUTES:
+            m = _route_model(*route)
+            probe = rng.standard_normal((11, route[2]))
             out = perturbation_probe(m, probe, [("copy", probe.copy())])
-            assert out[0][1] == 0.0, f"use_on={use_on}"
+            assert out[0][1] == 0.0, f"route={route}"
 
     def test_shifted_companion_displaces(self):
         rng = np.random.default_rng(3)

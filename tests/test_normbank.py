@@ -291,11 +291,6 @@ class TestONForward:
         with pytest.raises(T.ShapeError, match="IN undefined"):
             on_forward(u, Tensor(np.ones((4, 1))), "train")
 
-    def test_mixture_weights_sum_to_one(self):
-        u = ONUnit(2)
-        u.mix_logits.data = np.array([0.7, -1.3])
-        assert np.isclose(u.mixture_weights().sum(), 1.0)
-
     def test_on_gradcheck(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
