@@ -41,7 +41,10 @@ TRAIN_KEYS = {"dataset", "target_domain", "epochs", "iters_per_epoch",
               "lr_step_epochs", "lr_step_gamma", "val_fraction"}
 EVAL_KEYS = {"checkpoint", "dataset", "target_domain", "strategy", "scope"}
 DIAGNOSE_KEYS = {"checkpoint", "dataset", "target_domain", "probe_rows", "seed"}
-ABLATE_KEYS = {"seeds", "shift_kappa"} | GEN_KEYS | MODEL_KEYS | (TRAIN_KEYS - {"dataset"})
+# every ablate grid cell sets its own switches and seed
+ABLATE_CELL_KEYS = {"use_on", "use_aug", "seed"}
+ABLATE_KEYS = (({"seeds", "shift_kappa"} | GEN_KEYS | MODEL_KEYS | TRAIN_KEYS)
+               - {"dataset"} - ABLATE_CELL_KEYS)
 KNOWN_KEYS = GEN_KEYS | MODEL_KEYS | TRAIN_KEYS | EVAL_KEYS | DIAGNOSE_KEYS | ABLATE_KEYS
 
 
@@ -117,11 +120,6 @@ def train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
     return tc
 
 
-def model_config_from(cfg: dict, dataset: datagen.Dataset, target_domain: int) -> ModelConfig:
-    n_sources = int(np.unique(dataset.domain_ids).size) - 1
-    return _model_config(cfg, dataset.feature_dim, dataset.num_classes, n_sources)
-
-
 def _model_config(cfg: dict, input_dim: int, num_classes: int, num_domains: int) -> ModelConfig:
     hidden_raw = cfg.get("hidden_sizes")
     try:
@@ -147,6 +145,18 @@ def _model_config(cfg: dict, input_dim: int, num_classes: int, num_domains: int)
     except ValueError as e:
         raise UsageError(str(e)) from None
     return mc
+
+
+def _gen_kwargs(cfg: dict) -> dict:
+    """The `datagen.generate` keywords other than `shift_kappa` and `seed`."""
+    return {
+        "num_classes": _as_int(cfg, "num_classes", datagen.DEFAULT_CLASSES),
+        "num_domains": _as_int(cfg, "num_domains", datagen.DEFAULT_DOMAINS),
+        "per_cell": _as_int(cfg, "per_cell", datagen.DEFAULT_PER_CELL),
+        "feature_dim": _as_int(cfg, "feature_dim", datagen.DEFAULT_FEATURE_DIM),
+        "separation": _as_float(cfg, "separation", datagen.DEFAULT_SEPARATION),
+        "noise_sigma": _as_float(cfg, "noise_sigma", datagen.DEFAULT_NOISE_SIGMA),
+    }
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -190,16 +200,8 @@ def _fmt(x: float) -> str:
 
 def cmd_gen_data(cfg: dict, out: Path, seed_override: int | None) -> None:
     seed = seed_override if seed_override is not None else _as_int(cfg, "seed", 0)
-    ds, _ = datagen.generate(
-        num_classes=_as_int(cfg, "num_classes", datagen.DEFAULT_CLASSES),
-        num_domains=_as_int(cfg, "num_domains", datagen.DEFAULT_DOMAINS),
-        per_cell=_as_int(cfg, "per_cell", datagen.DEFAULT_PER_CELL),
-        feature_dim=_as_int(cfg, "feature_dim", datagen.DEFAULT_FEATURE_DIM),
-        separation=_as_float(cfg, "separation", datagen.DEFAULT_SEPARATION),
-        shift_kappa=_as_float(cfg, "shift_kappa", 2.0),
-        noise_sigma=_as_float(cfg, "noise_sigma", datagen.DEFAULT_NOISE_SIGMA),
-        seed=seed,
-    )
+    ds, _ = datagen.generate(**_gen_kwargs(cfg),
+                             shift_kappa=_as_float(cfg, "shift_kappa", 2.0), seed=seed)
     path = out / "dataset.csv"
     partial = _atomic_path(path)
     datagen.save(ds, partial)
@@ -211,7 +213,8 @@ def cmd_train(cfg: dict, out: Path, seed_override: int | None) -> None:
     dataset = datagen.load(_require(cfg, "dataset"))
     target = _target_domain(cfg, dataset)
     tc = train_config_from(cfg, seed_override)
-    mc = model_config_from(cfg, dataset, target)
+    n_sources = int(np.unique(dataset.domain_ids).size) - 1
+    mc = _model_config(cfg, dataset.feature_dim, dataset.num_classes, n_sources)
     model = init_model(mc, seed=tc.seed)
     metrics_path = out / "metrics.csv"
     ckpt_path = out / "model.ckpt"
@@ -293,6 +296,10 @@ def _draw_rows(features: np.ndarray, count: int, rng: np.random.Generator) -> np
 
 
 def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
+    overridden = sorted(ABLATE_CELL_KEYS & cfg.keys())
+    if overridden:
+        raise UsageError(f"config key {', '.join(overridden)}: every grid cell sets its own "
+                         f"switches and seed (the seed list is `seeds` or --seed)")
     seeds_raw = cfg.get("seeds", "0,1,2,3,4")
     try:
         seeds = [int(s) for s in seeds_raw.split(",")]
@@ -301,14 +308,7 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
     if seed_override is not None:
         seeds = [seed_override + i for i in range(len(seeds))]
     tc = train_config_from(cfg, None)
-    gen_kwargs = {
-        "num_classes": _as_int(cfg, "num_classes", datagen.DEFAULT_CLASSES),
-        "num_domains": _as_int(cfg, "num_domains", datagen.DEFAULT_DOMAINS),
-        "per_cell": _as_int(cfg, "per_cell", datagen.DEFAULT_PER_CELL),
-        "feature_dim": _as_int(cfg, "feature_dim", datagen.DEFAULT_FEATURE_DIM),
-        "separation": _as_float(cfg, "separation", datagen.DEFAULT_SEPARATION),
-        "noise_sigma": _as_float(cfg, "noise_sigma", datagen.DEFAULT_NOISE_SIGMA),
-    }
+    gen_kwargs = _gen_kwargs(cfg)
     last = gen_kwargs["num_domains"] - 1
     if _as_int(cfg, "target_domain", last) != last:
         raise UsageError(f"config key target_domain: ablate holds out the last domain "

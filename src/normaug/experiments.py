@@ -7,10 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import datagen, inference, training
+from . import datagen, training
 from .datagen import Dataset
-from .inference import FusionStrategy, SubpathScope
-from .model import ModelConfig, TwoPathNetwork, init_model
+from .model import ModelConfig, init_model
 from .training import TrainConfig, TrainResult
 
 # variant -> (use_on, use_aug, ensemble at test time)
@@ -30,19 +29,6 @@ def make_benchmark(seed: int, shift_kappa: float = 2.0,
     return ds, ds.num_domains - 1
 
 
-def model_config_for(dataset: Dataset, target_domain: int,
-                     use_on: bool, use_aug: bool,
-                     base: ModelConfig | None = None) -> ModelConfig:
-    n_sources = np.unique(dataset.domain_ids).size - 1
-    if base is None:
-        base = ModelConfig(input_dim=dataset.feature_dim,
-                           num_classes=dataset.num_classes,
-                           num_domains=n_sources)
-    return replace(base, input_dim=dataset.feature_dim,
-                   num_classes=dataset.num_classes, num_domains=n_sources,
-                   use_on=use_on, use_aug=use_aug)
-
-
 @dataclass
 class VariantResult:
     variant: str
@@ -51,24 +37,42 @@ class VariantResult:
     result: TrainResult
 
 
+def run_variants(dataset: Dataset, target_domain: int, seed: int,
+                 train_config: TrainConfig | None = None,
+                 base_model_config: ModelConfig | None = None,
+                 variants: tuple[str, ...] = tuple(VARIANTS)) -> dict[str, VariantResult]:
+    """Train each distinct (use_on, use_aug) pair among `variants` once and
+    score every variant from its run's final metrics row: the ensemble
+    column for an EP variant, the main-route column otherwise."""
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise ValueError(f"run_variants: unknown variant {unknown[0]!r}")
+    shape = {"input_dim": dataset.feature_dim, "num_classes": dataset.num_classes,
+             "num_domains": np.unique(dataset.domain_ids).size - 1}
+    base = (replace(base_model_config, **shape) if base_model_config is not None
+            else ModelConfig(**shape))
+    tc = replace(train_config if train_config is not None else TrainConfig(), seed=seed)
+    runs: dict[tuple[bool, bool], TrainResult] = {}
+    cells = {}
+    for variant in variants:
+        use_on, use_aug, use_ep = VARIANTS[variant]
+        if (use_on, use_aug) not in runs:
+            model = init_model(replace(base, use_on=use_on, use_aug=use_aug), seed=seed)
+            runs[use_on, use_aug] = training.train(model, dataset, target_domain, tc)
+        result = runs[use_on, use_aug]
+        accuracy = result.final["tgt_acc_ensemble" if use_ep else "tgt_acc_main"]
+        cells[variant] = VariantResult(variant=variant, seed=seed,
+                                       target_accuracy=accuracy, result=result)
+    return cells
+
+
 def run_variant(dataset: Dataset, target_domain: int, variant: str, seed: int,
                 train_config: TrainConfig | None = None,
                 base_model_config: ModelConfig | None = None) -> VariantResult:
     """Train one grid cell and score it on the held-out domain with the
     variant's test-time rule."""
-    if variant not in VARIANTS:
-        raise ValueError(f"run_variant: unknown variant {variant!r}")
-    use_on, use_aug, use_ep = VARIANTS[variant]
-    cfg = model_config_for(dataset, target_domain, use_on, use_aug, base_model_config)
-    tc = replace(train_config if train_config is not None else TrainConfig(), seed=seed)
-    model = init_model(cfg, seed=seed)
-    result = training.train(model, dataset, target_domain, tc)
-    _, target = datagen.split_lodo(dataset, target_domain)
-    strategy = FusionStrategy.MEAN_MEAN_IM if use_ep else FusionStrategy.MAIN_ONLY
-    report = inference.evaluate(model, target.features, target.labels, strategy,
-                                SubpathScope.INDEPENDENT_ONLY)
-    return VariantResult(variant=variant, seed=seed,
-                         target_accuracy=report.fused_accuracy, result=result)
+    return run_variants(dataset, target_domain, seed, train_config,
+                        base_model_config, (variant,))[variant]
 
 
 def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
@@ -83,22 +87,9 @@ def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
     for seed in seeds:
         dataset, target_domain = make_benchmark(seed, shift_kappa,
                                                 **(generate_kwargs or {}))
-        # on_aug and on_aug_ep share training; train once, score twice
-        trained: dict[tuple[bool, bool], VariantResult] = {}
-        for variant, (use_on, use_aug, use_ep) in VARIANTS.items():
-            key = (use_on, use_aug)
-            if key in trained:
-                cell = trained[key]
-                strategy = (FusionStrategy.MEAN_MEAN_IM if use_ep
-                            else FusionStrategy.MAIN_ONLY)
-                _, target = datagen.split_lodo(dataset, target_domain)
-                report = inference.evaluate(cell.result.model, target.features,
-                                            target.labels, strategy)
-                per_variant[variant].append(report.fused_accuracy)
-                continue
-            cell = run_variant(dataset, target_domain, variant, seed,
-                               train_config, base_model_config)
-            trained[key] = cell
+        cells = run_variants(dataset, target_domain, seed, train_config,
+                             base_model_config)
+        for variant, cell in cells.items():
             per_variant[variant].append(cell.target_accuracy)
     rows = []
     for variant, accs in per_variant.items():

@@ -168,10 +168,6 @@ class TwoPathNetwork:
         """Parameters excluding normalization units and classifiers."""
         return sum(t.size for layer in self.layers for _, t in layer.parameters())
 
-    def zero_grad(self) -> None:
-        for _, t in self.parameters():
-            t.grad = None
-
     # -- forward routes ---------------------------------------------------
 
     def _check_input(self, x: np.ndarray | Tensor) -> Tensor:

@@ -90,12 +90,6 @@ class Tensor:
             raise ShapeError(f"item: tensor of shape {self.shape} is not scalar")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

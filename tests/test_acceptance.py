@@ -57,14 +57,9 @@ def grid():
     for seed in SEEDS:
         dataset, target_domain = experiments.make_benchmark(seed, shift_kappa=2.0)
         sources, target = datagen.split_lodo(dataset, target_domain)
-        cells = {}
-        for variant in ("baseline", "on", "on_aug"):
-            cells[variant] = experiments.run_variant(dataset, target_domain,
-                                                     variant, seed)
-            out["acc"][variant].append(cells[variant].target_accuracy)
-        ep = inference.evaluate(cells["on_aug"].result.model, target.features,
-                                target.labels, FusionStrategy.MEAN_MEAN_IM)
-        out["acc"]["on_aug_ep"].append(ep.fused_accuracy)
+        cells = experiments.run_variants(dataset, target_domain, seed)
+        for variant, cell in cells.items():
+            out["acc"][variant].append(cell.target_accuracy)
 
         single = experiments.run_variant(
             dataset, target_domain, "on_aug_ep", seed,

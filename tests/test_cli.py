@@ -226,8 +226,10 @@ class TestAblateCommand:
             assert (kw["separation"], kw["noise_sigma"]) == (2.5, 3.0)
 
     @pytest.mark.parametrize("extra", ["target_domain = 0\n", "backbone = smallconv\n",
-                                       "hidden_sizes = 8,x\n"],
-                             ids=["target_domain", "backbone", "hidden_sizes"])
+                                       "hidden_sizes = 8,x\n", "use_on = false\n",
+                                       "use_aug = false\n", "seed = 7\n"],
+                             ids=["target_domain", "backbone", "hidden_sizes", "use_on",
+                                  "use_aug", "seed"])
     def test_bad_keys_are_usage_errors(self, tmp_path, extra):
         cfg = write_config(tmp_path, SMALL_GRID + extra)
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "grid")]) == 2

@@ -1,0 +1,130 @@
+"""The experiment driver: each variant's score is its run's final metrics
+row, and the grid and the sweep scripts run through the same driver."""
+
+import csv
+import functools
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from normaug import experiments, inference, training
+from normaug.experiments import VARIANTS
+from normaug.model import ModelConfig
+from normaug.training import TrainConfig
+
+TINY_GEN = {"num_classes": 3, "num_domains": 3, "per_cell": 16, "feature_dim": 6}
+TINY_TRAIN = TrainConfig(epochs=2, iters_per_epoch=3, batch_per_domain=4)
+TINY_MODEL = ModelConfig(input_dim=6, hidden_sizes=(8, 4), num_classes=3, num_domains=2)
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def tiny_benchmark(seed):
+    return experiments.make_benchmark(seed, **TINY_GEN)
+
+
+def column(variant):
+    return "tgt_acc_ensemble" if VARIANTS[variant][2] else "tgt_acc_main"
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_target_accuracy_is_the_final_row(variant):
+    dataset, target_domain = tiny_benchmark(0)
+    cell = experiments.run_variant(dataset, target_domain, variant, 0,
+                                   TINY_TRAIN, TINY_MODEL)
+    assert cell.target_accuracy == cell.result.final[column(variant)]
+    assert len(cell.result.metrics) == TINY_TRAIN.epochs
+
+
+def test_run_variant_scores_only_inside_training(monkeypatch):
+    calls = []
+    evaluate = inference.evaluate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "evaluate", spy)
+    dataset, target_domain = tiny_benchmark(0)
+    experiments.run_variant(dataset, target_domain, "on_aug_ep", 0, TINY_TRAIN, TINY_MODEL)
+    assert len(calls) == 2 * TINY_TRAIN.epochs
+
+
+def test_run_variants_trains_each_switch_pair_once(monkeypatch):
+    configs = []
+    train = training.train
+
+    def spy(model, *args, **kwargs):
+        configs.append((model.config.use_on, model.config.use_aug))
+        return train(model, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train", spy)
+    dataset, target_domain = tiny_benchmark(1)
+    cells = experiments.run_variants(dataset, target_domain, 1, TINY_TRAIN, TINY_MODEL)
+    assert list(cells) == list(VARIANTS)
+    assert configs == [(False, False), (True, False), (True, True)]
+    assert cells["on_aug"].result is cells["on_aug_ep"].result
+    for variant, cell in cells.items():
+        assert (cell.variant, cell.seed) == (variant, 1)
+        assert cell.target_accuracy == cell.result.final[column(variant)]
+
+
+def test_unknown_variant_is_rejected():
+    dataset, target_domain = tiny_benchmark(0)
+    with pytest.raises(ValueError, match="unknown variant"):
+        experiments.run_variant(dataset, target_domain, "on_ep", 0, TINY_TRAIN, TINY_MODEL)
+
+
+def test_ablation_grid_summarizes_run_variant():
+    seeds = [0, 1]
+    rows = experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
+                                     base_model_config=TINY_MODEL,
+                                     generate_kwargs=TINY_GEN)
+    assert [r["variant"] for r in rows] == list(VARIANTS)
+    for row in rows:
+        accs = []
+        for seed in seeds:
+            dataset, target_domain = tiny_benchmark(seed)
+            accs.append(experiments.run_variant(dataset, target_domain, row["variant"],
+                                                seed, TINY_TRAIN, TINY_MODEL).target_accuracy)
+        assert row["accs"] == accs
+        assert row["mean_tgt_acc"] == float(np.mean(accs))
+        assert row["std_tgt_acc"] == float(np.std(accs))
+
+
+# ---------------------------------------------------------------------------
+# sweep scripts
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def test_fusion_sweep_runs(tmp_path, monkeypatch):
+    # long enough that every bank unit is drawn, which all_units scope requires
+    short = TrainConfig(epochs=2, iters_per_epoch=20)
+    monkeypatch.setattr(experiments, "run_variant",
+                        functools.partial(experiments.run_variant, train_config=short))
+    out = tmp_path / "fusion.csv"
+    load_script("fusion_sweep").sweep([0], out)
+    rows = read_csv(out)
+    assert rows[0] == ["strategy", "scope", "mean_tgt_acc", "std_tgt_acc"]
+    assert len(rows) - 1 == len(inference.FusionStrategy) * len(inference.SubpathScope) == 16
+
+
+def test_probe_sweep_runs(tmp_path):
+    out = tmp_path / "probe.csv"
+    module = load_script("probe_sweep")
+    module.sweep([0], out)
+    rows = read_csv(out)
+    assert rows[0] == ["seed", "companion_kappa", "mean_displacement"]
+    assert len(rows) - 1 == len(module.KAPPAS) == 5
