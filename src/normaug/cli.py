@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import datagen, diagnostics, experiments, inference, training
 from .inference import FusionStrategy, SubpathScope
-from .model import ModelConfig, init_model, load_checkpoint
+from .model import ModelConfig, config_from_text, init_model, load_checkpoint, parse_value
 from .training import TrainConfig
 
 
@@ -31,19 +33,17 @@ class UsageError(Exception):
 # config file
 
 
-GEN_KEYS = {"num_classes", "num_domains", "per_cell", "feature_dim", "separation",
-            "shift_kappa", "noise_sigma", "seed"}
-MODEL_KEYS = {"hidden_sizes", "use_on", "use_aug", "classifier_mode", "backbone",
-              "bn_momentum", "bn_eps"}
-TRAIN_KEYS = {"dataset", "target_domain", "epochs", "iters_per_epoch",
-              "batch_per_domain", "lr_backbone", "lr_classifier", "momentum",
-              "weight_decay", "seed", "combination_mode", "aux_weight",
-              "lr_step_epochs", "lr_step_gamma", "val_fraction"}
+GEN_PARAMS = inspect.signature(datagen.generate).parameters
+GEN_KEYS = set(GEN_PARAMS)
+# the data fixes a model's input and output sizes
+MODEL_KEYS = ({f.name for f in fields(ModelConfig)}
+              - {"input_dim", "num_classes", "num_domains"})
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)} | {"dataset", "target_domain"}
 EVAL_KEYS = {"checkpoint", "dataset", "target_domain", "strategy", "scope"}
 DIAGNOSE_KEYS = {"checkpoint", "dataset", "target_domain", "probe_rows", "seed"}
 # every ablate grid cell sets its own switches and seed
 ABLATE_CELL_KEYS = {"use_on", "use_aug", "seed"}
-ABLATE_KEYS = (({"seeds", "shift_kappa"} | GEN_KEYS | MODEL_KEYS | TRAIN_KEYS)
+ABLATE_KEYS = (({"seeds"} | GEN_KEYS | MODEL_KEYS | TRAIN_KEYS)
                - {"dataset"} - ABLATE_CELL_KEYS)
 KNOWN_KEYS = GEN_KEYS | MODEL_KEYS | TRAIN_KEYS | EVAL_KEYS | DIAGNOSE_KEYS | ABLATE_KEYS
 
@@ -67,96 +67,38 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-def _as_bool(cfg: dict, key: str, default: bool) -> bool:
-    raw = cfg.get(key)
-    if raw is None:
+def _value(cfg: dict, key: str, default):
+    """`cfg[key]` parsed as the type of `default`, or `default` if unset."""
+    if key not in cfg:
         return default
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
-
-
-def _as_int(cfg: dict, key: str, default: int) -> int:
-    raw = cfg.get(key)
+    kind = tuple[int, ...] if isinstance(default, tuple) else type(default)
     try:
-        return default if raw is None else int(raw)
-    except ValueError:
-        raise UsageError(f"config key {key}: expected an integer, got {raw!r}") from None
+        return parse_value(key, cfg[key], kind)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
-def _as_float(cfg: dict, key: str, default: float) -> float:
-    raw = cfg.get(key)
+def _config(cls, cfg: dict, **fixed):
     try:
-        return default if raw is None else float(raw)
-    except ValueError:
-        raise UsageError(f"config key {key}: expected a number, got {raw!r}") from None
+        config = config_from_text(cls, cfg, **fixed)
+        config.validate()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    return config
 
 
 def train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
-    tc = TrainConfig(
-        epochs=_as_int(cfg, "epochs", TrainConfig.epochs),
-        iters_per_epoch=_as_int(cfg, "iters_per_epoch", TrainConfig.iters_per_epoch),
-        batch_per_domain=_as_int(cfg, "batch_per_domain", TrainConfig.batch_per_domain),
-        lr_backbone=_as_float(cfg, "lr_backbone", TrainConfig.lr_backbone),
-        lr_classifier=_as_float(cfg, "lr_classifier", TrainConfig.lr_classifier),
-        momentum=_as_float(cfg, "momentum", TrainConfig.momentum),
-        weight_decay=_as_float(cfg, "weight_decay", TrainConfig.weight_decay),
-        seed=_as_int(cfg, "seed", TrainConfig.seed),
-        combination_mode=cfg.get("combination_mode", TrainConfig.combination_mode),
-        aux_weight=_as_float(cfg, "aux_weight", TrainConfig.aux_weight),
-        lr_step_epochs=_as_int(cfg, "lr_step_epochs", TrainConfig.lr_step_epochs),
-        lr_step_gamma=_as_float(cfg, "lr_step_gamma", TrainConfig.lr_step_gamma),
-        val_fraction=_as_float(cfg, "val_fraction", TrainConfig.val_fraction),
-    )
-    if seed_override is not None:
-        tc.seed = seed_override
-    try:
-        tc.validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    return tc
+    return _config(TrainConfig, cfg, **({} if seed_override is None else {"seed": seed_override}))
 
 
 def _model_config(cfg: dict, input_dim: int, num_classes: int, num_domains: int) -> ModelConfig:
-    hidden_raw = cfg.get("hidden_sizes")
-    try:
-        hidden = (tuple(int(h) for h in hidden_raw.split(",")) if hidden_raw
-                  else ModelConfig.hidden_sizes)
-    except ValueError:
-        raise UsageError(
-            f"config key hidden_sizes: expected comma-separated ints, got {hidden_raw!r}") from None
-    mc = ModelConfig(
-        input_dim=input_dim,
-        hidden_sizes=hidden,
-        num_classes=num_classes,
-        num_domains=num_domains,
-        use_on=_as_bool(cfg, "use_on", True),
-        use_aug=_as_bool(cfg, "use_aug", True),
-        classifier_mode=cfg.get("classifier_mode", "independent"),
-        backbone=cfg.get("backbone", "mlp"),
-        bn_momentum=_as_float(cfg, "bn_momentum", 0.1),
-        bn_eps=_as_float(cfg, "bn_eps", 1e-5),
-    )
-    try:
-        mc.validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    return mc
+    return _config(ModelConfig, cfg, input_dim=input_dim, num_classes=num_classes,
+                   num_domains=num_domains)
 
 
 def _gen_kwargs(cfg: dict) -> dict:
-    """The `datagen.generate` keywords other than `shift_kappa` and `seed`."""
-    return {
-        "num_classes": _as_int(cfg, "num_classes", datagen.DEFAULT_CLASSES),
-        "num_domains": _as_int(cfg, "num_domains", datagen.DEFAULT_DOMAINS),
-        "per_cell": _as_int(cfg, "per_cell", datagen.DEFAULT_PER_CELL),
-        "feature_dim": _as_int(cfg, "feature_dim", datagen.DEFAULT_FEATURE_DIM),
-        "separation": _as_float(cfg, "separation", datagen.DEFAULT_SEPARATION),
-        "noise_sigma": _as_float(cfg, "noise_sigma", datagen.DEFAULT_NOISE_SIGMA),
-    }
+    """Every `datagen.generate` keyword, from `cfg` or the signature default."""
+    return {name: _value(cfg, name, p.default) for name, p in GEN_PARAMS.items()}
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -166,7 +108,7 @@ def _require(cfg: dict, key: str) -> str:
 
 
 def _target_domain(cfg: dict, dataset: datagen.Dataset) -> int:
-    return _as_int(cfg, "target_domain", dataset.num_domains - 1)
+    return _value(cfg, "target_domain", dataset.num_domains - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +141,10 @@ def _fmt(x: float) -> str:
 
 
 def cmd_gen_data(cfg: dict, out: Path, seed_override: int | None) -> None:
-    seed = seed_override if seed_override is not None else _as_int(cfg, "seed", 0)
-    ds, _ = datagen.generate(**_gen_kwargs(cfg),
-                             shift_kappa=_as_float(cfg, "shift_kappa", 2.0), seed=seed)
+    gen_kwargs = _gen_kwargs(cfg)
+    if seed_override is not None:
+        gen_kwargs["seed"] = seed_override
+    ds, _ = datagen.generate(**gen_kwargs)
     path = out / "dataset.csv"
     partial = _atomic_path(path)
     datagen.save(ds, partial)
@@ -261,7 +204,7 @@ def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
     dataset = datagen.load(_require(cfg, "dataset"))
     target = _target_domain(cfg, dataset)
     sources, target_set = datagen.split_lodo(dataset, target)
-    seed = seed_override if seed_override is not None else _as_int(cfg, "seed", 0)
+    seed = seed_override if seed_override is not None else _value(cfg, "seed", 0)
     rng = np.random.default_rng(seed)
 
     by_domain = {int(d): sources.features[sources.domain_ids == d]
@@ -271,7 +214,7 @@ def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
     rows = [["divergence", "d_s2s", _fmt(report.d_s2s)],
             ["divergence", "d_s2t", _fmt(report.d_s2t)]]
 
-    probe_rows = _as_int(cfg, "probe_rows", 64)
+    probe_rows = _value(cfg, "probe_rows", 64)
     domains = sorted(by_domain)
     probe_domain = domains[0]
     probe = _draw_rows(by_domain[probe_domain], probe_rows, rng)
@@ -300,22 +243,20 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
     if overridden:
         raise UsageError(f"config key {', '.join(overridden)}: every grid cell sets its own "
                          f"switches and seed (the seed list is `seeds` or --seed)")
-    seeds_raw = cfg.get("seeds", "0,1,2,3,4")
-    try:
-        seeds = [int(s) for s in seeds_raw.split(",")]
-    except ValueError:
-        raise UsageError(f"config key seeds: expected comma-separated ints, got {seeds_raw!r}") from None
+    seeds = list(_value(cfg, "seeds", (0, 1, 2, 3, 4)))
     if seed_override is not None:
         seeds = [seed_override + i for i in range(len(seeds))]
     tc = train_config_from(cfg, None)
     gen_kwargs = _gen_kwargs(cfg)
+    del gen_kwargs["seed"]  # one dataset per grid seed
+    shift_kappa = gen_kwargs.pop("shift_kappa")
     last = gen_kwargs["num_domains"] - 1
-    if _as_int(cfg, "target_domain", last) != last:
+    if _value(cfg, "target_domain", last) != last:
         raise UsageError(f"config key target_domain: ablate holds out the last domain "
                          f"({last}), got {cfg['target_domain']!r}")
     base = _model_config(cfg, gen_kwargs["feature_dim"], gen_kwargs["num_classes"], last)
     rows_out = experiments.ablation_grid(
-        seeds, shift_kappa=_as_float(cfg, "shift_kappa", 2.0), train_config=tc,
+        seeds, shift_kappa=shift_kappa, train_config=tc,
         base_model_config=base, generate_kwargs=gen_kwargs)
     path = out / "ablation.csv"
     _write_csv_atomic(path, ["variant", "mean_tgt_acc", "std_tgt_acc"],

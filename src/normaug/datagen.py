@@ -97,6 +97,8 @@ class Dataset:
         m = self.features.shape[0]
         if self.labels.shape != (m,) or self.domain_ids.shape != (m,):
             raise ValueError("Dataset: features/labels/domain_ids length mismatch")
+        if not np.isfinite(self.features).all():
+            raise ValueError("Dataset: non-finite feature")
         if m and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError(f"Dataset: label outside [0, {self.num_classes})")
         if m and (self.domain_ids.min() < 0 or self.domain_ids.max() >= self.num_domains):
@@ -239,6 +241,9 @@ def load(path) -> Dataset:
             feats[ln - 2] = [float(v) for v in parts[2:]]
         except ValueError as e:
             raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature")
     return Dataset(feats, labels, domains,
                    num_classes=int(labels.max()) + 1,
                    num_domains=int(domains.max()) + 1)

@@ -12,7 +12,8 @@ import copy
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -309,47 +310,93 @@ def init_model(config: ModelConfig, seed: int) -> TwoPathNetwork:
 
 
 # ---------------------------------------------------------------------------
+# config values
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               tuple[int, ...]: "comma-separated ints"}
+
+
+def format_value(value) -> str:
+    """Text form of a config value, read back by `parse_value`."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def parse_value(key: str, raw: str, kind):
+    """`raw` as a value of `kind` (bool, int, float, str or tuple[int, ...]);
+    floats must be finite. Raises ValueError naming `key`."""
+    try:
+        if kind is bool:
+            return {"true": True, "1": True, "yes": True,
+                    "false": False, "0": False, "no": False}[raw.lower()]
+        if kind == tuple[int, ...]:
+            return tuple(int(v) for v in raw.split(","))
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+        return value
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"config key {key}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
+
+
+def _parse_key(kv: dict[str, str], key: str, kind):
+    if key not in kv:
+        raise ValueError(f"config key {key} is missing")
+    return parse_value(key, kv[key], kind)
+
+
+def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
+    """Dataclass `cls` with the `fixed` field values and every other field
+    parsed from `kv` by its annotated type; a field missing from `kv` keeps
+    its default, or is an error when `required`. Not validated."""
+    hints = typing.get_type_hints(cls)
+    values = dict(fixed)
+    for f in fields(cls):
+        if f.name not in fixed and (required or f.name in kv):
+            values[f.name] = _parse_key(kv, f.name, hints[f.name])
+    return cls(**values)
+
+
+# ---------------------------------------------------------------------------
 # checkpoint container
 
 
 def _config_text(model: TwoPathNetwork, epoch: int, rng_state: str | None) -> str:
-    c = model.config
-    lines = [
-        f"input_dim={c.input_dim}",
-        "hidden_sizes=" + ",".join(str(h) for h in c.hidden_sizes),
-        f"num_classes={c.num_classes}",
-        f"num_domains={c.num_domains}",
-        f"use_on={'true' if c.use_on else 'false'}",
-        f"use_aug={'true' if c.use_aug else 'false'}",
-        f"classifier_mode={c.classifier_mode}",
-        f"backbone={c.backbone}",
-        f"bn_momentum={c.bn_momentum!r}",
-        f"bn_eps={c.bn_eps!r}",
-        f"seed={model.seed}",
-        f"epoch={epoch}",
-        f"rng_state={rng_state if rng_state is not None else '-'}",
-    ]
+    lines = [f"{f.name}={format_value(getattr(model.config, f.name))}"
+             for f in fields(ModelConfig)]
+    lines += [f"seed={model.seed}", f"epoch={epoch}",
+              f"rng_state={rng_state if rng_state is not None else '-'}"]
     if model.banks:
         labels = ",".join(s.label() for s in model.banks[0].subsets())
         lines.append(f"bank_subsets={labels}")
     return "\n".join(lines) + "\n"
 
 
-def _named_arrays(model: TwoPathNetwork) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for name, t in model.parameters():
-        arrays[name] = t.data
-    for i, unit in enumerate(model.main_units):
-        arrays[f"main.site{i}.running_mean"] = unit.running_mean
-        arrays[f"main.site{i}.running_var"] = unit.running_var
-        arrays[f"main.site{i}.count"] = np.array([float(unit.update_count)])
-    for i, bank in enumerate(model.banks):
-        for s in bank.subsets():
-            u = bank.units[s]
-            arrays[f"bank.site{i}.u{s.label()}.running_mean"] = u.running_mean
-            arrays[f"bank.site{i}.u{s.label()}.running_var"] = u.running_var
-            arrays[f"bank.site{i}.u{s.label()}.count"] = np.array([float(u.update_count)])
-    return arrays
+def _state(model: TwoPathNetwork) -> dict[str, tuple[object, str]]:
+    """Every checkpoint array by name -> (owner, attribute) holding it:
+    parameter tensors' `data`, units' running moments, and units'
+    `update_count`, stored as a one-element float array."""
+    table = {name: (t, "data") for name, t in model.parameters()}
+    units = [(f"main.site{i}", u) for i, u in enumerate(model.main_units)]
+    units += [(f"bank.site{i}.u{s.label()}", bank.units[s])
+              for i, bank in enumerate(model.banks) for s in bank.subsets()]
+    for prefix, unit in units:
+        for attr in ("running_mean", "running_var"):
+            table[f"{prefix}.{attr}"] = (unit, attr)
+        table[f"{prefix}.count"] = (unit, "update_count")
+    return table
+
+
+def _array(owner, attr: str) -> np.ndarray:
+    value = getattr(owner, attr)
+    return np.array([float(value)]) if attr == "update_count" else value
 
 
 def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
@@ -357,15 +404,15 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
     """Versioned binary container: magic, version, config text block, then
     named float64 arrays with shape prefixes, sorted by name."""
     config = _config_text(model, epoch, rng_state).encode("utf-8")
-    arrays = _named_arrays(model)
+    state = _state(model)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(config)))
         f.write(config)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        f.write(struct.pack("<I", len(state)))
+        for name in sorted(state):
+            arr = np.ascontiguousarray(_array(*state[name]), dtype=np.float64)
             nb_ = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb_)))
             f.write(nb_)
@@ -377,7 +424,7 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
 
 def _parse_config_text(text: str) -> dict[str, str]:
     out = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line:
             continue
@@ -389,101 +436,67 @@ def _parse_config_text(text: str) -> dict[str, str]:
 def load_checkpoint(path) -> tuple[TwoPathNetwork, int, str | None]:
     """Rebuild a model bit-exactly from `save_checkpoint` output.
 
-    Returns (model, epoch, rng_state or None).
+    Strict: every config key, exactly the model's array names and shapes,
+    finite values; anything else raises ValueError. Returns (model, epoch,
+    rng_state or None).
     """
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        model, epoch, rng_state = _read_checkpoint(blob)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from None
+    return model, epoch, (None if rng_state == "-" else rng_state)
+
+
+def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
     off = 0
 
     def take(n: int) -> bytes:
         nonlocal off
         if off + n > len(blob):
-            raise ValueError(f"checkpoint {path}: truncated")
+            raise ValueError("truncated")
         out = blob[off:off + n]
         off += n
         return out
 
+    def unpack(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
     if take(4) != CHECKPOINT_MAGIC:
-        raise ValueError(f"checkpoint {path}: bad magic")
-    (version,) = struct.unpack("<I", take(4))
+        raise ValueError("bad magic")
+    version = unpack("<I")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint {path}: unsupported version {version}")
-    (clen,) = struct.unpack("<Q", take(8))
-    kv = _parse_config_text(take(clen).decode("utf-8"))
-    config = ModelConfig(
-        input_dim=int(kv["input_dim"]),
-        hidden_sizes=tuple(int(h) for h in kv["hidden_sizes"].split(",")),
-        num_classes=int(kv["num_classes"]),
-        num_domains=int(kv["num_domains"]),
-        use_on=kv["use_on"] == "true",
-        use_aug=kv["use_aug"] == "true",
-        classifier_mode=kv["classifier_mode"],
-        backbone=kv["backbone"],
-        bn_momentum=float(kv["bn_momentum"]),
-        bn_eps=float(kv["bn_eps"]),
-    )
-    model = TwoPathNetwork(config, seed=int(kv["seed"]))
-    if config.use_aug and kv.get("bank_subsets"):
+        raise ValueError(f"unsupported version {version}")
+    kv = _parse_config_text(take(unpack("<Q")).decode("utf-8"))
+    model = TwoPathNetwork(config_from_text(ModelConfig, kv, required=True),
+                           seed=_parse_key(kv, "seed", int))
+    if "bank_subsets" in kv:
         for label in kv["bank_subsets"].split(","):
-            subset = DomainSubset.of(*(int(i) for i in label.split("+")))
-            model.add_aux_unit(subset)
+            model.add_aux_unit(DomainSubset.of(*(int(i) for i in label.split("+"))))
+    state = _state(model)
 
-    (count,) = struct.unpack("<I", take(4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        n_items = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
-        arrays[name] = arr
+    for _ in range(unpack("<I")):
+        name = take(unpack("<I")).decode("utf-8")
+        if name not in state:
+            raise ValueError(f"array {name!r}: unknown or repeated")
+        owner, attr = state.pop(name)
+        shape = tuple(unpack("<Q") for _ in range(unpack("<I")))
+        expected = _array(owner, attr).shape
+        if shape != expected:
+            raise ValueError(f"array {name}: shape {shape}, expected {expected}")
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {name}: non-finite values")
+        if attr == "update_count" and not (arr[0] >= 0 and arr[0].is_integer()):
+            raise ValueError(f"array {name}: {arr[0]} is not a count")
+        setattr(owner, attr, int(arr[0]) if attr == "update_count" else arr)
     if off != len(blob):
-        raise ValueError(f"checkpoint {path}: trailing bytes")
-
-    params = dict(model.parameters())
-    for name, arr in arrays.items():
-        if name in params:
-            t = params[name]
-            if t.data.shape != arr.shape:
-                raise ValueError(
-                    f"checkpoint {path}: shape mismatch for {name}: "
-                    f"{arr.shape} vs {t.data.shape}")
-            t.data = arr
-        elif name.endswith(".running_mean") or name.endswith(".running_var"):
-            unit = _unit_by_name(model, name.rsplit(".", 1)[0])
-            if name.endswith("mean"):
-                unit.running_mean = arr
-            else:
-                unit.running_var = arr
-        elif name.endswith(".count"):
-            unit = _unit_by_name(model, name.rsplit(".", 1)[0])
-            unit.update_count = int(arr[0])
-        else:
-            raise ValueError(f"checkpoint {path}: unknown array {name!r}")
-
-    epoch = int(kv.get("epoch", "0"))
-    rng_state = kv.get("rng_state", "-")
-    return model, epoch, (None if rng_state == "-" else rng_state)
-
-
-def _unit_by_name(model: TwoPathNetwork, prefix: str) -> BNUnit:
-    parts = prefix.split(".")
-    if parts[0] == "main":
-        return model.main_units[int(parts[1].removeprefix("site"))]
-    if parts[0] == "bank":
-        site = int(parts[1].removeprefix("site"))
-        label = parts[2].removeprefix("u")
-        subset = DomainSubset.of(*(int(i) for i in label.split("+")))
-        return model.banks[site].units[subset]
-    raise ValueError(f"checkpoint: unknown unit prefix {prefix!r}")
+        raise ValueError("trailing bytes")
+    if state:
+        raise ValueError(f"missing arrays {', '.join(sorted(state))}")
+    return model, _parse_key(kv, "epoch", int), _parse_key(kv, "rng_state", str)
 
 
 def encode_rng_state(rng: np.random.Generator) -> str:
     return json.dumps(rng.bit_generator.state, sort_keys=True)
-
-
-def restore_rng(state: str) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(state)
-    return rng

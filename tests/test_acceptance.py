@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import tiny_model, two_pass_stats
-from normaug import datagen, diagnostics, experiments, inference
+from normaug import datagen, diagnostics, experiments
 from normaug import normbank as nb
 from normaug.gradcheck import grad_check_params
 from normaug.inference import FusionStrategy, fuse, predict

@@ -1,0 +1,184 @@
+"""Strict checkpoint loading: every config key, exactly the model's arrays,
+finite values. Corrupted bytes either load or raise ValueError, and never
+make the loader allocate beyond a small multiple of the file size."""
+
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import tiny_model, toy_batch
+from normaug import normbank as nb
+from normaug import tensor as T
+from normaug.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
+
+# Loading the tiny model peaks at about 6x its file size (Python objects
+# around small arrays), about 11x when a flipped config digit enlarges the
+# model; honouring an oversized prefix would ask for far more.
+ALLOC_FACTOR = 32
+
+
+def layout(blob: bytes):
+    """(config text, [(offset, struct format) of every size prefix],
+    [(array name, record bytes)]), read by the documented
+    format: magic, u32 version, u64 config length, config, u32 array count,
+    then per array u32 name length, name, u32 ndim, u64 dims, float64 data."""
+    (clen,) = struct.unpack_from("<Q", blob, 8)
+    prefixes = [(8, "<Q"), (16 + clen, "<I")]
+    records = []
+    off = 20 + clen
+    for _ in range(struct.unpack_from("<I", blob, 16 + clen)[0]):
+        start = off
+        (nlen,) = struct.unpack_from("<I", blob, off)
+        name = blob[off + 4:off + 4 + nlen].decode()
+        off += 4 + nlen
+        (ndim,) = struct.unpack_from("<I", blob, off)
+        dims = struct.unpack_from(f"<{ndim}Q", blob, off + 4)
+        prefixes += [(start, "<I"), (off, "<I")]
+        prefixes += [(off + 4 + 8 * k, "<Q") for k in range(ndim)]
+        off += 4 + 8 * ndim + 8 * math.prod(dims)
+        records.append((name, blob[start:off]))
+    assert off == len(blob)
+    return blob[16:16 + clen].decode(), prefixes, records
+
+
+def assemble(text: str, records: list[bytes]) -> bytes:
+    config = text.encode()
+    return (CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(config)) + config
+            + struct.pack("<I", len(records)) + b"".join(records))
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Bytes of a trained-looking tiny checkpoint, and a temporary directory."""
+    model = tiny_model(seed=3)
+    rng = np.random.default_rng(9)
+    parts = nb.enumerate_reduced_combinations(3)
+    for i in range(3):
+        x, _, ids = toy_batch(rng)
+        with T.no_grad():
+            model.forward_main(x, mode="train")
+            model.forward_aux(x, ids, parts[i % len(parts)], mode="train")
+    directory = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(model, directory / "m.ckpt")
+    return (directory / "m.ckpt").read_bytes(), directory
+
+
+def load_bytes(directory, data: bytes):
+    path = directory / "edited.ckpt"
+    path.write_bytes(data)
+    return load_checkpoint(path)
+
+
+def loads(directory, data: bytes, original: bytes) -> bool:
+    """Whether the bytes load; any exception but ValueError escapes, and the
+    peak allocation must stay within ALLOC_FACTOR times the intact file."""
+    tracemalloc.start()
+    try:
+        load_bytes(directory, data)
+        return True
+    except ValueError:
+        return False
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= ALLOC_FACTOR * len(original)
+
+
+class TestStrictLoad:
+    def test_layout_reads_what_save_writes(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        assert assemble(text, [r for _, r in records]) == blob
+        load_bytes(directory, blob)
+
+    def test_missing_array(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        kept = [r for name, r in records if name != "main.site0.running_var"]
+        with pytest.raises(ValueError, match=r"missing arrays main\.site0\.running_var$"):
+            load_bytes(directory, assemble(text, kept))
+
+    def test_repeated_array(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        kept = [r for _, r in records]
+        with pytest.raises(ValueError, match="array 'backbone.layer0.W': unknown or repeated"):
+            load_bytes(directory, assemble(text, kept[:1] + kept))
+
+    def test_bank_subset_without_arrays(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        extra = text.replace("bank_subsets=", "bank_subsets=0+1+2,")
+        with pytest.raises(ValueError, match=r"missing arrays bank\.site0\.u0\+1\+2\.beta"):
+            load_bytes(directory, assemble(extra, [r for _, r in records]))
+
+    @pytest.mark.parametrize("key", ["input_dim", "hidden_sizes", "use_aug", "bn_eps",
+                                     "seed", "epoch", "rng_state"])
+    def test_missing_config_key(self, saved, key):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        lines = [ln for ln in text.splitlines() if ln.partition("=")[0] != key]
+        with pytest.raises(ValueError, match=f"config key {key} is missing"):
+            load_bytes(directory, assemble("\n".join(lines) + "\n", [r for _, r in records]))
+
+    @pytest.mark.parametrize("line,bad", [("use_aug=true", "use_aug=tru!"),
+                                          ("bn_eps=1e-05", "bn_eps=nan"),
+                                          ("hidden_sizes=8,4", "hidden_sizes=8,x")])
+    def test_malformed_config_value(self, saved, line, bad):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        assert line in text.splitlines()
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=f"config key {key}: expected"):
+            load_bytes(directory, assemble(text.replace(line, bad), [r for _, r in records]))
+
+    @pytest.mark.parametrize("array,value,error", [
+        ("backbone.layer0.W", math.nan, "non-finite values"),
+        ("main.site0.running_var", math.inf, "non-finite values"),
+        ("main.site0.count", 2.5, "2.5 is not a count"),
+        ("main.site0.count", -1.0, "-1.0 is not a count")])
+    def test_bad_array_value(self, saved, array, value, error):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        changed = [r[:-8] + struct.pack("<d", value) if name == array else r
+                   for name, r in records]
+        with pytest.raises(ValueError, match=f"array {array}: {error}"):
+            load_bytes(directory, assemble(text, changed))
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, saved, data):
+        blob, directory = saved
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        assert not loads(directory, blob[:cut], blob)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bit_flip(self, saved, data):
+        blob, directory = saved
+        header = 20 + len(layout(blob)[0].encode())
+        # half the flips land in the magic, version, config block and count
+        bit = data.draw(st.one_of(st.integers(0, 8 * len(blob) - 1),
+                                  st.integers(0, 8 * header - 1)))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        loads(directory, bytes(flipped), blob)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_oversized_prefix(self, saved, data):
+        blob, directory = saved
+        _, prefixes, _ = layout(blob)
+        offset, fmt = data.draw(st.sampled_from(prefixes))
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        value = data.draw(st.one_of(st.integers(top - 2 ** 16, top), st.integers(0, top)))
+        changed = bytearray(blob)
+        struct.pack_into(fmt, changed, offset, value)
+        loads(directory, bytes(changed), blob)

@@ -3,11 +3,23 @@
 import csv
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normaug import datagen, training
-from normaug.cli import _model_config, main, parse_config
+from normaug.cli import (
+    KNOWN_KEYS,
+    UsageError,
+    _gen_kwargs,
+    _model_config,
+    main,
+    parse_config,
+    train_config_from,
+)
 from normaug.model import ModelConfig
 
 SMALL_GEN = """
@@ -266,6 +278,16 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, "epochs 5\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("line", ["lr_backbone = nan", "weight_decay = inf",
+                                      "bn_momentum = nan"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, line):
+        gen_cfg = write_config(tmp_path, SMALL_GEN, "gen.txt")
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        cfg = write_config(tmp_path, SMALL_TRAIN + f"{line}\ndataset = {tmp_path / 'dataset.csv'}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        key = line.split()[0]
+        assert f"config key {key}: expected a finite number" in capsys.readouterr().err
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -275,3 +297,29 @@ class TestParseConfig:
     def test_comments_and_whitespace(self, tmp_path):
         cfg = write_config(tmp_path, "# full line comment\n\nepochs = 3  # trailing\n")
         assert parse_config(cfg) == {"epochs": "3"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.dictionaries(
+        st.sampled_from(sorted(KNOWN_KEYS)),
+        st.one_of(st.text(st.characters(blacklist_characters="\n\r#",
+                                        blacklist_categories=("Cs",)), max_size=10),
+                  st.sampled_from(["nan", "-inf", "1e309", "0", "-1", "true", "No", "8,4",
+                                   "8,,4", "", "smallconv", "shared_two"]),
+                  st.integers(-3, 100).map(str), st.floats().map(repr)),
+        max_size=6))
+    def test_fuzzed_values_build_valid_configs(self, tmp_path_factory, lines):
+        """Any key = value lines give valid configs or a UsageError."""
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+        try:
+            cfg = parse_config(path)
+            configs = [train_config_from(cfg, None), _model_config(cfg, 16, 5, 3)]
+            gen_kwargs = _gen_kwargs(cfg)
+        except UsageError:
+            return
+        for config in configs:
+            config.validate()
+        numbers = [v for v in vars(configs[0]).values() if isinstance(v, float)]
+        numbers += [configs[1].bn_momentum, configs[1].bn_eps, gen_kwargs["separation"],
+                    gen_kwargs["shift_kappa"], gen_kwargs["noise_sigma"]]
+        assert all(math.isfinite(x) for x in numbers)

@@ -122,6 +122,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=":4:"):
             load(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        ds, _ = generate(num_classes=2, num_domains=2, per_cell=4,
+                         feature_dim=4, seed=6)
+        path = tmp_path / "d.csv"
+        save(ds, path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=":6: non-finite feature"):
+            load(path)
+
     def test_short_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("domain,label,f0,f1,f2,f3\n0,0,1.0,2.0\n")
@@ -168,6 +180,14 @@ class TestSplits:
                          feature_dim=4, seed=11)
         with pytest.raises(ValueError):
             split_train_val(ds, 0.0, seed=0)
+
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0, 1]),
+                    np.array([0, 0]), num_classes=2, num_domains=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            generate(num_classes=2, num_domains=2, per_cell=4, feature_dim=4,
+                     separation=float("nan"), seed=0)
 
     def test_dataset_invariant_checks(self):
         with pytest.raises(ValueError, match="missing classes"):
