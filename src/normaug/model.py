@@ -69,7 +69,7 @@ class Linear:
         self.bias = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: Tensor, exact: bool = False) -> Tensor:
-        return T.matmul(x, self.weight, exact=exact) + self.bias
+        return T.linear(x, self.weight, self.bias, exact=exact)
 
     def parameters(self):
         return [("W", self.weight), ("b", self.bias)]
@@ -215,27 +215,25 @@ class TwoPathNetwork:
 
     def forward_aux(self, x, domain_ids: np.ndarray, partition: Partition,
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
-        """Partition route: every group's rows pass through that group's bank
-        unit at each site and through the group's classifier. Returns
-        subset -> (original row indices, logits for those rows)."""
+        """Partition route, train mode only: every group's rows pass through
+        that group's bank unit at each site and through the group's
+        classifier. Returns subset -> (original row indices, logits for
+        those rows)."""
         if not self.config.use_aug:
             raise ValueError("forward_aux: model built with use_aug=False")
+        if mode != "train":
+            raise ValueError(f"forward_aux: mode must be 'train', got {mode!r}")
         t = self._check_input(x)
         domain_ids = np.asarray(domain_ids)
-        exact = mode == "eval"
 
         def normalize(i: int, h: Tensor) -> Tensor:
-            return nb.partitioned_forward(self.banks[i], partition, h, domain_ids, mode)
+            return nb.partitioned_forward(self.banks[i], partition, h, domain_ids)
 
-        feats = self._backbone(t, normalize, exact)
+        feats = self._backbone(t, normalize, exact=False)
         out: dict[DomainSubset, tuple[np.ndarray, Tensor]] = {}
         for group in partition:
             idx = group.rows(domain_ids)
-            if idx.size == 0:
-                continue
-            clf = self._aux_classifier(group)
-            block = T.gather_rows(feats, idx)
-            out[group] = (idx, clf(block, exact=exact))
+            out[group] = (idx, self._aux_classifier(group)(T.gather_rows(feats, idx)))
         return out
 
     def forward_subpath(self, x, subset: DomainSubset, mode: str = "eval") -> Tensor:
@@ -394,6 +392,45 @@ def _state(model: TwoPathNetwork) -> dict[str, tuple[object, str]]:
     return table
 
 
+def _bank_labels(kv: dict[str, str], config: ModelConfig) -> list[tuple[int, ...]]:
+    """Domain indices of every subset on the `bank_subsets` line, each a
+    source domain of `config`."""
+    if "bank_subsets" not in kv:
+        return []
+    if not config.use_aug:
+        raise ValueError("config key bank_subsets: the model has no bank (use_aug=false)")
+    out = []
+    for label in kv["bank_subsets"].split(","):
+        indices = tuple(sorted({parse_value("bank_subsets", i, int) for i in label.split("+")}))
+        if indices[0] < 0 or indices[-1] >= config.num_domains:
+            raise ValueError(f"config key bank_subsets: subset {label} is not within "
+                             f"domains 0..{config.num_domains - 1}")
+        out.append(indices)
+    return out
+
+
+def _array_floats(config: ModelConfig, bank_labels: list[tuple[int, ...]]) -> int:
+    """Number of float64 values in the `_state` arrays of a model built from
+    `config` with units for `bank_labels`, computed without building it."""
+    h = config.hidden_sizes
+    if config.backbone == "mlp":
+        fan_in = (config.input_dim,) + h[:-1]
+    else:  # 3x3 kernels
+        fan_in = tuple(9 * c for c in (1,) + h[:-1])
+    total = sum(f * k + k for f, k in zip(fan_in, h))
+    unit = sum(4 * k + 1 for k in h)  # gamma, beta, running mean and var, count
+    total += unit + (2 * len(h) if config.use_on else 0)
+    clf = (h[-1] + 1) * config.num_classes
+    total += clf
+    if config.use_aug:
+        n = config.num_domains
+        # the scheme's singletons and (N-1)-subsets, plus any other subset
+        units = (n if n == 2 else 2 * n) + len({s for s in bank_labels if len(s) not in (1, n - 1)})
+        total += units * unit
+        total += {"independent": units, "shared_one": 0, "shared_two": 1}[config.classifier_mode] * clf
+    return total
+
+
 def _array(owner, attr: str) -> np.ndarray:
     value = getattr(owner, attr)
     return np.array([float(value)]) if attr == "update_count" else value
@@ -469,11 +506,17 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {version}")
     kv = _parse_config_text(take(unpack("<Q")).decode("utf-8"))
-    model = TwoPathNetwork(config_from_text(ModelConfig, kv, required=True),
-                           seed=_parse_key(kv, "seed", int))
-    if "bank_subsets" in kv:
-        for label in kv["bank_subsets"].split(","):
-            model.add_aux_unit(DomainSubset.of(*(int(i) for i in label.split("+"))))
+    config = config_from_text(ModelConfig, kv, required=True)
+    config.validate()
+    labels = _bank_labels(kv, config)
+    # refuse before building: the model would allocate whatever the block names
+    need = _array_floats(config, labels)
+    if 8 * need > len(blob) - off:
+        raise ValueError(f"config block names {need} array values, more than the "
+                         f"{len(blob) - off} bytes after it hold")
+    model = TwoPathNetwork(config, seed=_parse_key(kv, "seed", int))
+    for indices in labels:
+        model.add_aux_unit(DomainSubset.of(*indices))
     state = _state(model)
 
     for _ in range(unpack("<I")):

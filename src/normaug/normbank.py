@@ -62,8 +62,12 @@ class DomainSubset:
         return "+".join(str(i) for i in self.indices)
 
     def rows(self, domain_ids: np.ndarray) -> np.ndarray:
-        """Positions of the rows whose domain id lies in this subset."""
-        return np.flatnonzero(np.isin(domain_ids, self.indices))
+        """Positions of the rows whose domain id lies in this subset (a
+        negative id lies in none)."""
+        if self.mask >> 63:
+            raise ValueError(f"DomainSubset {self.label()}: rows needs domain indices < 63")
+        # numpy shifts by a count outside [0, 64) to 0, so such ids select no row
+        return np.flatnonzero((np.int64(self.mask) >> np.asarray(domain_ids, np.int64)) & 1)
 
     def validate(self, num_domains: int) -> None:
         if self.mask >= 1 << num_domains:
@@ -269,17 +273,8 @@ def pooled_moments(mu_a: np.ndarray, var_a: np.ndarray, count_a: int,
     return mu, var
 
 
-def _standardize_batch(x: Tensor, unit: BNUnit, mode: str) -> Tensor:
-    """(x - mu) / sigma with batch statistics (train) or running statistics
-    (eval). Gradients flow through the batch statistics."""
-    axes = _reduce_axes(x.ndim)
-    if mode == "train":
-        mu = T.mean(x, axis=axes, keepdims=True)
-        var = T.mean((x - mu) ** 2, axis=axes, keepdims=True)
-        sigma = T.sqrt(var + unit.eps)
-        out = (x - mu) / sigma
-        unit.update_running(mu.data.reshape(unit.channels), var.data.reshape(unit.channels))
-        return out
+def _standardize_running(x: Tensor, unit: BNUnit) -> Tensor:
+    """(x - mu) / sigma with the unit's running statistics (eval mode)."""
     rm = unit.running_mean
     rv = unit.running_var
     if x.ndim == 4:
@@ -305,38 +300,49 @@ def _affine(xhat: Tensor, unit: BNUnit) -> Tensor:
     return xhat * g + b
 
 
-def _check_channels(unit: BNUnit, features: Tensor) -> None:
+def _check_channels(channels: int, features: Tensor) -> None:
     c = features.shape[1]
-    if c != unit.channels:
+    if c != channels:
         raise T.ShapeError(
-            f"bn_forward: unit has {unit.channels} channels, features have {c}")
+            f"bn_forward: unit has {channels} channels, features have {c}")
 
 
 def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
                mode: str = "train") -> Tensor:
     """Normalize the selected rows with this unit.
 
-    Train mode computes statistics over exactly those rows and updates the
-    running averages; eval mode uses the running averages. The result holds
-    the selected rows in the order given.
+    Train mode computes statistics over exactly those rows (one fused tape
+    node) and updates the running averages; eval mode uses the running
+    averages. The result holds the selected rows in the order given.
     """
     _check_mode(mode)
-    _check_channels(unit, features)
+    _check_channels(unit.channels, features)
     x = features if rows is None else T.gather_rows(features, np.asarray(rows, dtype=np.intp))
-    if mode == "train" and x.shape[0] == 0:
+    if mode == "eval":
+        return _affine(_standardize_running(x, unit), unit)
+    if x.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
-    return _affine(_standardize_batch(x, unit, mode), unit)
+    out, mu, var = T.batch_norm(x, unit.gamma, unit.beta, unit.eps, _reduce_axes(x.ndim))
+    unit.update_running(mu, var)
+    return out
 
 
 def on_forward(unit: ONUnit, features: Tensor, mode: str = "train") -> Tensor:
     """Mixture normalization: a softmax-weighted convex combination of batch
-    and instance standardizations, then the affine transform."""
+    and instance standardizations, then the affine transform. Train mode is
+    one fused tape node and updates the running averages."""
     _check_mode(mode)
-    _check_channels(unit, features)
+    _check_channels(unit.channels, features)
+    if mode == "train":
+        out, mu, var = T.mixture_norm(features, unit.gamma, unit.beta, unit.mix_logits,
+                                      unit.eps, _reduce_axes(features.ndim),
+                                      _instance_axes(features.ndim))
+        unit.update_running(mu, var)
+        return out
     w = T.softmax(unit.mix_logits, axis=0)
     w_bn = T.gather_rows(w, np.array([0]))
     w_in = T.gather_rows(w, np.array([1]))
-    bn_hat = _standardize_batch(features, unit, mode)
+    bn_hat = _standardize_running(features, unit)
     in_hat = _standardize_instance(features, unit.eps)
     return _affine(bn_hat * w_bn + in_hat * w_in, unit)
 
@@ -402,34 +408,33 @@ def scheme_subsets(num_domains: int) -> list[DomainSubset]:
 
 def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
                         domain_ids: np.ndarray, mode: str = "train") -> Tensor:
-    """Normalize each partition group's rows with that group's unit.
+    """Normalize each partition group's rows with that group's unit, all
+    groups in one fused tape node, and update every group unit's running
+    averages.
 
     Statistics are computed only within each group; the output preserves
-    the input row order.
+    the input row order. Train mode only: evaluation runs a whole batch
+    through one unit (`bn_forward`).
     """
-    _check_mode(mode)
+    if mode != "train":
+        raise ValueError(f"partitioned_forward: mode must be 'train', got {mode!r}")
+    _check_channels(bank.channels, features)
     domain_ids = np.asarray(domain_ids)
     if domain_ids.shape[0] != features.shape[0]:
         raise T.ShapeError(
             f"partitioned_forward: {domain_ids.shape[0]} domain ids for "
             f"{features.shape[0]} rows")
-    present = np.unique(domain_ids)
-    for d in present:
+    for d in np.unique(domain_ids):
         partition.group_of(int(d))  # raises if a domain is not covered
-    units = {group: bank.unit(group) for group in partition}
-    num_rows = features.shape[0]
-    out: Tensor | None = None
-    for group, unit in units.items():
-        idx = group.rows(domain_ids)
-        if mode == "train" and idx.size < 2:
+    units = [bank.unit(group) for group in partition]
+    rows = [group.rows(domain_ids) for group in partition]
+    for group, idx in zip(partition, rows):
+        if idx.size < 2:
             raise ValueError(
                 f"partitioned_forward: degenerate sub-batch for {{{group.label()}}} "
                 f"({idx.size} rows)")
-        if idx.size == 0:
-            continue
-        block = bn_forward(unit, features, idx, mode)
-        placed = T.scatter_rows(block, idx, num_rows)
-        out = placed if out is None else out + placed
-    if out is None:
-        raise ValueError("partitioned_forward: empty batch")
+    out, moments = T.segment_batch_norm(features, rows, [(u.gamma, u.beta) for u in units],
+                                        bank.eps, _reduce_axes(features.ndim))
+    for unit, (mu, var) in zip(units, moments):
+        unit.update_running(mu, var)
     return out

@@ -3,8 +3,13 @@
 Every operation computes its result eagerly with numpy and, while gradients
 are enabled, attaches a tape node holding the backward rule. `backward`
 orders the reachable operations topologically and replays them in reverse,
-accumulating gradients additively into `.grad` (so repeated calls without a
-reset sum up).
+accumulating gradients additively into the `.grad` of leaf tensors (so
+repeated calls without a reset sum up); intermediate results keep no `.grad`.
+
+The training step records fused ops, one node each with a closed-form
+backward: `linear`, `batch_norm`, `mixture_norm`, `segment_batch_norm` and
+`cross_entropy`. The primitive ops they replace stay, and the tests use their
+composites as the oracle.
 
 All arithmetic is float64. Matrix products offer an `exact` mode (einsum
 instead of BLAS) whose per-row results are bitwise independent of the batch
@@ -185,7 +190,8 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every `requires_grad` tensor `loss` depends on.
+    """Populate `.grad` on every leaf `requires_grad` tensor (one without a
+    tape node, such as a parameter) that `loss` depends on.
 
     Gradients accumulate across calls; callers reset between steps.
     """
@@ -200,10 +206,6 @@ def backward(loss: Tensor) -> None:
         g_out = grads.pop(id(t), None)
         if g_out is None:
             continue
-        if t.grad is None:
-            t.grad = g_out.copy()
-        else:
-            t.grad = t.grad + g_out
         input_grads = t.node.backward_rule(g_out)
         for parent, g in zip(t.node.inputs, input_grads):
             if g is None or not parent.requires_grad:
@@ -392,17 +394,23 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record("log_softmax", (a,), out, rule)
 
 
-def gather_labels(a: Tensor, labels: np.ndarray) -> Tensor:
-    """Pick `a[i, labels[i]]` for each row; the core of an NLL loss."""
+def _check_labels(op: str, a: Tensor, labels: np.ndarray) -> np.ndarray:
+    """`labels` as an array of one class index per row of rank-2 `a`."""
     if a.ndim != 2:
-        raise ShapeError(f"gather_labels: expected rank-2 input, got {a.shape}")
+        raise ShapeError(f"{op}: expected rank-2 input, got {a.shape}")
     labels = np.asarray(labels)
     n, c = a.shape
     if labels.shape != (n,):
-        raise ShapeError(f"gather_labels: labels shape {labels.shape} != ({n},)")
+        raise ShapeError(f"{op}: labels shape {labels.shape} != ({n},)")
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= c:
-        raise ValueError(f"gather_labels: label out of range [0, {c})")
-    rows = np.arange(n)
+        raise ValueError(f"{op}: label out of range [0, {c})")
+    return labels
+
+
+def gather_labels(a: Tensor, labels: np.ndarray) -> Tensor:
+    """Pick `a[i, labels[i]]` for each row; the core of an NLL loss."""
+    labels = _check_labels("gather_labels", a, labels)
+    rows = np.arange(a.shape[0])
     out = a.data[rows, labels]
 
     def rule(g: np.ndarray):
@@ -507,6 +515,169 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return mean(x, axis=(2, 3))
 
 
+# ---------------------------------------------------------------------------
+# fused training ops: one tape node each, closed-form backward
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, exact: bool = False) -> Tensor:
+    """`matmul(x, w, exact) + b` as one node, with the composite's bits in
+    the forward and in every gradient."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not conform")
+    prod = np.einsum("ij,jk->ik", x.data, w.data) if exact else x.data @ w.data
+    out = prod + b.data
+
+    def rule(g: np.ndarray):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _record("linear", (x, w, b), out, rule)
+
+
+def _standardize(x: np.ndarray, eps: float, axes: tuple[int, ...]):
+    """(x - mean) / sqrt(var + eps) over `axes` with the population variance,
+    by the same numpy expressions as the primitive-op composite. Returns
+    (xhat, sigma, mean, var), the last three with `keepdims`."""
+    mu = x.mean(axis=axes, keepdims=True)
+    var = ((x - mu) ** 2.0).mean(axis=axes, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    return (x - mu) / sigma, sigma, mu, var
+
+
+def _standardize_grad(g_hat: np.ndarray, xhat: np.ndarray, sigma: np.ndarray,
+                      axes: tuple[int, ...]) -> np.ndarray:
+    """Gradient through `_standardize`, the moments included (Ioffe &
+    Szegedy 2015): (g - mean(g) - xhat * mean(g * xhat)) / sigma."""
+    return (g_hat - g_hat.mean(axis=axes, keepdims=True)
+            - xhat * (g_hat * xhat).mean(axis=axes, keepdims=True)) / sigma
+
+
+def _channel_shape(op: str, x: Tensor, axes: tuple[int, ...], *params: Tensor):
+    """Broadcast shape of a per-channel parameter against `x` (1 on every
+    axis in `axes`); every param must hold one value per channel."""
+    want = tuple(n for a, n in enumerate(x.shape) if a not in axes)
+    for p in params:
+        if p.shape != want:
+            raise ShapeError(f"{op}: parameter shape {p.shape} != {want} for input {x.shape}")
+    return tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+               axes: tuple[int, ...]) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Train-mode batch normalization as one node: standardize over `axes`
+    with the batch's own moments, then the per-channel affine. Returns
+    (out, batch mean, batch variance), the moments one value per channel."""
+    axes = tuple(axes)
+    pshape = _channel_shape("batch_norm", x, axes, gamma, beta)
+    xhat, sigma, mu, var = _standardize(x.data, eps, axes)
+    gv = gamma.data.reshape(pshape)
+    out = xhat * gv + beta.data.reshape(pshape)
+
+    def rule(g: np.ndarray):
+        return (_standardize_grad(g * gv, xhat, sigma, axes) if x.requires_grad else None,
+                (g * xhat).sum(axis=axes) if gamma.requires_grad else None,
+                g.sum(axis=axes) if beta.requires_grad else None)
+
+    return _record("batch_norm", (x, gamma, beta), out, rule), mu.ravel(), var.ravel()
+
+
+def mixture_norm(x: Tensor, gamma: Tensor, beta: Tensor, mix_logits: Tensor, eps: float,
+                 bn_axes: tuple[int, ...], in_axes: tuple[int, ...]
+                 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Train-mode BN/IN mixture as one node: softmax(mix_logits) weights the
+    batch standardization (over `bn_axes`) and the instance one (over
+    `in_axes`), then the per-channel affine. Returns (out, batch mean, batch
+    variance) like `batch_norm`."""
+    if x.ndim == 2 and x.shape[1] == 1:
+        raise ShapeError("IN undefined for single-feature rows")
+    if mix_logits.shape != (2,):
+        raise ShapeError(f"mixture_norm: mix_logits shape {mix_logits.shape} != (2,)")
+    bn_axes, in_axes = tuple(bn_axes), tuple(in_axes)
+    pshape = _channel_shape("mixture_norm", x, bn_axes, gamma, beta)
+    z = mix_logits.data - mix_logits.data.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    w = e / e.sum(axis=0, keepdims=True)
+    bn_hat, bn_sigma, mu, var = _standardize(x.data, eps, bn_axes)
+    in_hat, in_sigma, _, _ = _standardize(x.data, eps, in_axes)
+    mix = bn_hat * w[0:1] + in_hat * w[1:2]
+    gv = gamma.data.reshape(pshape)
+    out = mix * gv + beta.data.reshape(pshape)
+
+    def rule(g: np.ndarray):
+        g_mix = g * gv
+        gx = gl = None
+        if x.requires_grad:
+            gx = (_standardize_grad(g_mix * w[0:1], bn_hat, bn_sigma, bn_axes)
+                  + _standardize_grad(g_mix * w[1:2], in_hat, in_sigma, in_axes))
+        if mix_logits.requires_grad:
+            gw = np.array([(g_mix * bn_hat).sum(), (g_mix * in_hat).sum()])
+            gl = (gw - (gw * w).sum()) * w
+        return (gx,
+                (g * mix).sum(axis=bn_axes) if gamma.requires_grad else None,
+                g.sum(axis=bn_axes) if beta.requires_grad else None,
+                gl)
+
+    return (_record("mixture_norm", (x, gamma, beta, mix_logits), out, rule),
+            mu.ravel(), var.ravel())
+
+
+def segment_batch_norm(x: Tensor, group_rows: Sequence[np.ndarray],
+                       params: Sequence[tuple[Tensor, Tensor]], eps: float,
+                       axes: tuple[int, ...]
+                       ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+    """Train-mode batch normalization of disjoint row groups as one node.
+
+    Group k's rows `x[group_rows[k]]` are normalized exactly as `batch_norm`
+    would normalize them alone, with that group's own moments and its
+    `params[k] = (gamma, beta)`, and land at their original positions; rows
+    in no group come out 0. Every group must be nonempty and no row may lie
+    in two groups. Returns (out, [(batch mean, batch variance) per group]).
+    """
+    axes = tuple(axes)
+    if len(group_rows) != len(params):
+        raise ShapeError(
+            f"segment_batch_norm: {len(group_rows)} row groups for {len(params)} parameter pairs")
+    pshape = _channel_shape("segment_batch_norm", x, axes,
+                            *(p for pair in params for p in pair))
+    out = np.zeros_like(x.data)
+    saved, moments = [], []
+    for idx, (gamma, beta) in zip(group_rows, params):
+        xhat, sigma, mu, var = _standardize(x.data[idx], eps, axes)
+        gv = gamma.data.reshape(pshape)
+        out[idx] = xhat * gv + beta.data.reshape(pshape)
+        saved.append((idx, xhat, sigma, gv))
+        moments.append((mu.ravel(), var.ravel()))
+
+    def rule(g: np.ndarray):
+        gx = np.zeros_like(x.data) if x.requires_grad else None
+        grads = [gx]
+        for (idx, xhat, sigma, gv), (gamma, beta) in zip(saved, params):
+            g_k = g[idx]
+            if gx is not None:
+                gx[idx] = _standardize_grad(g_k * gv, xhat, sigma, axes)
+            grads.append((g_k * xhat).sum(axis=axes) if gamma.requires_grad else None)
+            grads.append(g_k.sum(axis=axes) if beta.requires_grad else None)
+        return tuple(grads)
+
+    inputs = (x,) + tuple(p for pair in params for p in pair)
+    return _record("segment_batch_norm", inputs, out, rule), moments
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax logits."""
-    return mean(neg(gather_labels(log_softmax(logits, axis=1), labels)))
+    """Mean negative log-likelihood of integer labels under softmax logits,
+    as one node with the bits of mean(neg(gather_labels(log_softmax)))."""
+    labels = _check_labels("cross_entropy", logits, labels)
+    n = logits.shape[0]
+    rows = np.arange(n)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    out = (-log_p[rows, labels]).mean(axis=(0,))
+
+    def rule(g: np.ndarray):
+        g_pick = -(np.broadcast_to(g.reshape(1), (n,)) / n)
+        g_log_p = np.zeros_like(log_p)
+        g_log_p[rows, labels] = g_pick
+        return (g_log_p - np.exp(log_p) * g_pick[:, None],)
+
+    return _record("cross_entropy", (logits,), out, rule)

@@ -14,7 +14,17 @@ from hypothesis import strategies as st
 from helpers import tiny_model, toy_batch
 from normaug import normbank as nb
 from normaug import tensor as T
-from normaug.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
+from normaug.model import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    ModelConfig,
+    _array,
+    _array_floats,
+    _state,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 # Loading the tiny model peaks at about 6x its file size (Python objects
 # around small arrays), about 11x when a flipped config digit enlarges the
@@ -149,6 +159,48 @@ class TestStrictLoad:
                    for name, r in records]
         with pytest.raises(ValueError, match=f"array {array}: {error}"):
             load_bytes(directory, assemble(text, changed))
+
+
+    def test_config_naming_more_values_than_the_file(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        assert "hidden_sizes=8,4" in text.splitlines()
+        big = assemble(text.replace("hidden_sizes=8,4", "hidden_sizes=3000,3000"),
+                       [r for _, r in records])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"config block names 9\d{6} array values"):
+                load_bytes(directory, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ALLOC_FACTOR * len(big)
+
+    @pytest.mark.parametrize("line,bad,error", [
+        ("bank_subsets=", "bank_subsets=0+9,", "bank_subsets: subset 0\\+9 is not within domains 0..2"),
+        ("bank_subsets=", "bank_subsets=0+x,", "bank_subsets: expected an integer"),
+        ("use_aug=true", "use_aug=false", "bank_subsets: the model has no bank")])
+    def test_bad_bank_subsets(self, saved, line, bad, error):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        with pytest.raises(ValueError, match=f"config key {error}"):
+            load_bytes(directory, assemble(text.replace(line, bad), [r for _, r in records]))
+
+    @pytest.mark.parametrize("backbone", ["mlp", "smallconv"])
+    @pytest.mark.parametrize("use_on", [True, False])
+    @pytest.mark.parametrize("mode", ["independent", "shared_one", "shared_two", None])
+    @pytest.mark.parametrize("num_domains", [2, 3, 4])
+    def test_array_values_counted_from_config(self, backbone, use_on, mode, num_domains):
+        config = ModelConfig(input_dim=9, hidden_sizes=(5, 3), num_classes=4,
+                             num_domains=num_domains, use_on=use_on, use_aug=mode is not None,
+                             classifier_mode=mode or "independent", backbone=backbone)
+        model = init_model(config, seed=0)
+        if model.banks:
+            model.add_aux_unit(nb.DomainSubset((1 << num_domains) - 1))
+            model.add_aux_unit(nb.DomainSubset.of(0, 1))
+        labels = [s.indices for s in model.banks[0].subsets()] if model.banks else []
+        stored = sum(_array(*where).size for where in _state(model).values())
+        assert _array_floats(config, labels) == stored
 
 
 class TestFuzz:

@@ -1,0 +1,294 @@
+"""Fused training ops against the primitive-op composites they replace:
+forward, gradients and batch moments, plus gradchecks and the tape size of
+one training step."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from helpers import (
+    composite_batch_norm,
+    composite_cross_entropy,
+    composite_linear,
+    composite_mixture_norm,
+    composite_segment_batch_norm,
+)
+from normaug import datagen, training
+from normaug import normbank as nb
+from normaug import tensor as T
+from normaug.gradcheck import grad_check_params
+from normaug.model import ModelConfig, init_model
+from normaug.tensor import Tensor
+
+BN_AXES = {2: (0,), 4: (0, 2, 3)}
+IN_AXES = {2: (1,), 4: (2, 3)}
+
+
+def forward_backward(fn, arrays, upstream):
+    """Run `fn` on fresh leaves holding `arrays`, backpropagate `upstream`
+    through its output; returns (output data, extra outputs, leaf grads)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out, extra = fn(*leaves)
+    T.backward((out * Tensor(upstream)).sum())
+    return out.data, extra, [leaf.grad for leaf in leaves]
+
+
+def agree(fused, composite, arrays, upstream, grad_tol: float | None):
+    """Fused vs composite: bitwise forward and extras; gradients bitwise
+    (`grad_tol` None) or within `grad_tol` relative to their scale."""
+    out_f, extra_f, grads_f = forward_backward(fused, arrays, upstream)
+    out_c, extra_c, grads_c = forward_backward(composite, arrays, upstream)
+    assert np.array_equal(out_f, out_c)
+    assert len(extra_f) == len(extra_c)
+    for a, b in zip(extra_f, extra_c):
+        assert np.array_equal(a, b)
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.shape == gc.shape
+        if grad_tol is None:
+            assert np.array_equal(gf, gc)
+        else:
+            assert np.abs(gf - gc).max() <= grad_tol * max(1.0, np.abs(gc).max())
+
+
+def with_moments(result):
+    """(out, (mean, var)) from a norm's (out, mean, var)."""
+    return result[0], result[1:]
+
+
+def random_shape(rng, rank: int, min_channels: int = 1) -> tuple[int, ...]:
+    if rank == 2:
+        return int(rng.integers(2, 25)), int(rng.integers(min_channels, 10))
+    return (int(rng.integers(2, 7)), int(rng.integers(min_channels, 5)),
+            int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+
+
+def shuffled_groups(rng, n_domains: int, rank: int):
+    """Shuffled (non-contiguous) domain ids, at least 2 rows per domain, and
+    the row groups of a random partition of the domains."""
+    counts = rng.integers(2, 6, size=n_domains)
+    ids = rng.permutation(np.repeat(np.arange(n_domains), counts))
+    labels = rng.integers(0, n_domains, size=n_domains)
+    groups = [np.flatnonzero(labels == k) for k in np.unique(labels)]
+    rows = [np.flatnonzero(np.isin(ids, g)) for g in groups]
+    shape = (ids.size,) + random_shape(rng, rank)[1:]
+    return rows, shape
+
+
+class TestLinear:
+    def test_bitwise_matches_composite(self):
+        rng = np.random.default_rng(0)
+        for case in range(200):
+            n, fan_in, fan_out = (int(v) for v in rng.integers(1, 12, size=3))
+            exact = bool(case % 2)
+            arrays = [rng.standard_normal((n, fan_in)), rng.standard_normal((fan_in, fan_out)),
+                      rng.standard_normal(fan_out)]
+            agree(lambda x, w, b: (T.linear(x, w, b, exact=exact), ()),
+                  lambda x, w, b: (composite_linear(x, w, b, exact=exact), ()),
+                  arrays, rng.standard_normal((n, fan_out)), grad_tol=None)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                       for s in ((5, 4), (4, 3), (3,)))
+            up = Tensor(rng.standard_normal((5, 3)))
+            assert grad_check_params(lambda: (T.linear(x, w, b) * up).sum(), [x, w, b]) < 1e-6
+
+    def test_shapes_checked(self):
+        with pytest.raises(T.ShapeError, match="linear"):
+            T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+class TestCrossEntropy:
+    def test_bitwise_matches_composite(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n, c = int(rng.integers(1, 20)), int(rng.integers(2, 8))
+            labels = rng.integers(0, c, size=n)
+            agree(lambda z: (T.cross_entropy(z, labels), ()),
+                  lambda z: (composite_cross_entropy(z, labels), ()),
+                  [rng.standard_normal((n, c)) * 3.0], np.array(rng.uniform(0.1, 2.0)),
+                  grad_tol=None)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            z = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+            labels = rng.integers(0, 4, size=6)
+            assert grad_check_params(lambda: T.cross_entropy(z, labels), [z]) < 1e-6
+
+    @pytest.mark.parametrize("logits,labels,error", [
+        (np.zeros((2, 3)), np.array([0, 3]), "label out of range"),
+        (np.zeros((2, 3)), np.array([-1, 0]), "label out of range"),
+        (np.zeros((2, 3)), np.array([0, 1, 2]), r"labels shape \(3,\) != \(2,\)"),
+        (np.zeros(3), np.array([0]), "expected rank-2 input")])
+    def test_labels_checked(self, logits, labels, error):
+        with pytest.raises(ValueError, match=f"cross_entropy: {error}"):
+            T.cross_entropy(Tensor(logits, requires_grad=True), labels)
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_matches_composite(self, rank):
+        rng = np.random.default_rng(4 + rank)
+        for _ in range(100):
+            shape = random_shape(rng, rank)
+            c, eps = shape[1], float(rng.choice([1e-5, 1e-3]))
+            arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3),
+                      rng.uniform(0.5, 2.0, c), rng.standard_normal(c)]
+            axes = BN_AXES[rank]
+            agree(lambda x, g, b: with_moments(T.batch_norm(x, g, b, eps, axes)),
+                  lambda x, g, b: with_moments(composite_batch_norm(x, g, b, eps, axes)),
+                  arrays, rng.standard_normal(shape), grad_tol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 2, 3, 2)])
+    def test_gradcheck(self, shape):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            g = Tensor(rng.uniform(0.5, 2.0, shape[1]), requires_grad=True)
+            b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+            up = Tensor(rng.standard_normal(shape))
+
+            def fn():
+                return (T.batch_norm(x, g, b, 1e-5, BN_AXES[len(shape)])[0] * up).sum()
+
+            assert grad_check_params(fn, [x, g, b]) < 1e-6
+
+    def test_parameter_shape_checked(self):
+        with pytest.raises(T.ShapeError, match="batch_norm"):
+            T.batch_norm(Tensor(np.ones((4, 3))), Tensor(np.ones(2)), Tensor(np.ones(2)),
+                         1e-5, (0,))
+
+
+class TestMixtureNorm:
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_matches_composite(self, rank):
+        rng = np.random.default_rng(7 + rank)
+        for _ in range(100):
+            shape = random_shape(rng, rank, min_channels=2)
+            c, eps = shape[1], float(rng.choice([1e-5, 1e-3]))
+            arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3),
+                      rng.uniform(0.5, 2.0, c), rng.standard_normal(c),
+                      rng.standard_normal(2)]
+            args = (eps, BN_AXES[rank], IN_AXES[rank])
+            agree(lambda x, g, b, m: with_moments(T.mixture_norm(x, g, b, m, *args)),
+                  lambda x, g, b, m: with_moments(composite_mixture_norm(x, g, b, m, *args)),
+                  arrays, rng.standard_normal(shape), grad_tol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 2, 3, 2)])
+    def test_gradcheck(self, shape):
+        rng = np.random.default_rng(10)
+        rank = len(shape)
+        for _ in range(10):
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            g = Tensor(rng.uniform(0.5, 2.0, shape[1]), requires_grad=True)
+            b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+            m = Tensor(rng.standard_normal(2), requires_grad=True)
+            up = Tensor(rng.standard_normal(shape))
+
+            def fn():
+                out = T.mixture_norm(x, g, b, m, 1e-5, BN_AXES[rank], IN_AXES[rank])[0]
+                return (out * up).sum()
+
+            assert grad_check_params(fn, [x, g, b, m]) < 1e-6
+
+    def test_single_feature_rows_rejected(self):
+        one = Tensor(np.ones(1))
+        with pytest.raises(T.ShapeError, match="IN undefined for single-feature rows"):
+            T.mixture_norm(Tensor(np.ones((4, 1))), one, one, Tensor(np.zeros(2)), 1e-5,
+                           (0,), (1,))
+
+
+class TestSegmentBatchNorm:
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_matches_gather_scatter_composite(self, rank):
+        rng = np.random.default_rng(11 + rank)
+        for _ in range(100):
+            rows, shape = shuffled_groups(rng, int(rng.integers(2, 5)), rank)
+            c, k, eps = shape[1], len(rows), float(rng.choice([1e-5, 1e-3]))
+            arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3)]
+            arrays += [a for _ in range(k) for a in (rng.uniform(0.5, 2.0, c),
+                                                    rng.standard_normal(c))]
+
+            def pairs(leaves):
+                return list(zip(leaves[0::2], leaves[1::2]))
+
+            def fused(x, *p):
+                out, moments = T.segment_batch_norm(x, rows, pairs(p), eps, BN_AXES[rank])
+                return out, [m for pair in moments for m in pair]
+
+            def composite(x, *p):
+                out, moments = composite_segment_batch_norm(x, rows, pairs(p), eps,
+                                                            BN_AXES[rank])
+                return out, [m for pair in moments for m in pair]
+
+            agree(fused, composite, arrays, rng.standard_normal(shape), grad_tol=1e-12)
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_gradcheck(self, rank):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            rows, shape = shuffled_groups(rng, 3, rank)
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            params = [(Tensor(rng.uniform(0.5, 2.0, shape[1]), requires_grad=True),
+                       Tensor(rng.standard_normal(shape[1]), requires_grad=True))
+                      for _ in rows]
+            up = Tensor(rng.standard_normal(shape))
+
+            def fn():
+                return (T.segment_batch_norm(x, rows, params, 1e-5, BN_AXES[rank])[0]
+                        * up).sum()
+
+            assert grad_check_params(fn, [x] + [t for pair in params for t in pair]) < 1e-6
+
+    @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
+    def test_partitioned_running_moments_match_composite(self, partition):
+        rng = np.random.default_rng(15)
+        ids = rng.permutation(np.repeat(np.arange(3), [3, 5, 4]))
+        x = rng.standard_normal((ids.size, 4)) * 2.0 + 1.0
+        fused_bank, oracle_bank = nb.BNBank(3, 4), nb.BNBank(3, 4)
+        nb.partitioned_forward(fused_bank, partition, Tensor(x), ids)
+        oracle_units = [oracle_bank.unit(g) for g in partition]
+        _, moments = composite_segment_batch_norm(
+            Tensor(x), [g.rows(ids) for g in partition],
+            [(u.gamma, u.beta) for u in oracle_units], oracle_bank.eps, (0,))
+        for unit, (mu, var) in zip(oracle_units, moments):
+            unit.update_running(mu, var)
+        for group in oracle_bank.subsets():
+            got, want = fused_bank.units[group], oracle_bank.units[group]
+            assert np.array_equal(got.running_mean, want.running_mean)
+            assert np.array_equal(got.running_var, want.running_var)
+            assert got.update_count == want.update_count
+
+
+class TestTapeSize:
+    """One train step of the default model records a few nodes per layer,
+    and normalization routes no rows through gather/scatter nodes."""
+
+    def ops(self, use_aug: bool, partition) -> Counter:
+        model = init_model(ModelConfig(input_dim=datagen.DEFAULT_FEATURE_DIM, use_aug=use_aug),
+                           seed=0)
+        rng = np.random.default_rng(0)
+        per_domain = training.TrainConfig().batch_per_domain
+        x = rng.standard_normal((3 * per_domain, datagen.DEFAULT_FEATURE_DIM))
+        labels = rng.integers(0, 5, size=x.shape[0])
+        ids = np.repeat(np.arange(3), per_domain)
+        logits, _ = model.forward_main(x, mode="train")
+        blocks = model.forward_aux(x, ids, partition, mode="train") if use_aug else None
+        loss = training.two_path_loss(logits, labels, blocks)
+        return Counter(t.node.op for t in T.Tape.trace(loss).entries)
+
+    @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
+    def test_on_aug_step(self, partition):
+        ops = self.ops(True, partition)
+        assert sum(ops.values()) <= 40
+        assert ops["scatter_rows"] == 0
+        # the one gather per group feeds that group's classifier
+        assert ops["gather_rows"] == len(partition)
+
+    def test_on_step(self):
+        ops = self.ops(False, None)
+        assert sum(ops.values()) <= 15
+        assert ops["gather_rows"] == ops["scatter_rows"] == 0

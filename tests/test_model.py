@@ -143,6 +143,11 @@ class TestForwardAux:
             m.forward_aux(np.ones((6, 6)), np.repeat([0, 1, 2], 2),
                           nb.all_singletons(3), mode="train")
 
+    def test_aux_is_train_only(self):
+        with pytest.raises(ValueError, match="mode must be 'train'"):
+            tiny_model().forward_aux(np.ones((6, 6)), np.repeat([0, 1, 2], 2),
+                                     nb.all_singletons(3), mode="eval")
+
 
 class TestParameterBudget:
     def test_backbone_count_independent_of_aug(self):

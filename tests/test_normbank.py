@@ -197,6 +197,12 @@ class TestPartitionedForward:
         moved = partitioned_forward(bank, part, Tensor(x2), ids, "train").data
         assert np.array_equal(moved[ids != 0], base[ids != 0])
 
+    def test_eval_mode_rejected(self):
+        ids = np.repeat([0, 1, 2], 2)
+        with pytest.raises(ValueError, match="mode must be 'train'"):
+            partitioned_forward(self._bank(), nb.all_singletons(3), Tensor(np.ones((6, 4))),
+                                ids, "eval")
+
     def test_degenerate_subbatch_rejected(self):
         bank = self._bank()
         x = np.ones((5, 4))
@@ -389,6 +395,19 @@ class TestBank:
             DomainSubset(0)
         with pytest.raises(ValueError):
             DomainSubset.of(3).validate(3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=st.integers(1, 2**63 - 1),
+           ids=st.lists(st.integers(-200, 200), max_size=40))
+    def test_rows_bit_test_matches_isin(self, mask, ids):
+        subset = DomainSubset(mask)
+        ids = np.array(ids, dtype=np.int64)
+        want = np.flatnonzero(np.isin(ids, subset.indices))
+        assert np.array_equal(subset.rows(ids), want)
+
+    def test_rows_rejects_index_beyond_62(self):
+        with pytest.raises(ValueError, match="domain indices < 63"):
+            DomainSubset.of(63).rows(np.arange(4))
 
     def test_pooled_moments_identity_on_copy(self):
         rng = np.random.default_rng(14)

@@ -90,6 +90,14 @@ class TestBackwardBasics:
         backward((x * x + x).sum())  # d/dx (x^2 + x) = 2x + 1
         assert np.allclose(x.grad, [7.0])
 
+    def test_only_leaves_keep_grad(self):
+        x = Tensor([3.0], requires_grad=True)
+        y = x * 2.0
+        loss = (y * y).sum()
+        backward(loss)
+        assert np.allclose(x.grad, [24.0])
+        assert y.grad is None and loss.grad is None
+
     def test_no_grad_suppresses_tape(self):
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
