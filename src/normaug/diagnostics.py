@@ -22,11 +22,7 @@ def _column_means(rows: list[np.ndarray]) -> np.ndarray:
     total = sum(r.shape[0] for r in rows)
     if total == 0:
         raise ValueError("divergence: empty feature set")
-    dim = rows[0].shape[1]
-    out = np.empty(dim)
-    for j in range(dim):
-        out[j] = math.fsum(float(v) for r in rows for v in r[:, j]) / total
-    return out
+    return np.array([math.fsum(col) for col in np.concatenate(rows).T.tolist()]) / total
 
 
 @dataclass

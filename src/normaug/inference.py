@@ -1,9 +1,10 @@
 """Test-time ensemble over the main route and the bank sub-paths.
 
-All routes run in evaluation mode (running statistics only), so every
-sample's probabilities are independent of how the split is batched. Fusion
-operates on softmax probabilities; the Max-family operators take the
-elementwise maximum across routes and renormalize to a distribution.
+All routes run in evaluation mode (running statistics only) on plain
+arrays, without the autodiff tape, so every sample's probabilities are
+independent of how the split is batched. Fusion operates on softmax
+probabilities; the Max-family operators take the elementwise maximum across
+routes and renormalize to a distribution.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .model import TwoPathNetwork
 from .normbank import DomainSubset
 
@@ -144,17 +144,14 @@ def predict(model: TwoPathNetwork, features: np.ndarray,
             scope: SubpathScope = SubpathScope.INDEPENDENT_ONLY
             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluation-mode probabilities: the fused matrix and one matrix per
-    route ('main' plus 'sub_<domains>')."""
-    with T.no_grad():
-        logits, _ = model.forward_main(features, mode="eval")
-        per_path = {"main": _softmax_rows(logits.data)}
-        subs = []
-        for s in subpath_subsets(model, scope):
-            p = _softmax_rows(model.forward_subpath(features, s, mode="eval").data)
-            per_path[f"sub_{s.label()}"] = p
-            subs.append(p)
-    fused = fuse(per_path["main"], subs, strategy)
-    return fused, per_path
+    route ('main' plus 'sub_<domains>'). Every route runs on plain arrays
+    from one shared layer-0 product (`TwoPathNetwork.eval_logits`)."""
+    subsets = subpath_subsets(model, scope)
+    main, subs = model.eval_logits(features, subsets)
+    p_main, p_subs = _softmax_rows(main), [_softmax_rows(z) for z in subs]
+    per_path = {"main": p_main}
+    per_path.update((f"sub_{s.label()}", p) for s, p in zip(subsets, p_subs))
+    return fuse(p_main, p_subs, strategy), per_path
 
 
 @dataclass

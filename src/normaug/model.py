@@ -2,13 +2,14 @@
 dispatch either to the main route (plain BN or the BN/IN mixture) or to the
 per-subset bank, plus one classifier per route.
 
-Evaluation-mode forwards use the chunk-invariant matmul so per-sample
-outputs never depend on how a split is batched.
+Training runs on the autodiff tape. Evaluation runs every route on plain
+arrays (`eval_logits`): layer products go one row at a time and each
+normalization is a per-channel affine map, so per-sample outputs never
+depend on how a split is batched.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import struct
@@ -68,8 +69,15 @@ class Linear:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(fan_out), requires_grad=True)
 
-    def __call__(self, x: Tensor, exact: bool = False) -> Tensor:
-        return T.linear(x, self.weight, self.bias, exact=exact)
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.linear(x, self.weight, self.bias)
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """Evaluation-mode product on arrays, one row at a time: each row's
+        bits do not depend on the rest of the batch."""
+        out = np.matmul(h[:, None, :], self.weight.data)[:, 0]
+        out += self.bias.data
+        return out
 
     def parameters(self):
         return [("W", self.weight), ("b", self.bias)]
@@ -84,8 +92,12 @@ class Conv2d:
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
         self.padding = kernel // 2
 
-    def __call__(self, x: Tensor, exact: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, padding=self.padding)
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """Evaluation-mode convolution on arrays, with the tape op's bits."""
+        return T.conv2d_array(h, self.weight.data, self.bias.data, self.padding)[0]
 
     def parameters(self):
         return [("W", self.weight), ("b", self.bias)]
@@ -171,20 +183,25 @@ class TwoPathNetwork:
 
     # -- forward routes ---------------------------------------------------
 
-    def _check_input(self, x: np.ndarray | Tensor) -> Tensor:
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        if t.ndim != 2 or t.shape[1] != self.config.input_dim:
+    def _rows(self, x: np.ndarray | Tensor) -> np.ndarray:
+        """`x` as a float64 (B, input_dim) array."""
+        arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != self.config.input_dim:
             raise T.ShapeError(
-                f"model: expected (B, {self.config.input_dim}) features, got {t.shape}")
-        return t
+                f"model: expected (B, {self.config.input_dim}) features, got {arr.shape}")
+        return arr
 
-    def _backbone(self, x: Tensor, normalize, exact: bool) -> Tensor:
+    def _check_input(self, x: np.ndarray | Tensor) -> Tensor:
+        arr = self._rows(x)
+        return x if isinstance(x, Tensor) else Tensor(arr)
+
+    def _backbone(self, x: Tensor, normalize) -> Tensor:
         h = x
         if self.config.backbone == "smallconv":
             side = math.isqrt(self.config.input_dim)
             h = T.reshape(h, (h.shape[0], 1, side, side))
         for i, layer in enumerate(self.layers):
-            h = layer(h, exact=exact)
+            h = layer(h)
             h = normalize(i, h)
             h = T.relu(h)
         if self.config.backbone == "smallconv":
@@ -197,18 +214,23 @@ class TwoPathNetwork:
         return nb.bn_forward(unit, h, None, mode)
 
     def forward_main(self, x, mode: str = "train") -> tuple[Tensor, Tensor]:
-        """Whole-batch route; returns (logits, penultimate features)."""
+        """Whole-batch route; returns (logits, penultimate features). Eval
+        mode wraps the arrays of the evaluation walk."""
+        if mode == "eval":
+            feats = self.features(x)
+            return Tensor(self.classifier_main.apply(feats)), Tensor(feats)
         t = self._check_input(x)
-        exact = mode == "eval"
 
         def normalize(i: int, h: Tensor) -> Tensor:
             return self._normalize_main(self.main_units[i], h, mode)
 
-        feats = self._backbone(t, normalize, exact)
-        logits = self.classifier_main(feats, exact=exact)
-        return logits, feats
+        feats = self._backbone(t, normalize)
+        return self.classifier_main(feats), feats
 
     def features(self, x, mode: str = "eval") -> np.ndarray:
+        """Main-route penultimate features; in eval mode, on arrays only."""
+        if mode == "eval":
+            return self._eval_features(self._first_layer(x), self.main_units)
         with T.no_grad():
             _, feats = self.forward_main(x, mode)
         return feats.data
@@ -217,37 +239,37 @@ class TwoPathNetwork:
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
         """Partition route, train mode only: every group's rows pass through
         that group's bank unit at each site and through the group's
-        classifier. Returns subset -> (original row indices, logits for
-        those rows)."""
+        classifier. The groups' rows are found once per call. Returns
+        subset -> (original row indices, logits for those rows)."""
         if not self.config.use_aug:
             raise ValueError("forward_aux: model built with use_aug=False")
         if mode != "train":
             raise ValueError(f"forward_aux: mode must be 'train', got {mode!r}")
         t = self._check_input(x)
         domain_ids = np.asarray(domain_ids)
+        rows = nb.partition_rows(partition, domain_ids)
 
         def normalize(i: int, h: Tensor) -> Tensor:
-            return nb.partitioned_forward(self.banks[i], partition, h, domain_ids)
+            return nb.partitioned_forward(self.banks[i], partition, h, domain_ids,
+                                          group_rows=rows)
 
-        feats = self._backbone(t, normalize, exact=False)
-        out: dict[DomainSubset, tuple[np.ndarray, Tensor]] = {}
-        for group in partition:
-            idx = group.rows(domain_ids)
-            out[group] = (idx, self._aux_classifier(group)(T.gather_rows(feats, idx)))
-        return out
+        feats = self._backbone(t, normalize)
+        return {group: (idx, self._aux_classifier(group)(T.gather_rows(feats, idx)))
+                for group, idx in zip(partition, rows)}
 
     def forward_subpath(self, x, subset: DomainSubset, mode: str = "eval") -> Tensor:
-        """Feed the whole batch through one bank unit and its classifier."""
-        if not self.config.use_aug:
-            raise ValueError("forward_subpath: model built with use_aug=False")
+        """Feed the whole batch through one bank unit and its classifier.
+        Eval mode wraps the logits of the evaluation walk."""
+        units = self._bank_units(subset)
+        if mode == "eval":
+            feats = self._eval_features(self._first_layer(x), units)
+            return Tensor(self._aux_classifier(subset).apply(feats))
         t = self._check_input(x)
-        exact = mode == "eval"
 
         def normalize(i: int, h: Tensor) -> Tensor:
-            return nb.bn_forward(self.banks[i].unit(subset), h, None, mode)
+            return nb.bn_forward(units[i], h, None, mode)
 
-        feats = self._backbone(t, normalize, exact)
-        return self._aux_classifier(subset)(feats, exact=exact)
+        return self._aux_classifier(subset)(self._backbone(t, normalize))
 
     def _aux_classifier(self, subset: DomainSubset) -> Linear:
         try:
@@ -270,6 +292,46 @@ class TwoPathNetwork:
             else:
                 self.classifiers_aux[subset] = next(iter(self.classifiers_aux.values()))
 
+    # -- evaluation on arrays ----------------------------------------------
+
+    def _first_layer(self, x) -> np.ndarray:
+        """Layer-0 product of the input rows: every evaluation route starts
+        from it, since all routes share the backbone weights."""
+        h = self._rows(x)
+        if self.config.backbone == "smallconv":
+            side = math.isqrt(self.config.input_dim)
+            h = h.reshape(h.shape[0], 1, side, side)
+        return self.layers[0].apply(h)
+
+    def _eval_features(self, z: np.ndarray, units: list[BNUnit], moments=None) -> np.ndarray:
+        """Penultimate features from the layer-0 product `z`, normalizing
+        site i with `units[i]` in evaluation mode. `moments(h)`, if given,
+        supplies the (mean, var) that stand in for the running ones."""
+        h = z
+        for i, unit in enumerate(units):
+            if i:
+                h = self.layers[i].apply(h)
+            h = nb.eval_normalize(unit, h, None if moments is None else moments(h))
+            np.maximum(h, 0.0, out=h)
+        if self.config.backbone == "smallconv":
+            h = h.mean(axis=(2, 3))
+        return h
+
+    def _bank_units(self, subset: DomainSubset) -> list[BNUnit]:
+        if not self.config.use_aug:
+            raise ValueError("forward_subpath: model built with use_aug=False")
+        return [bank.unit(subset) for bank in self.banks]
+
+    def eval_logits(self, x, subsets=()) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Evaluation-mode logits of the main route and of each subset's
+        sub-path (its bank units and classifier), on arrays, sharing one
+        layer-0 product. Uses the running statistics only."""
+        z = self._first_layer(x)
+        main = self.classifier_main.apply(self._eval_features(z, self.main_units))
+        subs = [self._aux_classifier(s).apply(self._eval_features(z, self._bank_units(s)))
+                for s in subsets]
+        return main, subs
+
     # -- batch-statistics probing -----------------------------------------
 
     def features_with_batch_stats(self, probe: np.ndarray,
@@ -278,27 +340,24 @@ class TwoPathNetwork:
         the statistics of the probe batch merged with an optional companion
         batch. Parameters stay fixed; running statistics are not touched.
 
-        The stacked rows run once through the main route in evaluation mode
-        with the pooled moments standing in for the running ones. Moments
-        merge by the exact two-group identity and the product is
-        chunk-invariant, so a companion that is a bitwise copy of the probe
+        The stacked rows run once through the evaluation walk of the main
+        route with the pooled moments standing in for the running ones.
+        Moments merge by the exact two-group identity and every row is
+        computed alone, so a companion that is a bitwise copy of the probe
         leaves the features bitwise unchanged.
         """
-        blocks = [self._check_input(b).data for b in (probe, companion) if b is not None]
+        blocks = [self._rows(b) for b in (probe, companion) if b is not None]
         n = blocks[0].shape[0]
 
-        def normalize(i: int, h: Tensor) -> Tensor:
-            mu, var = nb._channel_stats(h.data[:n])
+        def moments(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            mu, var = nb._channel_stats(h[:n])
             if h.shape[0] > n:
-                mu_c, var_c = nb._channel_stats(h.data[n:])
+                mu_c, var_c = nb._channel_stats(h[n:])
                 mu, var = nb.pooled_moments(mu, var, n, mu_c, var_c, h.shape[0] - n)
-            unit = copy.copy(self.main_units[i])
-            unit.running_mean, unit.running_var = mu, var
-            return self._normalize_main(unit, h, "eval")
+            return mu, var
 
-        with T.no_grad():
-            feats = self._backbone(Tensor(np.concatenate(blocks)), normalize, exact=True)
-        return feats.data[:n]
+        z = self._first_layer(np.concatenate(blocks))
+        return self._eval_features(z, self.main_units, moments)[:n]
 
 
 def init_model(config: ModelConfig, seed: int) -> TwoPathNetwork:

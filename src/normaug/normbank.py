@@ -224,13 +224,6 @@ def _instance_axes(ndim: int) -> tuple[int, ...]:
     raise T.ShapeError(f"normalization expects rank-2 or rank-4 features, got rank {ndim}")
 
 
-def _channel_view(v: Tensor, ndim: int) -> Tensor:
-    # reshape a (C,) parameter for broadcasting against rank-4 features
-    if ndim == 4:
-        return T.reshape(v, (1, v.shape[0], 1, 1))
-    return v
-
-
 def _channel_stats(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axes = _reduce_axes(arr.ndim)
     mu = arr.mean(axis=axes)
@@ -273,34 +266,43 @@ def pooled_moments(mu_a: np.ndarray, var_a: np.ndarray, count_a: int,
     return mu, var
 
 
-def _standardize_running(x: Tensor, unit: BNUnit) -> Tensor:
-    """(x - mu) / sigma with the unit's running statistics (eval mode)."""
-    rm = unit.running_mean
-    rv = unit.running_var
-    if x.ndim == 4:
-        rm = rm[None, :, None, None]
-        rv = rv[None, :, None, None]
-    return (x - Tensor(rm)) / Tensor(np.sqrt(rv + unit.eps))
+def eval_normalize(unit: BNUnit, h: np.ndarray,
+                   moments: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Evaluation-mode normalization of the array `h` with this unit.
+
+    The batch term is one per-channel affine map, `h * scale + shift` with
+    `scale = gamma / sqrt(var + eps)` and `shift = beta - mean * scale`,
+    from the running moments or from `moments` = (mean, var) standing in
+    for them. An `ONUnit` weights that term by softmax(mix_logits)[0] and
+    adds the instance standardization times gamma * softmax(mix_logits)[1].
+    Every row is transformed alone, so the result does not depend on the
+    batch.
+    """
+    _check_channels(unit.channels, h)
+    bn_axes = _reduce_axes(h.ndim)
+    pshape = tuple(1 if a in bn_axes else n for a, n in enumerate(h.shape))
+    mixture = isinstance(unit, ONUnit)
+    if mixture:
+        if h.ndim == 2 and h.shape[1] == 1:
+            raise T.ShapeError("IN undefined for single-feature rows")
+        e = np.exp(unit.mix_logits.data - unit.mix_logits.data.max())
+        w = e / e.sum()
+    mean, var = moments if moments is not None else (unit.running_mean, unit.running_var)
+    gamma = unit.gamma.data
+    scale = gamma / np.sqrt(var + unit.eps)
+    if mixture:
+        scale = scale * w[0]
+    shift = unit.beta.data - mean * scale
+    out = h * scale.reshape(pshape)
+    out += shift.reshape(pshape)
+    if mixture:
+        in_hat = T._standardize(h, unit.eps, _instance_axes(h.ndim))[0]
+        in_hat *= (gamma * w[1]).reshape(pshape)
+        out += in_hat
+    return out
 
 
-def _standardize_instance(x: Tensor, eps: float) -> Tensor:
-    """Per-sample standardization: across channels for rank-2 features, per
-    channel across space for rank-4."""
-    if x.ndim == 2 and x.shape[1] == 1:
-        raise T.ShapeError("IN undefined for single-feature rows")
-    axes = _instance_axes(x.ndim)
-    mu = T.mean(x, axis=axes, keepdims=True)
-    var = T.mean((x - mu) ** 2, axis=axes, keepdims=True)
-    return (x - mu) / T.sqrt(var + eps)
-
-
-def _affine(xhat: Tensor, unit: BNUnit) -> Tensor:
-    g = _channel_view(unit.gamma, xhat.ndim)
-    b = _channel_view(unit.beta, xhat.ndim)
-    return xhat * g + b
-
-
-def _check_channels(channels: int, features: Tensor) -> None:
+def _check_channels(channels: int, features: Tensor | np.ndarray) -> None:
     c = features.shape[1]
     if c != channels:
         raise T.ShapeError(
@@ -312,14 +314,15 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
     """Normalize the selected rows with this unit.
 
     Train mode computes statistics over exactly those rows (one fused tape
-    node) and updates the running averages; eval mode uses the running
-    averages. The result holds the selected rows in the order given.
+    node) and updates the running averages; eval mode is `eval_normalize`
+    with the running averages. The result holds the selected rows in the
+    order given.
     """
     _check_mode(mode)
     _check_channels(unit.channels, features)
     x = features if rows is None else T.gather_rows(features, np.asarray(rows, dtype=np.intp))
     if mode == "eval":
-        return _affine(_standardize_running(x, unit), unit)
+        return Tensor(eval_normalize(unit, x.data))
     if x.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
     out, mu, var = T.batch_norm(x, unit.gamma, unit.beta, unit.eps, _reduce_axes(x.ndim))
@@ -330,7 +333,8 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
 def on_forward(unit: ONUnit, features: Tensor, mode: str = "train") -> Tensor:
     """Mixture normalization: a softmax-weighted convex combination of batch
     and instance standardizations, then the affine transform. Train mode is
-    one fused tape node and updates the running averages."""
+    one fused tape node and updates the running averages; eval mode is
+    `eval_normalize`."""
     _check_mode(mode)
     _check_channels(unit.channels, features)
     if mode == "train":
@@ -339,12 +343,7 @@ def on_forward(unit: ONUnit, features: Tensor, mode: str = "train") -> Tensor:
                                       _instance_axes(features.ndim))
         unit.update_running(mu, var)
         return out
-    w = T.softmax(unit.mix_logits, axis=0)
-    w_bn = T.gather_rows(w, np.array([0]))
-    w_in = T.gather_rows(w, np.array([1]))
-    bn_hat = _standardize_running(features, unit)
-    in_hat = _standardize_instance(features, unit.eps)
-    return _affine(bn_hat * w_bn + in_hat * w_in, unit)
+    return Tensor(eval_normalize(unit, features.data))
 
 
 def _check_mode(mode: str) -> None:
@@ -406,15 +405,34 @@ def scheme_subsets(num_domains: int) -> list[DomainSubset]:
     return sorted(keys, key=lambda s: (s.size, s.mask))
 
 
+def partition_rows(partition: Partition, domain_ids: np.ndarray) -> list[np.ndarray]:
+    """Row positions of each partition group, in partition order, after
+    checking that the partition covers every domain id and that every group
+    has at least two rows."""
+    domain_ids = np.asarray(domain_ids)
+    for d in np.unique(domain_ids):
+        partition.group_of(int(d))  # raises if a domain is not covered
+    rows = [group.rows(domain_ids) for group in partition]
+    for group, idx in zip(partition, rows):
+        if idx.size < 2:
+            raise ValueError(
+                f"partitioned_forward: degenerate sub-batch for {{{group.label()}}} "
+                f"({idx.size} rows)")
+    return rows
+
+
 def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
-                        domain_ids: np.ndarray, mode: str = "train") -> Tensor:
+                        domain_ids: np.ndarray, mode: str = "train", *,
+                        group_rows: list[np.ndarray] | None = None) -> Tensor:
     """Normalize each partition group's rows with that group's unit, all
     groups in one fused tape node, and update every group unit's running
     averages.
 
     Statistics are computed only within each group; the output preserves
-    the input row order. Train mode only: evaluation runs a whole batch
-    through one unit (`bn_forward`).
+    the input row order. `group_rows` is `partition_rows(partition,
+    domain_ids)` computed once by a caller that normalizes several sites
+    of one batch. Train mode only: evaluation runs a whole batch through
+    one unit (`eval_normalize`).
     """
     if mode != "train":
         raise ValueError(f"partitioned_forward: mode must be 'train', got {mode!r}")
@@ -424,15 +442,8 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
         raise T.ShapeError(
             f"partitioned_forward: {domain_ids.shape[0]} domain ids for "
             f"{features.shape[0]} rows")
-    for d in np.unique(domain_ids):
-        partition.group_of(int(d))  # raises if a domain is not covered
+    rows = group_rows if group_rows is not None else partition_rows(partition, domain_ids)
     units = [bank.unit(group) for group in partition]
-    rows = [group.rows(domain_ids) for group in partition]
-    for group, idx in zip(partition, rows):
-        if idx.size < 2:
-            raise ValueError(
-                f"partitioned_forward: degenerate sub-batch for {{{group.label()}}} "
-                f"({idx.size} rows)")
     out, moments = T.segment_batch_norm(features, rows, [(u.gamma, u.beta) for u in units],
                                         bank.eps, _reduce_axes(features.ndim))
     for unit, (mu, var) in zip(units, moments):

@@ -11,9 +11,10 @@ backward: `linear`, `batch_norm`, `mixture_norm`, `segment_batch_norm` and
 `cross_entropy`. The primitive ops they replace stay, and the tests use their
 composites as the oracle.
 
-All arithmetic is float64. Matrix products offer an `exact` mode (einsum
-instead of BLAS) whose per-row results are bitwise independent of the batch
-they are computed in; evaluation-mode model code relies on this.
+All arithmetic is float64. The tape is for training; evaluation runs on
+plain arrays (`TwoPathNetwork.eval_logits`). Matrix products offer an
+`exact` mode (einsum instead of BLAS) whose per-row results are bitwise
+independent of the batch they are computed in.
 """
 
 from __future__ import annotations
@@ -462,31 +463,43 @@ def scatter_rows(a: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
 # 2-D convolution (stride 1, zero padding) and pooling
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 1) -> Tensor:
-    """Stride-1 zero-padded convolution on (B, C, H, W) input.
+def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+                 padding: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Array part of `conv2d`: stride-1 zero-padded convolution of (B, C, H,
+    W) input, returned with the padded input.
 
-    Implemented as a sum of shifted einsum contractions so the per-sample
-    results stay chunk-invariant in evaluation mode.
+    A sum of shifted einsum contractions, so each sample's result does not
+    depend on the batch it is computed in.
     """
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: shapes {x.shape} and {w.shape} do not conform")
-    bsz, cin, h, wd = x.shape
+    bsz, _, h, wd = x.shape
     cout, _, kh, kw = w.shape
     p = int(padding)
     ho, wo = h + 2 * p - kh + 1, wd + 2 * p - kw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel {(kh, kw)} too large for input {(h, wd)} pad {p}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     out = np.zeros((bsz, cout, ho, wo))
     for u in range(kh):
         for v in range(kw):
-            out += np.einsum("bcij,oc->boij", xp[:, :, u:u + ho, v:v + wo], w.data[:, :, u, v])
-    inputs: tuple[Tensor, ...] = (x, w)
+            out += np.einsum("bcij,oc->boij", xp[:, :, u:u + ho, v:v + wo], w[:, :, u, v])
     if b is not None:
         if b.shape != (cout,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({cout},)")
-        out = out + b.data[None, :, None, None]
-        inputs = (x, w, b)
+        out = out + b[None, :, None, None]
+    return out, xp
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 1) -> Tensor:
+    """Stride-1 zero-padded convolution on (B, C, H, W) input (see
+    `conv2d_array`)."""
+    out, xp = conv2d_array(x.data, w.data, None if b is None else b.data, padding)
+    p = int(padding)
+    h, wd = x.shape[2:]
+    kh, kw = w.shape[2:]
+    ho, wo = out.shape[2:]
+    inputs = (x, w) if b is None else (x, w, b)
 
     def rule(g: np.ndarray):
         gxp = np.zeros_like(xp) if x.requires_grad else None
@@ -540,9 +553,11 @@ def _standardize(x: np.ndarray, eps: float, axes: tuple[int, ...]):
     by the same numpy expressions as the primitive-op composite. Returns
     (xhat, sigma, mean, var), the last three with `keepdims`."""
     mu = x.mean(axis=axes, keepdims=True)
-    var = ((x - mu) ** 2.0).mean(axis=axes, keepdims=True)
+    xhat = x - mu
+    var = (xhat ** 2.0).mean(axis=axes, keepdims=True)
     sigma = np.sqrt(var + eps)
-    return (x - mu) / sigma, sigma, mu, var
+    xhat /= sigma
+    return xhat, sigma, mu, var
 
 
 def _standardize_grad(g_hat: np.ndarray, xhat: np.ndarray, sigma: np.ndarray,

@@ -87,6 +87,55 @@ def composite_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return T.mean(T.neg(T.gather_labels(T.log_softmax(logits, axis=1), labels)))
 
 
+# ---------------------------------------------------------------------------
+# the tape-side evaluation composite: the graph the array eval walk replaces
+
+
+def composite_eval_normalize(unit, x: Tensor, moments=None) -> Tensor:
+    """Oracle for `normbank.eval_normalize` from primitive tape ops:
+    standardize with the running moments (or `moments`), mix in the
+    instance standardization for an ON unit, then the affine transform."""
+    mean, var = moments if moments is not None else (unit.running_mean, unit.running_var)
+    if x.ndim == 4:
+        mean, var = mean[None, :, None, None], var[None, :, None, None]
+    xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + unit.eps))
+    if hasattr(unit, "mix_logits"):
+        if x.ndim == 2 and x.shape[1] == 1:
+            raise T.ShapeError("IN undefined for single-feature rows")
+        w = T.softmax(unit.mix_logits, axis=0)
+        in_hat, _, _ = composite_standardize(x, unit.eps, (1,) if x.ndim == 2 else (2, 3))
+        xhat = xhat * T.gather_rows(w, np.array([0])) + in_hat * T.gather_rows(w, np.array([1]))
+    return xhat * _per_channel(unit.gamma, x.ndim) + _per_channel(unit.beta, x.ndim)
+
+
+def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
+                          moments=None) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for one evaluation route on the tape: the main route, or the
+    sub-path of `subset`, with the chunk-invariant einsum product, under
+    `no_grad`. `moments(h)` stands in for the running moments as in
+    `features_with_batch_stats`. Returns (logits, features)."""
+    if subset is None:
+        units, clf = model.main_units, model.classifier_main
+    else:
+        units = [bank.unit(subset) for bank in model.banks]
+        clf = model.classifiers_aux[subset]
+    with T.no_grad():
+        h = Tensor(x)
+        if model.config.backbone == "smallconv":
+            side = int(round(np.sqrt(x.shape[1])))
+            h = T.reshape(h, (x.shape[0], 1, side, side))
+        for layer, unit in zip(model.layers, units):
+            if model.config.backbone == "smallconv":
+                h = T.conv2d(h, layer.weight, layer.bias, padding=layer.padding)
+            else:
+                h = T.linear(h, layer.weight, layer.bias, exact=True)
+            h = T.relu(composite_eval_normalize(
+                unit, h, None if moments is None else moments(h.data)))
+        if model.config.backbone == "smallconv":
+            h = T.global_avg_pool(h)
+        return T.linear(h, clf.weight, clf.bias, exact=True).data, h.data
+
+
 def tiny_config(input_dim: int = 6, hidden=(8, 4), num_classes: int = 3,
                 num_domains: int = 3, **kw) -> ModelConfig:
     return ModelConfig(input_dim=input_dim, hidden_sizes=tuple(hidden),

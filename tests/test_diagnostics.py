@@ -1,13 +1,16 @@
 """Divergence arithmetic and the statistics-perturbation probe."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import tiny_model
 from normaug import datagen
-from normaug.diagnostics import divergence, perturbation_probe
+from normaug.diagnostics import _column_means, divergence, perturbation_probe
 
 
 class IdentityFeatures:
@@ -67,6 +70,36 @@ class TestDivergenceArithmetic:
                           target)
         pooled = divergence(IdentityFeatures(), {0: block[:23], 1: block[23:]}, target)
         assert np.array_equal(half.source_mean, pooled.source_mean)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6), blocks=st.integers(1, 4))
+    def test_column_means_equal_elementwise_fsum(self, data, dim, blocks):
+        """Bitwise equal to fsum over each column's floats one at a time, on
+        values spanning the exponent range and on exactly cancelling ones."""
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False, width=64,
+                      min_value=-1e300, max_value=1e300),
+            st.sampled_from([1e308, -1e308, 1e-308, 5e-324, 1.0, -1.0, 1e16, -1e16]))
+        rows = []
+        for _ in range(blocks):
+            n = data.draw(st.integers(0, 5))
+            vals = data.draw(st.lists(value, min_size=n * dim, max_size=n * dim))
+            rows.append(np.array(vals, dtype=np.float64).reshape(n, dim))
+        if data.draw(st.booleans()):
+            rows.append(-np.concatenate(rows))  # every column sums to exactly 0
+        total = sum(r.shape[0] for r in rows)
+        if total == 0:
+            with pytest.raises(ValueError, match="empty"):
+                _column_means(rows)
+            return
+        try:
+            want = np.array([math.fsum(float(v) for r in rows for v in r[:, j]) / total
+                             for j in range(dim)])
+        except OverflowError:  # a partial sum beyond the float range
+            with pytest.raises(OverflowError):
+                _column_means(rows)
+            return
+        assert np.array_equal(_column_means(rows), want)
 
     def test_jensen_bound(self):
         rng = np.random.default_rng(1)

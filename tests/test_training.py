@@ -245,6 +245,44 @@ class TestTrainStep:
             losses.append(train_step(m, batch, parts[0], opt))
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("groups", [[(0,), (1,), (2,)], [(0, 2), (1,)]])
+    def test_group_rows_found_once_per_step(self, groups, monkeypatch):
+        """One `rows` call per group per step, with the loss, the running
+        moments and the parameters bitwise equal to a step whose
+        `partitioned_forward` finds the rows itself at every site."""
+        part = Partition([DomainSubset.of(*g) for g in groups], 3)
+        rng = np.random.default_rng(8)
+        x, labels, ids = toy_batch(rng, per_domain=5)
+        batch = DomainBatch(x, labels, ids[::-1].copy(), per_domain=5)
+        calls = []
+        rows = DomainSubset.rows
+        monkeypatch.setattr(DomainSubset, "rows",
+                            lambda self, d: calls.append(self) or rows(self, d))
+
+        def step():
+            m = tiny_model(seed=6)
+            loss = train_step(m, batch, part, make_optimizer(m, TrainConfig()))
+            return m, loss
+
+        shared, loss_shared = step()
+        assert sorted(calls) == sorted(part.groups)
+        calls.clear()
+        forward = nb.partitioned_forward
+        monkeypatch.setattr(nb, "partitioned_forward",
+                            lambda bank, p, h, d, mode="train", group_rows=None:
+                            forward(bank, p, h, d, mode))
+        per_site, loss_per_site = step()
+        assert len(calls) == len(part) * (1 + len(per_site.banks))
+        assert loss_shared == loss_per_site
+        for bank_a, bank_b in zip(shared.banks, per_site.banks):
+            for s in bank_a.subsets():
+                a, b = bank_a.units[s], bank_b.units[s]
+                assert np.array_equal(a.running_mean, b.running_mean)
+                assert np.array_equal(a.running_var, b.running_var)
+                assert a.update_count == b.update_count
+        for (name, ta), (_, tb) in zip(shared.parameters(), per_site.parameters()):
+            assert np.array_equal(ta.data, tb.data), name
+
     def test_nan_loss_aborts(self):
         m = tiny_model()
         m.classifier_main.weight.data[:] = np.inf
