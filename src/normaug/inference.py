@@ -154,6 +154,15 @@ def predict(model: TwoPathNetwork, features: np.ndarray,
     return fuse(p_main, p_subs, strategy), per_path
 
 
+def main_accuracy(model: TwoPathNetwork, features: np.ndarray, labels: np.ndarray) -> float:
+    """Argmax accuracy of the main route's probabilities, computing no
+    sub-path: bitwise `evaluate(..., MainOnly).fused_accuracy`."""
+    if len(labels) == 0:
+        raise ValueError("main_accuracy: empty split")
+    p_main = _softmax_rows(model.eval_logits(features)[0])
+    return float((p_main.argmax(axis=1) == np.asarray(labels)).mean())
+
+
 @dataclass
 class EvalReport:
     per_path: dict[str, float]

@@ -208,11 +208,6 @@ class TwoPathNetwork:
             h = T.global_avg_pool(h)
         return h
 
-    def _normalize_main(self, unit: BNUnit, h: Tensor, mode: str) -> Tensor:
-        if self.config.use_on:
-            return nb.on_forward(unit, h, mode)
-        return nb.bn_forward(unit, h, None, mode)
-
     def forward_main(self, x, mode: str = "train") -> tuple[Tensor, Tensor]:
         """Whole-batch route; returns (logits, penultimate features). Eval
         mode wraps the arrays of the evaluation walk."""
@@ -222,18 +217,17 @@ class TwoPathNetwork:
         t = self._check_input(x)
 
         def normalize(i: int, h: Tensor) -> Tensor:
-            return self._normalize_main(self.main_units[i], h, mode)
+            return nb.bn_forward(self.main_units[i], h, None, mode)
 
         feats = self._backbone(t, normalize)
         return self.classifier_main(feats), feats
 
     def features(self, x, mode: str = "eval") -> np.ndarray:
-        """Main-route penultimate features; in eval mode, on arrays only."""
-        if mode == "eval":
-            return self._eval_features(self._first_layer(x), self.main_units)
-        with T.no_grad():
-            _, feats = self.forward_main(x, mode)
-        return feats.data
+        """Main-route penultimate features from the evaluation walk, on
+        arrays; eval mode only, so reading them never changes the model."""
+        if mode != "eval":
+            raise ValueError(f"features: mode must be 'eval', got {mode!r}")
+        return self._eval_features(self._first_layer(x), self.main_units)
 
     def forward_aux(self, x, domain_ids: np.ndarray, partition: Partition,
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
@@ -258,18 +252,14 @@ class TwoPathNetwork:
                 for group, idx in zip(partition, rows)}
 
     def forward_subpath(self, x, subset: DomainSubset, mode: str = "eval") -> Tensor:
-        """Feed the whole batch through one bank unit and its classifier.
-        Eval mode wraps the logits of the evaluation walk."""
+        """Logits of the whole batch through one bank unit per site and the
+        subset's classifier, eval mode only: a `Tensor` wrapping the
+        evaluation walk's arrays."""
         units = self._bank_units(subset)
-        if mode == "eval":
-            feats = self._eval_features(self._first_layer(x), units)
-            return Tensor(self._aux_classifier(subset).apply(feats))
-        t = self._check_input(x)
-
-        def normalize(i: int, h: Tensor) -> Tensor:
-            return nb.bn_forward(units[i], h, None, mode)
-
-        return self._aux_classifier(subset)(self._backbone(t, normalize))
+        if mode != "eval":
+            raise ValueError(f"forward_subpath: mode must be 'eval', got {mode!r}")
+        feats = self._eval_features(self._first_layer(x), units)
+        return Tensor(self._aux_classifier(subset).apply(feats))
 
     def _aux_classifier(self, subset: DomainSubset) -> Linear:
         try:

@@ -4,7 +4,9 @@ A normalization site owns a main unit (plain BN, or a BN/IN mixture) plus a
 bank of BN units keyed by domain subsets. During training a batch is split
 by a sampled partition of the source domains and each group is normalized
 with its own statistics through its own unit; the units keep standard
-running averages for evaluation.
+running averages for evaluation. Every train-mode site is one
+`T.segment_norm` node: the main route is its one-group case (the whole
+batch), the partition route one group per subset.
 """
 
 from __future__ import annotations
@@ -188,6 +190,11 @@ class BNUnit:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
 
+    def norm_params(self) -> tuple[Tensor, Tensor, Tensor | None]:
+        """This unit's `T.segment_norm` parameter set: (gamma, beta,
+        mix_logits or None)."""
+        return self.gamma, self.beta, None
+
     def update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         m = self.momentum
         self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
@@ -205,6 +212,9 @@ class ONUnit(BNUnit):
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return super().parameters() + [("mix", self.mix_logits)]
+
+    def norm_params(self) -> tuple[Tensor, Tensor, Tensor]:
+        return self.gamma, self.beta, self.mix_logits
 
 
 def _reduce_axes(ndim: int) -> tuple[int, ...]:
@@ -309,14 +319,18 @@ def _check_channels(channels: int, features: Tensor | np.ndarray) -> None:
             f"bn_forward: unit has {channels} channels, features have {c}")
 
 
+_WHOLE_BATCH = (slice(None),)
+
+
 def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
                mode: str = "train") -> Tensor:
-    """Normalize the selected rows with this unit.
+    """Normalize the selected rows (all rows when `rows` is None) with this
+    unit; an `ONUnit` applies its BN/IN mixture.
 
-    Train mode computes statistics over exactly those rows (one fused tape
-    node) and updates the running averages; eval mode is `eval_normalize`
-    with the running averages. The result holds the selected rows in the
-    order given.
+    Train mode is `T.segment_norm` with one whole-batch group: one tape
+    node, statistics over exactly those rows, and an update of the running
+    averages. Eval mode is `eval_normalize` with the running averages. The
+    result holds the selected rows in the order given.
     """
     _check_mode(mode)
     _check_channels(unit.channels, features)
@@ -325,25 +339,16 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
         return Tensor(eval_normalize(unit, x.data))
     if x.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
-    out, mu, var = T.batch_norm(x, unit.gamma, unit.beta, unit.eps, _reduce_axes(x.ndim))
+    out, ((mu, var),) = T.segment_norm(x, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
+                                       _reduce_axes(x.ndim), _instance_axes(x.ndim))
     unit.update_running(mu, var)
     return out
 
 
 def on_forward(unit: ONUnit, features: Tensor, mode: str = "train") -> Tensor:
-    """Mixture normalization: a softmax-weighted convex combination of batch
-    and instance standardizations, then the affine transform. Train mode is
-    one fused tape node and updates the running averages; eval mode is
-    `eval_normalize`."""
-    _check_mode(mode)
-    _check_channels(unit.channels, features)
-    if mode == "train":
-        out, mu, var = T.mixture_norm(features, unit.gamma, unit.beta, unit.mix_logits,
-                                      unit.eps, _reduce_axes(features.ndim),
-                                      _instance_axes(features.ndim))
-        unit.update_running(mu, var)
-        return out
-    return Tensor(eval_normalize(unit, features.data))
+    """Mixture normalization of the whole batch: `bn_forward(unit,
+    features, None, mode)`."""
+    return bn_forward(unit, features, None, mode)
 
 
 def _check_mode(mode: str) -> None:
@@ -425,8 +430,8 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
                         domain_ids: np.ndarray, mode: str = "train", *,
                         group_rows: list[np.ndarray] | None = None) -> Tensor:
     """Normalize each partition group's rows with that group's unit, all
-    groups in one fused tape node, and update every group unit's running
-    averages.
+    groups in one `T.segment_norm` node, and update every group unit's
+    running averages.
 
     Statistics are computed only within each group; the output preserves
     the input row order. `group_rows` is `partition_rows(partition,
@@ -444,8 +449,8 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
             f"{features.shape[0]} rows")
     rows = group_rows if group_rows is not None else partition_rows(partition, domain_ids)
     units = [bank.unit(group) for group in partition]
-    out, moments = T.segment_batch_norm(features, rows, [(u.gamma, u.beta) for u in units],
-                                        bank.eps, _reduce_axes(features.ndim))
+    out, moments = T.segment_norm(features, rows, [u.norm_params() for u in units], bank.eps,
+                                  _reduce_axes(features.ndim), _instance_axes(features.ndim))
     for unit, (mu, var) in zip(units, moments):
         unit.update_running(mu, var)
     return out

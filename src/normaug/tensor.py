@@ -7,14 +7,13 @@ accumulating gradients additively into the `.grad` of leaf tensors (so
 repeated calls without a reset sum up); intermediate results keep no `.grad`.
 
 The training step records fused ops, one node each with a closed-form
-backward: `linear`, `batch_norm`, `mixture_norm`, `segment_batch_norm` and
+backward: `linear`, `segment_norm` (every train-mode normalization site,
+batch norm or the BN/IN mixture over one or several row groups) and
 `cross_entropy`. The primitive ops they replace stay, and the tests use their
 composites as the oracle.
 
 All arithmetic is float64. The tape is for training; evaluation runs on
-plain arrays (`TwoPathNetwork.eval_logits`). Matrix products offer an
-`exact` mode (einsum instead of BLAS) whose per-row results are bitwise
-independent of the batch they are computed in.
+plain arrays (`TwoPathNetwork.eval_logits`).
 """
 
 from __future__ import annotations
@@ -351,15 +350,11 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
 
 
-def matmul(a: Tensor, b: Tensor, exact: bool = False) -> Tensor:
-    """2-D matrix product. `exact=True` computes via einsum, whose row `i`
-    is bitwise identical no matter how the batch is chunked."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    if exact:
-        out = np.einsum("ij,jk->ik", a.data, b.data)
-    else:
-        out = a.data @ b.data
+    out = a.data @ b.data
 
     def rule(g: np.ndarray):
         ga = g @ b.data.T if a.requires_grad else None
@@ -532,13 +527,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # fused training ops: one tape node each, closed-form backward
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, exact: bool = False) -> Tensor:
-    """`matmul(x, w, exact) + b` as one node, with the composite's bits in
-    the forward and in every gradient."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`matmul(x, w) + b` as one node, with the composite's bits in the
+    forward and in every gradient."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not conform")
-    prod = np.einsum("ij,jk->ik", x.data, w.data) if exact else x.data @ w.data
-    out = prod + b.data
+    out = x.data @ w.data + b.data
 
     def rule(g: np.ndarray):
         return (g @ w.data.T if x.requires_grad else None,
@@ -578,105 +572,86 @@ def _channel_shape(op: str, x: Tensor, axes: tuple[int, ...], *params: Tensor):
     return tuple(1 if a in axes else n for a, n in enumerate(x.shape))
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
-               axes: tuple[int, ...]) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Train-mode batch normalization as one node: standardize over `axes`
-    with the batch's own moments, then the per-channel affine. Returns
-    (out, batch mean, batch variance), the moments one value per channel."""
-    axes = tuple(axes)
-    pshape = _channel_shape("batch_norm", x, axes, gamma, beta)
-    xhat, sigma, mu, var = _standardize(x.data, eps, axes)
-    gv = gamma.data.reshape(pshape)
-    out = xhat * gv + beta.data.reshape(pshape)
-
-    def rule(g: np.ndarray):
-        return (_standardize_grad(g * gv, xhat, sigma, axes) if x.requires_grad else None,
-                (g * xhat).sum(axis=axes) if gamma.requires_grad else None,
-                g.sum(axis=axes) if beta.requires_grad else None)
-
-    return _record("batch_norm", (x, gamma, beta), out, rule), mu.ravel(), var.ravel()
-
-
-def mixture_norm(x: Tensor, gamma: Tensor, beta: Tensor, mix_logits: Tensor, eps: float,
+def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
+                 params: Sequence[tuple[Tensor, Tensor, Tensor | None]], eps: float,
                  bn_axes: tuple[int, ...], in_axes: tuple[int, ...]
-                 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Train-mode BN/IN mixture as one node: softmax(mix_logits) weights the
-    batch standardization (over `bn_axes`) and the instance one (over
-    `in_axes`), then the per-channel affine. Returns (out, batch mean, batch
-    variance) like `batch_norm`."""
-    if x.ndim == 2 and x.shape[1] == 1:
-        raise ShapeError("IN undefined for single-feature rows")
-    if mix_logits.shape != (2,):
-        raise ShapeError(f"mixture_norm: mix_logits shape {mix_logits.shape} != (2,)")
-    bn_axes, in_axes = tuple(bn_axes), tuple(in_axes)
-    pshape = _channel_shape("mixture_norm", x, bn_axes, gamma, beta)
-    z = mix_logits.data - mix_logits.data.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    w = e / e.sum(axis=0, keepdims=True)
-    bn_hat, bn_sigma, mu, var = _standardize(x.data, eps, bn_axes)
-    in_hat, in_sigma, _, _ = _standardize(x.data, eps, in_axes)
-    mix = bn_hat * w[0:1] + in_hat * w[1:2]
-    gv = gamma.data.reshape(pshape)
-    out = mix * gv + beta.data.reshape(pshape)
+                 ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+    """Train-mode normalization of disjoint row groups as one node.
 
-    def rule(g: np.ndarray):
-        g_mix = g * gv
-        gx = gl = None
-        if x.requires_grad:
-            gx = (_standardize_grad(g_mix * w[0:1], bn_hat, bn_sigma, bn_axes)
-                  + _standardize_grad(g_mix * w[1:2], in_hat, in_sigma, in_axes))
-        if mix_logits.requires_grad:
-            gw = np.array([(g_mix * bn_hat).sum(), (g_mix * in_hat).sum()])
-            gl = (gw - (gw * w).sum()) * w
-        return (gx,
-                (g * mix).sum(axis=bn_axes) if gamma.requires_grad else None,
-                g.sum(axis=bn_axes) if beta.requires_grad else None,
-                gl)
-
-    return (_record("mixture_norm", (x, gamma, beta, mix_logits), out, rule),
-            mu.ravel(), var.ravel())
-
-
-def segment_batch_norm(x: Tensor, group_rows: Sequence[np.ndarray],
-                       params: Sequence[tuple[Tensor, Tensor]], eps: float,
-                       axes: tuple[int, ...]
-                       ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
-    """Train-mode batch normalization of disjoint row groups as one node.
-
-    Group k's rows `x[group_rows[k]]` are normalized exactly as `batch_norm`
-    would normalize them alone, with that group's own moments and its
-    `params[k] = (gamma, beta)`, and land at their original positions; rows
-    in no group come out 0. Every group must be nonempty and no row may lie
-    in two groups. Returns (out, [(batch mean, batch variance) per group]).
+    Group k's rows `x[group_rows[k]]` are standardized over `bn_axes` with
+    that group's own batch moments and take `params[k] = (gamma, beta,
+    mix_logits or None)`. Mixture logits make it the BN/IN mixture:
+    softmax(mix_logits) weights the batch standardization and the instance
+    one (over `in_axes`) before the per-channel affine. A sole group
+    `slice(None)` is the whole batch and is computed directly; otherwise no
+    row may lie in two groups and rows in no group come out 0. Returns
+    (out, [(batch mean, batch variance) per group]), the moments one value
+    per channel.
     """
-    axes = tuple(axes)
     if len(group_rows) != len(params):
         raise ShapeError(
-            f"segment_batch_norm: {len(group_rows)} row groups for {len(params)} parameter pairs")
-    pshape = _channel_shape("segment_batch_norm", x, axes,
-                            *(p for pair in params for p in pair))
-    out = np.zeros_like(x.data)
-    saved, moments = [], []
-    for idx, (gamma, beta) in zip(group_rows, params):
-        xhat, sigma, mu, var = _standardize(x.data[idx], eps, axes)
+            f"segment_norm: {len(group_rows)} row groups for {len(params)} parameter sets")
+    bn_axes, in_axes = tuple(bn_axes), tuple(in_axes)
+    whole = (len(group_rows) == 1 and isinstance(group_rows[0], slice)
+             and group_rows[0] == slice(None))
+    out = None if whole else np.zeros_like(x.data)
+    inputs, saved, moments = [x], [], []
+    for idx, (gamma, beta, mix) in zip(group_rows, params):
+        if mix is not None:
+            if x.ndim == 2 and x.shape[1] == 1:
+                raise ShapeError("IN undefined for single-feature rows")
+            if mix.shape != (2,):
+                raise ShapeError(f"segment_norm: mix_logits shape {mix.shape} != (2,)")
+        pshape = _channel_shape("segment_norm", x, bn_axes, gamma, beta)
+        block = x.data if whole else x.data[idx]
+        xhat, sigma, mu, var = _standardize(block, eps, bn_axes)
+        if mix is None:
+            inputs += (gamma, beta)
+            w = in_hat = in_sigma = None
+            mixed = xhat
+        else:
+            inputs += (gamma, beta, mix)
+            e = np.exp(mix.data - mix.data.max(axis=0, keepdims=True))
+            w = e / e.sum(axis=0, keepdims=True)
+            in_hat, in_sigma, _, _ = _standardize(block, eps, in_axes)
+            mixed = xhat * w[0:1] + in_hat * w[1:2]
         gv = gamma.data.reshape(pshape)
-        out[idx] = xhat * gv + beta.data.reshape(pshape)
-        saved.append((idx, xhat, sigma, gv))
+        y = mixed * gv + beta.data.reshape(pshape)
+        if whole:
+            out = y
+        else:
+            out[idx] = y
+        saved.append((idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed))
         moments.append((mu.ravel(), var.ravel()))
 
     def rule(g: np.ndarray):
-        gx = np.zeros_like(x.data) if x.requires_grad else None
+        need_x = x.requires_grad
+        gx = np.zeros_like(x.data) if need_x and not whole else None
         grads = [gx]
-        for (idx, xhat, sigma, gv), (gamma, beta) in zip(saved, params):
-            g_k = g[idx]
-            if gx is not None:
-                gx[idx] = _standardize_grad(g_k * gv, xhat, sigma, axes)
-            grads.append((g_k * xhat).sum(axis=axes) if gamma.requires_grad else None)
-            grads.append(g_k.sum(axis=axes) if beta.requires_grad else None)
+        for idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed in saved:
+            g_k = g if whole else g[idx]
+            g_hat = g_k * gv
+            if need_x:
+                if w is None:
+                    gx_k = _standardize_grad(g_hat, xhat, sigma, bn_axes)
+                else:
+                    gx_k = (_standardize_grad(g_hat * w[0:1], xhat, sigma, bn_axes)
+                            + _standardize_grad(g_hat * w[1:2], in_hat, in_sigma, in_axes))
+                if whole:
+                    grads[0] = gx_k
+                else:
+                    gx[idx] = gx_k
+            grads.append((g_k * mixed).sum(axis=bn_axes) if gamma.requires_grad else None)
+            grads.append(g_k.sum(axis=bn_axes) if beta.requires_grad else None)
+            if mix is not None:
+                gl = None
+                if mix.requires_grad:
+                    gw = np.array([(g_hat * xhat).sum(), (g_hat * in_hat).sum()])
+                    gl = (gw - (gw * w).sum()) * w
+                grads.append(gl)
         return tuple(grads)
 
-    inputs = (x,) + tuple(p for pair in params for p in pair)
-    return _record("segment_batch_norm", inputs, out, rule), moments
+    return _record("segment_norm", inputs, out, rule), moments
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

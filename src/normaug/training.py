@@ -318,14 +318,13 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
                                     config.aux_weight)
             except RuntimeError as e:
                 raise RuntimeError(f"train: aborted at epoch {epoch}: {e}") from e
-        src = inference.evaluate(model, val_pool.features, val_pool.labels,
-                                 inference.FusionStrategy.MAIN_ONLY)
+        src_acc = inference.main_accuracy(model, val_pool.features, val_pool.labels)
         tgt = inference.evaluate(model, target.features, target.labels,
                                  inference.default_strategy(model))
         rows.append({
             "epoch": epoch,
             "train_loss": total / config.iters_per_epoch,
-            "src_acc": src.fused_accuracy,
+            "src_acc": src_acc,
             "tgt_acc_main": tgt.per_path["main"],
             "tgt_acc_ensemble": tgt.fused_accuracy,
         })

@@ -48,7 +48,8 @@ def _per_channel(v: Tensor, ndim: int) -> Tensor:
 
 
 def composite_batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axes):
-    """Oracle for `T.batch_norm`: (out, batch mean, batch var)."""
+    """Oracle for `T.segment_norm` with one whole-batch group and no
+    mixture: (out, batch mean, batch var)."""
     xhat, mu, var = composite_standardize(x, eps, axes)
     out = xhat * _per_channel(gamma, x.ndim) + _per_channel(beta, x.ndim)
     return out, mu.data.ravel(), var.data.ravel()
@@ -56,7 +57,8 @@ def composite_batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axe
 
 def composite_mixture_norm(x: Tensor, gamma: Tensor, beta: Tensor, mix_logits: Tensor,
                            eps: float, bn_axes, in_axes):
-    """Oracle for `T.mixture_norm`: (out, batch mean, batch var)."""
+    """Oracle for `T.segment_norm` with one whole-batch group carrying
+    mixture logits: (out, batch mean, batch var)."""
     w = T.softmax(mix_logits, axis=0)
     bn_hat, mu, var = composite_standardize(x, eps, bn_axes)
     in_hat, _, _ = composite_standardize(x, eps, in_axes)
@@ -66,8 +68,9 @@ def composite_mixture_norm(x: Tensor, gamma: Tensor, beta: Tensor, mix_logits: T
 
 
 def composite_segment_batch_norm(x: Tensor, group_rows, params, eps: float, axes):
-    """Oracle for `T.segment_batch_norm`: gather each group's rows, batch
-    normalize them, scatter them back and sum; (out, [(mean, var)])."""
+    """Oracle for `T.segment_norm` over row groups without mixtures: gather
+    each group's rows, batch normalize them, scatter them back and sum;
+    (out, [(mean, var)])."""
     out, moments = None, []
     for idx, (gamma, beta) in zip(group_rows, params):
         block, mu, var = composite_batch_norm(T.gather_rows(x, idx), gamma, beta, eps, axes)
@@ -77,9 +80,9 @@ def composite_segment_batch_norm(x: Tensor, group_rows, params, eps: float, axes
     return out, moments
 
 
-def composite_linear(x: Tensor, w: Tensor, b: Tensor, exact: bool = False) -> Tensor:
+def composite_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Oracle for `T.linear`."""
-    return T.matmul(x, w, exact=exact) + b
+    return T.matmul(x, w) + b
 
 
 def composite_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -108,6 +111,11 @@ def composite_eval_normalize(unit, x: Tensor, moments=None) -> Tensor:
     return xhat * _per_channel(unit.gamma, x.ndim) + _per_channel(unit.beta, x.ndim)
 
 
+def _einsum_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` by einsum, whose row `i` does not depend on the batch."""
+    return Tensor(np.einsum("ij,jk->ik", x.data, w.data) + b.data)
+
+
 def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
                           moments=None) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for one evaluation route on the tape: the main route, or the
@@ -128,12 +136,12 @@ def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
             if model.config.backbone == "smallconv":
                 h = T.conv2d(h, layer.weight, layer.bias, padding=layer.padding)
             else:
-                h = T.linear(h, layer.weight, layer.bias, exact=True)
+                h = _einsum_linear(h, layer.weight, layer.bias)
             h = T.relu(composite_eval_normalize(
                 unit, h, None if moments is None else moments(h.data)))
         if model.config.backbone == "smallconv":
             h = T.global_avg_pool(h)
-        return T.linear(h, clf.weight, clf.bias, exact=True).data, h.data
+        return _einsum_linear(h, clf.weight, clf.bias).data, h.data
 
 
 def tiny_config(input_dim: int = 6, hidden=(8, 4), num_classes: int = 3,

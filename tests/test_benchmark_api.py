@@ -1,9 +1,19 @@
-"""The benchmark in perfbench/ rebinds normaug functions by name; every name
-it traces must exist, so a rename fails here and not only in the benchmark."""
+"""The benchmark in perfbench/ rebinds normaug functions by name and calls the
+public API in fixed ways; every name it traces must exist and every call it
+makes must work, so a rename or a signature change fails here and not only
+in the benchmark."""
 
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
+
+from helpers import tiny_model
+from normaug import model as model_mod
+from normaug import normbank as nb
+from normaug import tensor as T
+from normaug.tensor import Tensor
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -25,3 +35,34 @@ def test_tracer_installs_and_restores():
     finally:
         t.restore()
     assert all(now is was for now, was in zip(bound(), originals))
+
+
+def test_checkpoint_forwards_as_the_benchmark_calls_them(tmp_path):
+    """`perfbench/run.py` reloads a checkpoint as three values and compares
+    the eval-mode main and sub-path forwards of both models by `.data`."""
+    saved = tiny_model(seed=3)
+    path = tmp_path / "model.ckpt"
+    model_mod.save_checkpoint(saved, path)
+    reloaded, epoch, _ = model_mod.load_checkpoint(path)
+    assert epoch == 0
+    x = np.random.default_rng(0).standard_normal((7, 6))
+    with T.no_grad():
+        outs = [(m.forward_main(x, mode="eval")[0].data,
+                 [m.forward_subpath(x, s, mode="eval").data for s in m.banks[0].subsets()])
+                for m in (saved, reloaded)]
+    (main_a, subs_a), (main_b, subs_b) = outs
+    assert main_a.shape == (7, 3) and np.array_equal(main_a, main_b)
+    assert len(subs_a) == len(subs_b) == len(saved.banks[0].subsets())
+    assert all(np.array_equal(a, b) for a, b in zip(subs_a, subs_b))
+
+
+def test_normalization_sites_take_positional_arguments():
+    """The traced normalization functions, called positionally."""
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    ids = np.repeat([0, 1, 2], 2)
+    for mode in ("train", "eval"):
+        assert nb.bn_forward(nb.BNUnit(4), x, None, mode).shape == (6, 4)
+        assert nb.on_forward(nb.ONUnit(4), x, mode).shape == (6, 4)
+    out = nb.partitioned_forward(nb.BNBank(3, 4), nb.all_singletons(3), x, ids, "train")
+    assert out.shape == (6, 4)

@@ -38,17 +38,25 @@ def test_target_accuracy_is_the_final_row(variant):
 
 
 def test_run_variant_scores_only_inside_training(monkeypatch):
+    """Training scores twice per epoch (the main route on the source split,
+    the ensemble on the target) and nothing else scores."""
     calls = []
-    evaluate = inference.evaluate
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return evaluate(*args, **kwargs)
+    def spy(name):
+        scorer = getattr(inference, name)
 
-    monkeypatch.setattr(inference, "evaluate", spy)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return scorer(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, wrapper)
+
+    spy("evaluate")
+    spy("main_accuracy")
     dataset, target_domain = tiny_benchmark(0)
     experiments.run_variant(dataset, target_domain, "on_aug_ep", 0, TINY_TRAIN, TINY_MODEL)
     assert len(calls) == 2 * TINY_TRAIN.epochs
+    assert calls.count("evaluate") == calls.count("main_accuracy") == TINY_TRAIN.epochs
 
 
 def test_run_variants_trains_each_switch_pair_once(monkeypatch):

@@ -1,6 +1,8 @@
 """Fused training ops against the primitive-op composites they replace:
 forward, gradients and batch moments, plus gradchecks and the tape size of
-one training step."""
+one training step. `segment_norm` is checked as whole-batch batch norm, as
+the whole-batch BN/IN mixture and as per-group batch norm over a
+partition's row groups."""
 
 from collections import Counter
 
@@ -51,9 +53,24 @@ def agree(fused, composite, arrays, upstream, grad_tol: float | None):
             assert np.abs(gf - gc).max() <= grad_tol * max(1.0, np.abs(gc).max())
 
 
+WHOLE = (slice(None),)
+
+
 def with_moments(result):
-    """(out, (mean, var)) from a norm's (out, mean, var)."""
+    """(out, (mean, var)) from a composite norm's (out, mean, var)."""
     return result[0], result[1:]
+
+
+def whole_batch(result):
+    """(out, (mean, var)) from a one-group `segment_norm` result."""
+    out, [moments] = result
+    return out, moments
+
+
+def flat_moments(result):
+    """(out, [mean, var, mean, var, ...]) from (out, [(mean, var) per group])."""
+    out, moments = result
+    return out, [m for pair in moments for m in pair]
 
 
 def random_shape(rng, rank: int, min_channels: int = 1) -> tuple[int, ...]:
@@ -78,13 +95,12 @@ def shuffled_groups(rng, n_domains: int, rank: int):
 class TestLinear:
     def test_bitwise_matches_composite(self):
         rng = np.random.default_rng(0)
-        for case in range(200):
+        for _ in range(200):
             n, fan_in, fan_out = (int(v) for v in rng.integers(1, 12, size=3))
-            exact = bool(case % 2)
             arrays = [rng.standard_normal((n, fan_in)), rng.standard_normal((fan_in, fan_out)),
                       rng.standard_normal(fan_out)]
-            agree(lambda x, w, b: (T.linear(x, w, b, exact=exact), ()),
-                  lambda x, w, b: (composite_linear(x, w, b, exact=exact), ()),
+            agree(lambda x, w, b: (T.linear(x, w, b), ()),
+                  lambda x, w, b: (composite_linear(x, w, b), ()),
                   arrays, rng.standard_normal((n, fan_out)), grad_tol=None)
 
     def test_gradcheck(self):
@@ -129,6 +145,8 @@ class TestCrossEntropy:
 
 
 class TestBatchNorm:
+    """`segment_norm` with one whole-batch group and no mixture."""
+
     @pytest.mark.parametrize("rank", [2, 4])
     def test_matches_composite(self, rank):
         rng = np.random.default_rng(4 + rank)
@@ -138,7 +156,8 @@ class TestBatchNorm:
             arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3),
                       rng.uniform(0.5, 2.0, c), rng.standard_normal(c)]
             axes = BN_AXES[rank]
-            agree(lambda x, g, b: with_moments(T.batch_norm(x, g, b, eps, axes)),
+            agree(lambda x, g, b: whole_batch(T.segment_norm(x, WHOLE, [(g, b, None)], eps,
+                                                             axes, IN_AXES[rank])),
                   lambda x, g, b: with_moments(composite_batch_norm(x, g, b, eps, axes)),
                   arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
@@ -152,17 +171,28 @@ class TestBatchNorm:
             up = Tensor(rng.standard_normal(shape))
 
             def fn():
-                return (T.batch_norm(x, g, b, 1e-5, BN_AXES[len(shape)])[0] * up).sum()
+                rank = len(shape)
+                out = T.segment_norm(x, WHOLE, [(g, b, None)], 1e-5, BN_AXES[rank],
+                                     IN_AXES[rank])[0]
+                return (out * up).sum()
 
             assert grad_check_params(fn, [x, g, b]) < 1e-6
 
     def test_parameter_shape_checked(self):
-        with pytest.raises(T.ShapeError, match="batch_norm"):
-            T.batch_norm(Tensor(np.ones((4, 3))), Tensor(np.ones(2)), Tensor(np.ones(2)),
-                         1e-5, (0,))
+        with pytest.raises(T.ShapeError, match=r"segment_norm: parameter shape \(2,\)"):
+            T.segment_norm(Tensor(np.ones((4, 3))), WHOLE,
+                           [(Tensor(np.ones(2)), Tensor(np.ones(2)), None)], 1e-5, (0,), (1,))
+
+    def test_group_count_checked(self):
+        one = Tensor(np.ones(3))
+        with pytest.raises(T.ShapeError, match="2 row groups for 1 parameter sets"):
+            T.segment_norm(Tensor(np.ones((4, 3))), [np.arange(2), np.arange(2, 4)],
+                           [(one, one, None)], 1e-5, (0,), (1,))
 
 
 class TestMixtureNorm:
+    """`segment_norm` with one whole-batch group carrying mixture logits."""
+
     @pytest.mark.parametrize("rank", [2, 4])
     def test_matches_composite(self, rank):
         rng = np.random.default_rng(7 + rank)
@@ -173,7 +203,7 @@ class TestMixtureNorm:
                       rng.uniform(0.5, 2.0, c), rng.standard_normal(c),
                       rng.standard_normal(2)]
             args = (eps, BN_AXES[rank], IN_AXES[rank])
-            agree(lambda x, g, b, m: with_moments(T.mixture_norm(x, g, b, m, *args)),
+            agree(lambda x, g, b, m: whole_batch(T.segment_norm(x, WHOLE, [(g, b, m)], *args)),
                   lambda x, g, b, m: with_moments(composite_mixture_norm(x, g, b, m, *args)),
                   arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
@@ -189,7 +219,8 @@ class TestMixtureNorm:
             up = Tensor(rng.standard_normal(shape))
 
             def fn():
-                out = T.mixture_norm(x, g, b, m, 1e-5, BN_AXES[rank], IN_AXES[rank])[0]
+                out = T.segment_norm(x, WHOLE, [(g, b, m)], 1e-5, BN_AXES[rank],
+                                     IN_AXES[rank])[0]
                 return (out * up).sum()
 
             assert grad_check_params(fn, [x, g, b, m]) < 1e-6
@@ -197,11 +228,54 @@ class TestMixtureNorm:
     def test_single_feature_rows_rejected(self):
         one = Tensor(np.ones(1))
         with pytest.raises(T.ShapeError, match="IN undefined for single-feature rows"):
-            T.mixture_norm(Tensor(np.ones((4, 1))), one, one, Tensor(np.zeros(2)), 1e-5,
-                           (0,), (1,))
+            T.segment_norm(Tensor(np.ones((4, 1))), WHOLE, [(one, one, Tensor(np.zeros(2)))],
+                           1e-5, (0,), (1,))
+
+    def test_mix_logits_shape_checked(self):
+        one = Tensor(np.ones(3))
+        with pytest.raises(T.ShapeError, match=r"mix_logits shape \(3,\) != \(2,\)"):
+            T.segment_norm(Tensor(np.ones((4, 3))), WHOLE, [(one, one, Tensor(np.zeros(3)))],
+                           1e-5, (0,), (1,))
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_mixture_groups_match_gather_scatter_composite(self, rank):
+        """Partition groups that carry mixture logits, beside plain ones."""
+        rng = np.random.default_rng(16 + rank)
+        for _ in range(30):
+            rows, shape = shuffled_groups(rng, int(rng.integers(2, 5)), rank)
+            shape = shape[:1] + (max(shape[1], 2),) + shape[2:]
+            c, k = shape[1], len(rows)
+            mixed = [bool(rng.integers(2)) for _ in range(k)]
+            arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3)]
+            for has_mix in mixed:
+                arrays += [rng.uniform(0.5, 2.0, c), rng.standard_normal(c)]
+                arrays += [rng.standard_normal(2)] if has_mix else []
+            args = (1e-5, BN_AXES[rank], IN_AXES[rank])
+
+            def triples(leaves):
+                out, it = [], iter(leaves)
+                for has_mix in mixed:
+                    out.append((next(it), next(it), next(it) if has_mix else None))
+                return out
+
+            def composite(x, *p):
+                out, moments = None, []
+                for idx, (g, b, m) in zip(rows, triples(p)):
+                    block = T.gather_rows(x, idx)
+                    y, mu, var = (composite_batch_norm(block, g, b, args[0], args[1])
+                                  if m is None else composite_mixture_norm(block, g, b, m, *args))
+                    placed = T.scatter_rows(y, idx, x.shape[0])
+                    out = placed if out is None else out + placed
+                    moments += [mu, var]
+                return out, moments
+
+            agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, triples(p), *args)),
+                  composite, arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
 
 class TestSegmentBatchNorm:
+    """`segment_norm` over a partition's row groups, no mixture."""
+
     @pytest.mark.parametrize("rank", [2, 4])
     def test_matches_gather_scatter_composite(self, rank):
         rng = np.random.default_rng(11 + rank)
@@ -216,13 +290,13 @@ class TestSegmentBatchNorm:
                 return list(zip(leaves[0::2], leaves[1::2]))
 
             def fused(x, *p):
-                out, moments = T.segment_batch_norm(x, rows, pairs(p), eps, BN_AXES[rank])
-                return out, [m for pair in moments for m in pair]
+                triples = [(g, b, None) for g, b in pairs(p)]
+                return flat_moments(T.segment_norm(x, rows, triples, eps, BN_AXES[rank],
+                                                   IN_AXES[rank]))
 
             def composite(x, *p):
-                out, moments = composite_segment_batch_norm(x, rows, pairs(p), eps,
-                                                            BN_AXES[rank])
-                return out, [m for pair in moments for m in pair]
+                return flat_moments(composite_segment_batch_norm(x, rows, pairs(p), eps,
+                                                                 BN_AXES[rank]))
 
             agree(fused, composite, arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
@@ -233,15 +307,15 @@ class TestSegmentBatchNorm:
             rows, shape = shuffled_groups(rng, 3, rank)
             x = Tensor(rng.standard_normal(shape), requires_grad=True)
             params = [(Tensor(rng.uniform(0.5, 2.0, shape[1]), requires_grad=True),
-                       Tensor(rng.standard_normal(shape[1]), requires_grad=True))
+                       Tensor(rng.standard_normal(shape[1]), requires_grad=True), None)
                       for _ in rows]
             up = Tensor(rng.standard_normal(shape))
 
             def fn():
-                return (T.segment_batch_norm(x, rows, params, 1e-5, BN_AXES[rank])[0]
+                return (T.segment_norm(x, rows, params, 1e-5, BN_AXES[rank], IN_AXES[rank])[0]
                         * up).sum()
 
-            assert grad_check_params(fn, [x] + [t for pair in params for t in pair]) < 1e-6
+            assert grad_check_params(fn, [x] + [t for g, b, _ in params for t in (g, b)]) < 1e-6
 
     @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
     def test_partitioned_running_moments_match_composite(self, partition):
@@ -265,7 +339,8 @@ class TestSegmentBatchNorm:
 
 class TestTapeSize:
     """One train step of the default model records a few nodes per layer,
-    and normalization routes no rows through gather/scatter nodes."""
+    one `segment_norm` node per normalization site, and routes no
+    normalization rows through gather/scatter nodes."""
 
     def ops(self, use_aug: bool, partition) -> Counter:
         model = init_model(ModelConfig(input_dim=datagen.DEFAULT_FEATURE_DIM, use_aug=use_aug),
@@ -284,11 +359,14 @@ class TestTapeSize:
     def test_on_aug_step(self, partition):
         ops = self.ops(True, partition)
         assert sum(ops.values()) <= 40
+        # three main-route sites and three bank sites
+        assert ops["segment_norm"] == 6
         assert ops["scatter_rows"] == 0
         # the one gather per group feeds that group's classifier
         assert ops["gather_rows"] == len(partition)
 
     def test_on_step(self):
         ops = self.ops(False, None)
-        assert sum(ops.values()) <= 15
+        assert sum(ops.values()) == 11
+        assert ops["segment_norm"] == 3
         assert ops["gather_rows"] == ops["scatter_rows"] == 0

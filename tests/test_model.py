@@ -149,6 +149,42 @@ class TestForwardAux:
                                      nb.all_singletons(3), mode="eval")
 
 
+class TestEvalOnlyRoutes:
+    """`features` and `forward_subpath` read the model and never train it."""
+
+    @staticmethod
+    def unit_state(m):
+        units = list(m.main_units) + [u for bank in m.banks for u in bank.units.values()]
+        return [(u.running_mean.copy(), u.running_var.copy(), u.update_count) for u in units]
+
+    @pytest.mark.parametrize("use_on", [True, False])
+    def test_features_leave_every_unit_unchanged(self, use_on):
+        m = tiny_model(use_on=use_on)
+        x = np.random.default_rng(0).standard_normal((9, 6)) * 3.0 + 1.0
+        before = self.unit_state(m)
+        with pytest.raises(ValueError, match="features: mode must be 'eval'"):
+            m.features(x, mode="train")
+        m.features(x)
+        m.features(x, mode="eval")
+        for (mean_a, var_a, count_a), (mean_b, var_b, count_b) in zip(before, self.unit_state(m)):
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(var_a, var_b)
+            assert count_a == count_b
+
+    def test_forward_subpath_is_eval_only(self):
+        m = tiny_model()
+        x = np.random.default_rng(1).standard_normal((5, 6))
+        before = self.unit_state(m)
+        for s in m.banks[0].subsets():
+            with pytest.raises(ValueError, match="forward_subpath: mode must be 'eval'"):
+                m.forward_subpath(x, s, mode="train")
+            assert m.forward_subpath(x, s, mode="eval").shape == (5, 3)
+        for (mean_a, var_a, count_a), (mean_b, var_b, count_b) in zip(before, self.unit_state(m)):
+            assert np.array_equal(mean_a, mean_b)
+            assert np.array_equal(var_a, var_b)
+            assert count_a == count_b
+
+
 class TestParameterBudget:
     def test_backbone_count_independent_of_aug(self):
         a = tiny_model(use_aug=True)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import tiny_config, tiny_model, toy_batch
-from normaug import datagen, normbank as nb, tensor as T, training
+from normaug import datagen, inference, normbank as nb, tensor as T, training
 from normaug.gradcheck import grad_check_params
-from normaug.model import init_model
+from normaug.model import TwoPathNetwork, init_model
 from normaug.normbank import DomainSubset, Partition
 from normaug.tensor import Tensor
 from normaug.training import (
@@ -350,6 +350,32 @@ class TestTrainLoop:
         assert touched > 0
         for unit in m.main_units:
             assert unit.update_count == 6
+
+    def test_source_score_reads_the_main_route_alone(self, monkeypatch):
+        """The per-epoch source-validation score runs no sub-path, and it is
+        bitwise the MainOnly fused accuracy of `evaluate`."""
+        ds = small_dataset()
+        tc = TrainConfig(epochs=1, iters_per_epoch=4, batch_per_domain=4)
+        m = init_model(tiny_config(num_classes=3), seed=0)
+        calls = []
+        eval_logits = TwoPathNetwork.eval_logits
+
+        def spy(self, x, subsets=()):
+            calls.append((np.array(x), list(subsets)))
+            return eval_logits(self, x, subsets)
+
+        monkeypatch.setattr(TwoPathNetwork, "eval_logits", spy)
+        result = train(m, ds, 3, tc)
+        sources, target = datagen.split_lodo(ds, 3)
+        split_seed = np.random.SeedSequence(tc.seed).spawn(3)[0]
+        _, val = datagen.split_train_val(sources, tc.val_fraction,
+                                         seed=split_seed.generate_state(1)[0])
+        src_calls = [subsets for x, subsets in calls if np.array_equal(x, val.features)]
+        assert src_calls == [[]]
+        assert len(calls) == 2  # the source score and the target score
+        want = inference.evaluate(m, val.features, val.labels,
+                                  inference.FusionStrategy.MAIN_ONLY).fused_accuracy
+        assert result.final["src_acc"] == want
 
     def test_domain_count_mismatch_rejected(self):
         ds = small_dataset()
