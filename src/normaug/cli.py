@@ -45,7 +45,15 @@ DIAGNOSE_KEYS = {"checkpoint", "dataset", "target_domain", "probe_rows", "seed"}
 ABLATE_CELL_KEYS = {"use_on", "use_aug", "seed"}
 ABLATE_KEYS = (({"seeds"} | GEN_KEYS | MODEL_KEYS | TRAIN_KEYS)
                - {"dataset"} - ABLATE_CELL_KEYS)
-KNOWN_KEYS = GEN_KEYS | MODEL_KEYS | TRAIN_KEYS | EVAL_KEYS | DIAGNOSE_KEYS | ABLATE_KEYS
+# the keys each command reads (ablate also reads its cell keys, to refuse them)
+COMMAND_KEYS = {
+    "gen-data": GEN_KEYS,
+    "train": MODEL_KEYS | TRAIN_KEYS,
+    "eval": EVAL_KEYS,
+    "diagnose": DIAGNOSE_KEYS,
+    "ablate": ABLATE_KEYS | ABLATE_CELL_KEYS,
+}
+KNOWN_KEYS = set().union(*COMMAND_KEYS.values())
 
 
 def parse_config(path) -> dict[str, str]:
@@ -301,6 +309,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        ignored = sorted(cfg.keys() - COMMAND_KEYS[args.command])
+        if ignored:
+            # one config file serves every command, so other commands' keys are not errors
+            print(f"normaug {args.command}: ignoring config keys {', '.join(ignored)}",
+                  file=sys.stderr)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "gen-data":

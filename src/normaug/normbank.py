@@ -324,23 +324,26 @@ _WHOLE_BATCH = (slice(None),)
 
 def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
                mode: str = "train") -> Tensor:
-    """Normalize the selected rows (all rows when `rows` is None) with this
-    unit; an `ONUnit` applies its BN/IN mixture.
+    """Normalize the whole batch with this unit; an `ONUnit` applies its
+    BN/IN mixture. `rows` must be None (the slot stays for positional
+    callers); sub-batches go through `partitioned_forward`.
 
     Train mode is `T.segment_norm` with one whole-batch group: one tape
-    node, statistics over exactly those rows, and an update of the running
-    averages. Eval mode is `eval_normalize` with the running averages. The
-    result holds the selected rows in the order given.
+    node, the batch's statistics, and an update of the running averages.
+    Eval mode is `eval_normalize` with the running averages.
     """
+    if rows is not None:
+        raise ValueError("bn_forward: rows must be None; partitioned_forward "
+                         "normalizes row groups")
     _check_mode(mode)
     _check_channels(unit.channels, features)
-    x = features if rows is None else T.gather_rows(features, np.asarray(rows, dtype=np.intp))
     if mode == "eval":
-        return Tensor(eval_normalize(unit, x.data))
-    if x.shape[0] == 0:
+        return Tensor(eval_normalize(unit, features.data))
+    if features.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
-    out, ((mu, var),) = T.segment_norm(x, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
-                                       _reduce_axes(x.ndim), _instance_axes(x.ndim))
+    out, ((mu, var),) = T.segment_norm(features, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
+                                       _reduce_axes(features.ndim),
+                                       _instance_axes(features.ndim))
     unit.update_running(mu, var)
     return out
 
@@ -415,8 +418,12 @@ def partition_rows(partition: Partition, domain_ids: np.ndarray) -> list[np.ndar
     checking that the partition covers every domain id and that every group
     has at least two rows."""
     domain_ids = np.asarray(domain_ids)
-    for d in np.unique(domain_ids):
-        partition.group_of(int(d))  # raises if a domain is not covered
+    # a Partition covers every domain in [0, num_domains), so only ids outside
+    # that range need the per-domain check (which names the uncovered domain)
+    if domain_ids.size and not (np.minimum.reduce(domain_ids, None) >= 0 and
+                                np.maximum.reduce(domain_ids, None) < partition.num_domains):
+        for d in np.unique(domain_ids):
+            partition.group_of(int(d))
     rows = [group.rows(domain_ids) for group in partition]
     for group, idx in zip(partition, rows):
         if idx.size < 2:

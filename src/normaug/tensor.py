@@ -9,8 +9,12 @@ repeated calls without a reset sum up); intermediate results keep no `.grad`.
 The training step records fused ops, one node each with a closed-form
 backward: `linear`, `segment_norm` (every train-mode normalization site,
 batch norm or the BN/IN mixture over one or several row groups) and
-`cross_entropy`. The primitive ops they replace stay, and the tests use their
-composites as the oracle.
+`cross_entropy` (the main head and every auxiliary head in one loss node).
+An `on_aug` step of the default model records 26 nodes (24 for a two-group
+partition), an `on` step 11. The primitive ops they replace stay, and the
+tests use their composites as the oracle. Their reductions call the ufunc
+(`np.add.reduce`, `np.maximum.reduce`) directly: the same bits as the
+`ndarray` methods, without those methods' Python wrappers.
 
 All arithmetic is float64. The tape is for training; evaluation runs on
 plain arrays (`TwoPathNetwork.eval_logits`).
@@ -398,7 +402,7 @@ def _check_labels(op: str, a: Tensor, labels: np.ndarray) -> np.ndarray:
     n, c = a.shape
     if labels.shape != (n,):
         raise ShapeError(f"{op}: labels shape {labels.shape} != ({n},)")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= c:
+    if np.minimum.reduce(labels, initial=0) < 0 or np.maximum.reduce(labels, initial=-1) >= c:
         raise ValueError(f"{op}: label out of range [0, {c})")
     return labels
 
@@ -537,18 +541,31 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def rule(g: np.ndarray):
         return (g @ w.data.T if x.requires_grad else None,
                 x.data.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+                np.add.reduce(g, 0) if b.requires_grad else None)
 
     return _record("linear", (x, w, b), out, rule)
+
+
+def _count(shape: tuple[int, ...], axes: tuple[int, ...]) -> int:
+    """How many elements a reduction over `axes` combines: the divisor
+    `ndarray.mean` uses."""
+    n = 1
+    for a in axes:
+        n *= shape[a]
+    return n
 
 
 def _standardize(x: np.ndarray, eps: float, axes: tuple[int, ...]):
     """(x - mean) / sqrt(var + eps) over `axes` with the population variance,
     by the same numpy expressions as the primitive-op composite. Returns
-    (xhat, sigma, mean, var), the last three with `keepdims`."""
-    mu = x.mean(axis=axes, keepdims=True)
+    (xhat, sigma, mean, var), the last three with `keepdims`.
+
+    A mean is `np.add.reduce` divided by the count, which is what
+    `ndarray.mean` computes (same bits) without its Python wrapper."""
+    n = _count(x.shape, axes)
+    mu = np.add.reduce(x, axes, keepdims=True) / n
     xhat = x - mu
-    var = (xhat ** 2.0).mean(axis=axes, keepdims=True)
+    var = np.add.reduce(xhat ** 2.0, axes, keepdims=True) / n
     sigma = np.sqrt(var + eps)
     xhat /= sigma
     return xhat, sigma, mu, var
@@ -558,8 +575,9 @@ def _standardize_grad(g_hat: np.ndarray, xhat: np.ndarray, sigma: np.ndarray,
                       axes: tuple[int, ...]) -> np.ndarray:
     """Gradient through `_standardize`, the moments included (Ioffe &
     Szegedy 2015): (g - mean(g) - xhat * mean(g * xhat)) / sigma."""
-    return (g_hat - g_hat.mean(axis=axes, keepdims=True)
-            - xhat * (g_hat * xhat).mean(axis=axes, keepdims=True)) / sigma
+    n = _count(g_hat.shape, axes)
+    return (g_hat - np.add.reduce(g_hat, axes, keepdims=True) / n
+            - xhat * (np.add.reduce(g_hat * xhat, axes, keepdims=True) / n)) / sigma
 
 
 def _channel_shape(op: str, x: Tensor, axes: tuple[int, ...], *params: Tensor):
@@ -611,8 +629,8 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
             mixed = xhat
         else:
             inputs += (gamma, beta, mix)
-            e = np.exp(mix.data - mix.data.max(axis=0, keepdims=True))
-            w = e / e.sum(axis=0, keepdims=True)
+            e = np.exp(mix.data - np.maximum.reduce(mix.data, 0, keepdims=True))
+            w = e / np.add.reduce(e, 0, keepdims=True)
             in_hat, in_sigma, _, _ = _standardize(block, eps, in_axes)
             mixed = xhat * w[0:1] + in_hat * w[1:2]
         gv = gamma.data.reshape(pshape)
@@ -641,33 +659,52 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
                     grads[0] = gx_k
                 else:
                     gx[idx] = gx_k
-            grads.append((g_k * mixed).sum(axis=bn_axes) if gamma.requires_grad else None)
-            grads.append(g_k.sum(axis=bn_axes) if beta.requires_grad else None)
+            grads.append(np.add.reduce(g_k * mixed, bn_axes) if gamma.requires_grad else None)
+            grads.append(np.add.reduce(g_k, bn_axes) if beta.requires_grad else None)
             if mix is not None:
                 gl = None
                 if mix.requires_grad:
-                    gw = np.array([(g_hat * xhat).sum(), (g_hat * in_hat).sum()])
-                    gl = (gw - (gw * w).sum()) * w
+                    gw = np.array([np.add.reduce(g_hat * xhat, None),
+                                   np.add.reduce(g_hat * in_hat, None)])
+                    gl = (gw - np.add.reduce(gw * w)) * w
                 grads.append(gl)
         return tuple(grads)
 
     return _record("segment_norm", inputs, out, rule), moments
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+def cross_entropy(logits: Tensor, labels: np.ndarray,
+                  aux: Sequence[tuple[Tensor, np.ndarray]] = (),
+                  aux_scale: float = 1.0) -> Tensor:
     """Mean negative log-likelihood of integer labels under softmax logits,
-    as one node with the bits of mean(neg(gather_labels(log_softmax)))."""
-    labels = _check_labels("cross_entropy", logits, labels)
-    n = logits.shape[0]
-    rows = np.arange(n)
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = (-log_p[rows, labels]).mean(axis=(0,))
+    plus `aux_scale` times the sum of the same over the `aux` heads, as one
+    node: ce + aux_scale * (ce_1 + ... + ce_k).
+
+    Each head's term has the bits of mean(neg(gather_labels(log_softmax)));
+    the terms combine by the float operations, in the order, of the
+    add/mul chain `ce + aux_scale * (ce_1 + ... + ce_k)`, whose gradients
+    (1 for the first head, `aux_scale` for each aux head) the backward
+    applies."""
+    heads = [(logits, labels, 1.0)] + [(z, y, aux_scale) for z, y in aux]
+    saved, terms = [], []
+    for z, y, scale in heads:
+        y = _check_labels("cross_entropy", z, y)
+        n = z.shape[0]
+        rows = np.arange(n)
+        shifted = z.data - np.maximum.reduce(z.data, 1, keepdims=True)
+        log_p = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
+        terms.append(np.add.reduce(-log_p[rows, y], 0) / n)
+        saved.append((scale, n, rows, y, log_p))
+    # sum(terms[2:], terms[1]) adds left to right, as the add chain does
+    out = terms[0] if len(terms) == 1 else terms[0] + sum(terms[2:], terms[1]) * aux_scale
 
     def rule(g: np.ndarray):
-        g_pick = -(np.broadcast_to(g.reshape(1), (n,)) / n)
-        g_log_p = np.zeros_like(log_p)
-        g_log_p[rows, labels] = g_pick
-        return (g_log_p - np.exp(log_p) * g_pick[:, None],)
+        grads = []
+        for scale, n, rows, y, log_p in saved:
+            g_pick = -(g * scale / n)
+            g_log_p = np.zeros_like(log_p)
+            g_log_p[rows, y] = g_pick
+            grads.append(g_log_p - np.exp(log_p) * g_pick)
+        return tuple(grads)
 
-    return _record("cross_entropy", (logits,), out, rule)
+    return _record("cross_entropy", [z for z, _, _ in heads], out, rule)

@@ -43,7 +43,14 @@ class DomainBatch:
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.domain_ids.shape != (n,):
             raise ValueError("DomainBatch: length mismatch")
-        ids, counts = np.unique(self.domain_ids, return_counts=True)
+        ids = self.domain_ids
+        # counting by bincount needs ids in [0, n): then it allocates at most n
+        if (n and ids.dtype.kind in "iu" and np.minimum.reduce(ids) >= 0
+                and np.maximum.reduce(ids) < n):
+            counts = np.bincount(ids)
+            if np.all(counts[counts > 0] == self.per_domain):
+                return
+        ids, counts = np.unique(ids, return_counts=True)
         if n != ids.size * self.per_domain or not np.all(counts == self.per_domain):
             raise ValueError(
                 f"DomainBatch: expected {self.per_domain} rows per domain, got {dict(zip(ids, counts))}")
@@ -95,22 +102,26 @@ def _domain_index(dataset: Dataset) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     return ids, {int(d): dataset.domain_rows(int(d)) for d in ids}
 
 
+def _gather_batch(dataset: Dataset, picks: list[np.ndarray], per_domain: int) -> DomainBatch:
+    """The rows `picks[pos]` of each domain in turn, as one batch whose
+    domain ids are the positions."""
+    idx = np.concatenate(picks)
+    return DomainBatch(dataset.features[idx], dataset.labels[idx],
+                       np.repeat(np.arange(len(picks), dtype=np.int64), per_domain), per_domain)
+
+
 def sample_batch(dataset: Dataset, per_domain: int, rng: np.random.Generator) -> DomainBatch:
     """One uniform without-replacement draw of `per_domain` rows from every
     domain present in `dataset`."""
     ids, rows_by_domain = _domain_index(dataset)
-    feats, labels, doms = [], [], []
-    for pos, d in enumerate(ids):
+    picks = []
+    for d in ids:
         rows = rows_by_domain[int(d)]
         if rows.size < per_domain:
             raise ValueError(
                 f"sample_batch: domain {d} has {rows.size} rows < {per_domain}")
-        pick = rng.choice(rows, size=per_domain, replace=False)
-        feats.append(dataset.features[pick])
-        labels.append(dataset.labels[pick])
-        doms.append(np.full(per_domain, pos, dtype=np.int64))
-    return DomainBatch(np.concatenate(feats), np.concatenate(labels),
-                       np.concatenate(doms), per_domain)
+        picks.append(rng.choice(rows, size=per_domain, replace=False))
+    return _gather_batch(dataset, picks, per_domain)
 
 
 class EpochSampler:
@@ -130,20 +141,15 @@ class EpochSampler:
         self._cursor = {int(d): 0 for d in ids}
 
     def next_batch(self) -> DomainBatch:
-        feats, labels, doms = [], [], []
-        for pos, d in enumerate(self.ids):
-            d = int(d)
+        picks = []
+        for d in self._pools:
             pool, cur = self._pools[d], self._cursor[d]
             if cur + self.per_domain > pool.size:
                 pool = self.rng.permutation(pool)
                 self._pools[d], cur = pool, 0
-            pick = pool[cur:cur + self.per_domain]
+            picks.append(pool[cur:cur + self.per_domain])
             self._cursor[d] = cur + self.per_domain
-            feats.append(self.dataset.features[pick])
-            labels.append(self.dataset.labels[pick])
-            doms.append(np.full(self.per_domain, pos, dtype=np.int64))
-        return DomainBatch(np.concatenate(feats), np.concatenate(labels),
-                           np.concatenate(doms), self.per_domain)
+        return _gather_batch(self.dataset, picks, self.per_domain)
 
 
 def sample_combination(partitions: list[Partition], rng: np.random.Generator,
@@ -169,16 +175,13 @@ def sample_combination(partitions: list[Partition], rng: np.random.Generator,
 def two_path_loss(main_logits: Tensor, labels: np.ndarray,
                   aux_blocks: dict | None, aux_weight: float = 1.0) -> Tensor:
     """Mean main-route cross entropy plus aux_weight times the mean of the
-    per-group auxiliary cross entropies."""
-    loss = T.cross_entropy(main_logits, labels)
-    if aux_blocks:
-        k = len(aux_blocks)
-        aux_total: Tensor | None = None
-        for idx, logits in aux_blocks.values():
-            ce = T.cross_entropy(logits, labels[idx])
-            aux_total = ce if aux_total is None else aux_total + ce
-        loss = loss + (aux_weight / k) * aux_total
-    return loss
+    per-group auxiliary cross entropies, as one `T.cross_entropy` node:
+    an `on_aug` step of the default model records 26 nodes (24 for a
+    two-group partition), an `on` step 11."""
+    if not aux_blocks:
+        return T.cross_entropy(main_logits, labels)
+    aux = [(logits, labels[idx]) for idx, logits in aux_blocks.values()]
+    return T.cross_entropy(main_logits, labels, aux, aux_weight / len(aux))
 
 
 # ---------------------------------------------------------------------------

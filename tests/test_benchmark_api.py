@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from helpers import tiny_model
+from normaug import datagen, training
 from normaug import model as model_mod
 from normaug import normbank as nb
 from normaug import tensor as T
@@ -66,3 +67,28 @@ def test_normalization_sites_take_positional_arguments():
         assert nb.on_forward(nb.ONUnit(4), x, mode).shape == (6, 4)
     out = nb.partitioned_forward(nb.BNBank(3, 4), nb.all_singletons(3), x, ids, "train")
     assert out.shape == (6, 4)
+
+
+def test_train_looks_up_the_timed_names_at_call_time(monkeypatch):
+    """perfbench times `train_step` (its `op_ms_*`), `two_path_loss`,
+    `EpochSampler.next_batch` and `SGD.step` by rebinding them; `train`
+    must reach each rebound name once per iteration."""
+    counts = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((training, "train_step"), (training, "two_path_loss"),
+                        (training.EpochSampler, "next_batch"), (training.SGD, "step")):
+        counting(owner, name)
+    ds, _ = datagen.generate(num_classes=3, num_domains=4, per_cell=12, feature_dim=6, seed=0)
+    config = training.TrainConfig(epochs=2, iters_per_epoch=3, batch_per_domain=4)
+    training.train(tiny_model(seed=1), ds, 3, config)
+    assert counts == dict.fromkeys(counts, config.epochs * config.iters_per_epoch)

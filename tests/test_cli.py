@@ -259,6 +259,38 @@ class TestAblateCommand:
         assert int(cfg["target_domain"]) == int(cfg["num_domains"]) - 1
 
 
+class TestIgnoredKeys:
+    def test_each_command_names_the_keys_it_ignores(self, tmp_path, capsys):
+        gen_cfg = write_config(tmp_path, SMALL_GEN + "epochs = 99\nseeds = 4,5\n", "gen.txt")
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "normaug gen-data: ignoring config keys epochs, seeds\n"
+        assert out.startswith("wrote ")
+        train_cfg = write_config(
+            tmp_path, SMALL_TRAIN + f"dataset = {tmp_path / 'dataset.csv'}\n"
+                                    "strategy = MaxI\nper_cell = 3\n")
+        assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().err == \
+            "normaug train: ignoring config keys per_cell, strategy\n"
+
+    def test_output_unchanged_by_ignored_keys(self, tmp_path, capsys):
+        runs = []
+        for name, extra in (("plain", ""), ("extra", "strategy = MaxI\nprobe_rows = 3\n")):
+            d = tmp_path / name
+            d.mkdir()
+            assert main(["gen-data", "--config", write_config(d, SMALL_GEN, "gen.txt"),
+                         "--out", str(d)]) == 0
+            cfg = write_config(d, SMALL_TRAIN + extra + f"dataset = {d / 'dataset.csv'}\n")
+            assert main(["train", "--config", cfg, "--out", str(d)]) == 0
+            runs.append((d, capsys.readouterr()))
+        (plain, cap_plain), (extra, cap_extra) = runs
+        assert cap_plain.err == ""
+        assert cap_extra.err == "normaug train: ignoring config keys probe_rows, strategy\n"
+        assert cap_plain.out.replace("plain", "extra") == cap_extra.out
+        for f in ("dataset.csv", "metrics.csv", "model.ckpt"):
+            assert (plain / f).read_bytes() == (extra / f).read_bytes()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

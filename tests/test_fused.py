@@ -144,6 +144,56 @@ class TestCrossEntropy:
             T.cross_entropy(Tensor(logits, requires_grad=True), labels)
 
 
+def composite_two_path_loss(heads, aux_scale):
+    """ce_0 + aux_scale * (ce_1 + ... + ce_k) from `composite_cross_entropy`
+    per head, joined by add and mul nodes."""
+    loss = composite_cross_entropy(*heads[0])
+    if len(heads) > 1:
+        aux = composite_cross_entropy(*heads[1])
+        for z, y in heads[2:]:
+            aux = aux + composite_cross_entropy(z, y)
+        loss = loss + aux_scale * aux
+    return loss
+
+
+class TestMultiHeadCrossEntropy:
+    """`cross_entropy` with aux heads: one node with the bits of the per-head
+    composite joined by add/mul nodes."""
+
+    def random_heads(self, rng, k: int):
+        c = int(rng.integers(2, 8))
+        arrays, labels = [], []
+        for _ in range(k + 1):
+            n = int(rng.integers(1, 20))
+            arrays.append(rng.standard_normal((n, c)) * 3.0)
+            labels.append(rng.integers(0, c, size=n))
+        return arrays, labels
+
+    def test_bitwise_matches_composite(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            arrays, labels = self.random_heads(rng, int(rng.integers(0, 5)))
+            scale = float(rng.uniform(0.1, 2.0))
+            agree(lambda *z: (T.cross_entropy(z[0], labels[0], list(zip(z[1:], labels[1:])),
+                                              scale), ()),
+                  lambda *z: (composite_two_path_loss(list(zip(z, labels)), scale), ()),
+                  arrays, np.array(rng.uniform(0.1, 2.0)), grad_tol=None)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3):
+            arrays, labels = self.random_heads(rng, k)
+            z = [Tensor(a, requires_grad=True) for a in arrays]
+            assert grad_check_params(
+                lambda: T.cross_entropy(z[0], labels[0], list(zip(z[1:], labels[1:])), 0.6),
+                z) < 1e-6
+
+    def test_aux_labels_checked(self):
+        with pytest.raises(ValueError, match="cross_entropy: label out of range"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]),
+                            [(Tensor(np.zeros((2, 3))), np.array([0, 3]))])
+
+
 class TestBatchNorm:
     """`segment_norm` with one whole-batch group and no mixture."""
 
@@ -339,8 +389,8 @@ class TestSegmentBatchNorm:
 
 class TestTapeSize:
     """One train step of the default model records a few nodes per layer,
-    one `segment_norm` node per normalization site, and routes no
-    normalization rows through gather/scatter nodes."""
+    one `segment_norm` node per normalization site and one loss node, and
+    routes no normalization rows through gather/scatter nodes."""
 
     def ops(self, use_aug: bool, partition) -> Counter:
         model = init_model(ModelConfig(input_dim=datagen.DEFAULT_FEATURE_DIM, use_aug=use_aug),
@@ -358,15 +408,18 @@ class TestTapeSize:
     @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
     def test_on_aug_step(self, partition):
         ops = self.ops(True, partition)
-        assert sum(ops.values()) <= 40
+        # 10 main-route nodes, 9 bank-route ones, a gather and a linear per group
+        # feeding that group's classifier, one loss node
+        assert sum(ops.values()) == {3: 26, 2: 24}[len(partition)]
+        assert ops["cross_entropy"] == 1
         # three main-route sites and three bank sites
         assert ops["segment_norm"] == 6
         assert ops["scatter_rows"] == 0
-        # the one gather per group feeds that group's classifier
         assert ops["gather_rows"] == len(partition)
 
     def test_on_step(self):
         ops = self.ops(False, None)
         assert sum(ops.values()) == 11
+        assert ops["cross_entropy"] == 1
         assert ops["segment_norm"] == 3
         assert ops["gather_rows"] == ops["scatter_rows"] == 0

@@ -119,6 +119,13 @@ class TestBNForward:
         with pytest.raises(T.ShapeError, match="channels"):
             bn_forward(BNUnit(3), Tensor(np.ones((4, 2))), None, "train")
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_rows_must_be_none(self, mode):
+        u = BNUnit(2)
+        with pytest.raises(ValueError, match="bn_forward: rows must be None"):
+            bn_forward(u, Tensor(np.ones((4, 2))), np.array([0, 1]), mode)
+        assert u.update_count == 0
+
     def test_group_output_is_standardized(self):
         rng = np.random.default_rng(3)
         u = BNUnit(6, eps=1e-12)
@@ -223,6 +230,28 @@ class TestPartitionedForward:
         with pytest.raises(ValueError, match="not covered"):
             partitioned_forward(bank, nb.all_singletons(3), Tensor(np.ones((4, 4))), ids,
                                 "train")
+
+    @pytest.mark.parametrize("ids,domain", [([0, 0, 3, 3], 3), ([4, 4, 1, 1, 9, 9], 4),
+                                            ([2, 2, 5, 5, 3, 3], 3)])
+    def test_uncovered_domain_named(self, ids, domain):
+        """`partition_rows` names the lowest uncovered domain id."""
+        for part in nb.enumerate_reduced_combinations(3):
+            with pytest.raises(ValueError) as exc:
+                nb.partition_rows(part, np.array(ids))
+            assert str(exc.value) == f"Partition: domain {domain} not covered"
+
+    def test_negative_domain_rejected(self):
+        with pytest.raises(ValueError):
+            nb.partition_rows(nb.all_singletons(3), np.array([0, 0, -1, -1]))
+
+    def test_partition_rows_match_per_domain_lookup(self):
+        rng = np.random.default_rng(12)
+        for part in nb.enumerate_reduced_combinations(4):
+            ids = rng.permutation(np.repeat(np.arange(4), rng.integers(2, 5, size=4)))
+            rows = nb.partition_rows(part, ids)
+            groups = np.array([part.groups.index(part.group_of(int(d))) for d in ids])
+            for k, idx in enumerate(rows):
+                assert np.array_equal(idx, np.flatnonzero(groups == k))
 
     def test_parameter_sharing_across_partitions(self):
         rng = np.random.default_rng(9)

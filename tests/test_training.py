@@ -1,6 +1,7 @@
 """Batch sampling, the combined loss, SGD semantics, the training loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,65 @@ class TestDomainBatch:
             DomainBatch(feats, labels, np.array([0, 0, 0, 1, 1, 2]), per_domain=2)
         with pytest.raises(ValueError):
             DomainBatch(feats, labels, ids, per_domain=1)
+
+
+def reference_validate(ids: np.ndarray, per_domain: int) -> str | None:
+    """The per-domain count rule by `np.unique`: None if the ids pass, else
+    the error message."""
+    uniq, counts = np.unique(ids, return_counts=True)
+    if ids.size != uniq.size * per_domain or not np.all(counts == per_domain):
+        return (f"DomainBatch: expected {per_domain} rows per domain, "
+                f"got {dict(zip(uniq, counts))}")
+    return None
+
+
+class TestDomainBatchIds:
+    """`validate` counts by `np.bincount` when the ids allow it; the accepted
+    batches and the error messages are those of the `np.unique` rule."""
+
+    def check(self, ids, per_domain=2):
+        ids = np.asarray(ids)
+        n = ids.size
+        want = reference_validate(ids, per_domain)
+        if want is None:
+            DomainBatch(np.zeros((n, 3)), np.zeros(n, np.int64), ids, per_domain)
+        else:
+            with pytest.raises(ValueError) as exc:
+                DomainBatch(np.zeros((n, 3)), np.zeros(n, np.int64), ids, per_domain)
+            assert str(exc.value) == want
+        return want
+
+    @pytest.mark.parametrize("ids", [[-1, -1, 0], [-3, 0, 0, 1, 1], [0, 0, -1, 1, 1]])
+    def test_negative_ids_rejected(self, ids):
+        assert self.check(ids) is not None
+
+    @pytest.mark.parametrize("ids", [[0, 0, 0, 1, 1, 2], [2, 2, 2], [5, 5, 1]])
+    def test_unequal_counts_rejected(self, ids):
+        assert self.check(ids) is not None
+
+    @pytest.mark.parametrize("ids", [[10**12, 10**12, 0], [0, 0, 2**62, 1, 1]])
+    def test_huge_ids_rejected(self, ids):
+        assert self.check(ids) is not None
+
+    def test_balanced_out_of_range_ids_accepted_without_counting_to_them(self):
+        tracemalloc.start()
+        try:
+            assert self.check([-4, -4, 10**12, 10**12, 7, 7]) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_matches_unique_rule_on_random_ids(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(300):
+            k, per = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+            ids = np.repeat(rng.choice(np.arange(-2, 9), size=k, replace=False), per)
+            if rng.random() < 0.5:
+                ids[rng.integers(ids.size)] = rng.integers(-2, 9)
+            outcomes.add(self.check(rng.permutation(ids), per) is None)
+        assert outcomes == {True, False}
 
 
 class TestSampleBatch:
@@ -293,6 +353,99 @@ class TestTrainStep:
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite"):
                 train_step(m, batch, None, opt)
+
+
+class ReferenceSampler(EpochSampler):
+    """`EpochSampler` drawing its batch one domain at a time: a gather per
+    domain, concatenated."""
+
+    def next_batch(self) -> DomainBatch:
+        feats, labels, doms = [], [], []
+        for pos, d in enumerate(self.ids):
+            d = int(d)
+            pool, cur = self._pools[d], self._cursor[d]
+            if cur + self.per_domain > pool.size:
+                pool = self.rng.permutation(pool)
+                self._pools[d], cur = pool, 0
+            pick = pool[cur:cur + self.per_domain]
+            self._cursor[d] = cur + self.per_domain
+            feats.append(self.dataset.features[pick])
+            labels.append(self.dataset.labels[pick])
+            doms.append(np.full(self.per_domain, pos, dtype=np.int64))
+        return DomainBatch(np.concatenate(feats), np.concatenate(labels),
+                           np.concatenate(doms), self.per_domain)
+
+
+def reference_loss(main_logits, labels, aux_blocks, aux_weight):
+    """The two-path loss from one-head `cross_entropy` nodes joined by
+    add and mul nodes."""
+    loss = T.cross_entropy(main_logits, labels)
+    if aux_blocks:
+        aux_total = None
+        for idx, logits in aux_blocks.values():
+            ce = T.cross_entropy(logits, labels[idx])
+            aux_total = ce if aux_total is None else aux_total + ce
+        loss = loss + (aux_weight / len(aux_blocks)) * aux_total
+    return loss
+
+
+def reference_step(model, batch, partition, optimizer, aux_weight):
+    optimizer.zero_grad()
+    main_logits, _ = model.forward_main(batch.features, mode="train")
+    aux_blocks = None
+    if partition is not None:
+        aux_blocks = model.forward_aux(batch.features, batch.domain_ids, partition,
+                                       mode="train")
+    loss = reference_loss(main_logits, batch.labels, aux_blocks, aux_weight)
+    T.backward(loss)
+    optimizer.step()
+    return loss.item()
+
+
+class TestStepOracle:
+    """30 `train_step` calls on `EpochSampler` batches against the reference
+    step (one-head losses joined by add/mul nodes) on `ReferenceSampler`
+    batches: every loss, parameter, velocity, running moment and update
+    count is bitwise equal."""
+
+    @pytest.mark.parametrize("mode", ["independent", "shared_one", "shared_two"])
+    @pytest.mark.parametrize("use_aug", [False, True])
+    @pytest.mark.parametrize("use_on", [False, True])
+    @pytest.mark.parametrize("backbone", ["mlp", "smallconv"])
+    def test_bitwise_equal_to_reference_step(self, backbone, use_on, use_aug, mode):
+        ds, _ = datagen.generate(num_classes=3, num_domains=4, per_cell=10,
+                                 feature_dim=16, seed=1)
+        sources, _ = datagen.split_lodo(ds, 3)
+        cfg = tiny_config(input_dim=16, hidden=(4, 3) if backbone == "smallconv" else (8, 5),
+                          use_on=use_on, use_aug=use_aug, classifier_mode=mode,
+                          backbone=backbone)
+        tc = TrainConfig(aux_weight=0.7)
+        parts = nb.enumerate_reduced_combinations(3)
+        runs = []
+        for sampler_cls, step in ((EpochSampler, train_step),
+                                  (ReferenceSampler, reference_step)):
+            m = init_model(cfg, seed=4)
+            opt = make_optimizer(m, tc)
+            sampler = sampler_cls(sources, 5, np.random.default_rng(2))
+            combo_rng = np.random.default_rng(3)
+            losses = []
+            for _ in range(30):
+                batch = sampler.next_batch()
+                part = sample_combination(parts, combo_rng) if use_aug else None
+                losses.append(step(m, batch, part, opt, tc.aux_weight))
+            runs.append((m, opt, losses))
+        (m_a, opt_a, loss_a), (m_b, opt_b, loss_b) = runs
+        assert loss_a == loss_b
+        for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
+            assert np.array_equal(ta.data, tb.data), name
+            va, vb = opt_a._velocity.get(id(ta)), opt_b._velocity.get(id(tb))
+            assert (va is None) == (vb is None) and (va is None or np.array_equal(va, vb)), name
+        units_a = m_a.main_units + [b.units[s] for b in m_a.banks for s in b.subsets()]
+        units_b = m_b.main_units + [b.units[s] for b in m_b.banks for s in b.subsets()]
+        for a, b in zip(units_a, units_b):
+            assert np.array_equal(a.running_mean, b.running_mean)
+            assert np.array_equal(a.running_var, b.running_var)
+            assert a.update_count == b.update_count
 
 
 class TestTrainLoop:
