@@ -171,8 +171,7 @@ class TwoPathNetwork:
                     put(f"bank.site{i}.u{s.label()}.{suffix}", t)
         put("classifier.main.W", self.classifier_main.weight)
         put("classifier.main.b", self.classifier_main.bias)
-        for s in sorted(self.classifiers_aux, key=lambda s: (s.size, s.mask)):
-            clf = self.classifiers_aux[s]
+        for s, clf in self.classifiers_aux.items():
             put(f"classifier.aux.u{s.label()}.W", clf.weight)
             put(f"classifier.aux.u{s.label()}.b", clf.bias)
         return out
@@ -266,21 +265,6 @@ class TwoPathNetwork:
             return self.classifiers_aux[subset]
         except KeyError:
             raise ValueError(f"model: no classifier for subset {{{subset.label()}}}") from None
-
-    def add_aux_unit(self, subset: DomainSubset, rng: np.random.Generator | None = None) -> None:
-        """Register an extra bank unit (and classifier, in independent mode)
-        beyond the default scheme, e.g. for probing merged routes."""
-        if not self.config.use_aug:
-            raise ValueError("add_aux_unit: model built with use_aug=False")
-        for bank in self.banks:
-            bank.ensure_unit(subset)
-        if subset not in self.classifiers_aux:
-            if self.config.classifier_mode == "independent":
-                rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
-                self.classifiers_aux[subset] = Linear(
-                    self.feature_dim, self.config.num_classes, rng)
-            else:
-                self.classifiers_aux[subset] = next(iter(self.classifiers_aux.values()))
 
     # -- evaluation on arrays ----------------------------------------------
 
@@ -415,14 +399,21 @@ def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
 # checkpoint container
 
 
+def _bank_subsets(config: ModelConfig) -> str | None:
+    """The `bank_subsets` value of a model built from `config`: the labels
+    of `nb.scheme_subsets`, or None without a bank."""
+    if not config.use_aug:
+        return None
+    return ",".join(s.label() for s in nb.scheme_subsets(config.num_domains))
+
+
 def _config_text(model: TwoPathNetwork, epoch: int, rng_state: str | None) -> str:
     lines = [f"{f.name}={format_value(getattr(model.config, f.name))}"
              for f in fields(ModelConfig)]
     lines += [f"seed={model.seed}", f"epoch={epoch}",
               f"rng_state={rng_state if rng_state is not None else '-'}"]
     if model.banks:
-        labels = ",".join(s.label() for s in model.banks[0].subsets())
-        lines.append(f"bank_subsets={labels}")
+        lines.append(f"bank_subsets={_bank_subsets(model.config)}")
     return "\n".join(lines) + "\n"
 
 
@@ -441,26 +432,9 @@ def _state(model: TwoPathNetwork) -> dict[str, tuple[object, str]]:
     return table
 
 
-def _bank_labels(kv: dict[str, str], config: ModelConfig) -> list[tuple[int, ...]]:
-    """Domain indices of every subset on the `bank_subsets` line, each a
-    source domain of `config`."""
-    if "bank_subsets" not in kv:
-        return []
-    if not config.use_aug:
-        raise ValueError("config key bank_subsets: the model has no bank (use_aug=false)")
-    out = []
-    for label in kv["bank_subsets"].split(","):
-        indices = tuple(sorted({parse_value("bank_subsets", i, int) for i in label.split("+")}))
-        if indices[0] < 0 or indices[-1] >= config.num_domains:
-            raise ValueError(f"config key bank_subsets: subset {label} is not within "
-                             f"domains 0..{config.num_domains - 1}")
-        out.append(indices)
-    return out
-
-
-def _array_floats(config: ModelConfig, bank_labels: list[tuple[int, ...]]) -> int:
+def _array_floats(config: ModelConfig) -> int:
     """Number of float64 values in the `_state` arrays of a model built from
-    `config` with units for `bank_labels`, computed without building it."""
+    `config`, computed without building it."""
     h = config.hidden_sizes
     if config.backbone == "mlp":
         fan_in = (config.input_dim,) + h[:-1]
@@ -473,8 +447,7 @@ def _array_floats(config: ModelConfig, bank_labels: list[tuple[int, ...]]) -> in
     total += clf
     if config.use_aug:
         n = config.num_domains
-        # the scheme's singletons and (N-1)-subsets, plus any other subset
-        units = (n if n == 2 else 2 * n) + len({s for s in bank_labels if len(s) not in (1, n - 1)})
+        units = n if n == 2 else 2 * n  # len(nb.scheme_subsets(n)), without building it
         total += units * unit
         total += {"independent": units, "shared_one": 0, "shared_two": 1}[config.classifier_mode] * clf
     return total
@@ -557,15 +530,18 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
     kv = _parse_config_text(take(unpack("<Q")).decode("utf-8"))
     config = config_from_text(ModelConfig, kv, required=True)
     config.validate()
-    labels = _bank_labels(kv, config)
     # refuse before building: the model would allocate whatever the block names
-    need = _array_floats(config, labels)
+    need = _array_floats(config)
     if 8 * need > len(blob) - off:
         raise ValueError(f"config block names {need} array values, more than the "
                          f"{len(blob) - off} bytes after it hold")
+    bank_subsets = _bank_subsets(config)
+    if kv.get("bank_subsets") != bank_subsets:
+        if bank_subsets is None:
+            raise ValueError("config key bank_subsets: the model has no bank (use_aug=false)")
+        raise ValueError(f"config key bank_subsets: expected {bank_subsets}, "
+                         f"got {_parse_key(kv, 'bank_subsets', str)}")
     model = TwoPathNetwork(config, seed=_parse_key(kv, "seed", int))
-    for indices in labels:
-        model.add_aux_unit(DomainSubset.of(*indices))
     state = _state(model)
 
     for _ in range(unpack("<I")):

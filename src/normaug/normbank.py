@@ -151,7 +151,8 @@ def enumerate_reduced_combinations(num_domains: int) -> list[Partition]:
 
 def enumerate_full_combinations(num_domains: int) -> list[Partition]:
     """All partitions made of one merged group of size 2..N-1 plus
-    singletons, plus the all-singletons partition."""
+    singletons, plus the all-singletons partition. A bank has no unit for a
+    merged group of size 2..N-2: training samples only the reduced family."""
     n = num_domains
     if n < 3:
         raise ValueError(f"enumerate_full_combinations: need >= 3 domains, got {n}")
@@ -366,22 +367,20 @@ def _check_mode(mode: str) -> None:
 class BNBank:
     """Maps domain subsets to BN units for one normalization site.
 
-    The default construction holds the units of the reduced combination
-    scheme: every singleton plus every size-(N-1) subset. A subset key maps
-    to exactly one unit, so partitions that share a subset share parameters.
+    A bank holds exactly the units of the reduced combination scheme,
+    `scheme_subsets(N)`: every singleton plus every size-(N-1) subset. A
+    subset key maps to exactly one unit, so partitions that share a subset
+    share parameters.
     """
 
     def __init__(self, num_domains: int, channels: int,
                  momentum: float = 0.1, eps: float = 1e-5):
         if num_domains < 2:
             raise ValueError(f"BNBank: need >= 2 domains, got {num_domains}")
-        self.num_domains = num_domains
         self.channels = channels
-        self.momentum = momentum
         self.eps = eps
-        self.units: dict[DomainSubset, BNUnit] = {}
-        for s in scheme_subsets(num_domains):
-            self.units[s] = BNUnit(channels, momentum, eps)
+        self.units: dict[DomainSubset, BNUnit] = {
+            s: BNUnit(channels, momentum, eps) for s in scheme_subsets(num_domains)}
 
     def unit(self, subset: DomainSubset) -> BNUnit:
         try:
@@ -389,14 +388,9 @@ class BNBank:
         except KeyError:
             raise ValueError(f"BNBank: no unit for subset {{{subset.label()}}}") from None
 
-    def ensure_unit(self, subset: DomainSubset) -> BNUnit:
-        subset.validate(self.num_domains)
-        if subset not in self.units:
-            self.units[subset] = BNUnit(self.channels, self.momentum, self.eps)
-        return self.units[subset]
-
     def subsets(self) -> list[DomainSubset]:
-        return sorted(self.units, key=lambda s: (s.size, s.mask))
+        """The bank's subsets in `scheme_subsets` order."""
+        return list(self.units)
 
     def singletons(self) -> list[DomainSubset]:
         return [s for s in self.subsets() if s.size == 1]
@@ -418,12 +412,12 @@ def partition_rows(partition: Partition, domain_ids: np.ndarray) -> list[np.ndar
     checking that the partition covers every domain id and that every group
     has at least two rows."""
     domain_ids = np.asarray(domain_ids)
-    # a Partition covers every domain in [0, num_domains), so only ids outside
-    # that range need the per-domain check (which names the uncovered domain)
+    # a Partition covers exactly the domains in [0, num_domains)
+    n = partition.num_domains
     if domain_ids.size and not (np.minimum.reduce(domain_ids, None) >= 0 and
-                                np.maximum.reduce(domain_ids, None) < partition.num_domains):
-        for d in np.unique(domain_ids):
-            partition.group_of(int(d))
+                                np.maximum.reduce(domain_ids, None) < n):
+        outside = domain_ids[(domain_ids < 0) | (domain_ids >= n)]
+        raise ValueError(f"Partition: domain {np.minimum.reduce(outside)} not covered")
     rows = [group.rows(domain_ids) for group in partition]
     for group, idx in zip(partition, rows):
         if idx.size < 2:

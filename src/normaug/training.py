@@ -27,7 +27,8 @@ METRICS_COLUMNS = ("epoch", "train_loss", "src_acc", "tgt_acc_main", "tgt_acc_en
 @dataclass
 class DomainBatch:
     """Equal per-domain slice of the training pool. `domain_ids` index the
-    model's source-domain space 0..N-1."""
+    model's source-domain space: they are exactly 0..k-1, each on
+    `per_domain` rows, with k = rows / per_domain."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -43,21 +44,26 @@ class DomainBatch:
         n = self.features.shape[0]
         if self.labels.shape != (n,) or self.domain_ids.shape != (n,):
             raise ValueError("DomainBatch: length mismatch")
-        ids = self.domain_ids
-        # counting by bincount needs ids in [0, n): then it allocates at most n
-        if (n and ids.dtype.kind in "iu" and np.minimum.reduce(ids) >= 0
-                and np.maximum.reduce(ids) < n):
-            counts = np.bincount(ids)
-            if np.all(counts[counts > 0] == self.per_domain):
-                return
+        ids, k = self.domain_ids, self.num_domains
+        # the range check comes first, so bincount allocates at most k counts
+        if (ids.dtype.kind in "iu"
+                and (n == 0 or np.minimum.reduce(ids) >= 0 and np.maximum.reduce(ids) < k)
+                and np.all(np.bincount(ids, minlength=k) == self.per_domain)):
+            return
         ids, counts = np.unique(ids, return_counts=True)
         if n != ids.size * self.per_domain or not np.all(counts == self.per_domain):
             raise ValueError(
                 f"DomainBatch: expected {self.per_domain} rows per domain, got {dict(zip(ids, counts))}")
+        raise ValueError(
+            f"DomainBatch: domain ids must be the integers 0..{k - 1}, got {ids.tolist()}")
 
     @property
     def size(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def num_domains(self) -> int:
+        return self.size // self.per_domain
 
 
 @dataclass
@@ -89,6 +95,10 @@ class TrainConfig:
             raise ValueError("TrainConfig: momentum must be in [0, 1)")
         if self.weight_decay < 0 or self.aux_weight < 0:
             raise ValueError("TrainConfig: weight_decay and aux_weight must be >= 0")
+        if self.lr_step_epochs < 0:
+            raise ValueError("TrainConfig: lr_step_epochs must be >= 0 (0 disables the step decay)")
+        if not 0.0 < self.lr_step_gamma <= 1.0:
+            raise ValueError("TrainConfig: lr_step_gamma must be in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +257,9 @@ def train_step(model: TwoPathNetwork, batch: DomainBatch,
                partition: Partition | None, optimizer: SGD,
                aux_weight: float = 1.0) -> float:
     """One forward (main + optional aux), one backward, one SGD update."""
+    if batch.num_domains != model.config.num_domains:
+        raise ValueError(f"train_step: model expects {model.config.num_domains} source "
+                         f"domains, batch has {batch.num_domains}")
     optimizer.zero_grad()
     main_logits, _ = model.forward_main(batch.features, mode="train")
     aux_blocks = None

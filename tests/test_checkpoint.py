@@ -3,8 +3,10 @@ finite values. Corrupted bytes either load or raise ValueError, and never
 make the loader allocate beyond a small multiple of the file size."""
 
 import math
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,15 +23,20 @@ from normaug.model import (
     _array,
     _array_floats,
     _state,
+    encode_rng_state,
     init_model,
     load_checkpoint,
     save_checkpoint,
 )
+from normaug.training import DomainBatch, TrainConfig, make_optimizer, train_step
 
 # Loading the tiny model peaks at about 6x its file size (Python objects
 # around small arrays), about 11x when a flipped config digit enlarges the
 # model; honouring an oversized prefix would ask for far more.
 ALLOC_FACTOR = 32
+
+# the reduced scheme's subsets for three source domains, as `bank_subsets` lists them
+SCHEME = "0,1,2,0+1,0+2,1+2"
 
 
 def layout(blob: bytes):
@@ -123,9 +130,19 @@ class TestStrictLoad:
     def test_bank_subset_without_arrays(self, saved):
         blob, directory = saved
         text, _, records = layout(blob)
-        extra = text.replace("bank_subsets=", "bank_subsets=0+1+2,")
-        with pytest.raises(ValueError, match=r"missing arrays bank\.site0\.u0\+1\+2\.beta"):
-            load_bytes(directory, assemble(extra, [r for _, r in records]))
+        kept = [r for name, r in records if not name.startswith("bank.site1.u0+2.")]
+        with pytest.raises(ValueError, match=r"missing arrays bank\.site1\.u0\+2\.beta, "
+                                             r"bank\.site1\.u0\+2\.count, "):
+            load_bytes(directory, assemble(text, kept))
+
+    def test_arrays_of_a_unit_outside_the_scheme(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        name, record = records[[n for n, _ in records].index("bank.site0.u0.beta")]
+        renamed = name.replace("u0.", "u0+1+2.").encode()
+        extra = struct.pack("<I", len(renamed)) + renamed + record[4 + len(name):]
+        with pytest.raises(ValueError, match=r"array 'bank\.site0\.u0\+1\+2\.beta': unknown"):
+            load_bytes(directory, assemble(text, [r for _, r in records] + [extra]))
 
     @pytest.mark.parametrize("key", ["input_dim", "hidden_sizes", "use_aug", "bn_eps",
                                      "seed", "epoch", "rng_state"])
@@ -177,13 +194,20 @@ class TestStrictLoad:
         assert peak <= ALLOC_FACTOR * len(big)
 
     @pytest.mark.parametrize("line,bad,error", [
-        ("bank_subsets=", "bank_subsets=0+9,", "bank_subsets: subset 0\\+9 is not within domains 0..2"),
-        ("bank_subsets=", "bank_subsets=0+x,", "bank_subsets: expected an integer"),
-        ("use_aug=true", "use_aug=false", "bank_subsets: the model has no bank")])
+        ("bank_subsets=", "bank_subsets=0+9,", f"bank_subsets: expected {SCHEME}, got 0+9,{SCHEME}"),
+        ("bank_subsets=", "bank_subsets=0+x,", f"bank_subsets: expected {SCHEME}, got 0+x,{SCHEME}"),
+        ("use_aug=true", "use_aug=false", "bank_subsets: the model has no bank (use_aug=false)"),
+        ("1+2\n", "1+2,0+1+2\n", f"bank_subsets: expected {SCHEME}, got {SCHEME},0+1+2"),
+        (",1+2\n", "\n", f"bank_subsets: expected {SCHEME}, got 0,1,2,0+1,0+2"),
+        ("0+2,1+2", "1+2,0+2", f"bank_subsets: expected {SCHEME}, got 0,1,2,0+1,1+2,0+2"),
+        (f"bank_subsets={SCHEME}\n", "", "bank_subsets is missing")])
     def test_bad_bank_subsets(self, saved, line, bad, error):
+        """The `bank_subsets` line lists exactly the scheme's subsets, and
+        only a model with a bank has one."""
         blob, directory = saved
         text, _, records = layout(blob)
-        with pytest.raises(ValueError, match=f"config key {error}"):
+        assert text.endswith(f"bank_subsets={SCHEME}\n") and text.count(line) == 1
+        with pytest.raises(ValueError, match=re.escape(f"config key {error}") + "$"):
             load_bytes(directory, assemble(text.replace(line, bad), [r for _, r in records]))
 
     @pytest.mark.parametrize("backbone", ["mlp", "smallconv"])
@@ -195,12 +219,39 @@ class TestStrictLoad:
                              num_domains=num_domains, use_on=use_on, use_aug=mode is not None,
                              classifier_mode=mode or "independent", backbone=backbone)
         model = init_model(config, seed=0)
-        if model.banks:
-            model.add_aux_unit(nb.DomainSubset((1 << num_domains) - 1))
-            model.add_aux_unit(nb.DomainSubset.of(0, 1))
-        labels = [s.indices for s in model.banks[0].subsets()] if model.banks else []
         stored = sum(_array(*where).size for where in _state(model).values())
-        assert _array_floats(config, labels) == stored
+        assert _array_floats(config) == stored
+
+
+class TestFixture:
+    """`data/tiny_aug.ckpt` is a committed checkpoint: `fixture_model`'s
+    model saved with epoch 1 and the state of its batch generator."""
+
+    FIXTURE = Path(__file__).parent / "data" / "tiny_aug.ckpt"
+
+    @staticmethod
+    def fixture_model():
+        """A tiny three-domain `on_aug` model after one `train_step` on each
+        reduced partition, and the generator that drew the batches."""
+        model = tiny_model(seed=3)
+        opt = make_optimizer(model, TrainConfig())
+        rng = np.random.default_rng(9)
+        for part in nb.enumerate_reduced_combinations(3):
+            x, labels, ids = toy_batch(rng)
+            train_step(model, DomainBatch(x, labels, ids, per_domain=4), part, opt)
+        return model, rng
+
+    def test_resaves_byte_identically(self, tmp_path):
+        model, epoch, rng_state = load_checkpoint(self.FIXTURE)
+        assert epoch == 1
+        assert all(b.units[s].update_count > 0 for b in model.banks for s in b.subsets())
+        save_checkpoint(model, tmp_path / "again.ckpt", epoch, rng_state)
+        assert (tmp_path / "again.ckpt").read_bytes() == self.FIXTURE.read_bytes()
+
+    def test_recipe_writes_the_fixture(self, tmp_path):
+        model, rng = self.fixture_model()
+        save_checkpoint(model, tmp_path / "m.ckpt", epoch=1, rng_state=encode_rng_state(rng))
+        assert (tmp_path / "m.ckpt").read_bytes() == self.FIXTURE.read_bytes()
 
 
 class TestFuzz:

@@ -320,6 +320,17 @@ class TestUsageErrors:
         key = line.split()[0]
         assert f"config key {key}: expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["lr_step_epochs = -3", "lr_step_gamma = -1",
+                                      "lr_step_gamma = 0", "lr_step_gamma = 1.5"])
+    def test_bad_step_decay_exits_2(self, tmp_path, capsys, line):
+        gen_cfg = write_config(tmp_path, SMALL_GEN, "gen.txt")
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        cfg = write_config(tmp_path, SMALL_TRAIN + f"{line}\ndataset = {tmp_path / 'dataset.csv'}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        key = line.split()[0]
+        assert f"TrainConfig: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -7,12 +7,13 @@ from helpers import tiny_config, tiny_model, toy_batch
 from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.model import (
+    Linear,
     ModelConfig,
     init_model,
     load_checkpoint,
     save_checkpoint,
 )
-from normaug.normbank import DomainSubset, Partition
+from normaug.normbank import BNUnit, DomainSubset, Partition
 
 
 class TestInit:
@@ -103,13 +104,14 @@ class TestForwardAux:
         reproduces the main route (mixture disabled)."""
         m = tiny_model(use_on=False)
         full = DomainSubset.of(0, 1, 2)
-        m.add_aux_unit(full)
         for site, unit in enumerate(m.main_units):
-            bank_unit = m.banks[site].units[full]
+            bank_unit = m.banks[site].units[full] = BNUnit(unit.channels, eps=unit.eps)
             bank_unit.gamma.data = unit.gamma.data.copy()
             bank_unit.beta.data = unit.beta.data.copy()
-        m.classifiers_aux[full].weight.data = m.classifier_main.weight.data.copy()
-        m.classifiers_aux[full].bias.data = m.classifier_main.bias.data.copy()
+        clf = m.classifiers_aux[full] = Linear(m.feature_dim, m.config.num_classes,
+                                               np.random.default_rng(0))
+        clf.weight.data = m.classifier_main.weight.data.copy()
+        clf.bias.data = m.classifier_main.bias.data.copy()
 
         rng = np.random.default_rng(4)
         x, _, ids = toy_batch(rng)

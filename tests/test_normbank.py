@@ -156,7 +156,7 @@ class TestPartitionedForward:
         rng = np.random.default_rng(5)
         bank = self._bank()
         full = DomainSubset.of(0, 1, 2)
-        bank.ensure_unit(full)
+        bank.units[full] = BNUnit(4, eps=1e-5)
         x = rng.standard_normal((9, 4))
         ids = np.repeat([0, 1, 2], 3)
         partition = Partition([full], 3)
@@ -241,8 +241,13 @@ class TestPartitionedForward:
             assert str(exc.value) == f"Partition: domain {domain} not covered"
 
     def test_negative_domain_rejected(self):
-        with pytest.raises(ValueError):
-            nb.partition_rows(nb.all_singletons(3), np.array([0, 0, -1, -1]))
+        """A negative id is named like any other uncovered domain."""
+        for ids, domain in [([0, 0, -1, -1], -1), ([0, 0, -1, -1, 1, 1, 2, 2], -1),
+                            ([5, 5, -3, -3, -1, -1], -3)]:
+            for part in nb.enumerate_reduced_combinations(3):
+                with pytest.raises(ValueError) as exc:
+                    nb.partition_rows(part, np.array(ids))
+                assert str(exc.value) == f"Partition: domain {domain} not covered"
 
     def test_partition_rows_match_per_domain_lookup(self):
         rng = np.random.default_rng(12)
@@ -418,6 +423,15 @@ class TestBank:
         for n in (3, 4, 5):
             assert len(BNBank(n, 4).units) == 2 * n
         assert len(BNBank(2, 4).units) == 2
+
+    def test_units_are_the_scheme_in_order(self):
+        """A bank holds exactly `scheme_subsets(N)`, in that order, and the
+        reduced partitions use no other subset."""
+        for n in (2, 3, 4, 5):
+            scheme = nb.scheme_subsets(n)
+            assert BNBank(n, 4).subsets() == scheme
+            used = {g for p in enumerate_reduced_combinations(n) for g in p}
+            assert used == set(scheme)
 
     def test_subset_invariants(self):
         with pytest.raises(ValueError):

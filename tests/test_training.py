@@ -45,18 +45,23 @@ class TestDomainBatch:
 
 
 def reference_validate(ids: np.ndarray, per_domain: int) -> str | None:
-    """The per-domain count rule by `np.unique`: None if the ids pass, else
-    the error message."""
+    """The domain id rule by `np.unique`: None if the ids are exactly the
+    integers 0..k-1 with `per_domain` rows each, else the error message (a
+    count error before a range error)."""
     uniq, counts = np.unique(ids, return_counts=True)
     if ids.size != uniq.size * per_domain or not np.all(counts == per_domain):
         return (f"DomainBatch: expected {per_domain} rows per domain, "
                 f"got {dict(zip(uniq, counts))}")
+    if ids.dtype.kind not in "iu" or not np.array_equal(uniq, np.arange(uniq.size)):
+        return (f"DomainBatch: domain ids must be the integers 0..{uniq.size - 1}, "
+                f"got {uniq.tolist()}")
     return None
 
 
 class TestDomainBatchIds:
-    """`validate` counts by `np.bincount` when the ids allow it; the accepted
-    batches and the error messages are those of the `np.unique` rule."""
+    """`validate` checks the ids by one `np.bincount` over 0..k-1; the
+    accepted batches and the error messages are those of the `np.unique`
+    rule."""
 
     def check(self, ids, per_domain=2):
         ids = np.asarray(ids)
@@ -82,25 +87,41 @@ class TestDomainBatchIds:
     def test_huge_ids_rejected(self, ids):
         assert self.check(ids) is not None
 
-    def test_balanced_out_of_range_ids_accepted_without_counting_to_them(self):
+    def test_balanced_out_of_range_ids_rejected_without_counting_to_them(self):
         tracemalloc.start()
         try:
-            assert self.check([-4, -4, 10**12, 10**12, 7, 7]) is None
+            assert self.check([-4, -4, 10**12, 10**12, 7, 7]) == (
+                "DomainBatch: domain ids must be the integers 0..2, got [-4, 7, 1000000000000]")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("ids", [[0, 0, 2, 2], [1, 1, 2, 2, 3, 3], [5, 5]])
+    def test_balanced_ids_with_a_gap_rejected(self, ids):
+        assert "must be the integers" in self.check(ids)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8])
+    def test_integer_dtypes(self, dtype):
+        assert self.check(np.array([1, 1, 0, 0, 2, 2], dtype=dtype)) is None
+        assert self.check(np.array([1, 1, 0, 0, 3, 3], dtype=dtype)) is not None
+
+    def test_float_ids_rejected(self):
+        assert self.check(np.array([0.0, 0.0, 1.0, 1.0])) is not None
+
     def test_matches_unique_rule_on_random_ids(self):
         rng = np.random.default_rng(11)
-        outcomes = set()
+        outcomes = []
         for _ in range(300):
             k, per = int(rng.integers(1, 5)), int(rng.integers(2, 4))
-            ids = np.repeat(rng.choice(np.arange(-2, 9), size=k, replace=False), per)
+            # half the draws use the ids 0..k-1, half any k distinct ids
+            domains = np.arange(k) if rng.random() < 0.5 else rng.choice(
+                np.arange(-2, 9), size=k, replace=False)
+            ids = np.repeat(domains, per)
             if rng.random() < 0.5:
                 ids[rng.integers(ids.size)] = rng.integers(-2, 9)
-            outcomes.add(self.check(rng.permutation(ids), per) is None)
-        assert outcomes == {True, False}
+            outcomes.append(self.check(rng.permutation(ids), per) is None)
+        assert 50 < sum(outcomes) < 250
 
 
 class TestSampleBatch:
@@ -343,6 +364,19 @@ class TestTrainStep:
         for (name, ta), (_, tb) in zip(shared.parameters(), per_site.parameters()):
             assert np.array_equal(ta.data, tb.data), name
 
+    @pytest.mark.parametrize("num_domains", [2, 4])
+    def test_batch_domain_count_must_match_the_model(self, num_domains):
+        m = tiny_model()
+        rng = np.random.default_rng(2)
+        x, labels, ids = toy_batch(rng, num_domains=num_domains)
+        batch = DomainBatch(x, labels, ids, per_domain=4)
+        before = {n: t.data.copy() for n, t in m.parameters()}
+        with pytest.raises(ValueError, match=f"model expects 3 source domains, "
+                                             f"batch has {num_domains}"):
+            train_step(m, batch, None, make_optimizer(m, TrainConfig()))
+        for n, t in m.parameters():
+            assert np.array_equal(before[n], t.data), n
+
     def test_nan_loss_aborts(self):
         m = tiny_model()
         m.classifier_main.weight.data[:] = np.inf
@@ -529,6 +563,25 @@ class TestTrainLoop:
         want = inference.evaluate(m, val.features, val.labels,
                                   inference.FusionStrategy.MAIN_ONLY).fused_accuracy
         assert result.final["src_acc"] == want
+
+    def test_step_decay_scales_the_learning_rate_per_epoch(self, monkeypatch):
+        scales = []
+        step = SGD.step
+        monkeypatch.setattr(SGD, "step", lambda self: scales.append(self.lr_scale) or step(self))
+        ds = small_dataset()
+        tc = TrainConfig(epochs=3, iters_per_epoch=2, batch_per_domain=4,
+                         lr_step_epochs=1, lr_step_gamma=0.5)
+        train(init_model(tiny_config(num_classes=3), seed=0), ds, 3, tc)
+        assert scales == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]
+
+    @pytest.mark.parametrize("bad", [{"lr_step_epochs": -3}, {"lr_step_gamma": -1.0},
+                                     {"lr_step_gamma": 0.0}, {"lr_step_gamma": 1.5}])
+    def test_bad_step_decay_rejected(self, bad):
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=f"TrainConfig: {key} must be"):
+            TrainConfig(**bad).validate()
+        with pytest.raises(ValueError, match=f"TrainConfig: {key} must be"):
+            train(tiny_model(), small_dataset(), 3, TrainConfig(**bad))
 
     def test_domain_count_mismatch_rejected(self):
         ds = small_dataset()
