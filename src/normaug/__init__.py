@@ -8,7 +8,7 @@ predictions.
 """
 
 from .datagen import Dataset, DomainSpec, generate, load, save, split_lodo
-from .gradcheck import grad_check, grad_check_params
+from .gradcheck import grad_check_params
 from .inference import EvalReport, FusionStrategy, SubpathScope, evaluate, predict
 from .model import (
     ModelConfig,
@@ -34,7 +34,6 @@ from .tensor import Tensor, backward, no_grad
 from .training import (
     DomainBatch,
     TrainConfig,
-    sample_batch,
     sample_combination,
     train,
     train_step,
@@ -64,7 +63,6 @@ __all__ = [
     "enumerate_reduced_combinations",
     "evaluate",
     "generate",
-    "grad_check",
     "grad_check_params",
     "init_model",
     "load",
@@ -73,7 +71,6 @@ __all__ = [
     "on_forward",
     "partitioned_forward",
     "predict",
-    "sample_batch",
     "sample_combination",
     "save",
     "save_checkpoint",

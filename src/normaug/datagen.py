@@ -61,9 +61,6 @@ class DomainSpec:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _rotate(x * self.scale, self.angle) + self.shift
 
-    def expected_mean(self, base_mean: np.ndarray) -> np.ndarray:
-        return self.apply(base_mean[None, :])[0]
-
 
 def _rotate(x: np.ndarray, angle: float) -> np.ndarray:
     """Rotate by `angle` in each consecutive feature-pair plane."""

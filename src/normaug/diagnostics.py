@@ -47,13 +47,13 @@ def divergence(model: TwoPathNetwork, sources_by_domain: dict[int, np.ndarray],
         raise ValueError("divergence: no source domains")
     if len(target_features) == 0:
         raise ValueError("divergence: empty target set")
-    feats = {d: model.features(x, mode="eval") for d, x in sources_by_domain.items()}
+    feats = {d: model.features(x) for d, x in sources_by_domain.items()}
     for d, f in feats.items():
         if f.shape[0] == 0:
             raise ValueError(f"divergence: empty source domain {d}")
     per_domain = {d: _column_means([f]) for d, f in feats.items()}
     source_mean = _column_means(list(feats.values()))
-    target_mean = _column_means([model.features(target_features, mode="eval")])
+    target_mean = _column_means([model.features(target_features)])
     n = len(per_domain)
     d_s2s = sum(float(np.linalg.norm(source_mean - m)) for m in per_domain.values()) / n
     d_s2t = float(np.linalg.norm(source_mean - target_mean))

@@ -46,7 +46,7 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
     """Max relative error of the tape gradient over every coordinate of
     every parameter, for a scalar-valued closure `f`."""
     if h <= 0:
-        raise ValueError("grad_check: step size must be positive")
+        raise ValueError("grad_check_params: step size must be positive")
     g_ad = _autodiff_grads(f, params)
     worst = 0.0
     for p, ga in zip(params, g_ad):
@@ -57,10 +57,3 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
             worst = max(worst, float(err.max()))
     return worst
 
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between the tape gradient of `f(x)` and central
-    finite differences at `x`."""
-    if not x.requires_grad:
-        x.requires_grad = True
-    return grad_check_params(lambda: f(x), [x], h)

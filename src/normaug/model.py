@@ -176,10 +176,6 @@ class TwoPathNetwork:
             put(f"classifier.aux.u{s.label()}.b", clf.bias)
         return out
 
-    def backbone_parameter_count(self) -> int:
-        """Parameters excluding normalization units and classifiers."""
-        return sum(t.size for layer in self.layers for _, t in layer.parameters())
-
     # -- forward routes ---------------------------------------------------
 
     def _rows(self, x: np.ndarray | Tensor) -> np.ndarray:
@@ -221,11 +217,9 @@ class TwoPathNetwork:
         feats = self._backbone(t, normalize)
         return self.classifier_main(feats), feats
 
-    def features(self, x, mode: str = "eval") -> np.ndarray:
+    def features(self, x) -> np.ndarray:
         """Main-route penultimate features from the evaluation walk, on
-        arrays; eval mode only, so reading them never changes the model."""
-        if mode != "eval":
-            raise ValueError(f"features: mode must be 'eval', got {mode!r}")
+        arrays, so reading them never changes the model."""
         return self._eval_features(self._first_layer(x), self.main_units)
 
     def forward_aux(self, x, domain_ids: np.ndarray, partition: Partition,

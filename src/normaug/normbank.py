@@ -117,12 +117,6 @@ class Partition:
     def is_all_singletons(self) -> bool:
         return len(self.groups) == self.num_domains
 
-    def group_of(self, domain: int) -> DomainSubset:
-        for g in self.groups:
-            if g.contains(domain):
-                return g
-        raise ValueError(f"Partition: domain {domain} not covered")
-
     def sort_key(self) -> tuple:
         return (-len(self.groups), tuple(g.mask for g in self.groups))
 
@@ -325,21 +319,21 @@ _WHOLE_BATCH = (slice(None),)
 
 def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
                mode: str = "train") -> Tensor:
-    """Normalize the whole batch with this unit; an `ONUnit` applies its
-    BN/IN mixture. `rows` must be None (the slot stays for positional
-    callers); sub-batches go through `partitioned_forward`.
+    """Train-mode normalization of the whole batch with this unit; an
+    `ONUnit` applies its BN/IN mixture. `T.segment_norm` with one
+    whole-batch group: one tape node, the batch's statistics, and an update
+    of the running averages.
 
-    Train mode is `T.segment_norm` with one whole-batch group: one tape
-    node, the batch's statistics, and an update of the running averages.
-    Eval mode is `eval_normalize` with the running averages.
+    `rows` must be None and `mode` "train" (both slots stay for positional
+    callers): sub-batches go through `partitioned_forward`, and evaluation
+    normalizes through `eval_normalize`.
     """
     if rows is not None:
         raise ValueError("bn_forward: rows must be None; partitioned_forward "
                          "normalizes row groups")
-    _check_mode(mode)
+    if mode != "train":
+        raise ValueError(f"bn_forward: mode must be 'train', got {mode!r}")
     _check_channels(unit.channels, features)
-    if mode == "eval":
-        return Tensor(eval_normalize(unit, features.data))
     if features.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
     out, ((mu, var),) = T.segment_norm(features, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
@@ -350,14 +344,9 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
 
 
 def on_forward(unit: ONUnit, features: Tensor, mode: str = "train") -> Tensor:
-    """Mixture normalization of the whole batch: `bn_forward(unit,
-    features, None, mode)`."""
+    """Mixture normalization of the whole batch, train mode only:
+    `bn_forward(unit, features, None, mode)`."""
     return bn_forward(unit, features, None, mode)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

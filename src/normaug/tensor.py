@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a reverse-mode autodiff tape.
+"""Dense float64 tensors with a reverse-mode autodiff tape, for training.
 
 Every operation computes its result eagerly with numpy and, while gradients
 are enabled, attaches a tape node holding the backward rule. `backward`
@@ -6,18 +6,22 @@ orders the reachable operations topologically and replays them in reverse,
 accumulating gradients additively into the `.grad` of leaf tensors (so
 repeated calls without a reset sum up); intermediate results keep no `.grad`.
 
-The training step records fused ops, one node each with a closed-form
-backward: `linear`, `segment_norm` (every train-mode normalization site,
-batch norm or the BN/IN mixture over one or several row groups) and
-`cross_entropy` (the main head and every auxiliary head in one loss node).
-An `on_aug` step of the default model records 26 nodes (24 for a two-group
-partition), an `on` step 11. The primitive ops they replace stay, and the
-tests use their composites as the oracle. Their reductions call the ufunc
-(`np.add.reduce`, `np.maximum.reduce`) directly: the same bits as the
-`ndarray` methods, without those methods' Python wrappers.
+This module holds only the tape and the ops a training step records: the
+layer ops (`conv2d`, `relu`, `reshape`, `global_avg_pool`, `gather_rows`)
+and the fused ops, one node each with a closed-form backward: `linear`,
+`segment_norm` (every train-mode normalization site, batch norm or the
+BN/IN mixture over one or several row groups) and `cross_entropy` (the main
+head and every auxiliary head in one loss node). An `on_aug` step of the
+default model records 26 nodes (24 for a two-group partition), an `on` step
+11. `mul` and `sum_` (`Tensor` `*` and `.sum()`) weight a loss for the
+gradient checks. The primitive ops the fused ones replace (`add`,
+`matmul`, `softmax`, ...) live in `tests/helpers.py`, where their
+composites are the oracles. Reductions call the ufunc (`np.add.reduce`,
+`np.maximum.reduce`) directly: the same bits as the `ndarray` methods,
+without those methods' Python wrappers.
 
-All arithmetic is float64. The tape is for training; evaluation runs on
-plain arrays (`TwoPathNetwork.eval_logits`).
+All arithmetic is float64. Evaluation runs on plain arrays
+(`TwoPathNetwork.eval_logits`, `normbank.eval_normalize`).
 """
 
 from __future__ import annotations
@@ -104,45 +108,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
     # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def sum(self, axis: Axes = None, keepdims: bool = False):
         return sum_(self, axis, keepdims)
-
-    def mean(self, axis: Axes = None, keepdims: bool = False):
-        return mean(self, axis, keepdims)
-
-    def reshape(self, shape: Sequence[int]):
-        return reshape(self, shape)
 
 
 def _as_tensor(x) -> Tensor:
@@ -274,53 +246,15 @@ def _broadcast_binary(op: str, a: Tensor, b: Tensor, fn, da, db) -> Tensor:
     return _record(op, (a, b), out, rule)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_binary("add", a, b, np.add, lambda g: g, lambda g: g)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_binary("sub", a, b, np.subtract, lambda g: g, lambda g: -g)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _broadcast_binary("mul", a, b, np.multiply,
                              lambda g: g * b.data, lambda g: g * a.data)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _broadcast_binary("div", a, b, np.divide,
-                             lambda g: g / b.data,
-                             lambda g: -g * a.data / (b.data * b.data))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _record("neg", (a,), -a.data, lambda g: (-g,))
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    out = a.data ** p
-    return _record("power", (a,), out, lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     mask = a.data > 0.0
     return _record("relu", (a,), out, lambda g: (g * mask,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record("exp", (a,), out, lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _record("log", (a,), np.log(a.data), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _record("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +270,7 @@ def sum_(a: Tensor, axis: Axes = None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis: Axes = None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.data.shape[ax]
+    count = _count(a.data.shape, axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
     return _record(
         "mean", (a,), out,
@@ -352,73 +284,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     return _record("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    out = a.data @ b.data
-
-    def rule(g: np.ndarray):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return _record("matmul", (a, b), out, rule)
-
-
-# ---------------------------------------------------------------------------
-# softmax family
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def rule(g: np.ndarray):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _record("softmax", (a,), out, rule)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-    def rule(g: np.ndarray):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _record("log_softmax", (a,), out, rule)
-
-
-def _check_labels(op: str, a: Tensor, labels: np.ndarray) -> np.ndarray:
-    """`labels` as an array of one class index per row of rank-2 `a`."""
-    if a.ndim != 2:
-        raise ShapeError(f"{op}: expected rank-2 input, got {a.shape}")
-    labels = np.asarray(labels)
-    n, c = a.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"{op}: labels shape {labels.shape} != ({n},)")
-    if np.minimum.reduce(labels, initial=0) < 0 or np.maximum.reduce(labels, initial=-1) >= c:
-        raise ValueError(f"{op}: label out of range [0, {c})")
-    return labels
-
-
-def gather_labels(a: Tensor, labels: np.ndarray) -> Tensor:
-    """Pick `a[i, labels[i]]` for each row; the core of an NLL loss."""
-    labels = _check_labels("gather_labels", a, labels)
-    rows = np.arange(a.shape[0])
-    out = a.data[rows, labels]
-
-    def rule(g: np.ndarray):
-        z = np.zeros_like(a.data)
-        z[rows, labels] = g
-        return (z,)
-
-    return _record("gather_labels", (a,), out, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +305,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return (z,)
 
     return _record("gather_rows", (a,), out, rule)
-
-
-def scatter_rows(a: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Embed rows into a zero tensor with `num_rows` rows at positions `idx`."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1 or idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"scatter_rows: index shape {idx.shape} != ({a.shape[0]},)")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise ShapeError(f"scatter_rows: index out of range for {num_rows} rows")
-    out = np.zeros((num_rows,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, a.data)
-
-    def rule(g: np.ndarray):
-        return (g[idx],)
-
-    return _record("scatter_rows", (a,), out, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +520,19 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
         return tuple(grads)
 
     return _record("segment_norm", inputs, out, rule), moments
+
+
+def _check_labels(op: str, a: Tensor, labels: np.ndarray) -> np.ndarray:
+    """`labels` as an array of one class index per row of rank-2 `a`."""
+    if a.ndim != 2:
+        raise ShapeError(f"{op}: expected rank-2 input, got {a.shape}")
+    labels = np.asarray(labels)
+    n, c = a.shape
+    if labels.shape != (n,):
+        raise ShapeError(f"{op}: labels shape {labels.shape} != ({n},)")
+    if np.minimum.reduce(labels, initial=0) < 0 or np.maximum.reduce(labels, initial=-1) >= c:
+        raise ValueError(f"{op}: label out of range [0, {c})")
+    return labels
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray,

@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: lr_step_epochs must be >= 0 (0 disables the step decay)")
         if not 0.0 < self.lr_step_gamma <= 1.0:
             raise ValueError("TrainConfig: lr_step_gamma must be in (0, 1]")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("TrainConfig: val_fraction must be in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +120,6 @@ def _gather_batch(dataset: Dataset, picks: list[np.ndarray], per_domain: int) ->
     idx = np.concatenate(picks)
     return DomainBatch(dataset.features[idx], dataset.labels[idx],
                        np.repeat(np.arange(len(picks), dtype=np.int64), per_domain), per_domain)
-
-
-def sample_batch(dataset: Dataset, per_domain: int, rng: np.random.Generator) -> DomainBatch:
-    """One uniform without-replacement draw of `per_domain` rows from every
-    domain present in `dataset`."""
-    ids, rows_by_domain = _domain_index(dataset)
-    picks = []
-    for d in ids:
-        rows = rows_by_domain[int(d)]
-        if rows.size < per_domain:
-            raise ValueError(
-                f"sample_batch: domain {d} has {rows.size} rows < {per_domain}")
-        picks.append(rng.choice(rows, size=per_domain, replace=False))
-    return _gather_batch(dataset, picks, per_domain)
 
 
 class EpochSampler:

@@ -2,11 +2,131 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from normaug import tensor as T
+from normaug.gradcheck import grad_check_params
 from normaug.model import ModelConfig, TwoPathNetwork, init_model
 from normaug.tensor import Tensor
+
+
+# ---------------------------------------------------------------------------
+# primitive tape ops: training records none of them (it records the fused
+# ops); their composites below are the oracles the fused ops must match
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return T._broadcast_binary("add", a, b, np.add, lambda g: g, lambda g: g)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return T._broadcast_binary("sub", a, b, np.subtract, lambda g: g, lambda g: -g)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return T._broadcast_binary("div", a, b, np.divide,
+                               lambda g: g / b.data,
+                               lambda g: -g * a.data / (b.data * b.data))
+
+
+def neg(a: Tensor) -> Tensor:
+    return T._record("neg", (a,), -a.data, lambda g: (-g,))
+
+
+def power(a: Tensor, p: float) -> Tensor:
+    p = float(p)
+    out = a.data ** p
+    return T._record("power", (a,), out, lambda g: (g * p * a.data ** (p - 1.0),))
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return T._record("exp", (a,), out, lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    return T._record("log", (a,), np.log(a.data), lambda g: (g / a.data,))
+
+
+def sqrt(a: Tensor) -> Tensor:
+    out = np.sqrt(a.data)
+    return T._record("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise T.ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    out = a.data @ b.data
+
+    def rule(g: np.ndarray):
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return ga, gb
+
+    return T._record("matmul", (a, b), out, rule)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def rule(g: np.ndarray):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - dot) * out,)
+
+    return T._record("softmax", (a,), out, rule)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+    def rule(g: np.ndarray):
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+    return T._record("log_softmax", (a,), out, rule)
+
+
+def gather_labels(a: Tensor, labels: np.ndarray) -> Tensor:
+    """Pick `a[i, labels[i]]` for each row; the core of an NLL loss."""
+    labels = T._check_labels("gather_labels", a, labels)
+    rows = np.arange(a.shape[0])
+    out = a.data[rows, labels]
+
+    def rule(g: np.ndarray):
+        z = np.zeros_like(a.data)
+        z[rows, labels] = g
+        return (z,)
+
+    return T._record("gather_labels", (a,), out, rule)
+
+
+def scatter_rows(a: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
+    """Embed rows into a zero tensor with `num_rows` rows at positions `idx`."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 1 or idx.shape[0] != a.shape[0]:
+        raise T.ShapeError(f"scatter_rows: index shape {idx.shape} != ({a.shape[0]},)")
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise T.ShapeError(f"scatter_rows: index out of range for {num_rows} rows")
+    out = np.zeros((num_rows,) + a.shape[1:], dtype=np.float64)
+    np.add.at(out, idx, a.data)
+
+    def rule(g: np.ndarray):
+        return (g[idx],)
+
+    return T._record("scatter_rows", (a,), out, rule)
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+    """Max relative error between the tape gradient of `f(x)` and central
+    finite differences at `x`."""
+    if not x.requires_grad:
+        x.requires_grad = True
+    return grad_check_params(lambda: f(x), [x], h)
 
 
 def two_pass_stats(block: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -39,8 +159,8 @@ def composite_standardize(x: Tensor, eps: float, axes) -> tuple[Tensor, Tensor, 
     """(x - mean) / sqrt(var + eps) over `axes` from primitive ops, the
     moments on the tape; returns (xhat, mean, var) with kept dims."""
     mu = T.mean(x, axis=axes, keepdims=True)
-    var = T.mean((x - mu) ** 2, axis=axes, keepdims=True)
-    return (x - mu) / T.sqrt(var + eps), mu, var
+    var = T.mean(power(sub(x, mu), 2), axis=axes, keepdims=True)
+    return div(sub(x, mu), sqrt(add(var, Tensor(eps)))), mu, var
 
 
 def _per_channel(v: Tensor, ndim: int) -> Tensor:
@@ -51,7 +171,7 @@ def composite_batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axe
     """Oracle for `T.segment_norm` with one whole-batch group and no
     mixture: (out, batch mean, batch var)."""
     xhat, mu, var = composite_standardize(x, eps, axes)
-    out = xhat * _per_channel(gamma, x.ndim) + _per_channel(beta, x.ndim)
+    out = add(xhat * _per_channel(gamma, x.ndim), _per_channel(beta, x.ndim))
     return out, mu.data.ravel(), var.data.ravel()
 
 
@@ -59,11 +179,11 @@ def composite_mixture_norm(x: Tensor, gamma: Tensor, beta: Tensor, mix_logits: T
                            eps: float, bn_axes, in_axes):
     """Oracle for `T.segment_norm` with one whole-batch group carrying
     mixture logits: (out, batch mean, batch var)."""
-    w = T.softmax(mix_logits, axis=0)
+    w = softmax(mix_logits, axis=0)
     bn_hat, mu, var = composite_standardize(x, eps, bn_axes)
     in_hat, _, _ = composite_standardize(x, eps, in_axes)
-    mix = bn_hat * T.gather_rows(w, np.array([0])) + in_hat * T.gather_rows(w, np.array([1]))
-    out = mix * _per_channel(gamma, x.ndim) + _per_channel(beta, x.ndim)
+    mix = add(bn_hat * T.gather_rows(w, np.array([0])), in_hat * T.gather_rows(w, np.array([1])))
+    out = add(mix * _per_channel(gamma, x.ndim), _per_channel(beta, x.ndim))
     return out, mu.data.ravel(), var.data.ravel()
 
 
@@ -74,20 +194,20 @@ def composite_segment_batch_norm(x: Tensor, group_rows, params, eps: float, axes
     out, moments = None, []
     for idx, (gamma, beta) in zip(group_rows, params):
         block, mu, var = composite_batch_norm(T.gather_rows(x, idx), gamma, beta, eps, axes)
-        placed = T.scatter_rows(block, idx, x.shape[0])
-        out = placed if out is None else out + placed
+        placed = scatter_rows(block, idx, x.shape[0])
+        out = placed if out is None else add(out, placed)
         moments.append((mu, var))
     return out, moments
 
 
 def composite_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Oracle for `T.linear`."""
-    return T.matmul(x, w) + b
+    return add(matmul(x, w), b)
 
 
 def composite_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Oracle for `T.cross_entropy`."""
-    return T.mean(T.neg(T.gather_labels(T.log_softmax(logits, axis=1), labels)))
+    return T.mean(neg(gather_labels(log_softmax(logits, axis=1), labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +221,15 @@ def composite_eval_normalize(unit, x: Tensor, moments=None) -> Tensor:
     mean, var = moments if moments is not None else (unit.running_mean, unit.running_var)
     if x.ndim == 4:
         mean, var = mean[None, :, None, None], var[None, :, None, None]
-    xhat = (x - Tensor(mean)) / Tensor(np.sqrt(var + unit.eps))
+    xhat = div(sub(x, Tensor(mean)), Tensor(np.sqrt(var + unit.eps)))
     if hasattr(unit, "mix_logits"):
         if x.ndim == 2 and x.shape[1] == 1:
             raise T.ShapeError("IN undefined for single-feature rows")
-        w = T.softmax(unit.mix_logits, axis=0)
+        w = softmax(unit.mix_logits, axis=0)
         in_hat, _, _ = composite_standardize(x, unit.eps, (1,) if x.ndim == 2 else (2, 3))
-        xhat = xhat * T.gather_rows(w, np.array([0])) + in_hat * T.gather_rows(w, np.array([1]))
-    return xhat * _per_channel(unit.gamma, x.ndim) + _per_channel(unit.beta, x.ndim)
+        xhat = add(xhat * T.gather_rows(w, np.array([0])),
+                   in_hat * T.gather_rows(w, np.array([1])))
+    return add(xhat * _per_channel(unit.gamma, x.ndim), _per_channel(unit.beta, x.ndim))
 
 
 def _einsum_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -321,7 +321,8 @@ class TestUsageErrors:
         assert f"config key {key}: expected a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["lr_step_epochs = -3", "lr_step_gamma = -1",
-                                      "lr_step_gamma = 0", "lr_step_gamma = 1.5"])
+                                      "lr_step_gamma = 0", "lr_step_gamma = 1.5",
+                                      "val_fraction = 1.5", "val_fraction = 0"])
     def test_bad_step_decay_exits_2(self, tmp_path, capsys, line):
         gen_cfg = write_config(tmp_path, SMALL_GEN, "gen.txt")
         assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0

@@ -64,7 +64,7 @@ class TestGenerate:
         for spec in specs:
             rows = ds.domain_ids == spec.domain_id
             observed = ds.features[rows].mean(axis=0)
-            expected = spec.expected_mean(base_mean)
+            expected = spec.apply(base_mean[None, :])[0]
             tol = 3.0 * sigma * np.sqrt(16) * spec.scale.max() / np.sqrt(per_cell * classes)
             assert np.linalg.norm(observed - expected) < tol
 

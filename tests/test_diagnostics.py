@@ -16,7 +16,7 @@ from normaug.diagnostics import _column_means, divergence, perturbation_probe
 class IdentityFeatures:
     """Stand-in model whose penultimate features are the raw inputs."""
 
-    def features(self, x, mode="eval"):
+    def features(self, x):
         return np.asarray(x, dtype=np.float64)
 
 
@@ -107,7 +107,7 @@ class TestDivergenceArithmetic:
         sources = {d: rng.standard_normal((20, 6)) + d for d in range(3)}
         target = rng.standard_normal((25, 6)) + 5.0
         rep = divergence(m, sources, target)
-        target_feats = m.features(target, mode="eval")
+        target_feats = m.features(target)
         mean_dist = np.linalg.norm(target_feats - rep.source_mean, axis=1).mean()
         assert rep.d_s2t <= mean_dist + 1e-12
 

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    add,
     composite_batch_norm,
     composite_cross_entropy,
     composite_linear,
     composite_mixture_norm,
     composite_segment_batch_norm,
+    scatter_rows,
 )
 from normaug import datagen, training
 from normaug import normbank as nb
@@ -151,8 +153,8 @@ def composite_two_path_loss(heads, aux_scale):
     if len(heads) > 1:
         aux = composite_cross_entropy(*heads[1])
         for z, y in heads[2:]:
-            aux = aux + composite_cross_entropy(z, y)
-        loss = loss + aux_scale * aux
+            aux = add(aux, composite_cross_entropy(z, y))
+        loss = add(loss, aux_scale * aux)
     return loss
 
 
@@ -314,8 +316,8 @@ class TestMixtureNorm:
                     block = T.gather_rows(x, idx)
                     y, mu, var = (composite_batch_norm(block, g, b, args[0], args[1])
                                   if m is None else composite_mixture_norm(block, g, b, m, *args))
-                    placed = T.scatter_rows(y, idx, x.shape[0])
-                    out = placed if out is None else out + placed
+                    placed = scatter_rows(y, idx, x.shape[0])
+                    out = placed if out is None else add(out, placed)
                     moments += [mu, var]
                 return out, moments
 
@@ -390,11 +392,16 @@ class TestSegmentBatchNorm:
 class TestTapeSize:
     """One train step of the default model records a few nodes per layer,
     one `segment_norm` node per normalization site and one loss node, and
-    routes no normalization rows through gather/scatter nodes."""
+    routes no normalization rows through gather/scatter nodes. Every op
+    recorded is one `normaug.tensor` defines; the primitive oracle ops of
+    `helpers` never reach a training tape."""
 
-    def ops(self, use_aug: bool, partition) -> Counter:
-        model = init_model(ModelConfig(input_dim=datagen.DEFAULT_FEATURE_DIM, use_aug=use_aug),
-                           seed=0)
+    TRAINING_OPS = {"conv2d", "relu", "mean", "segment_norm", "linear", "gather_rows",
+                    "cross_entropy"}
+
+    def ops(self, use_aug: bool, partition, backbone: str = "mlp") -> Counter:
+        model = init_model(ModelConfig(input_dim=datagen.DEFAULT_FEATURE_DIM, use_aug=use_aug,
+                                       backbone=backbone), seed=0)
         rng = np.random.default_rng(0)
         per_domain = training.TrainConfig().batch_per_domain
         x = rng.standard_normal((3 * per_domain, datagen.DEFAULT_FEATURE_DIM))
@@ -403,7 +410,9 @@ class TestTapeSize:
         logits, _ = model.forward_main(x, mode="train")
         blocks = model.forward_aux(x, ids, partition, mode="train") if use_aug else None
         loss = training.two_path_loss(logits, labels, blocks)
-        return Counter(t.node.op for t in T.Tape.trace(loss).entries)
+        ops = Counter(t.node.op for t in T.Tape.trace(loss).entries)
+        assert set(ops) <= self.TRAINING_OPS
+        return ops
 
     @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
     def test_on_aug_step(self, partition):
@@ -423,3 +432,18 @@ class TestTapeSize:
         assert ops["cross_entropy"] == 1
         assert ops["segment_norm"] == 3
         assert ops["gather_rows"] == ops["scatter_rows"] == 0
+
+    @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
+    def test_smallconv_on_aug_step(self, partition):
+        ops = self.ops(True, partition, "smallconv")
+        # per route 3 conv2d, 3 segment_norm, 3 relu and the pooling mean; the
+        # main classifier, a gather and a linear per group, one loss node
+        assert sum(ops.values()) == {3: 28, 2: 26}[len(partition)]
+        assert ops == Counter(conv2d=6, segment_norm=6, relu=6, mean=2, cross_entropy=1,
+                              gather_rows=len(partition), linear=1 + len(partition))
+
+    def test_smallconv_on_step(self):
+        ops = self.ops(False, None, "smallconv")
+        assert sum(ops.values()) == 12
+        assert ops == Counter(conv2d=3, segment_norm=3, relu=3, mean=1, linear=1,
+                              cross_entropy=1)

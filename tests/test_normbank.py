@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import two_pass_stats
 from normaug import normbank as nb
 from normaug import tensor as T
-from normaug.gradcheck import grad_check, grad_check_params
+from normaug.gradcheck import grad_check_params
 from normaug.normbank import (
     BNBank,
     BNUnit,
@@ -92,10 +92,10 @@ class TestBNForward:
         u = BNUnit(1)
         u.gamma.data = np.array([2.0])
         u.beta.data = np.array([1.0])
-        out = bn_forward(u, Tensor(np.array([[-1.0], [1.0]])), None, "eval")
+        out = nb.eval_normalize(u, np.array([[-1.0], [1.0]]))
         # eval with running stats (0 mean, unit var): affine on nearly raw input
         expect = 2.0 * (np.array([[-1.0], [1.0]]) / np.sqrt(1 + u.eps)) + 1.0
-        assert np.allclose(out.data, expect, atol=1e-12)
+        assert np.allclose(out, expect, atol=1e-12)
 
     def test_running_update_convention(self):
         u = BNUnit(1, momentum=0.1)
@@ -110,9 +110,19 @@ class TestBNForward:
         u.running_mean = np.array([1.0, -1.0])
         u.running_var = np.array([4.0, 0.25])
         x = np.array([[3.0, -2.0], [5.0, 0.0]])
-        out = bn_forward(u, Tensor(x), None, "eval")
+        out = nb.eval_normalize(u, x)
         expect = (x - u.running_mean) / np.sqrt(u.running_var + u.eps)
-        assert np.allclose(out.data, expect, atol=1e-12)
+        assert np.allclose(out, expect, atol=1e-12)
+        assert u.update_count == 0
+
+    @pytest.mark.parametrize("unit_cls", [BNUnit, ONUnit])
+    def test_train_mode_only(self, unit_cls):
+        u = unit_cls(2)
+        x = Tensor(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="bn_forward: mode must be 'train', got 'eval'"):
+            bn_forward(u, x, None, "eval")
+        with pytest.raises(ValueError, match="bn_forward: mode must be 'train', got 'eval'"):
+            on_forward(u, x, "eval")
         assert u.update_count == 0
 
     def test_channel_mismatch(self):
@@ -254,7 +264,8 @@ class TestPartitionedForward:
         for part in nb.enumerate_reduced_combinations(4):
             ids = rng.permutation(np.repeat(np.arange(4), rng.integers(2, 5, size=4)))
             rows = nb.partition_rows(part, ids)
-            groups = np.array([part.groups.index(part.group_of(int(d))) for d in ids])
+            groups = np.array([part.groups.index(next(g for g in part if g.contains(d)))
+                               for d in ids])
             for k, idx in enumerate(rows):
                 assert np.array_equal(idx, np.flatnonzero(groups == k))
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import tiny_config, tiny_model, toy_batch
+from helpers import add, tiny_config, tiny_model, toy_batch
 from normaug import datagen, inference, normbank as nb, tensor as T, training
 from normaug.gradcheck import grad_check_params
 from normaug.model import TwoPathNetwork, init_model
@@ -18,7 +18,6 @@ from normaug.training import (
     SGD,
     TrainConfig,
     make_optimizer,
-    sample_batch,
     sample_combination,
     train,
     train_step,
@@ -125,27 +124,32 @@ class TestDomainBatchIds:
 
 
 class TestSampleBatch:
+    """Domain-balanced batches from `EpochSampler`, the sampler `train` uses."""
+
     def test_counts_and_balance(self):
         ds = small_dataset()
         sources, _ = datagen.split_lodo(ds, 3)
-        batch = sample_batch(sources, 16, np.random.default_rng(0))
+        batch = EpochSampler(sources, 16, np.random.default_rng(0)).next_batch()
         assert batch.size == 48
         ids, counts = np.unique(batch.domain_ids, return_counts=True)
         assert np.array_equal(ids, [0, 1, 2])
         assert np.all(counts == 16)
 
     def test_seeded_determinism(self):
-        ds = small_dataset()
+        ds = small_dataset(per_cell=8)  # 24 rows per domain
         sources, _ = datagen.split_lodo(ds, 3)
-        a = sample_batch(sources, 8, np.random.default_rng(42))
-        b = sample_batch(sources, 8, np.random.default_rng(42))
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+        a = EpochSampler(sources, 8, np.random.default_rng(42))
+        b = EpochSampler(sources, 8, np.random.default_rng(42))
+        # the fourth batch comes after a reshuffle
+        for _ in range(4):
+            batch_a, batch_b = a.next_batch(), b.next_batch()
+            assert np.array_equal(batch_a.features, batch_b.features)
+            assert np.array_equal(batch_a.labels, batch_b.labels)
 
     def test_no_duplicates_within_domain(self):
         ds = small_dataset()
         sources, _ = datagen.split_lodo(ds, 3)
-        batch = sample_batch(sources, 16, np.random.default_rng(1))
+        batch = EpochSampler(sources, 16, np.random.default_rng(1)).next_batch()
         for d in range(3):
             rows = batch.features[batch.domain_ids == d]
             assert np.unique(rows, axis=0).shape[0] == 16
@@ -153,8 +157,8 @@ class TestSampleBatch:
     def test_small_domain_rejected(self):
         ds = small_dataset(per_cell=4)  # 12 rows per domain
         sources, _ = datagen.split_lodo(ds, 3)
-        with pytest.raises(ValueError, match="rows < 16"):
-            sample_batch(sources, 16, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="EpochSampler: domain .* has 12 rows < 16"):
+            EpochSampler(sources, 16, np.random.default_rng(0))
 
     def test_epoch_sampler_walks_without_replacement(self):
         ds = small_dataset(per_cell=8)  # 24 rows per domain
@@ -418,8 +422,8 @@ def reference_loss(main_logits, labels, aux_blocks, aux_weight):
         aux_total = None
         for idx, logits in aux_blocks.values():
             ce = T.cross_entropy(logits, labels[idx])
-            aux_total = ce if aux_total is None else aux_total + ce
-        loss = loss + (aux_weight / len(aux_blocks)) * aux_total
+            aux_total = ce if aux_total is None else add(aux_total, ce)
+        loss = add(loss, (aux_weight / len(aux_blocks)) * aux_total)
     return loss
 
 
@@ -575,7 +579,8 @@ class TestTrainLoop:
         assert scales == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]
 
     @pytest.mark.parametrize("bad", [{"lr_step_epochs": -3}, {"lr_step_gamma": -1.0},
-                                     {"lr_step_gamma": 0.0}, {"lr_step_gamma": 1.5}])
+                                     {"lr_step_gamma": 0.0}, {"lr_step_gamma": 1.5},
+                                     {"val_fraction": 1.5}, {"val_fraction": 0.0}])
     def test_bad_step_decay_rejected(self, bad):
         key = next(iter(bad))
         with pytest.raises(ValueError, match=f"TrainConfig: {key} must be"):
