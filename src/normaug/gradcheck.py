@@ -17,12 +17,8 @@ from .tensor import Tensor, backward, no_grad
 def _autodiff_grads(f: Callable[[], Tensor], params: Sequence[Tensor]) -> list[np.ndarray]:
     for p in params:
         p.grad = None
-    loss = f()
-    backward(loss)
-    out = []
-    for p in params:
-        out.append(np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-    return out
+    backward(f())
+    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
 
 def _fd_grad(f: Callable[[], Tensor], p: Tensor, h: float) -> np.ndarray:

@@ -191,16 +191,15 @@ class TwoPathNetwork:
         return x if isinstance(x, Tensor) else Tensor(arr)
 
     def _backbone(self, x: Tensor, normalize) -> Tensor:
+        """Training walk; `normalize(i, h)` is site i's norm and ReLU."""
         h = x
         if self.config.backbone == "smallconv":
             side = math.isqrt(self.config.input_dim)
             h = T.reshape(h, (h.shape[0], 1, side, side))
         for i, layer in enumerate(self.layers):
-            h = layer(h)
-            h = normalize(i, h)
-            h = T.relu(h)
+            h = normalize(i, layer(h))
         if self.config.backbone == "smallconv":
-            h = T.global_avg_pool(h)
+            h = T.mean(h, axis=(2, 3))  # global average pooling
         return h
 
     def forward_main(self, x, mode: str = "train") -> tuple[Tensor, Tensor]:
@@ -209,10 +208,12 @@ class TwoPathNetwork:
         if mode == "eval":
             feats = self.features(x)
             return Tensor(self.classifier_main.apply(feats)), Tensor(feats)
+        if mode != "train":
+            raise ValueError(f"forward_main: mode must be 'train' or 'eval', got {mode!r}")
         t = self._check_input(x)
 
         def normalize(i: int, h: Tensor) -> Tensor:
-            return nb.bn_forward(self.main_units[i], h, None, mode)
+            return nb.bn_forward(self.main_units[i], h, None, mode, relu=True)
 
         feats = self._backbone(t, normalize)
         return self.classifier_main(feats), feats
@@ -226,23 +227,25 @@ class TwoPathNetwork:
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
         """Partition route, train mode only: every group's rows pass through
         that group's bank unit at each site and through the group's
-        classifier. The groups' rows are found once per call. Returns
-        subset -> (original row indices, logits for those rows)."""
+        classifier. The groups' rows are found once per call, contiguous
+        ones as a slice (a view). Returns subset -> (original row indices,
+        logits for those rows)."""
         if not self.config.use_aug:
             raise ValueError("forward_aux: model built with use_aug=False")
         if mode != "train":
             raise ValueError(f"forward_aux: mode must be 'train', got {mode!r}")
         t = self._check_input(x)
-        domain_ids = np.asarray(domain_ids)
         rows = nb.partition_rows(partition, domain_ids)
+        views = [slice(int(r[0]), int(r[-1]) + 1) if r[-1] - r[0] + 1 == r.size else r
+                 for r in rows]  # sorted rows, at least two per group
 
         def normalize(i: int, h: Tensor) -> Tensor:
             return nb.partitioned_forward(self.banks[i], partition, h, domain_ids,
-                                          group_rows=rows)
+                                          group_rows=views, relu=True)
 
         feats = self._backbone(t, normalize)
-        return {group: (idx, self._aux_classifier(group)(T.gather_rows(feats, idx)))
-                for group, idx in zip(partition, rows)}
+        return {group: (idx, self._aux_classifier(group)(T.gather_rows(feats, view)))
+                for group, idx, view in zip(partition, rows, views)}
 
     def forward_subpath(self, x, subset: DomainSubset, mode: str = "eval") -> Tensor:
         """Logits of the whole batch through one bank unit per site and the

@@ -192,8 +192,9 @@ class BNUnit:
 
     def update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         m = self.momentum
-        self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
-        self.running_var = (1.0 - m) * self.running_var + m * batch_var
+        for run, batch in ((self.running_mean, batch_mean), (self.running_var, batch_var)):
+            run *= 1.0 - m  # in place, the bits of (1 - m) * run + m * batch
+            run += m * batch
         self.update_count += 1
 
 
@@ -318,11 +319,11 @@ _WHOLE_BATCH = (slice(None),)
 
 
 def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
-               mode: str = "train") -> Tensor:
+               mode: str = "train", *, relu: bool = False) -> Tensor:
     """Train-mode normalization of the whole batch with this unit; an
     `ONUnit` applies its BN/IN mixture. `T.segment_norm` with one
-    whole-batch group: one tape node, the batch's statistics, and an update
-    of the running averages.
+    whole-batch group: one tape node (with the ReLU after it if `relu`), the
+    batch's statistics, and an update of the running averages.
 
     `rows` must be None and `mode` "train" (both slots stay for positional
     callers): sub-batches go through `partitioned_forward`, and evaluation
@@ -338,7 +339,7 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
         raise ValueError("bn_forward: empty sub-batch")
     out, ((mu, var),) = T.segment_norm(features, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
                                        _reduce_axes(features.ndim),
-                                       _instance_axes(features.ndim))
+                                       _instance_axes(features.ndim), relu)
     unit.update_running(mu, var)
     return out
 
@@ -418,16 +419,17 @@ def partition_rows(partition: Partition, domain_ids: np.ndarray) -> list[np.ndar
 
 def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
                         domain_ids: np.ndarray, mode: str = "train", *,
-                        group_rows: list[np.ndarray] | None = None) -> Tensor:
+                        group_rows: list[np.ndarray | slice] | None = None,
+                        relu: bool = False) -> Tensor:
     """Normalize each partition group's rows with that group's unit, all
-    groups in one `T.segment_norm` node, and update every group unit's
-    running averages.
+    groups in one `T.segment_norm` node (with the ReLU after it if `relu`),
+    and update every group unit's running averages.
 
     Statistics are computed only within each group; the output preserves
     the input row order. `group_rows` is `partition_rows(partition,
-    domain_ids)` computed once by a caller that normalizes several sites
-    of one batch. Train mode only: evaluation runs a whole batch through
-    one unit (`eval_normalize`).
+    domain_ids)` (a contiguous group may be a slice) computed once by a
+    caller that normalizes several sites of one batch. Train mode only:
+    evaluation runs a whole batch through one unit (`eval_normalize`).
     """
     if mode != "train":
         raise ValueError(f"partitioned_forward: mode must be 'train', got {mode!r}")
@@ -440,7 +442,8 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
     rows = group_rows if group_rows is not None else partition_rows(partition, domain_ids)
     units = [bank.unit(group) for group in partition]
     out, moments = T.segment_norm(features, rows, [u.norm_params() for u in units], bank.eps,
-                                  _reduce_axes(features.ndim), _instance_axes(features.ndim))
+                                  _reduce_axes(features.ndim), _instance_axes(features.ndim),
+                                  relu)
     for unit, (mu, var) in zip(units, moments):
         unit.update_running(mu, var)
     return out

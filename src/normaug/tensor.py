@@ -7,18 +7,18 @@ accumulating gradients additively into the `.grad` of leaf tensors (so
 repeated calls without a reset sum up); intermediate results keep no `.grad`.
 
 This module holds only the tape and the ops a training step records: the
-layer ops (`conv2d`, `relu`, `reshape`, `global_avg_pool`, `gather_rows`)
-and the fused ops, one node each with a closed-form backward: `linear`,
+layer ops (`conv2d`, `reshape`, `mean` for pooling, `gather_rows`) and the
+fused ops, one node each with a closed-form backward: `linear`,
 `segment_norm` (every train-mode normalization site, batch norm or the
-BN/IN mixture over one or several row groups) and `cross_entropy` (the main
-head and every auxiliary head in one loss node). An `on_aug` step of the
-default model records 26 nodes (24 for a two-group partition), an `on` step
-11. `mul` and `sum_` (`Tensor` `*` and `.sum()`) weight a loss for the
-gradient checks. The primitive ops the fused ones replace (`add`,
-`matmul`, `softmax`, ...) live in `tests/helpers.py`, where their
-composites are the oracles. Reductions call the ufunc (`np.add.reduce`,
-`np.maximum.reduce`) directly: the same bits as the `ndarray` methods,
-without those methods' Python wrappers.
+BN/IN mixture over one or several row groups, with the ReLU that follows
+it) and `cross_entropy` (the main head and every auxiliary head in one
+loss node). An `on_aug` step of the default model records 20 nodes (18 for
+a two-group partition), an `on` step 8. `mul` and `sum_` (`Tensor` `*` and
+`.sum()`) weight a loss for the gradient checks. The primitive ops the
+fused ones replace (`add`, `matmul`, `relu`, `softmax`, ...) live in
+`tests/helpers.py`, where their composites are the oracles. Reductions
+call the ufunc (`np.add.reduce`, `np.maximum.reduce`) directly: the same
+bits as the `ndarray` methods, without those methods' Python wrappers.
 
 All arithmetic is float64. Evaluation runs on plain arrays
 (`TwoPathNetwork.eval_logits`, `normbank.eval_normalize`).
@@ -177,17 +177,14 @@ def backward(loss: Tensor) -> None:
     if loss.requires_grad and loss.node is None:
         loss.grad = (loss.grad if loss.grad is not None else 0.0) + np.ones_like(loss.data)
         return
-    tape = Tape.trace(loss)
-    for t in reversed(tape.entries):
+    for t in reversed(Tape.trace(loss).entries):
         g_out = grads.pop(id(t), None)
         if g_out is None:
             continue
-        input_grads = t.node.backward_rule(g_out)
-        for parent, g in zip(t.node.inputs, input_grads):
+        for parent, g in zip(t.node.inputs, t.node.backward_rule(g_out)):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.node is None:
-                # leaf: accumulate directly
+            if parent.node is None:  # a leaf: accumulate into .grad
                 parent.grad = g if parent.grad is None else parent.grad + g
             else:
                 key = id(parent)
@@ -251,12 +248,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                              lambda g: g * b.data, lambda g: g * a.data)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
-    return _record("relu", (a,), out, lambda g: (g * mask,))
-
-
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
@@ -290,13 +281,15 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 # row routing (sub-batch dispatch)
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds into the source."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: index must be 1-D, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+def gather_rows(a: Tensor, idx: np.ndarray | slice) -> Tensor:
+    """Select rows along axis 0 (a slice selects a view); backward
+    scatter-adds into the source."""
+    if not isinstance(idx, slice):
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.ndim != 1:
+            raise ShapeError(f"gather_rows: index must be 1-D, got {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+            raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
     out = a.data[idx]
 
     def rule(g: np.ndarray):
@@ -308,7 +301,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution (stride 1, zero padding) and pooling
+# 2-D convolution (stride 1, zero padding)
 
 
 def conv2d_array(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
@@ -367,13 +360,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 1) -> T
         return tuple(grads)
 
     return _record("conv2d", inputs, out, rule)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """(B, C, H, W) -> (B, C) spatial mean."""
-    if x.ndim != 4:
-        raise ShapeError(f"global_avg_pool: expected rank-4 input, got {x.shape}")
-    return mean(x, axis=(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +427,7 @@ def _channel_shape(op: str, x: Tensor, axes: tuple[int, ...], *params: Tensor):
 
 def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
                  params: Sequence[tuple[Tensor, Tensor, Tensor | None]], eps: float,
-                 bn_axes: tuple[int, ...], in_axes: tuple[int, ...]
+                 bn_axes: tuple[int, ...], in_axes: tuple[int, ...], relu: bool = False
                  ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
     """Train-mode normalization of disjoint row groups as one node.
 
@@ -451,14 +437,17 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
     softmax(mix_logits) weights the batch standardization and the instance
     one (over `in_axes`) before the per-channel affine. A sole group
     `slice(None)` is the whole batch and is computed directly; otherwise no
-    row may lie in two groups and rows in no group come out 0. Returns
-    (out, [(batch mean, batch variance) per group]), the moments one value
-    per channel.
+    row may lie in two groups, a slice group is a view, and rows in no
+    group come out 0. `relu` clamps the output at 0 in the same node.
+    Returns (out, [(batch mean, batch variance) per group]), the moments
+    one value per channel.
     """
     if len(group_rows) != len(params):
         raise ShapeError(
             f"segment_norm: {len(group_rows)} row groups for {len(params)} parameter sets")
     bn_axes, in_axes = tuple(bn_axes), tuple(in_axes)
+    pshape = _channel_shape("segment_norm", x, bn_axes,
+                            *(p for gamma, beta, _ in params for p in (gamma, beta)))
     whole = (len(group_rows) == 1 and isinstance(group_rows[0], slice)
              and group_rows[0] == slice(None))
     out = None if whole else np.zeros_like(x.data)
@@ -469,7 +458,6 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
                 raise ShapeError("IN undefined for single-feature rows")
             if mix.shape != (2,):
                 raise ShapeError(f"segment_norm: mix_logits shape {mix.shape} != (2,)")
-        pshape = _channel_shape("segment_norm", x, bn_axes, gamma, beta)
         block = x.data if whole else x.data[idx]
         xhat, sigma, mu, var = _standardize(block, eps, bn_axes)
         if mix is None:
@@ -490,8 +478,13 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
             out[idx] = y
         saved.append((idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed))
         moments.append((mu.ravel(), var.ravel()))
+    if relu:
+        mask = out > 0.0
+        np.maximum(out, 0.0, out=out)
 
     def rule(g: np.ndarray):
+        if relu:
+            g = g * mask
         need_x = x.requires_grad
         gx = np.zeros_like(x.data) if need_x and not whole else None
         grads = [gx]

@@ -174,8 +174,8 @@ def two_path_loss(main_logits: Tensor, labels: np.ndarray,
                   aux_blocks: dict | None, aux_weight: float = 1.0) -> Tensor:
     """Mean main-route cross entropy plus aux_weight times the mean of the
     per-group auxiliary cross entropies, as one `T.cross_entropy` node:
-    an `on_aug` step of the default model records 26 nodes (24 for a
-    two-group partition), an `on` step 11."""
+    an `on_aug` step of the default model records 20 nodes (18 for a
+    two-group partition), an `on` step 8."""
     if not aux_blocks:
         return T.cross_entropy(main_logits, labels)
     aux = [(logits, labels[idx]) for idx, logits in aux_blocks.values()]
@@ -189,8 +189,8 @@ def two_path_loss(main_logits: Tensor, labels: np.ndarray,
 class SGD:
     """Momentum SGD with decoupled parameter groups.
 
-    v <- momentum * v + (grad + weight_decay * w); w <- w - lr * v.
-    """
+    v <- momentum * v + (grad + weight_decay * w); w <- w - lr * v, in
+    place with the bits of those expressions."""
 
     def __init__(self, groups: list[dict]):
         # each group: {"params": [(name, Tensor)], "lr": float}
@@ -220,10 +220,13 @@ class SGD:
                 upd = t.grad + wd * t.data if wd else t.grad
                 if mom:
                     v = self._velocity.get(id(t))
-                    v = upd if v is None else mom * v + upd
-                    self._velocity[id(t)] = v
+                    if v is None:  # a copy: a gradient may be a read-only view
+                        v = self._velocity[id(t)] = upd.copy()
+                    else:
+                        v *= mom
+                        v += upd
                     upd = v
-                t.data = t.data - lr * upd
+                t.data -= lr * upd
 
 
 def make_optimizer(model: TwoPathNetwork, config: TrainConfig) -> SGD:

@@ -10,6 +10,7 @@ from normaug import tensor as T
 from normaug.gradcheck import grad_check_params
 from normaug.model import ModelConfig, TwoPathNetwork, init_model
 from normaug.tensor import Tensor
+from normaug.training import SGD
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,12 @@ def log(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return T._record("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
+
+
+def relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0.0)
+    mask = a.data > 0.0
+    return T._record("relu", (a,), out, lambda g: (g * mask,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -127,6 +134,26 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     if not x.requires_grad:
         x.requires_grad = True
     return grad_check_params(lambda: f(x), [x], h)
+
+
+class ReferenceSGD(SGD):
+    """Out-of-place oracle for the in-place `SGD.step`: every step builds
+    new velocity and parameter arrays from the update rule's expressions."""
+
+    def step(self) -> None:
+        for g in self.groups:
+            lr = g["lr"] * self.lr_scale
+            mom, wd = g["momentum"], g["weight_decay"]
+            for _, t in g["params"]:
+                if t.grad is None:
+                    continue
+                upd = t.grad + wd * t.data if wd else t.grad
+                if mom:
+                    v = self._velocity.get(id(t))
+                    v = upd if v is None else mom * v + upd
+                    self._velocity[id(t)] = v
+                    upd = v
+                t.data = t.data - lr * upd
 
 
 def two_pass_stats(block: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -258,10 +285,10 @@ def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
                 h = T.conv2d(h, layer.weight, layer.bias, padding=layer.padding)
             else:
                 h = _einsum_linear(h, layer.weight, layer.bias)
-            h = T.relu(composite_eval_normalize(
+            h = relu(composite_eval_normalize(
                 unit, h, None if moments is None else moments(h.data)))
         if model.config.backbone == "smallconv":
-            h = T.global_avg_pool(h)
+            h = T.mean(h, axis=(2, 3))
         return _einsum_linear(h, clf.weight, clf.bias).data, h.data
 
 

@@ -16,6 +16,7 @@ from helpers import (
     composite_linear,
     composite_mixture_norm,
     composite_segment_batch_norm,
+    relu,
     scatter_rows,
 )
 from normaug import datagen, training
@@ -389,14 +390,132 @@ class TestSegmentBatchNorm:
             assert got.update_count == want.update_count
 
 
+NORM_KINDS = ("bn", "mixture", "index_groups", "slice_groups")
+
+
+def norm_case(rng, kind: str, rank: int):
+    """Row groups, which groups carry mixture logits, the leaf arrays (x,
+    then gamma, beta and any mix logits per group) and an upstream gradient
+    for one `segment_norm` call: one whole-batch group without or with the
+    mixture, or a random partition's groups, shuffled (index arrays) or laid
+    out block by block (slices)."""
+    if kind in ("bn", "mixture"):
+        rows, mixed = list(WHOLE), [kind == "mixture"]
+        shape = random_shape(rng, rank, min_channels=2)
+    elif kind == "index_groups":
+        rows, shape = shuffled_groups(rng, int(rng.integers(2, 5)), rank)
+        shape = shape[:1] + (max(shape[1], 2),) + shape[2:]
+    else:
+        bounds = np.cumsum(np.concatenate([[0], rng.integers(2, 8, size=rng.integers(2, 5))]))
+        rows = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        shape = (int(bounds[-1]),) + random_shape(rng, rank, min_channels=2)[1:]
+    if kind in ("index_groups", "slice_groups"):
+        mixed = [bool(rng.integers(2)) for _ in rows]
+    c = shape[1]
+    arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3)]
+    for has_mix in mixed:
+        arrays += [rng.uniform(0.5, 2.0, c), rng.standard_normal(c)]
+        arrays += [rng.standard_normal(2)] if has_mix else []
+    return rows, mixed, arrays, rng.standard_normal(shape)
+
+
+def param_triples(leaves, mixed):
+    """(gamma, beta, mix_logits or None) per group from the parameter leaves."""
+    out, it = [], iter(leaves)
+    for has_mix in mixed:
+        out.append((next(it), next(it), next(it) if has_mix else None))
+    return out
+
+
+class TestReluEpilogue:
+    """`segment_norm(..., relu=True)` against `relu(segment_norm(...))`, and
+    slice groups against the same groups as index arrays."""
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_bitwise_matches_relu_composite(self, kind, rank):
+        rng = np.random.default_rng(30 + rank)
+        for _ in range(40):
+            rows, mixed, arrays, up = norm_case(rng, kind, rank)
+            args = (1e-5, BN_AXES[rank], IN_AXES[rank])
+
+            def composite(x, *p):
+                out, moments = flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
+                                                           *args))
+                return relu(out), moments
+
+            agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
+                                                            *args, relu=True)),
+                  composite, arrays, up, grad_tol=None)
+
+    @pytest.mark.parametrize("apply_relu", [False, True])
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_slice_groups_bitwise_match_index_groups(self, rank, apply_relu):
+        rng = np.random.default_rng(40 + rank)
+        for _ in range(40):
+            rows, mixed, arrays, up = norm_case(rng, "slice_groups", rank)
+            index_rows = [np.arange(s.start, s.stop) for s in rows]
+            args = (1e-5, BN_AXES[rank], IN_AXES[rank])
+            agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
+                                                            *args, relu=apply_relu)),
+                  lambda x, *p: flat_moments(T.segment_norm(
+                      x, index_rows, param_triples(p, mixed), *args, relu=apply_relu)),
+                  arrays, up, grad_tol=None)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_gradcheck(self, kind, rank):
+        rng = np.random.default_rng(50 + rank)
+        for _ in range(5):
+            rows, mixed, arrays, up = norm_case(rng, kind, rank)
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            params = param_triples(leaves[1:], mixed)
+
+            def fn():
+                out = T.segment_norm(leaves[0], rows, params, 1e-5, BN_AXES[rank],
+                                     IN_AXES[rank], relu=True)[0]
+                return (out * Tensor(up)).sum()
+
+            assert grad_check_params(fn, leaves) < 1e-6
+
+
+class TestGatherRowsSlice:
+    """`gather_rows` with a slice: a view, with the bits of the index-array
+    form in the forward and the backward."""
+
+    def test_bitwise_matches_index_rows(self):
+        rng = np.random.default_rng(60)
+        for _ in range(50):
+            n = int(rng.integers(2, 20))
+            a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
+            arrays = [rng.standard_normal((n, int(rng.integers(1, 6))))]
+            up = rng.standard_normal((b - a, arrays[0].shape[1]))
+            agree(lambda x: (T.gather_rows(x, slice(a, b)), []),
+                  lambda x: (T.gather_rows(x, np.arange(a, b)), []),
+                  arrays, up, grad_tol=None)
+
+    def test_selects_a_view(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        out = T.gather_rows(x, slice(1, 3))
+        assert np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, x.data[1:3])
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        up = Tensor(rng.standard_normal((4, 3)))
+        assert grad_check_params(lambda: (T.gather_rows(x, slice(2, 6)) * up).sum(), [x]) < 1e-6
+
+
 class TestTapeSize:
     """One train step of the default model records a few nodes per layer,
-    one `segment_norm` node per normalization site and one loss node, and
-    routes no normalization rows through gather/scatter nodes. Every op
+    one `segment_norm` node per normalization site (its ReLU included) and
+    one loss node, and routes no normalization rows through gather/scatter
+    nodes. Every op
     recorded is one `normaug.tensor` defines; the primitive oracle ops of
     `helpers` never reach a training tape."""
 
-    TRAINING_OPS = {"conv2d", "relu", "mean", "segment_norm", "linear", "gather_rows",
+    TRAINING_OPS = {"conv2d", "mean", "segment_norm", "linear", "gather_rows",
                     "cross_entropy"}
 
     def ops(self, use_aug: bool, partition, backbone: str = "mlp") -> Counter:
@@ -417,9 +536,9 @@ class TestTapeSize:
     @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
     def test_on_aug_step(self, partition):
         ops = self.ops(True, partition)
-        # 10 main-route nodes, 9 bank-route ones, a gather and a linear per group
+        # 7 main-route nodes, 6 bank-route ones, a gather and a linear per group
         # feeding that group's classifier, one loss node
-        assert sum(ops.values()) == {3: 26, 2: 24}[len(partition)]
+        assert sum(ops.values()) == {3: 20, 2: 18}[len(partition)]
         assert ops["cross_entropy"] == 1
         # three main-route sites and three bank sites
         assert ops["segment_norm"] == 6
@@ -428,7 +547,7 @@ class TestTapeSize:
 
     def test_on_step(self):
         ops = self.ops(False, None)
-        assert sum(ops.values()) == 11
+        assert sum(ops.values()) == 8
         assert ops["cross_entropy"] == 1
         assert ops["segment_norm"] == 3
         assert ops["gather_rows"] == ops["scatter_rows"] == 0
@@ -436,14 +555,14 @@ class TestTapeSize:
     @pytest.mark.parametrize("partition", nb.enumerate_reduced_combinations(3), ids=repr)
     def test_smallconv_on_aug_step(self, partition):
         ops = self.ops(True, partition, "smallconv")
-        # per route 3 conv2d, 3 segment_norm, 3 relu and the pooling mean; the
-        # main classifier, a gather and a linear per group, one loss node
-        assert sum(ops.values()) == {3: 28, 2: 26}[len(partition)]
-        assert ops == Counter(conv2d=6, segment_norm=6, relu=6, mean=2, cross_entropy=1,
+        # per route 3 conv2d, 3 segment_norm and the pooling mean; the main
+        # classifier, a gather and a linear per group, one loss node
+        assert sum(ops.values()) == {3: 22, 2: 20}[len(partition)]
+        assert ops == Counter(conv2d=6, segment_norm=6, mean=2, cross_entropy=1,
                               gather_rows=len(partition), linear=1 + len(partition))
 
     def test_smallconv_on_step(self):
         ops = self.ops(False, None, "smallconv")
-        assert sum(ops.values()) == 12
-        assert ops == Counter(conv2d=3, segment_norm=3, relu=3, mean=1, linear=1,
+        assert sum(ops.values()) == 9
+        assert ops == Counter(conv2d=3, segment_norm=3, mean=1, linear=1,
                               cross_entropy=1)

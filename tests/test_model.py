@@ -85,6 +85,16 @@ class TestForwardMain:
         with pytest.raises(T.ShapeError):
             m.forward_main(np.ones((3, 5)), mode="train")
 
+    def test_unknown_mode_rejected_before_any_work(self, monkeypatch):
+        m = tiny_model()
+        calls = []
+        monkeypatch.setattr(T, "linear", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^forward_main: mode must be 'train' or 'eval', "
+                                             "got 'Eval'$"):
+            m.forward_main(np.ones((4, 6)), mode="Eval")
+        assert calls == []
+        assert all(u.update_count == 0 for u in m.main_units)
+
 
 class TestForwardAux:
     def test_blocks_cover_batch(self):

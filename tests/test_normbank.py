@@ -105,6 +105,20 @@ class TestBNForward:
         assert np.allclose(u.running_var, [0.9 * 1.0 + 0.1 * 1.0])
         assert u.update_count == 1
 
+    @pytest.mark.parametrize("momentum", [0.1, 0.37, 1.0])
+    def test_running_update_bitwise_matches_out_of_place_formula(self, momentum):
+        rng = np.random.default_rng(17)
+        u, m = BNUnit(5, momentum=momentum), momentum
+        mean, var = u.running_mean.copy(), u.running_var.copy()
+        for _ in range(10):
+            batch_mean, batch_var = rng.standard_normal(5) * 3.0, rng.uniform(0.1, 4.0, 5)
+            u.update_running(batch_mean, batch_var)
+            mean = (1.0 - m) * mean + m * batch_mean
+            var = (1.0 - m) * var + m * batch_var
+            assert np.array_equal(u.running_mean, mean)
+            assert np.array_equal(u.running_var, var)
+        assert u.update_count == 10
+
     def test_eval_uses_running_stats_only(self):
         u = BNUnit(2)
         u.running_mean = np.array([1.0, -1.0])

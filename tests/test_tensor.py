@@ -13,6 +13,7 @@ from helpers import (
     log_softmax,
     matmul,
     power,
+    relu,
     scatter_rows,
     softmax,
     sqrt,
@@ -30,7 +31,7 @@ class TestForwardBasics:
         assert np.array_equal(matmul(a, eye).data, a.data)
 
     def test_relu_definition(self):
-        out = T.relu(Tensor([-1.0, 0.0, 2.0]))
+        out = relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_mean_axis0(self):
@@ -56,7 +57,7 @@ class TestForwardBasics:
     def test_no_nan_on_finite_inputs(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((6, 5)))
-        out = log_softmax(add(T.relu(x), Tensor(1e-3)), axis=1)
+        out = log_softmax(add(relu(x), Tensor(1e-3)), axis=1)
         assert np.all(np.isfinite(out.data))
 
 
@@ -156,7 +157,7 @@ class TestGradCheckPerOp:
         for _ in range(100):
             x = Tensor(rng.uniform(0.2, 2.0, size=(3, 4))
                        * rng.choice([-1.0, 1.0], size=(3, 4)), requires_grad=True)
-            assert grad_check(lambda t: (T.relu(t) * T.relu(t)).sum(), x) < 1e-6
+            assert grad_check(lambda t: (relu(t) * relu(t)).sum(), x) < 1e-6
 
     def test_matmul(self):
         rng = np.random.default_rng(12)
@@ -219,7 +220,7 @@ class TestGradCheckPerOp:
 
             def fn():
                 out = T.conv2d(x, w, bias, padding=1)
-                return power(T.global_avg_pool(out), 2.0).sum()
+                return power(T.mean(out, axis=(2, 3)), 2.0).sum()
 
             assert grad_check_params(fn, [x, w, bias]) < 1e-6
 

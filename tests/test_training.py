@@ -2,14 +2,15 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import add, tiny_config, tiny_model, toy_batch
+from helpers import ReferenceSGD, add, tiny_config, tiny_model, toy_batch
 from normaug import datagen, inference, normbank as nb, tensor as T, training
 from normaug.gradcheck import grad_check_params
-from normaug.model import TwoPathNetwork, init_model
+from normaug.model import TwoPathNetwork, init_model, load_checkpoint
 from normaug.normbank import DomainSubset, Partition
 from normaug.tensor import Tensor
 from normaug.training import (
@@ -304,6 +305,64 @@ class TestSGD:
         opt.step()
         assert np.allclose(t.data, [2.0 - 0.1 * (0.5 * 2.0)])
 
+    @staticmethod
+    def run_steps(optimizer_cls, weight_decay: float, model=None):
+        """10 `train_step`s of a tiny `on_aug` model (or `model`) with
+        `optimizer_cls`; returns (model, optimizer, losses)."""
+        m = model if model is not None else tiny_model(seed=5)
+        opt = optimizer_cls(make_optimizer(m, TrainConfig(weight_decay=weight_decay)).groups)
+        rng = np.random.default_rng(12)
+        parts = nb.enumerate_reduced_combinations(3)
+        losses = []
+        for i in range(10):
+            x, labels, ids = toy_batch(rng)
+            losses.append(train_step(m, DomainBatch(x, labels, ids, per_domain=4),
+                                     parts[i % len(parts)], opt))
+        return m, opt, losses
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_in_place_step_bitwise_matches_reference(self, weight_decay):
+        m_a, opt_a, loss_a = self.run_steps(SGD, weight_decay)
+        m_b, opt_b, loss_b = self.run_steps(ReferenceSGD, weight_decay)
+        assert loss_a == loss_b
+        for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
+            assert np.array_equal(ta.data, tb.data), name
+            assert np.array_equal(opt_a._velocity[id(ta)], opt_b._velocity[id(tb)]), name
+
+    def test_read_only_gradient_without_weight_decay(self):
+        """`sum`'s backward hands a leaf a read-only broadcast view as its
+        gradient; the velocity is a copy, never that view."""
+        t = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        opt = SGD([{"params": [("w", t)], "lr": 0.1, "momentum": 0.5,
+                    "weight_decay": 0.0}])
+        grads = []
+        for _ in range(3):
+            opt.zero_grad()
+            T.backward(t.sum())
+            assert not t.grad.flags.writeable
+            grads.append(t.grad)
+            opt.step()
+            assert not any(np.shares_memory(opt._velocity[id(t)], g) for g in grads)
+        want = np.array([1.0, -2.0, 0.5])
+        for v in (1.0, 1.5, 1.75):
+            want = want - 0.1 * v
+        assert np.array_equal(t.data, want)
+
+    def test_checkpoint_model_steps_in_place(self):
+        """A model loaded from the committed checkpoint owns writeable
+        arrays: a step updates them in place, with the reference bits."""
+        fixture = Path(__file__).parent / "data" / "tiny_aug.ckpt"
+        m_a, m_b = load_checkpoint(fixture)[0], load_checkpoint(fixture)[0]
+        units = m_a.main_units + [u for bank in m_a.banks for u in bank.units.values()]
+        arrays = [t.data for _, t in m_a.parameters()]
+        arrays += [a for u in units for a in (u.running_mean, u.running_var)]
+        assert all(a.flags.writeable for a in arrays)
+        self.run_steps(SGD, 5e-4, m_a)
+        self.run_steps(ReferenceSGD, 5e-4, m_b)
+        assert all(a is b for a, b in zip(arrays, [t.data for _, t in m_a.parameters()]))
+        for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
+            assert np.array_equal(ta.data, tb.data), name
+
 
 class TestTrainStep:
     def test_loss_decreases_on_separable_toy(self):
@@ -354,8 +413,8 @@ class TestTrainStep:
         calls.clear()
         forward = nb.partitioned_forward
         monkeypatch.setattr(nb, "partitioned_forward",
-                            lambda bank, p, h, d, mode="train", group_rows=None:
-                            forward(bank, p, h, d, mode))
+                            lambda bank, p, h, d, mode="train", group_rows=None, relu=False:
+                            forward(bank, p, h, d, mode, relu=relu))
         per_site, loss_per_site = step()
         assert len(calls) == len(part) * (1 + len(per_site.banks))
         assert loss_shared == loss_per_site
