@@ -14,13 +14,6 @@ import numpy as np
 from .tensor import Tensor, backward, no_grad
 
 
-def _autodiff_grads(f: Callable[[], Tensor], params: Sequence[Tensor]) -> list[np.ndarray]:
-    for p in params:
-        p.grad = None
-    backward(f())
-    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-
 def _fd_grad(f: Callable[[], Tensor], p: Tensor, h: float) -> np.ndarray:
     g = np.zeros_like(p.data)
     flat = p.data.reshape(-1)
@@ -43,7 +36,10 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
     every parameter, for a scalar-valued closure `f`."""
     if h <= 0:
         raise ValueError("grad_check_params: step size must be positive")
-    g_ad = _autodiff_grads(f, params)
+    for p in params:
+        p.grad = None
+    backward(f())
+    g_ad = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, ga in zip(params, g_ad):
         gf = _fd_grad(f, p, h)

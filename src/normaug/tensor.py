@@ -109,16 +109,12 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, other if isinstance(other, Tensor) else Tensor(other))
 
     __rmul__ = __mul__
 
     def sum(self, axis: Axes = None, keepdims: bool = False):
         return sum_(self, axis, keepdims)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(op, inputs, out_data, backward_rule) -> Tensor:
@@ -293,8 +289,11 @@ def gather_rows(a: Tensor, idx: np.ndarray | slice) -> Tensor:
     out = a.data[idx]
 
     def rule(g: np.ndarray):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
+        z = np.zeros(a.data.shape)
+        if isinstance(idx, slice):  # no row twice: the bits of np.add.at
+            z[idx] += g
+        else:
+            np.add.at(z, idx, g)
         return (z,)
 
     return _record("gather_rows", (a,), out, rule)
@@ -343,8 +342,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 1) -> T
     inputs = (x, w) if b is None else (x, w, b)
 
     def rule(g: np.ndarray):
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        gw = np.zeros_like(w.data) if w.requires_grad else None
+        gxp = np.zeros(xp.shape) if x.requires_grad else None
+        gw = np.zeros(w.data.shape) if w.requires_grad else None
         for u in range(kh):
             for v in range(kw):
                 if gxp is not None:
@@ -371,7 +370,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     forward and in every gradient."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not conform")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def rule(g: np.ndarray):
         return (g @ w.data.T if x.requires_grad else None,
@@ -400,7 +400,7 @@ def _standardize(x: np.ndarray, eps: float, axes: tuple[int, ...]):
     n = _count(x.shape, axes)
     mu = np.add.reduce(x, axes, keepdims=True) / n
     xhat = x - mu
-    var = np.add.reduce(xhat ** 2.0, axes, keepdims=True) / n
+    var = np.add.reduce(np.square(xhat), axes, keepdims=True) / n  # the bits of ** 2.0
     sigma = np.sqrt(var + eps)
     xhat /= sigma
     return xhat, sigma, mu, var
@@ -411,8 +411,10 @@ def _standardize_grad(g_hat: np.ndarray, xhat: np.ndarray, sigma: np.ndarray,
     """Gradient through `_standardize`, the moments included (Ioffe &
     Szegedy 2015): (g - mean(g) - xhat * mean(g * xhat)) / sigma."""
     n = _count(g_hat.shape, axes)
-    return (g_hat - np.add.reduce(g_hat, axes, keepdims=True) / n
-            - xhat * (np.add.reduce(g_hat * xhat, axes, keepdims=True) / n)) / sigma
+    out = g_hat - np.add.reduce(g_hat, axes, keepdims=True) / n
+    out -= xhat * (np.add.reduce(g_hat * xhat, axes, keepdims=True) / n)
+    out /= sigma
+    return out
 
 
 def _channel_shape(op: str, x: Tensor, axes: tuple[int, ...], *params: Tensor):
@@ -450,7 +452,7 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
                             *(p for gamma, beta, _ in params for p in (gamma, beta)))
     whole = (len(group_rows) == 1 and isinstance(group_rows[0], slice)
              and group_rows[0] == slice(None))
-    out = None if whole else np.zeros_like(x.data)
+    out = None if whole else np.zeros(x.data.shape)
     inputs, saved, moments = [x], [], []
     for idx, (gamma, beta, mix) in zip(group_rows, params):
         if mix is not None:
@@ -469,9 +471,11 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
             e = np.exp(mix.data - np.maximum.reduce(mix.data, 0, keepdims=True))
             w = e / np.add.reduce(e, 0, keepdims=True)
             in_hat, in_sigma, _, _ = _standardize(block, eps, in_axes)
-            mixed = xhat * w[0:1] + in_hat * w[1:2]
+            mixed = xhat * w[0:1]
+            mixed += in_hat * w[1:2]
         gv = gamma.data.reshape(pshape)
-        y = mixed * gv + beta.data.reshape(pshape)
+        y = mixed * gv
+        y += beta.data.reshape(pshape)
         if whole:
             out = y
         else:
@@ -486,7 +490,7 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
         if relu:
             g = g * mask
         need_x = x.requires_grad
-        gx = np.zeros_like(x.data) if need_x and not whole else None
+        gx = np.zeros(x.data.shape) if need_x and not whole else None
         grads = [gx]
         for idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed in saved:
             g_k = g if whole else g[idx]
@@ -495,8 +499,8 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
                 if w is None:
                     gx_k = _standardize_grad(g_hat, xhat, sigma, bn_axes)
                 else:
-                    gx_k = (_standardize_grad(g_hat * w[0:1], xhat, sigma, bn_axes)
-                            + _standardize_grad(g_hat * w[1:2], in_hat, in_sigma, in_axes))
+                    gx_k = _standardize_grad(g_hat * w[0:1], xhat, sigma, bn_axes)
+                    gx_k += _standardize_grad(g_hat * w[1:2], in_hat, in_sigma, in_axes)
                 if whole:
                     grads[0] = gx_k
                 else:
@@ -557,7 +561,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
         grads = []
         for scale, n, rows, y, log_p in saved:
             g_pick = -(g * scale / n)
-            g_log_p = np.zeros_like(log_p)
+            g_log_p = np.zeros(log_p.shape)
             g_log_p[rows, y] = g_pick
             grads.append(g_log_p - np.exp(log_p) * g_pick)
         return tuple(grads)
