@@ -39,19 +39,25 @@ def forward_backward(fn, arrays, upstream):
     return out.data, extra, [leaf.grad for leaf in leaves]
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike `np.array_equal`, -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def agree(fused, composite, arrays, upstream, grad_tol: float | None):
     """Fused vs composite: bitwise forward and extras; gradients bitwise
     (`grad_tol` None) or within `grad_tol` relative to their scale."""
     out_f, extra_f, grads_f = forward_backward(fused, arrays, upstream)
     out_c, extra_c, grads_c = forward_backward(composite, arrays, upstream)
-    assert np.array_equal(out_f, out_c)
+    assert same_bits(out_f, out_c)
     assert len(extra_f) == len(extra_c)
     for a, b in zip(extra_f, extra_c):
-        assert np.array_equal(a, b)
+        assert same_bits(a, b)
     for gf, gc in zip(grads_f, grads_c):
         assert gf.shape == gc.shape
         if grad_tol is None:
-            assert np.array_equal(gf, gc)
+            assert same_bits(gf, gc)
         else:
             assert np.abs(gf - gc).max() <= grad_tol * max(1.0, np.abs(gc).max())
 
@@ -197,6 +203,14 @@ class TestMultiHeadCrossEntropy:
                             [(Tensor(np.zeros((2, 3))), np.array([0, 3]))])
 
 
+def param_triples(leaves, mixed):
+    """(gamma, beta, mix_logits or None) per group from the parameter leaves."""
+    out, it = [], iter(leaves)
+    for has_mix in mixed:
+        out.append((next(it), next(it), next(it) if has_mix else None))
+    return out
+
+
 class TestBatchNorm:
     """`segment_norm` with one whole-batch group and no mixture."""
 
@@ -305,15 +319,9 @@ class TestMixtureNorm:
                 arrays += [rng.standard_normal(2)] if has_mix else []
             args = (1e-5, BN_AXES[rank], IN_AXES[rank])
 
-            def triples(leaves):
-                out, it = [], iter(leaves)
-                for has_mix in mixed:
-                    out.append((next(it), next(it), next(it) if has_mix else None))
-                return out
-
             def composite(x, *p):
                 out, moments = None, []
-                for idx, (g, b, m) in zip(rows, triples(p)):
+                for idx, (g, b, m) in zip(rows, param_triples(p, mixed)):
                     block = T.gather_rows(x, idx)
                     y, mu, var = (composite_batch_norm(block, g, b, args[0], args[1])
                                   if m is None else composite_mixture_norm(block, g, b, m, *args))
@@ -322,7 +330,8 @@ class TestMixtureNorm:
                     moments += [mu, var]
                 return out, moments
 
-            agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, triples(p), *args)),
+            agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
+                                                            *args)),
                   composite, arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
 
@@ -417,14 +426,6 @@ def norm_case(rng, kind: str, rank: int):
         arrays += [rng.uniform(0.5, 2.0, c), rng.standard_normal(c)]
         arrays += [rng.standard_normal(2)] if has_mix else []
     return rows, mixed, arrays, rng.standard_normal(shape)
-
-
-def param_triples(leaves, mixed):
-    """(gamma, beta, mix_logits or None) per group from the parameter leaves."""
-    out, it = [], iter(leaves)
-    for has_mix in mixed:
-        out.append((next(it), next(it), next(it) if has_mix else None))
-    return out
 
 
 class TestReluEpilogue:
