@@ -7,6 +7,7 @@ from typing import Callable
 import numpy as np
 
 from normaug import tensor as T
+from normaug.datagen import Dataset, expected_header
 from normaug.gradcheck import grad_check_params
 from normaug.model import ModelConfig, TwoPathNetwork, init_model
 from normaug.tensor import Tensor
@@ -290,6 +291,58 @@ def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
         if model.config.backbone == "smallconv":
             h = T.mean(h, axis=(2, 3))
         return _einsum_linear(h, clf.weight, clf.bias).data, h.data
+
+
+# ---------------------------------------------------------------------------
+# the dataset CSV codec as it was before the block writer and the streaming
+# parser: `datagen.save` must write its bytes, and `datagen.load` must return
+# its arrays and raise its messages
+
+
+def reference_save(dataset: Dataset, path) -> None:
+    """CSV with header domain,label,f0..f{D-1}; floats at 17 significant
+    digits so a round trip is exact."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(expected_header(dataset.feature_dim) + "\n")
+        for i in range(len(dataset)):
+            row = [str(int(dataset.domain_ids[i])), str(int(dataset.labels[i]))]
+            row += [format(v, ".17g") for v in dataset.features[i]]
+            f.write(",".join(row) + "\n")
+
+
+def reference_load(path) -> Dataset:
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty dataset file")
+    header = lines[0]
+    cols = header.split(",")
+    if len(cols) < 3 or cols[0] != "domain" or cols[1] != "label":
+        raise ValueError(f"{path}: bad header; expected 'domain,label,f0..'")
+    dim = len(cols) - 2
+    if header != expected_header(dim):
+        raise ValueError(f"{path}: bad header; expected {expected_header(dim)!r}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no data rows")
+    feats = np.empty((len(lines) - 1, dim))
+    labels = np.empty(len(lines) - 1, dtype=np.int64)
+    domains = np.empty(len(lines) - 1, dtype=np.int64)
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != dim + 2:
+            raise ValueError(f"{path}:{ln}: expected {dim + 2} fields, got {len(parts)}")
+        try:
+            domains[ln - 2] = int(parts[0])
+            labels[ln - 2] = int(parts[1])
+            feats[ln - 2] = [float(v) for v in parts[2:]]
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature")
+    return Dataset(feats, labels, domains,
+                   num_classes=int(labels.max()) + 1,
+                   num_domains=int(domains.max()) + 1)
 
 
 def tiny_config(input_dim: int = 6, hidden=(8, 4), num_classes: int = 3,
