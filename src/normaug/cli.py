@@ -119,6 +119,22 @@ def _target_domain(cfg: dict, dataset: datagen.Dataset) -> int:
     return _value(cfg, "target_domain", dataset.num_domains - 1)
 
 
+def _check_dataset(model, dataset: datagen.Dataset) -> None:
+    """The dataset must fit the checkpoint's model: its sources plus one
+    held-out domain, its input width, and labels it can score."""
+    mc = model.config
+    domains = int(np.unique(dataset.domain_ids).size)
+    if domains != mc.num_domains + 1:
+        raise UsageError(f"dataset has {domains} domains, the model needs "
+                         f"{mc.num_domains + 1} ({mc.num_domains} sources + 1 held out)")
+    if dataset.feature_dim != mc.input_dim:
+        raise UsageError(f"dataset has feature_dim {dataset.feature_dim}, "
+                         f"the model has input_dim {mc.input_dim}")
+    if dataset.num_classes > mc.num_classes:
+        raise UsageError(f"dataset has labels up to {dataset.num_classes - 1}, "
+                         f"the model has num_classes {mc.num_classes}")
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -184,6 +200,7 @@ def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
              strategy_override: str | None, scope_override: str | None) -> None:
     model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
     dataset = datagen.load(_require(cfg, "dataset"))
+    _check_dataset(model, dataset)
     target = _target_domain(cfg, dataset)
     _, target_set = datagen.split_lodo(dataset, target)
     requested = strategy_override or cfg.get("strategy")
@@ -210,6 +227,7 @@ def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
 def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
     model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
     dataset = datagen.load(_require(cfg, "dataset"))
+    _check_dataset(model, dataset)
     target = _target_domain(cfg, dataset)
     sources, target_set = datagen.split_lodo(dataset, target)
     seed = seed_override if seed_override is not None else _value(cfg, "seed", 0)

@@ -284,7 +284,7 @@ def eval_normalize(unit: BNUnit, h: np.ndarray,
     Every row is transformed alone, so the result does not depend on the
     batch.
     """
-    _check_channels(unit.channels, h)
+    _check_channels("eval_normalize", unit.channels, h)
     bn_axes = _reduce_axes(h.ndim)
     pshape = tuple(1 if a in bn_axes else n for a, n in enumerate(h.shape))
     mixture = isinstance(unit, ONUnit)
@@ -308,11 +308,10 @@ def eval_normalize(unit: BNUnit, h: np.ndarray,
     return out
 
 
-def _check_channels(channels: int, features: Tensor | np.ndarray) -> None:
+def _check_channels(caller: str, channels: int, features: Tensor | np.ndarray) -> None:
     c = features.shape[1]
     if c != channels:
-        raise T.ShapeError(
-            f"bn_forward: unit has {channels} channels, features have {c}")
+        raise T.ShapeError(f"{caller}: unit has {channels} channels, features have {c}")
 
 
 _WHOLE_BATCH = (slice(None),)
@@ -334,7 +333,7 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
                          "normalizes row groups")
     if mode != "train":
         raise ValueError(f"bn_forward: mode must be 'train', got {mode!r}")
-    _check_channels(unit.channels, features)
+    _check_channels("bn_forward", unit.channels, features)
     if features.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
     out, ((mu, var),) = T.segment_norm(features, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
@@ -433,7 +432,7 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
     """
     if mode != "train":
         raise ValueError(f"partitioned_forward: mode must be 'train', got {mode!r}")
-    _check_channels(bank.channels, features)
+    _check_channels("partitioned_forward", bank.channels, features)
     domain_ids = np.asarray(domain_ids)
     if domain_ids.shape[0] != features.shape[0]:
         raise T.ShapeError(

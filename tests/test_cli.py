@@ -185,6 +185,35 @@ class TestDiagnoseCommand:
         assert copy_disp == [0.0]
 
 
+class TestDatasetFitsModel:
+    """eval and diagnose check the dataset against the checkpoint's model
+    before scoring anything; the pipeline model has 3 sources, input_dim 6
+    and 3 classes."""
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    @pytest.mark.parametrize("gen_line, message", [
+        ("num_domains = 5", "dataset has 5 domains, the model needs 4 (3 sources + 1 held out)"),
+        ("feature_dim = 7", "dataset has feature_dim 7, the model has input_dim 6"),
+        ("num_classes = 5", "dataset has labels up to 4, the model has num_classes 3"),
+    ], ids=["domains", "input_dim", "classes"])
+    def test_mismatch_is_usage_error(self, pipeline, tmp_path, capsys, command, gen_line,
+                                     message):
+        tmp, out, _, _ = pipeline
+        key = gen_line.split()[0]
+        gen = "\n".join(gen_line if line.startswith(key + " ") else line
+                        for line in SMALL_GEN.splitlines())
+        other = tmp_path / "other"
+        assert main(["gen-data", "--config", write_config(tmp, gen, "gen2.txt"),
+                     "--out", str(other)]) == 0
+        cfg = write_config(tmp, f"checkpoint = {out / 'model.ckpt'}\n"
+                                f"dataset = {other / 'dataset.csv'}\n", "fit.txt")
+        capsys.readouterr()
+        result = tmp_path / "result"
+        assert main([command, "--config", cfg, "--out", str(result)]) == 2
+        assert capsys.readouterr().err == f"normaug {command}: {message}\n"
+        assert not list(result.iterdir())
+
+
 SMALL_GRID = """
 seeds = 0,1
 num_classes = 3

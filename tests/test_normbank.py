@@ -16,10 +16,12 @@ from normaug.normbank import (
     DomainSubset,
     ONUnit,
     Partition,
+    all_singletons,
     bn_forward,
     compute_batch_stats,
     enumerate_full_combinations,
     enumerate_reduced_combinations,
+    eval_normalize,
     on_forward,
     partitioned_forward,
     pooled_moments,
@@ -140,8 +142,20 @@ class TestBNForward:
         assert u.update_count == 0
 
     def test_channel_mismatch(self):
-        with pytest.raises(T.ShapeError, match="channels"):
+        with pytest.raises(T.ShapeError,
+                           match="^bn_forward: unit has 3 channels, features have 2$"):
             bn_forward(BNUnit(3), Tensor(np.ones((4, 2))), None, "train")
+
+    def test_channel_mismatch_names_partitioned_forward(self):
+        with pytest.raises(T.ShapeError, match="^partitioned_forward: unit has 4 channels, "
+                                               "features have 3$"):
+            partitioned_forward(BNBank(3, 4), all_singletons(3), Tensor(np.ones((6, 3))),
+                                np.repeat([0, 1, 2], 2))
+
+    def test_channel_mismatch_names_eval_normalize(self):
+        with pytest.raises(T.ShapeError,
+                           match="^eval_normalize: unit has 4 channels, features have 3$"):
+            eval_normalize(BNUnit(4), np.ones((6, 3)))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_rows_must_be_none(self, mode):
