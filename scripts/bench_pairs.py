@@ -4,10 +4,12 @@ and write the comparison as a BENCH_<n>.json file.
 Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \
         --pairs train_aug=10 train_main=5 eval_fusion=5 --first-seed 201 --traced \
-        --what "what the change does" --out BENCH_12.json [--raw runs/pairs.json]
+        --what "what the change does" --out BENCH_12.json
 
-Each pair runs `perfbench/run.py` once from each tree with the same seed, one
-process at a time; even pairs run the parent first, odd pairs the change. Seeds
+Each pair runs `perfbench/run.py` once from each tree with the same seed and
+BENCHMARK.json's `run_seconds`, one process at a time; even pairs run the
+parent first, odd pairs the change. A run that exits non-zero, takes over 600 s
+or reports `correct: false` stops the tool. Seeds
 count up from --first-seed across the workloads in the order given; with
 --traced, one more seed runs a `--trace 1` pair on every workload. The file
 holds, per `<workload>/<metric>` of BENCHMARK.json's end-to-end list, each
@@ -33,12 +35,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
     """One `perfbench/run.py` process in `tree`: its {"info", "result"} lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
-    return {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    return parse_run(tree, workload, seed, proc.stdout)
+
+
+def parse_run(tree: Path, workload: str, seed: int, stdout: str) -> dict:
+    """The last two lines of a run's output; a run whose checks failed is an error."""
+    lines = stdout.strip().splitlines()
+    run = {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    if not run["result"]["correct"]:
+        raise RuntimeError(f"{tree}: {workload} seed {seed}: result not correct "
+                           f"({run['result']['failed']} failed checks)")
+    return run
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -111,14 +122,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
     ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--traced", action="store_true", help="add a --trace 1 pair per workload")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="per run (default: run_seconds in BENCHMARK.json)")
     ap.add_argument("--what", required=True, help="the comparison, in words")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--raw", type=Path, default=None, help="also write every run's output")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     counts = {}
     for item in args.pairs:
         workload, eq, n = item.partition("=")
@@ -144,9 +152,6 @@ def main(argv=None) -> int:
             print(f"{workload} seed {s}: change/parent {ratios}", file=sys.stderr, flush=True)
     traced = {w: run_pair(trees, w, seeds["traced"][0], seconds, True, True)
               for w in counts} if args.traced else {}
-    if args.raw is not None:
-        args.raw.parent.mkdir(parents=True, exist_ok=True)
-        args.raw.write_text(json.dumps({"pairs": pairs, "traced": traced}) + "\n")
     out = summarize(pairs, traced, spec["end_to_end"], seeds, args.what, seconds)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -39,7 +39,7 @@ ANGLE_RANGE = 0.1
 # source styles; below 1 the target leans mostly on one source.
 TARGET_MIX_ALPHA = 0.4
 
-BLOCK_ROWS = 256  # rows per block of `save`'s text and `load`'s floats (< 1 MB)
+BLOCK_ROWS = 256  # rows per `write` of `save` (about 90 kB of text at 16 features)
 
 
 @dataclass
@@ -70,9 +70,11 @@ def _rotate(x: np.ndarray, angle: float) -> np.ndarray:
         return x
     out = x.copy()
     c, s = np.cos(angle), np.sin(angle)
-    a, b = x[:, :-1:2], x[:, 1::2]  # the pairs (0, 1), (2, 3), ...
-    out[:, :-1:2] = c * a - s * b
-    out[:, 1::2] = s * a + c * b
+    d = x.shape[1]
+    for i in range(0, d - 1, 2):
+        a, b = x[:, i], x[:, i + 1]
+        out[:, i] = c * a - s * b
+        out[:, i + 1] = s * a + c * b
     return out
 
 
@@ -153,11 +155,15 @@ def generate(num_classes: int = DEFAULT_CLASSES,
         # none degenerate
         return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3 * width, width))
 
-    draws = [(shell(COMMON_SCALE_RANGE),
-              rng.uniform(-FEAT_SCALE_RANGE, FEAT_SCALE_RANGE, feature_dim),
-              shell(COMMON_SHIFT_RANGE),
-              rng.uniform(-FEAT_SHIFT_RANGE, FEAT_SHIFT_RANGE, feature_dim),
-              shell(ANGLE_RANGE)) for _ in range(num_domains - 1)]
+    draws = []
+    for _ in range(num_domains - 1):
+        draws.append((
+            shell(COMMON_SCALE_RANGE),
+            rng.uniform(-FEAT_SCALE_RANGE, FEAT_SCALE_RANGE, feature_dim),
+            shell(COMMON_SHIFT_RANGE),
+            rng.uniform(-FEAT_SHIFT_RANGE, FEAT_SHIFT_RANGE, feature_dim),
+            shell(ANGLE_RANGE),
+        ))
     # the held-out domain's style sits in the sources' convex hull but at an
     # out-of-range magnitude (TARGET_KAPPA_FACTOR times the source kappa)
     weights = rng.dirichlet(np.full(num_domains - 1, TARGET_MIX_ALPHA))
@@ -209,41 +215,44 @@ def save(dataset: Dataset, path) -> None:
 
 
 def load(path) -> Dataset:
-    """Read a `save` file line by line with Python's `int` / `float`, except
-    that `_` or whitespace in a value (which those skip) makes it malformed."""
+    """Read a `save` file with Python's `int` / `float`, except that `_` or
+    whitespace in a value (which those skip) makes it malformed."""
     with open(path, "r", encoding="utf-8") as f:
-        if not (header := f.readline()):
-            raise ValueError(f"{path}: empty dataset file")
-        cols = header.rstrip("\n").split(",")
-        if len(cols) < 3 or cols[0] != "domain" or cols[1] != "label":
-            raise ValueError(f"{path}: bad header; expected 'domain,label,f0..'")
-        dim = len(cols) - 2
-        if cols != expected_header(dim).split(","):
-            raise ValueError(f"{path}: bad header; expected {expected_header(dim)!r}")
-        domains, labels, blocks, rows = [], [], [], []
-        for ln, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            parts = line.split(",")
-            if len(parts) != dim + 2:
-                raise ValueError(f"{path}:{ln}: expected {dim + 2} fields, got {len(parts)}")
-            try:
-                domains.append(int(parts[0]))
-                labels.append(int(parts[1]))
-                rows.append(list(map(float, parts[2:])))
-                if "_" in line or line.split() != [line]:  # split() keeps a clean line whole
-                    raise ValueError("'_' or whitespace in a value")
-            except ValueError as e:
-                raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
-            if len(rows) == BLOCK_ROWS:
-                blocks.append(np.array(rows))
-                rows = []
-    if not domains:
+        lines = f.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line
+    if not lines:
+        raise ValueError(f"{path}: empty dataset file")
+    header = lines[0]
+    cols = header.split(",")
+    if len(cols) < 3 or cols[0] != "domain" or cols[1] != "label":
+        raise ValueError(f"{path}: bad header; expected 'domain,label,f0..'")
+    dim = len(cols) - 2
+    if header != expected_header(dim):
+        raise ValueError(f"{path}: bad header; expected {expected_header(dim)!r}")
+    if len(lines) == 1:
         raise ValueError(f"{path}: no data rows")
-    feats = np.concatenate(blocks + [np.array(rows).reshape(-1, dim)])
+    feats = np.empty((len(lines) - 1, dim))
+    labels = np.empty(len(lines) - 1, dtype=np.int64)
+    domains = np.empty(len(lines) - 1, dtype=np.int64)
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != dim + 2:
+            raise ValueError(f"{path}:{ln}: expected {dim + 2} fields, got {len(parts)}")
+        try:
+            domains[ln - 2] = int(parts[0])
+            labels[ln - 2] = int(parts[1])
+            feats[ln - 2] = list(map(float, parts[2:]))
+            if "_" in line or line.split() != [line]:  # split() keeps a clean line whole
+                raise ValueError("'_' or whitespace in a value")
+        except ValueError as e:
+            raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature")
-    return Dataset(feats, labels, domains, max(labels) + 1, max(domains) + 1)
+    return Dataset(feats, labels, domains,
+                   num_classes=int(labels.max()) + 1,
+                   num_domains=int(domains.max()) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The pairs tool's summary, on canned benchmark results (no benchmark runs)."""
+"""The pairs tool's summary and its check of each run, on canned benchmark results
+(no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,21 @@ def test_no_traced_pair(tool):
     assert out["eval_fusion/setup_s"]["parent_quartiles"] == [1.0, 1.0]
     assert out["eval_fusion/setup_s"]["change_better_pairs"] == 1
     assert out["eval_fusion/rows_per_s"]["change_better_pairs"] == 0
+
+
+def run_output(correct, failed=0):
+    r = run(failed=failed, setup_s=0.1, rows_per_s=5.0)
+    r["result"]["correct"] = correct
+    return "log line\n" + json.dumps(r["info"]) + "\n" + json.dumps(r["result"]) + "\n"
+
+
+def test_parse_run_keeps_a_correct_run(tool):
+    got = tool.parse_run(Path("change"), "train_aug", 3, run_output(True))
+    assert got["result"]["metrics"]["setup_s"]["value"] == 0.1
+    assert got["info"] == {"env": ENV}
+
+
+def test_parse_run_refuses_a_run_whose_checks_failed(tool):
+    with pytest.raises(RuntimeError, match=r"^change: train_aug seed 3: result not correct "
+                                           r"\(2 failed checks\)$"):
+        tool.parse_run(Path("change"), "train_aug", 3, run_output(False, failed=2))
