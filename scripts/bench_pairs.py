@@ -14,8 +14,13 @@ count up from --first-seed across the workloads in the order given; with
 --traced, one more seed runs a `--trace 1` pair on every workload. The file
 holds, per `<workload>/<metric>` of BENCHMARK.json's end-to-end list, each
 side's median and quartiles, the pairs where the change is better and each
-pair's change/parent ratio; then the operation counts, the change side's
-environment and the traced per-layer values of both sides.
+pair's change/parent ratio, and under "wall" the same medians and quartiles
+of the measured (wall-clock) values from the info line's `raw_metrics`; per
+workload, each side's median host factor (`host_factor`: kernel time over
+its 4 ms reference, from the info line's `host.factor_median`), so that a
+gap between the reference-speed and the wall-clock figures shows; then the
+operation counts, the change side's environment and the traced per-layer
+values of both sides.
 """
 
 from __future__ import annotations
@@ -59,13 +64,18 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def spread(parent: list[float], change: list[float]) -> dict:
+    """Each side's median and quartiles of one metric."""
+    return {"parent": statistics.median(parent), "change": statistics.median(change),
+            "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change)}
+
+
 def compare(parent: list[float], change: list[float], unit: str, better: str) -> dict:
     """One metric over the pairs (parent[i], change[i])."""
     wins = [c < p if better == "lower" else c > p for p, c in zip(parent, change)]
-    return {"parent": statistics.median(parent), "change": statistics.median(change),
-            "unit": unit, "parent_quartiles": quartiles(parent),
-            "change_quartiles": quartiles(change), "change_better_pairs": sum(wins),
-            "per_pair_ratio": [round(c / p, 4) for p, c in zip(parent, change)]}
+    return spread(parent, change) | {
+        "unit": unit, "change_better_pairs": sum(wins),
+        "per_pair_ratio": [round(c / p, 4) for p, c in zip(parent, change)]}
 
 
 def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple[dict, dict]],
@@ -83,6 +93,7 @@ def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple
         "failed_operations": per_side(every_pair, "failed"),
         "attempted_operations": per_side(every_pair, "attempted"),
         "env": every_pair[0][1]["info"]["env"],
+        "host_factor": {},
     }
     for workload, ps in pairs.items():
         for metric in end_to_end:
@@ -91,6 +102,12 @@ def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple
                 [parent["result"]["metrics"][name]["value"] for parent, _ in ps],
                 [change["result"]["metrics"][name]["value"] for _, change in ps],
                 metric["unit"], metric["better"])
+            out[f"{workload}/{name}"]["wall"] = spread(
+                [parent["info"]["raw_metrics"][name] for parent, _ in ps],
+                [change["info"]["raw_metrics"][name] for _, change in ps])
+        out["host_factor"][workload] = {
+            side: statistics.median(pair[i]["info"]["host"]["factor_median"] for pair in ps)
+            for i, side in enumerate(("parent", "change"))}
     out["traced"] = {}
     for workload, (parent, change) in traced.items():
         p, c = parent["result"]["metrics"], change["result"]["metrics"]
@@ -148,7 +165,7 @@ def main(argv=None) -> int:
             pairs[workload].append(pair)
             ratios = {m: round(pair[1]["result"]["metrics"][m]["value"]
                                / pair[0]["result"]["metrics"][m]["value"], 4)
-                      for m in ("setup_s", "rows_per_s", "peak_rss_mb")}
+                      for m in ("setup_s", "rows_per_s", "op_ms_p50", "peak_rss_mb")}
             print(f"{workload} seed {s}: change/parent {ratios}", file=sys.stderr, flush=True)
     traced = {w: run_pair(trees, w, seeds["traced"][0], seconds, True, True)
               for w in counts} if args.traced else {}

@@ -216,7 +216,8 @@ def save(dataset: Dataset, path) -> None:
 
 def load(path) -> Dataset:
     """Read a `save` file with Python's `int` / `float`, except that `_` or
-    whitespace in a value (which those skip) makes it malformed."""
+    whitespace in a value (which those skip) makes it malformed, and so
+    does a domain id or label outside int64."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().split("\n")
     if lines[-1] == "":
@@ -247,6 +248,9 @@ def load(path) -> Dataset:
                 raise ValueError("'_' or whitespace in a value")
         except ValueError as e:
             raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
+        except OverflowError:  # an integer that int64 cannot hold
+            raise ValueError(f"{path}:{ln}: malformed value (domain or label outside int64)"
+                             ) from None
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature")

@@ -146,6 +146,9 @@ class TwoPathNetwork:
                 shared = Linear(self.feature_dim, config.num_classes, rng)
                 for s in nb.scheme_subsets(config.num_domains):
                     self.classifiers_aux[s] = shared
+        # forward_aux's current batch layout and its rows per partition
+        self._layout: tuple | None = None
+        self._layout_rows: dict[Partition, tuple[list, list]] = {}
 
     # -- parameter registry ---------------------------------------------
 
@@ -227,17 +230,16 @@ class TwoPathNetwork:
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
         """Partition route, train mode only: every group's rows pass through
         that group's bank unit at each site and through the group's
-        classifier. The groups' rows are found once per call, contiguous
-        ones as a slice (a view). Returns subset -> (original row indices,
-        logits for those rows)."""
+        classifier. The groups' rows are found once per batch layout
+        (`_partition_views`), contiguous ones as a slice (a view). Returns
+        subset -> (original row indices, read-only, logits for those
+        rows)."""
         if not self.config.use_aug:
             raise ValueError("forward_aux: model built with use_aug=False")
         if mode != "train":
             raise ValueError(f"forward_aux: mode must be 'train', got {mode!r}")
         t = self._check_input(x)
-        rows = nb.partition_rows(partition, domain_ids)
-        views = [slice(int(r[0]), int(r[-1]) + 1) if r[-1] - r[0] + 1 == r.size else r
-                 for r in rows]  # sorted rows, at least two per group
+        rows, views = self._partition_views(partition, domain_ids)
 
         def normalize(i: int, h: Tensor) -> Tensor:
             return nb.partitioned_forward(self.banks[i], partition, h, domain_ids,
@@ -246,6 +248,26 @@ class TwoPathNetwork:
         feats = self._backbone(t, normalize)
         return {group: (idx, self._aux_classifier(group)(T.gather_rows(feats, view)))
                 for group, idx, view in zip(partition, rows, views)}
+
+    def _partition_views(self, partition: Partition, domain_ids
+                         ) -> tuple[list[np.ndarray], list[np.ndarray | slice]]:
+        """`nb.partition_rows(partition, domain_ids)` as read-only arrays, and
+        each group as a slice where its rows are contiguous. Kept per
+        partition for the current batch layout (the ids' dtype, shape and
+        bytes): a new layout recomputes the rows and reruns every check."""
+        ids = np.asarray(domain_ids)
+        layout = (ids.dtype.str, ids.shape, ids.tobytes())
+        if layout != self._layout:
+            self._layout, self._layout_rows = layout, {}
+        cached = self._layout_rows.get(partition)
+        if cached is None:
+            rows = nb.partition_rows(partition, ids)
+            for r in rows:
+                r.flags.writeable = False
+            views = [slice(int(r[0]), int(r[-1]) + 1) if r[-1] - r[0] + 1 == r.size else r
+                     for r in rows]  # sorted rows, at least two per group
+            cached = self._layout_rows[partition] = rows, views
+        return cached
 
     def forward_subpath(self, x, subset: DomainSubset, mode: str = "eval") -> Tensor:
         """Logits of the whole batch through one bank unit per site and the

@@ -27,6 +27,7 @@ All arithmetic is float64. Evaluation runs on plain arrays
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from typing import Callable, Iterator, Sequence
 
@@ -464,15 +465,16 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
         xhat, sigma, mu, var = _standardize(block, eps, bn_axes)
         if mix is None:
             inputs += (gamma, beta)
-            w = in_hat = in_sigma = None
+            w = w0 = w1 = in_hat = in_sigma = None
             mixed = xhat
         else:
             inputs += (gamma, beta, mix)
             e = np.exp(mix.data - np.maximum.reduce(mix.data, 0, keepdims=True))
             w = e / np.add.reduce(e, 0, keepdims=True)
+            w0, w1 = w.tolist()  # Python floats: scalar products, the same bits
             in_hat, in_sigma, _, _ = _standardize(block, eps, in_axes)
-            mixed = xhat * w[0:1]
-            mixed += in_hat * w[1:2]
+            mixed = xhat * w0
+            mixed += in_hat * w1
         gv = gamma.data.reshape(pshape)
         y = mixed * gv
         y += beta.data.reshape(pshape)
@@ -480,7 +482,7 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
             out = y
         else:
             out[idx] = y
-        saved.append((idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed))
+        saved.append((idx, gamma, beta, mix, gv, xhat, sigma, w, w0, w1, in_hat, in_sigma, mixed))
         moments.append((mu.ravel(), var.ravel()))
     if relu:
         mask = out > 0.0
@@ -492,15 +494,15 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
         need_x = x.requires_grad
         gx = np.zeros(x.data.shape) if need_x and not whole else None
         grads = [gx]
-        for idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed in saved:
+        for idx, gamma, beta, mix, gv, xhat, sigma, w, w0, w1, in_hat, in_sigma, mixed in saved:
             g_k = g if whole else g[idx]
             g_hat = g_k * gv
             if need_x:
                 if w is None:
                     gx_k = _standardize_grad(g_hat, xhat, sigma, bn_axes)
                 else:
-                    gx_k = _standardize_grad(g_hat * w[0:1], xhat, sigma, bn_axes)
-                    gx_k += _standardize_grad(g_hat * w[1:2], in_hat, in_sigma, in_axes)
+                    gx_k = _standardize_grad(g_hat * w0, xhat, sigma, bn_axes)
+                    gx_k += _standardize_grad(g_hat * w1, in_hat, in_sigma, in_axes)
                 if whole:
                     grads[0] = gx_k
                 else:
@@ -532,6 +534,14 @@ def _check_labels(op: str, a: Tensor, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+@functools.lru_cache(maxsize=64)
+def _row_index(n: int) -> np.ndarray:
+    """`np.arange(n)`, built once per size and read-only."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray,
                   aux: Sequence[tuple[Tensor, np.ndarray]] = (),
                   aux_scale: float = 1.0) -> Tensor:
@@ -549,7 +559,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     for z, y, scale in heads:
         y = _check_labels("cross_entropy", z, y)
         n = z.shape[0]
-        rows = np.arange(n)
+        rows = _row_index(n)
         shifted = z.data - np.maximum.reduce(z.data, 1, keepdims=True)
         log_p = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
         terms.append(np.add.reduce(-log_p[rows, y], 0) / n)

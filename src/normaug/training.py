@@ -114,14 +114,6 @@ def _domain_index(dataset: Dataset) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     return ids, {int(d): dataset.domain_rows(int(d)) for d in ids}
 
 
-def _gather_batch(dataset: Dataset, picks: list[np.ndarray], per_domain: int) -> DomainBatch:
-    """The rows `picks[pos]` of each domain in turn, as one batch whose
-    domain ids are the positions."""
-    idx = np.concatenate(picks)
-    return DomainBatch(dataset.features[idx], dataset.labels[idx],
-                       np.repeat(np.arange(len(picks), dtype=np.int64), per_domain), per_domain)
-
-
 class EpochSampler:
     """Without-replacement walk through every domain's pool, reshuffled when
     a pool is exhausted (and at construction)."""
@@ -137,6 +129,9 @@ class EpochSampler:
                 raise ValueError(f"EpochSampler: domain {d} has {r.size} rows < {per_domain}")
         self._pools = {int(d): rng.permutation(rows[int(d)]) for d in ids}
         self._cursor = {int(d): 0 for d in ids}
+        # every batch holds its rows domain by domain: one id array for all
+        self._batch_ids = np.repeat(np.arange(ids.size, dtype=np.int64), per_domain)
+        self._batch_ids.flags.writeable = False
 
     def next_batch(self) -> DomainBatch:
         picks = []
@@ -147,7 +142,9 @@ class EpochSampler:
                 self._pools[d], cur = pool, 0
             picks.append(pool[cur:cur + self.per_domain])
             self._cursor[d] = cur + self.per_domain
-        return _gather_batch(self.dataset, picks, self.per_domain)
+        idx = np.concatenate(picks)
+        return DomainBatch(self.dataset.features[idx], self.dataset.labels[idx],
+                           self._batch_ids, self.per_domain)
 
 
 def sample_combination(partitions: list[Partition], rng: np.random.Generator,

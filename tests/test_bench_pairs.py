@@ -21,9 +21,11 @@ def tool():
     return module
 
 
-def run(attempted=10, failed=0, env=ENV, **metrics):
+def run(attempted=10, failed=0, env=ENV, raw=None, factor=1.0, **metrics):
+    """A canned run; its wall-clock `raw` values default to `metrics`."""
     units = {m["name"]: m["unit"] for m in END_TO_END} | {"datagen.save_ms": "ms"}
-    return {"info": {"env": env},
+    return {"info": {"env": env, "raw_metrics": dict(metrics) if raw is None else raw,
+                     "host": {"factor_median": factor}},
             "result": {"attempted": attempted, "failed": failed,
                        "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}}}
 
@@ -65,6 +67,34 @@ def test_summary_of_canned_pairs(tool):
                              {"parent": 100.0, "change": 50.0, "unit": "ms"}}
 
 
+def test_wall_clock_and_host_factor(tool):
+    """Beside each reference-speed metric, the wall-clock medians and
+    quartiles from `raw_metrics`; per workload, each side's median host
+    factor."""
+    sides = [  # (reference op_ms_p50, wall op_ms_p50, host factor) per pair
+        ((2.0, 2.6, 1.30), (1.9, 2.3, 1.20)),
+        ((2.1, 2.2, 1.05), (2.0, 2.7, 1.35)),
+        ((2.2, 2.2, 1.00), (2.1, 2.4, 1.15)),
+        ((1.9, 2.5, 1.30), (1.8, 1.8, 1.00)),
+        ((2.0, 2.4, 1.20), (1.9, 2.5, 1.30)),
+    ]
+    end_to_end = [{"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]
+
+    def side(ref, wall, factor):
+        r = run(raw={"op_ms_p50": wall}, factor=factor, setup_s=0.1)
+        r["result"]["metrics"] = {"op_ms_p50": {"value": ref, "unit": "ms"}}
+        return r
+
+    pairs = {"train_aug": [(side(*p), side(*c)) for p, c in sides]}
+    out = tool.summarize(pairs, {}, end_to_end, {"train_aug": [1, 2, 3, 4, 5]}, "wall", 35.0)
+    m = out["train_aug/op_ms_p50"]
+    assert m["parent"] == 2.0 and m["change"] == 1.9 and m["change_better_pairs"] == 5
+    assert m["wall"]["parent"] == 2.4 and m["wall"]["change"] == 2.4
+    assert m["wall"]["parent_quartiles"] == pytest.approx([2.2, 2.55])
+    assert m["wall"]["change_quartiles"] == pytest.approx([2.05, 2.6])
+    assert out["host_factor"] == {"train_aug": {"parent": 1.2, "change": 1.2}}
+
+
 def test_no_traced_pair(tool):
     pairs = {"eval_fusion": [(run(setup_s=1.0, rows_per_s=5.0), run(setup_s=0.8, rows_per_s=5.0))]}
     out = tool.summarize(pairs, {}, END_TO_END, {"eval_fusion": [7]}, "one pair", 35.0)
@@ -84,7 +114,7 @@ def run_output(correct, failed=0):
 def test_parse_run_keeps_a_correct_run(tool):
     got = tool.parse_run(Path("change"), "train_aug", 3, run_output(True))
     assert got["result"]["metrics"]["setup_s"]["value"] == 0.1
-    assert got["info"] == {"env": ENV}
+    assert got["info"]["env"] == ENV
 
 
 def test_parse_run_refuses_a_run_whose_checks_failed(tool):

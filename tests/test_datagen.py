@@ -351,6 +351,18 @@ class TestStrictValues:
         with pytest.raises(ValueError, match=r":4: malformed value \("):
             load(path)
 
+    @pytest.mark.parametrize("row", ["99999999999999999999,0,2.0", "0,99999999999999999999,2.0",
+                                     "-9223372036854775809,0,2.0", "0,9223372036854775808,2.0"])
+    def test_integer_outside_int64_is_malformed(self, tmp_path, row):
+        """The reference raises a bare OverflowError here, with no line."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"domain,label,f0\n0,0,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(OverflowError):
+            reference_load(path)
+        with pytest.raises(ValueError, match=r"d\.csv:3: malformed value \(domain or label "
+                                             r"outside int64\)$"):
+            load(path)
+
     def test_saved_files_are_strict(self, tmp_path):
         """Nothing `save` writes trips the check: -0.0, subnormals, exponents."""
         ds = Dataset(np.array([[-0.0, 5e-324, 1e300], [1e-300, -1.5, 0.1]]), np.array([0, 0]),

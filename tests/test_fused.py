@@ -335,6 +335,59 @@ class TestMixtureNorm:
                   composite, arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
 
+def array_weight_grads(x, gamma, mix, g, eps, bn_axes, in_axes):
+    """The x and mix-logit gradients of the whole-batch mixture by the
+    closed form of `segment_norm`'s backward, with the two mixture weights
+    as (1,) arrays `w[0:1]`, `w[1:2]`."""
+    e = np.exp(mix - np.maximum.reduce(mix, 0, keepdims=True))
+    w = e / np.add.reduce(e, 0, keepdims=True)
+    xhat, sigma, _, _ = T._standardize(x, eps, bn_axes)
+    in_hat, in_sigma, _, _ = T._standardize(x, eps, in_axes)
+    g_hat = g * gamma.reshape([1 if a in bn_axes else n for a, n in enumerate(x.shape)])
+    gx = T._standardize_grad(g_hat * w[0:1], xhat, sigma, bn_axes)
+    gx += T._standardize_grad(g_hat * w[1:2], in_hat, in_sigma, in_axes)
+    gw = np.array([np.add.reduce(g_hat * xhat, None), np.add.reduce(g_hat * in_hat, None)])
+    return gx, (gw - np.add.reduce(gw * w)) * w
+
+
+class TestScalarMixtureWeights:
+    """`segment_norm` multiplies by the two mixture weights as Python
+    floats. The output, the moments and the gamma and beta gradients have
+    the composite's bits. The x and mix-logit gradients (a closed form,
+    within 1e-12 of the composite) have the bits of the same closed form
+    with the weights as arrays. A logit gap of 800 underflows one weight
+    to exactly 0."""
+
+    @pytest.mark.parametrize("logits", [(0.0, 0.0), (2.5, 2.5), (0.0, 800.0), (800.0, 0.0),
+                                        (-0.3, 0.7)])
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_bits(self, rank, logits):
+        rng = np.random.default_rng(30 + rank)
+        args = (1e-5, BN_AXES[rank], IN_AXES[rank])
+        for _ in range(25):
+            shape = random_shape(rng, rank, min_channels=2)
+            c = shape[1]
+            arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3),
+                      rng.uniform(0.5, 2.0, c), rng.standard_normal(c), np.array(logits)]
+            up = rng.standard_normal(shape)
+            out, moments, grads = forward_backward(
+                lambda x, g, b, m: whole_batch(T.segment_norm(x, WHOLE, [(g, b, m)], *args)),
+                arrays, up)
+            out_c, moments_c, grads_c = forward_backward(
+                lambda x, g, b, m: with_moments(composite_mixture_norm(x, g, b, m, *args)),
+                arrays, up)
+            assert same_bits(out, out_c)
+            assert all(same_bits(a, b) for a, b in zip(moments, moments_c))
+            assert same_bits(grads[1], grads_c[1]) and same_bits(grads[2], grads_c[2])
+            gx, gm = array_weight_grads(arrays[0], arrays[1], arrays[3], up, *args)
+            assert same_bits(grads[0], gx) and same_bits(grads[3], gm)
+            for g, g_c in ((grads[0], grads_c[0]), (grads[3], grads_c[3])):
+                assert np.abs(g - g_c).max() <= 1e-12 * max(1.0, np.abs(g_c).max())
+            if abs(logits[0] - logits[1]) == 800.0:
+                assert np.exp(-800.0) == 0.0  # one weight is 0, the other 1
+                assert not grads[3].any() and same_bits(grads[3], grads_c[3])
+
+
 class TestSegmentBatchNorm:
     """`segment_norm` over a partition's row groups, no mixture."""
 

@@ -161,6 +161,63 @@ class TestForwardAux:
                                      nb.all_singletons(3), mode="eval")
 
 
+class TestRowCache:
+    """`forward_aux` partitions the rows once per batch layout: the groups
+    always follow the ids it is given, and a bad layout always raises."""
+
+    PART = Partition([DomainSubset.of(0), DomainSubset.of(1, 2)], 3)
+
+    def check_against_fresh_model(self, m, x, ids, part):
+        """`m`'s blocks have `partition_rows`' groups and the logits of a model
+        with no cached layout."""
+        with T.no_grad():
+            got = m.forward_aux(x, ids, part, mode="train")
+            want = tiny_model().forward_aux(x, ids, part, mode="train")
+        for group, rows in zip(part, nb.partition_rows(part, ids)):
+            assert np.array_equal(got[group][0], rows)
+            assert got[group][1].data.tobytes() == want[group][1].data.tobytes()
+
+    def test_alternating_layouts_of_one_length(self):
+        m = tiny_model()
+        x, _, blocked = toy_batch(np.random.default_rng(6))
+        interleaved = np.tile(np.arange(3), 4)
+        for ids in (blocked, interleaved, blocked, interleaved):
+            for part in (self.PART, nb.all_singletons(3)):
+                self.check_against_fresh_model(m, x, ids, part)
+
+    def test_ids_mutated_in_place(self):
+        m = tiny_model()
+        x, _, ids = toy_batch(np.random.default_rng(7))
+        self.check_against_fresh_model(m, x, ids, self.PART)
+        ids[:] = np.tile(np.arange(3), 4)
+        self.check_against_fresh_model(m, x, ids, self.PART)
+        assert m.forward_aux(x, ids, self.PART)[DomainSubset.of(0)][0].tolist() == [0, 3, 6, 9]
+
+    def test_cached_rows_are_read_only(self):
+        m = tiny_model()
+        x, _, ids = toy_batch(np.random.default_rng(8))
+        for _ in range(2):
+            for idx, _ in m.forward_aux(x, ids, self.PART).values():
+                assert not idx.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    idx[0] = 5
+
+    @pytest.mark.parametrize("ids, error", [
+        (np.array([0, 0, 1, 1, 2, 3]), "Partition: domain 3 not covered"),
+        (np.array([0, 0, 1, 1, 2, -1]), "Partition: domain -1 not covered"),
+        (np.array([0, 1, 1, 1, 2, 2]), r"degenerate sub-batch for \{0\} \(1 rows\)"),
+    ])
+    def test_uncovered_layout_raises_every_call(self, ids, error):
+        m = tiny_model()
+        x = np.random.default_rng(9).standard_normal((6, 6))
+        for _ in range(3):
+            with pytest.raises(ValueError, match=error):
+                nb.partition_rows(self.PART, ids)
+            with pytest.raises(ValueError, match=error):
+                m.forward_aux(x, ids, self.PART)
+        self.check_against_fresh_model(m, x, np.repeat(np.arange(3), 2), self.PART)
+
+
 class TestEvalOnlyRoutes:
     """`features` and `forward_subpath` read the model and never train it."""
 

@@ -170,6 +170,22 @@ class TestSampleBatch:
         # 24 draws per domain before any reshuffle: all rows distinct
         assert np.unique(stacked).size == stacked.size
 
+    def test_batches_share_one_read_only_id_array(self, monkeypatch):
+        """Every batch holds its rows domain by domain, so all batches get the
+        same read-only domain ids; `DomainBatch` still checks every batch."""
+        checked = []
+        validate = DomainBatch.validate
+        monkeypatch.setattr(DomainBatch, "validate",
+                            lambda self: checked.append(self) or validate(self))
+        sources, _ = datagen.split_lodo(small_dataset(per_cell=8), 3)
+        sampler = EpochSampler(sources, 8, np.random.default_rng(4))
+        batches = [sampler.next_batch() for _ in range(4)]  # the fourth after a reshuffle
+        assert len(checked) == 4 and all(a is b for a, b in zip(checked, batches))
+        ids = batches[0].domain_ids
+        assert all(b.domain_ids is ids for b in batches)
+        assert not ids.flags.writeable
+        assert ids.dtype == np.int64 and ids.tolist() == np.repeat(np.arange(3), 8).tolist()
+
 
 class TestSampleCombination:
     def test_uniform_frequencies(self):
@@ -426,6 +442,28 @@ class TestTrainStep:
                 assert a.update_count == b.update_count
         for (name, ta), (_, tb) in zip(shared.parameters(), per_site.parameters()):
             assert np.array_equal(ta.data, tb.data), name
+
+    def test_group_rows_found_once_per_layout(self, monkeypatch):
+        """Steps whose batches share a domain-id layout find each partition's
+        rows once; a batch with another layout finds them again."""
+        calls = []
+        rows = DomainSubset.rows
+        monkeypatch.setattr(DomainSubset, "rows",
+                            lambda self, d: calls.append(self) or rows(self, d))
+        rng = np.random.default_rng(9)
+        m = tiny_model(seed=7)
+        opt = make_optimizer(m, TrainConfig())
+        singles = nb.all_singletons(3)
+        pair = Partition([DomainSubset.of(0, 2), DomainSubset.of(1)], 3)
+        interleaved = np.tile(np.arange(3), 4)
+        for ids, part, found in [(None, singles, 3), (None, singles, 0), (None, pair, 2),
+                                 (None, singles, 0), (interleaved, singles, 3),
+                                 (None, pair, 2)]:
+            x, labels, blocked = toy_batch(rng)
+            batch = DomainBatch(x, labels, blocked if ids is None else ids, per_domain=4)
+            calls.clear()
+            train_step(m, batch, part, opt)
+            assert len(calls) == found
 
     @pytest.mark.parametrize("num_domains", [2, 4])
     def test_batch_domain_count_must_match_the_model(self, num_domains):
