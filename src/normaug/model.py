@@ -146,6 +146,7 @@ class TwoPathNetwork:
                 shared = Linear(self.feature_dim, config.num_classes, rng)
                 for s in nb.scheme_subsets(config.num_domains):
                     self.classifiers_aux[s] = shared
+        self._share_buffers()
         # forward_aux's current batch layout and its rows per partition
         self._layout: tuple | None = None
         self._layout_rows: dict[Partition, tuple[list, list]] = {}
@@ -178,6 +179,30 @@ class TwoPathNetwork:
             put(f"classifier.aux.u{s.label()}.W", clf.weight)
             put(f"classifier.aux.u{s.label()}.b", clf.bias)
         return out
+
+    def _share_buffers(self) -> None:
+        """Give each block of parameters that a training step updates
+        together one buffer, every parameter's `data` a view of it, so that
+        `SGD` updates a block with one set of array operations: the backbone
+        with the main units, the main classifier, each bank subset's units
+        at every site, and each auxiliary classifier."""
+        def params(*owners) -> list[Tensor]:
+            return [t for owner in owners for _, t in owner.parameters()]
+
+        blocks = [params(*self.layers, *self.main_units), params(self.classifier_main)]
+        for s in (self.banks[0].subsets() if self.banks else []):
+            blocks.append(params(*(bank.units[s] for bank in self.banks)))
+        shared = {id(self.classifier_main)}
+        for clf in self.classifiers_aux.values():
+            if id(clf) not in shared:
+                shared.add(id(clf))
+                blocks.append(params(clf))
+        for block in blocks:
+            buffer = np.concatenate([t.data for t in block], axis=None)
+            start = 0
+            for t in block:
+                t.data = buffer[start:start + t.data.size].reshape(t.data.shape)
+                start += t.data.size
 
     # -- forward routes ---------------------------------------------------
 
@@ -577,7 +602,10 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
             raise ValueError(f"array {name}: non-finite values")
         if attr == "update_count" and not (arr[0] >= 0 and arr[0].is_integer()):
             raise ValueError(f"array {name}: {arr[0]} is not a count")
-        setattr(owner, attr, int(arr[0]) if attr == "update_count" else arr)
+        if attr == "data":  # into the parameter's view of its block's buffer
+            owner.data[...] = arr
+        else:
+            setattr(owner, attr, int(arr[0]) if attr == "update_count" else arr)
     if off != len(blob):
         raise ValueError("trailing bytes")
     if state:

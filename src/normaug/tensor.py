@@ -27,7 +27,6 @@ All arithmetic is float64. Evaluation runs on plain arrays
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 from typing import Callable, Iterator, Sequence
 
@@ -465,16 +464,15 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
         xhat, sigma, mu, var = _standardize(block, eps, bn_axes)
         if mix is None:
             inputs += (gamma, beta)
-            w = w0 = w1 = in_hat = in_sigma = None
+            w = in_hat = in_sigma = None
             mixed = xhat
         else:
             inputs += (gamma, beta, mix)
             e = np.exp(mix.data - np.maximum.reduce(mix.data, 0, keepdims=True))
             w = e / np.add.reduce(e, 0, keepdims=True)
-            w0, w1 = w.tolist()  # Python floats: scalar products, the same bits
             in_hat, in_sigma, _, _ = _standardize(block, eps, in_axes)
-            mixed = xhat * w0
-            mixed += in_hat * w1
+            mixed = xhat * w[0:1]
+            mixed += in_hat * w[1:2]
         gv = gamma.data.reshape(pshape)
         y = mixed * gv
         y += beta.data.reshape(pshape)
@@ -482,7 +480,7 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
             out = y
         else:
             out[idx] = y
-        saved.append((idx, gamma, beta, mix, gv, xhat, sigma, w, w0, w1, in_hat, in_sigma, mixed))
+        saved.append((idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed))
         moments.append((mu.ravel(), var.ravel()))
     if relu:
         mask = out > 0.0
@@ -494,15 +492,15 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
         need_x = x.requires_grad
         gx = np.zeros(x.data.shape) if need_x and not whole else None
         grads = [gx]
-        for idx, gamma, beta, mix, gv, xhat, sigma, w, w0, w1, in_hat, in_sigma, mixed in saved:
+        for idx, gamma, beta, mix, gv, xhat, sigma, w, in_hat, in_sigma, mixed in saved:
             g_k = g if whole else g[idx]
             g_hat = g_k * gv
             if need_x:
                 if w is None:
                     gx_k = _standardize_grad(g_hat, xhat, sigma, bn_axes)
                 else:
-                    gx_k = _standardize_grad(g_hat * w0, xhat, sigma, bn_axes)
-                    gx_k += _standardize_grad(g_hat * w1, in_hat, in_sigma, in_axes)
+                    gx_k = _standardize_grad(g_hat * w[0:1], xhat, sigma, bn_axes)
+                    gx_k += _standardize_grad(g_hat * w[1:2], in_hat, in_sigma, in_axes)
                 if whole:
                     grads[0] = gx_k
                 else:
@@ -534,14 +532,6 @@ def _check_labels(op: str, a: Tensor, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-@functools.lru_cache(maxsize=64)
-def _row_index(n: int) -> np.ndarray:
-    """`np.arange(n)`, built once per size and read-only."""
-    rows = np.arange(n)
-    rows.flags.writeable = False
-    return rows
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray,
                   aux: Sequence[tuple[Tensor, np.ndarray]] = (),
                   aux_scale: float = 1.0) -> Tensor:
@@ -549,31 +539,36 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     plus `aux_scale` times the sum of the same over the `aux` heads, as one
     node: ce + aux_scale * (ce_1 + ... + ce_k).
 
-    Each head's term has the bits of mean(neg(gather_labels(log_softmax)));
-    the terms combine by the float operations, in the order, of the
-    add/mul chain `ce + aux_scale * (ce_1 + ... + ce_k)`, whose gradients
-    (1 for the first head, `aux_scale` for each aux head) the backward
-    applies."""
-    heads = [(logits, labels, 1.0)] + [(z, y, aux_scale) for z, y in aux]
-    saved, terms = [], []
-    for z, y, scale in heads:
-        y = _check_labels("cross_entropy", z, y)
-        n = z.shape[0]
-        rows = _row_index(n)
-        shifted = z.data - np.maximum.reduce(z.data, 1, keepdims=True)
-        log_p = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
-        terms.append(np.add.reduce(-log_p[rows, y], 0) / n)
-        saved.append((scale, n, rows, y, log_p))
+    Every head scores the same classes. The heads' rows are stacked and
+    take the log-softmax together, which works row by row, so each head's
+    term has the bits of mean(neg(gather_labels(log_softmax))); the terms
+    combine by the float operations, in the order, of the add/mul chain
+    `ce + aux_scale * (ce_1 + ... + ce_k)`, whose gradients (1 for the
+    first head, `aux_scale` for each aux head) the backward applies."""
+    heads = [(logits, labels)] + list(aux)
+    ys = [_check_labels("cross_entropy", z, y) for z, y in heads]
+    c = logits.shape[1]
+    for z, _ in heads[1:]:
+        if z.shape[1] != c:
+            raise ShapeError(f"cross_entropy: aux head has {z.shape[1]} classes, main head {c}")
+    sizes = [z.shape[0] for z, _ in heads]
+    z = logits.data if len(heads) == 1 else np.concatenate([z.data for z, _ in heads])
+    y = ys[0] if len(heads) == 1 else np.concatenate(ys)
+    rows = np.arange(z.shape[0])
+    shifted = z - np.maximum.reduce(z, 1, keepdims=True)
+    log_p = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
+    picked = -log_p[rows, y]
+    bounds = np.cumsum([0] + sizes).tolist()  # each head's rows
+    terms = [np.add.reduce(picked[a:b], 0) / (b - a) for a, b in zip(bounds, bounds[1:])]
     # sum(terms[2:], terms[1]) adds left to right, as the add chain does
     out = terms[0] if len(terms) == 1 else terms[0] + sum(terms[2:], terms[1]) * aux_scale
 
     def rule(g: np.ndarray):
-        grads = []
-        for scale, n, rows, y, log_p in saved:
-            g_pick = -(g * scale / n)
-            g_log_p = np.zeros(log_p.shape)
-            g_log_p[rows, y] = g_pick
-            grads.append(g_log_p - np.exp(log_p) * g_pick)
-        return tuple(grads)
+        scales = [1.0] + [aux_scale] * (len(heads) - 1)
+        g_pick = np.repeat([-(g * scale / n) for scale, n in zip(scales, sizes)], sizes)
+        g_log_p = np.zeros(log_p.shape)
+        g_log_p[rows, y] = g_pick
+        g_log_p -= np.exp(log_p) * g_pick[:, None]
+        return tuple(g_log_p[a:b] for a, b in zip(bounds, bounds[1:]))
 
-    return _record("cross_entropy", [z for z, _, _ in heads], out, rule)
+    return _record("cross_entropy", [z for z, _ in heads], out, rule)

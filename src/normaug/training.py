@@ -114,6 +114,14 @@ def _domain_index(dataset: Dataset) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     return ids, {int(d): dataset.domain_rows(int(d)) for d in ids}
 
 
+def _gather_batch(dataset: Dataset, picks: list[np.ndarray], per_domain: int) -> DomainBatch:
+    """The rows `picks[pos]` of each domain in turn, as one batch whose
+    domain ids are the positions."""
+    idx = np.concatenate(picks)
+    return DomainBatch(dataset.features[idx], dataset.labels[idx],
+                       np.repeat(np.arange(len(picks), dtype=np.int64), per_domain), per_domain)
+
+
 class EpochSampler:
     """Without-replacement walk through every domain's pool, reshuffled when
     a pool is exhausted (and at construction)."""
@@ -129,9 +137,6 @@ class EpochSampler:
                 raise ValueError(f"EpochSampler: domain {d} has {r.size} rows < {per_domain}")
         self._pools = {int(d): rng.permutation(rows[int(d)]) for d in ids}
         self._cursor = {int(d): 0 for d in ids}
-        # every batch holds its rows domain by domain: one id array for all
-        self._batch_ids = np.repeat(np.arange(ids.size, dtype=np.int64), per_domain)
-        self._batch_ids.flags.writeable = False
 
     def next_batch(self) -> DomainBatch:
         picks = []
@@ -142,9 +147,7 @@ class EpochSampler:
                 self._pools[d], cur = pool, 0
             picks.append(pool[cur:cur + self.per_domain])
             self._cursor[d] = cur + self.per_domain
-        idx = np.concatenate(picks)
-        return DomainBatch(self.dataset.features[idx], self.dataset.labels[idx],
-                           self._batch_ids, self.per_domain)
+        return _gather_batch(self.dataset, picks, self.per_domain)
 
 
 def sample_combination(partitions: list[Partition], rng: np.random.Generator,
@@ -183,11 +186,79 @@ def two_path_loss(main_logits: Tensor, labels: np.ndarray,
 # optimizer
 
 
+class _Block:
+    """Parameters of one SGD group whose arrays tile one float64 buffer in
+    memory order (`TwoPathNetwork` shares one buffer per block of
+    parameters that a step updates together), and a velocity buffer laid
+    out the same way."""
+
+    __slots__ = ("params", "views", "data", "velocity", "velocity_views")
+
+    def __init__(self, params: list[Tensor]):
+        self.params = params
+        self.views = [t.data for t in params]
+        self.data = params[0].data.base
+        self.velocity = np.zeros(self.data.size)
+        self.velocity_views, start = [], 0
+        for t in params:
+            self.velocity_views.append(
+                self.velocity[start:start + t.data.size].reshape(t.data.shape))
+            start += t.data.size
+
+    @staticmethod
+    def tiles(params: list[Tensor]) -> bool:
+        """Whether the arrays are C-contiguous views that tile their shared
+        1-D buffer, in this order."""
+        base = params[0].data.base
+        if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
+                and base.flags.c_contiguous):
+            return False
+        at = base.ctypes.data
+        for t in params:
+            if t.data.base is not base or not t.data.flags.c_contiguous or t.data.ctypes.data != at:
+                return False
+            at += t.data.nbytes
+        return at == base.ctypes.data + base.nbytes
+
+    def whole(self, velocity: dict[int, np.ndarray]) -> bool:
+        """Whether one update of the buffer is every parameter's update:
+        each has a gradient of its shape and still holds its view, and all
+        or none have a velocity."""
+        started = 0
+        for t, view in zip(self.params, self.views):
+            if t.grad is None or t.data is not view or t.grad.shape != view.shape:
+                return False
+            started += id(t) in velocity
+        return started == 0 or started == len(self.params)
+
+
+def _blocks(params: list[Tensor]) -> tuple[list[_Block], list[Tensor]]:
+    """A group's parameters as blocks (those sharing a buffer they tile) and
+    the rest, one by one."""
+    shared: dict[int, list[Tensor]] = {}
+    singles = []
+    for t in params:
+        if t.data.base is None:
+            singles.append(t)
+        else:
+            shared.setdefault(id(t.data.base), []).append(t)
+    blocks = []
+    for ts in shared.values():
+        ts.sort(key=lambda t: t.data.ctypes.data)
+        if _Block.tiles(ts):
+            blocks.append(_Block(ts))
+        else:
+            singles += ts
+    return blocks, singles
+
+
 class SGD:
     """Momentum SGD with decoupled parameter groups.
 
     v <- momentum * v + (grad + weight_decay * w); w <- w - lr * v, in
-    place with the bits of those expressions."""
+    place with the bits of those expressions. Parameters that tile a shared
+    buffer (a `_Block`) and all have a gradient update as one array: the
+    same elementwise operations, so the same bits."""
 
     def __init__(self, groups: list[dict]):
         # each group: {"params": [(name, Tensor)], "lr": float}
@@ -200,6 +271,7 @@ class SGD:
                 "weight_decay": float(g.get("weight_decay", 0.0)),
             })
         self._velocity: dict[int, np.ndarray] = {}
+        self._blocks = [_blocks([t for _, t in g["params"]]) for g in self.groups]
         self.lr_scale = 1.0
 
     def zero_grad(self) -> None:
@@ -208,22 +280,52 @@ class SGD:
                 t.grad = None
 
     def step(self) -> None:
-        for g in self.groups:
+        velocity = self._velocity
+        for g, (blocks, singles) in zip(self.groups, self._blocks):
             lr = g["lr"] * self.lr_scale
             mom, wd = g["momentum"], g["weight_decay"]
-            for _, t in g["params"]:
-                if t.grad is None:
+            for block in blocks:
+                if not block.whole(velocity):
+                    for t, slot in zip(block.params, block.velocity_views):
+                        self._update(t, slot, lr, mom, wd)
                     continue
-                upd = t.grad + wd * t.data if wd else t.grad
+                upd = np.concatenate([t.grad for t in block.params], axis=None)
+                if wd:
+                    upd += wd * block.data
                 if mom:
-                    v = self._velocity.get(id(t))
-                    if v is None:  # a copy: a gradient may be a read-only view
-                        v = self._velocity[id(t)] = upd.copy()
-                    else:
+                    v = block.velocity
+                    if id(block.params[0]) in velocity:
                         v *= mom
                         v += upd
+                    else:
+                        v[...] = upd
+                        velocity.update(zip(map(id, block.params), block.velocity_views))
                     upd = v
-                t.data -= lr * upd
+                block.data -= lr * upd
+            for t in singles:
+                self._update(t, None, lr, mom, wd)
+
+    def _update(self, t: Tensor, slot: np.ndarray | None, lr: float, mom: float,
+                wd: float) -> None:
+        """One parameter's update; its first velocity goes into `slot` (its
+        view of a block's velocity buffer) when that has the shape."""
+        if t.grad is None:
+            return
+        upd = t.grad + wd * t.data if wd else t.grad
+        if mom:
+            v = self._velocity.get(id(t))
+            if v is None:
+                if slot is not None and slot.shape == upd.shape:
+                    slot[...] = upd
+                    v = slot
+                else:  # a copy: a gradient may be a read-only view
+                    v = upd.copy()
+                self._velocity[id(t)] = v
+            else:
+                v *= mom
+                v += upd
+            upd = v
+        t.data -= lr * upd
 
 
 def make_optimizer(model: TwoPathNetwork, config: TrainConfig) -> SGD:

@@ -114,7 +114,7 @@ def run_output(correct, failed=0):
 def test_parse_run_keeps_a_correct_run(tool):
     got = tool.parse_run(Path("change"), "train_aug", 3, run_output(True))
     assert got["result"]["metrics"]["setup_s"]["value"] == 0.1
-    assert got["info"]["env"] == ENV
+    assert got["info"] == run(setup_s=0.1, rows_per_s=5.0)["info"]
 
 
 def test_parse_run_refuses_a_run_whose_checks_failed(tool):

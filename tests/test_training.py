@@ -170,22 +170,6 @@ class TestSampleBatch:
         # 24 draws per domain before any reshuffle: all rows distinct
         assert np.unique(stacked).size == stacked.size
 
-    def test_batches_share_one_read_only_id_array(self, monkeypatch):
-        """Every batch holds its rows domain by domain, so all batches get the
-        same read-only domain ids; `DomainBatch` still checks every batch."""
-        checked = []
-        validate = DomainBatch.validate
-        monkeypatch.setattr(DomainBatch, "validate",
-                            lambda self: checked.append(self) or validate(self))
-        sources, _ = datagen.split_lodo(small_dataset(per_cell=8), 3)
-        sampler = EpochSampler(sources, 8, np.random.default_rng(4))
-        batches = [sampler.next_batch() for _ in range(4)]  # the fourth after a reshuffle
-        assert len(checked) == 4 and all(a is b for a, b in zip(checked, batches))
-        ids = batches[0].domain_ids
-        assert all(b.domain_ids is ids for b in batches)
-        assert not ids.flags.writeable
-        assert ids.dtype == np.int64 and ids.tolist() == np.repeat(np.arange(3), 8).tolist()
-
 
 class TestSampleCombination:
     def test_uniform_frequencies(self):
@@ -378,6 +362,66 @@ class TestSGD:
         assert all(a is b for a, b in zip(arrays, [t.data for _, t in m_a.parameters()]))
         for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
             assert np.array_equal(ta.data, tb.data), name
+
+    @pytest.mark.parametrize("mode", ["independent", "shared_one", "shared_two"])
+    def test_every_model_parameter_is_in_a_block(self, mode):
+        """Built or loaded, a model's parameters tile one buffer per block:
+        the backbone with the main units, each bank subset's units, each
+        classifier."""
+        fixture = Path(__file__).parent / "data" / "tiny_aug.ckpt"
+        n = len(nb.scheme_subsets(3))
+        aux = {"independent": n, "shared_one": 0, "shared_two": 1}[mode]
+        for m in (tiny_model(classifier_mode=mode), load_checkpoint(fixture)[0]):
+            if m.config.classifier_mode != mode:
+                continue
+            sites = len(m.config.hidden_sizes)
+            opt = make_optimizer(m, TrainConfig())
+            (rest, rest_singles), (clf, clf_singles) = opt._blocks
+            assert rest_singles == [] and clf_singles == []
+            # per site: a layer's W and b, the main unit's gamma, beta and mix
+            assert [len(b.params) for b in rest] == [5 * sites] + [2 * sites] * n
+            assert [len(b.params) for b in clf] == [2] * (1 + aux)
+
+    def test_block_falls_back_to_each_parameter(self):
+        """A block whose parameters do not all have a gradient, or do not
+        all have a velocity yet, updates one parameter at a time; then as
+        one array. Every step has the reference bits."""
+        def block():
+            buffer = np.linspace(-1.0, 1.0, 6)
+            return [Tensor(buffer[:2], requires_grad=True),
+                    Tensor(buffer[2:].reshape(2, 2), requires_grad=True)]
+
+        a, b = block(), block()
+        group = {"lr": 0.1, "momentum": 0.9, "weight_decay": 5e-4}
+        opt = SGD([{"params": [("p", a[0]), ("q", a[1])], **group}])
+        ref = ReferenceSGD([{"params": [("p", b[0]), ("q", b[1])], **group}])
+        assert [len(blk.params) for blk in opt._blocks[0][0]] == [2]
+        rng = np.random.default_rng(0)
+        for has_grad in ([True, False], [True, True], [True, True], [False, True]):
+            for x, y, on in zip(a, b, has_grad):
+                x.grad = y.grad = rng.standard_normal(x.shape) if on else None
+            opt.step()
+            ref.step()
+            for x, y in zip(a, b):
+                assert x.data.tobytes() == y.data.tobytes()
+                v, w = opt._velocity.get(id(x)), ref._velocity.get(id(y))
+                assert (v is None) == (w is None) and (v is None or v.tobytes() == w.tobytes())
+        assert all(np.shares_memory(opt._velocity[id(x)], opt._blocks[0][0][0].velocity)
+                   for x in a)
+
+    def test_replaced_parameter_array_updates_alone(self):
+        """A parameter whose `data` was replaced after the optimizer was
+        made no longer tiles its block: the block updates one parameter at
+        a time, with the reference bits."""
+        m_a, m_b = tiny_model(seed=5), tiny_model(seed=5)
+        opt = make_optimizer(m_a, TrainConfig())
+        w = m_a.layers[0].weight
+        w.data = w.data.copy()
+        _, opt, losses = self.run_steps(lambda groups: opt, 5e-4, m_a)
+        _, ref, ref_losses = self.run_steps(ReferenceSGD, 5e-4, m_b)
+        assert losses == ref_losses
+        for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
+            assert ta.data.tobytes() == tb.data.tobytes(), name
 
 
 class TestTrainStep:
