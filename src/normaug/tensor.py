@@ -539,36 +539,31 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     plus `aux_scale` times the sum of the same over the `aux` heads, as one
     node: ce + aux_scale * (ce_1 + ... + ce_k).
 
-    Every head scores the same classes. The heads' rows are stacked and
-    take the log-softmax together, which works row by row, so each head's
-    term has the bits of mean(neg(gather_labels(log_softmax))); the terms
-    combine by the float operations, in the order, of the add/mul chain
-    `ce + aux_scale * (ce_1 + ... + ce_k)`, whose gradients (1 for the
-    first head, `aux_scale` for each aux head) the backward applies."""
-    heads = [(logits, labels)] + list(aux)
-    ys = [_check_labels("cross_entropy", z, y) for z, y in heads]
-    c = logits.shape[1]
-    for z, _ in heads[1:]:
-        if z.shape[1] != c:
-            raise ShapeError(f"cross_entropy: aux head has {z.shape[1]} classes, main head {c}")
-    sizes = [z.shape[0] for z, _ in heads]
-    z = logits.data if len(heads) == 1 else np.concatenate([z.data for z, _ in heads])
-    y = ys[0] if len(heads) == 1 else np.concatenate(ys)
-    rows = np.arange(z.shape[0])
-    shifted = z - np.maximum.reduce(z, 1, keepdims=True)
-    log_p = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
-    picked = -log_p[rows, y]
-    bounds = np.cumsum([0] + sizes).tolist()  # each head's rows
-    terms = [np.add.reduce(picked[a:b], 0) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    Each head's term has the bits of mean(neg(gather_labels(log_softmax)));
+    the terms combine by the float operations, in the order, of the
+    add/mul chain `ce + aux_scale * (ce_1 + ... + ce_k)`, whose gradients
+    (1 for the first head, `aux_scale` for each aux head) the backward
+    applies."""
+    heads = [(logits, labels, 1.0)] + [(z, y, aux_scale) for z, y in aux]
+    saved, terms = [], []
+    for z, y, scale in heads:
+        y = _check_labels("cross_entropy", z, y)
+        n = z.shape[0]
+        rows = np.arange(n)
+        shifted = z.data - np.maximum.reduce(z.data, 1, keepdims=True)
+        log_p = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
+        terms.append(np.add.reduce(-log_p[rows, y], 0) / n)
+        saved.append((scale, n, rows, y, log_p))
     # sum(terms[2:], terms[1]) adds left to right, as the add chain does
     out = terms[0] if len(terms) == 1 else terms[0] + sum(terms[2:], terms[1]) * aux_scale
 
     def rule(g: np.ndarray):
-        scales = [1.0] + [aux_scale] * (len(heads) - 1)
-        g_pick = np.repeat([-(g * scale / n) for scale, n in zip(scales, sizes)], sizes)
-        g_log_p = np.zeros(log_p.shape)
-        g_log_p[rows, y] = g_pick
-        g_log_p -= np.exp(log_p) * g_pick[:, None]
-        return tuple(g_log_p[a:b] for a, b in zip(bounds, bounds[1:]))
+        grads = []
+        for scale, n, rows, y, log_p in saved:
+            g_pick = -(g * scale / n)
+            g_log_p = np.zeros(log_p.shape)
+            g_log_p[rows, y] = g_pick
+            grads.append(g_log_p - np.exp(log_p) * g_pick)
+        return tuple(grads)
 
-    return _record("cross_entropy", [z for z, _ in heads], out, rule)
+    return _record("cross_entropy", [z for z, _, _ in heads], out, rule)
