@@ -18,15 +18,18 @@ pair's change/parent ratio, and under "wall" the same medians and quartiles
 of the measured (wall-clock) values from the info line's `raw_metrics`; per
 workload, each side's median host factor (`host_factor`: kernel time over
 its 4 ms reference, from the info line's `host.factor_median`), so that a
-gap between the reference-speed and the wall-clock figures shows; then the
-operation counts, the change side's environment and the traced per-layer
-values of both sides.
+gap between the reference-speed and the wall-clock figures shows, and each
+side's median and quartiles of a run's minor page faults (`minflt`: the
+`RUSAGE_CHILDREN` `ru_minflt` delta around the run's process), which move
+the benchmark's reference kernel; then the operation counts, the change
+side's environment and the traced per-layer values of both sides.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -37,14 +40,17 @@ COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One `perfbench/run.py` process in `tree`: its {"info", "result"} lines."""
+    """One `perfbench/run.py` process in `tree`: its {"info", "result"} lines
+    and its minor page faults ("minflt")."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=600)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr}")
-    return parse_run(tree, workload, seed, proc.stdout)
+    return parse_run(tree, workload, seed, proc.stdout) | {"minflt": faults}
 
 
 def parse_run(tree: Path, workload: str, seed: int, stdout: str) -> dict:
@@ -94,6 +100,7 @@ def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple
         "attempted_operations": per_side(every_pair, "attempted"),
         "env": every_pair[0][1]["info"]["env"],
         "host_factor": {},
+        "minflt": {},
     }
     for workload, ps in pairs.items():
         for metric in end_to_end:
@@ -108,6 +115,8 @@ def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple
         out["host_factor"][workload] = {
             side: statistics.median(pair[i]["info"]["host"]["factor_median"] for pair in ps)
             for i, side in enumerate(("parent", "change"))}
+        out["minflt"][workload] = spread([parent["minflt"] for parent, _ in ps],
+                                         [change["minflt"] for _, change in ps])
     out["traced"] = {}
     for workload, (parent, change) in traced.items():
         p, c = parent["result"]["metrics"], change["result"]["metrics"]

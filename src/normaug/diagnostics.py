@@ -8,6 +8,7 @@ batch, holding all parameters fixed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +20,15 @@ from .model import TwoPathNetwork
 def _column_means(rows: list[np.ndarray]) -> np.ndarray:
     """Exactly rounded per-column mean over the stacked rows (fsum), so the
     result is independent of sample order and chunking."""
-    total = sum(r.shape[0] for r in rows)
+    return _means([r.T.tolist() for r in rows], sum(r.shape[0] for r in rows))
+
+
+def _means(blocks: list[list[list[float]]], total: int) -> np.ndarray:
+    """`_column_means` of row blocks given as column lists (`r.T.tolist()`),
+    so that a block converted once serves several means."""
     if total == 0:
         raise ValueError("divergence: empty feature set")
-    return np.array([math.fsum(col) for col in np.concatenate(rows).T.tolist()]) / total
+    return np.array([math.fsum(itertools.chain(*col)) for col in zip(*blocks)]) / total
 
 
 @dataclass
@@ -51,8 +57,9 @@ def divergence(model: TwoPathNetwork, sources_by_domain: dict[int, np.ndarray],
     for d, f in feats.items():
         if f.shape[0] == 0:
             raise ValueError(f"divergence: empty source domain {d}")
-    per_domain = {d: _column_means([f]) for d, f in feats.items()}
-    source_mean = _column_means(list(feats.values()))
+    columns = {d: f.T.tolist() for d, f in feats.items()}
+    per_domain = {d: _means([columns[d]], f.shape[0]) for d, f in feats.items()}
+    source_mean = _means(list(columns.values()), sum(f.shape[0] for f in feats.values()))
     target_mean = _column_means([model.features(target_features)])
     n = len(per_domain)
     d_s2s = sum(float(np.linalg.norm(source_mean - m)) for m in per_domain.values()) / n

@@ -154,13 +154,23 @@ def predict(model: TwoPathNetwork, features: np.ndarray,
     return fuse(p_main, p_subs, strategy), per_path
 
 
+def _check_labels(caller: str, labels, rows: int) -> None:
+    """One label per row: `labels.shape == (rows,)`, so that a label array
+    of another shape cannot broadcast against the predictions."""
+    if labels.shape != (rows,):
+        got = f"{labels.shape[0]} labels" if labels.ndim == 1 else f"labels of shape {labels.shape}"
+        raise ValueError(f"{caller}: {got} for {rows} rows")
+
+
 def main_accuracy(model: TwoPathNetwork, features: np.ndarray, labels: np.ndarray) -> float:
     """Argmax accuracy of the main route's probabilities, computing no
     sub-path: bitwise `evaluate(..., MainOnly).fused_accuracy`."""
-    if len(labels) == 0:
+    labels = np.asarray(labels)
+    if labels.size == 0:
         raise ValueError("main_accuracy: empty split")
     p_main = _softmax_rows(model.eval_logits(features)[0])
-    return float((p_main.argmax(axis=1) == np.asarray(labels)).mean())
+    _check_labels("main_accuracy", labels, p_main.shape[0])
+    return float((p_main.argmax(axis=1) == labels).mean())
 
 
 @dataclass
@@ -176,9 +186,10 @@ def evaluate(model: TwoPathNetwork, features: np.ndarray, labels: np.ndarray,
     """Argmax accuracy per route and for the fused prediction, from a single
     forward pass."""
     labels = np.asarray(labels)
-    if len(labels) == 0:
+    if labels.size == 0:
         raise ValueError("evaluate: empty split")
     fused, per_path = predict(model, features, strategy, scope)
+    _check_labels("evaluate", labels, fused.shape[0])
     accs = {name: float((p.argmax(axis=1) == labels).mean())
             for name, p in per_path.items()}
     return EvalReport(

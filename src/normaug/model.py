@@ -3,7 +3,8 @@ dispatch either to the main route (plain BN or the BN/IN mixture) or to the
 per-subset bank, plus one classifier per route.
 
 Training runs on the autodiff tape. Evaluation runs every route on plain
-arrays (`eval_logits`): layer products go one row at a time and each
+arrays (`eval_logits`): every layer product is a sequence of BLAS products
+of one fixed shape (`ROW_BLOCK` rows at a time, `Linear.apply`) and each
 normalization is a per-channel affine map, so per-sample outputs never
 depend on how a split is batched.
 """
@@ -25,6 +26,11 @@ from .tensor import Tensor
 
 CLASSIFIER_MODES = ("independent", "shared_one", "shared_two")
 BACKBONES = ("mlp", "smallconv")
+
+# Rows per BLAS product in `Linear.apply`: every call has the shape
+# (ROW_BLOCK, K) @ (K, P) whatever the batch, a multiple of 16. 64 and 128
+# measured alike on a 1000-row evaluate; 256 was about 5% slower.
+ROW_BLOCK = 128
 
 CHECKPOINT_MAGIC = b"NAUG"
 CHECKPOINT_VERSION = 1
@@ -73,9 +79,29 @@ class Linear:
         return T.linear(x, self.weight, self.bias)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """Evaluation-mode product on arrays, one row at a time: each row's
-        bits do not depend on the rest of the batch."""
-        out = np.matmul(h[:, None, :], self.weight.data)[:, 0]
+        """Evaluation-mode product on arrays, `ROW_BLOCK` rows at a time.
+
+        Every BLAS call has the same (ROW_BLOCK, K) @ (K, P) shape on
+        C-contiguous operands, so a row's bits depend neither on the rest of
+        the batch nor on its position, its alignment or the input's layout;
+        a single-row product (gemv) or a strided one (numpy's own loop)
+        would round differently. A batch shorter than ROW_BLOCK is copied
+        into zero rows. In a longer one, the last block is the one that
+        ends at the last row, overlapping the block before it, so no
+        temporary is allocated beside the output (padding there as well
+        moved the allocator state that the training benchmark reads).
+        """
+        h = np.ascontiguousarray(h, dtype=np.float64)
+        w = self.weight.data
+        n = h.shape[0]
+        out = np.empty((n, w.shape[1]))
+        if n < ROW_BLOCK:
+            block = np.zeros((ROW_BLOCK, w.shape[0]))
+            block[:n] = h
+            out[...] = (block @ w)[:n]
+        else:
+            for lo in [*range(0, n - ROW_BLOCK, ROW_BLOCK), n - ROW_BLOCK]:
+                np.matmul(h[lo:lo + ROW_BLOCK], w, out=out[lo:lo + ROW_BLOCK])
         out += self.bias.data
         return out
 
@@ -360,9 +386,9 @@ class TwoPathNetwork:
 
         The stacked rows run once through the evaluation walk of the main
         route with the pooled moments standing in for the running ones.
-        Moments merge by the exact two-group identity and every row is
-        computed alone, so a companion that is a bitwise copy of the probe
-        leaves the features bitwise unchanged.
+        Moments merge by the exact two-group identity and a row's bits do
+        not depend on the other rows, so a companion that is a bitwise copy
+        of the probe leaves the features bitwise unchanged.
         """
         blocks = [self._rows(b) for b in (probe, companion) if b is not None]
         n = blocks[0].shape[0]

@@ -21,13 +21,14 @@ def tool():
     return module
 
 
-def run(attempted=10, failed=0, env=ENV, raw=None, factor=1.0, **metrics):
+def run(attempted=10, failed=0, env=ENV, raw=None, factor=1.0, minflt=0, **metrics):
     """A canned run; its wall-clock `raw` values default to `metrics`."""
     units = {m["name"]: m["unit"] for m in END_TO_END} | {"datagen.save_ms": "ms"}
     return {"info": {"env": env, "raw_metrics": dict(metrics) if raw is None else raw,
                      "host": {"factor_median": factor}},
             "result": {"attempted": attempted, "failed": failed,
-                       "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}}}
+                       "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}},
+            "minflt": minflt}
 
 
 def test_summary_of_canned_pairs(tool):
@@ -93,6 +94,39 @@ def test_wall_clock_and_host_factor(tool):
     assert m["wall"]["parent_quartiles"] == pytest.approx([2.2, 2.55])
     assert m["wall"]["change_quartiles"] == pytest.approx([2.05, 2.6])
     assert out["host_factor"] == {"train_aug": {"parent": 1.2, "change": 1.2}}
+
+
+def test_minor_page_faults_per_side(tool):
+    """Per workload, each side's median and quartiles of the runs' minor
+    page faults; the traced pair is left out."""
+    faults = [(12000, 300), (11800, 350), (13000, 280), (12500, 900), (11900, 310)]
+    pairs = {"train_main": [(run(minflt=p, setup_s=0.1), run(minflt=c, setup_s=0.1))
+                            for p, c in faults]}
+    traced = {"train_main": (run(minflt=10**6, setup_s=0.1), run(minflt=10**6, setup_s=0.1))}
+    out = tool.summarize(pairs, traced, END_TO_END[:1], {"train_main": [1, 2, 3, 4, 5],
+                                                          "traced": [6]}, "faults", 35.0)
+    m = out["minflt"]["train_main"]
+    assert m["parent"] == 12000 and m["change"] == 310
+    assert m["parent_quartiles"] == pytest.approx([11850, 12750])
+    assert m["change_quartiles"] == pytest.approx([290, 625])
+
+
+def test_run_once_counts_the_run_processes_faults(tool, tmp_path):
+    """`run_once` adds the `ru_minflt` delta of the run's process: a fake
+    benchmark that touches 64 MB of fresh pages takes thousands of faults."""
+    (tmp_path / "perfbench").mkdir()
+    info = json.dumps(run(setup_s=0.1)["info"])
+    result = json.dumps(run(setup_s=0.1)["result"] | {"correct": True})
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import mmap\n"
+        "m = mmap.mmap(-1, 64 << 20)\n"
+        "m.madvise(mmap.MADV_NOHUGEPAGE)\n"
+        "for i in range(0, 64 << 20, 4096):\n"
+        "    m[i] = 1\n"
+        f"print({info!r})\nprint({result!r})\n")
+    got = tool.run_once(tmp_path, "train_main", 3, 1.0, False)
+    assert got["result"]["metrics"]["setup_s"]["value"] == 0.1
+    assert 16384 <= got["minflt"] < 10**6  # one fault per 4 KB page at least
 
 
 def test_no_traced_pair(tool):

@@ -54,6 +54,19 @@ class TestDivergenceArithmetic:
         with pytest.raises(ValueError):
             divergence(IdentityFeatures(), {0: np.ones((2, 2))}, np.ones((0, 2)))
 
+    def test_means_are_the_column_means_of_the_stacked_rows(self):
+        """Each domain's rows are converted once and serve both its own mean
+        and the pooled one: bitwise `_column_means` of the stacked rows."""
+        rng = np.random.default_rng(5)
+        sources = {d: rng.standard_normal((7 + 3 * d, 4)) * 10.0 ** d for d in range(3)}
+        target = rng.standard_normal((5, 4))
+        rep = divergence(IdentityFeatures(), sources, target)
+        assert np.array_equal(rep.source_mean,
+                              _column_means([np.concatenate(list(sources.values()))]))
+        for d, x in sources.items():
+            assert np.array_equal(rep.per_domain_means[d], _column_means([x]))
+        assert np.array_equal(rep.target_mean, _column_means([target]))
+
     def test_sample_order_and_chunk_invariance(self):
         rng = np.random.default_rng(0)
         block = rng.standard_normal((40, 5))

@@ -17,6 +17,7 @@ from normaug.inference import (
     fuse,
     predict,
 )
+from normaug.model import ROW_BLOCK
 from normaug.tensor import Tensor
 
 # BN and ON main routes on both backbones, plus odd widths
@@ -102,10 +103,10 @@ def test_features_match_tape_composite(model):
 
 @pytest.mark.parametrize("scope", SCOPES)
 def test_chunks_bitwise_equal_full_batch(model, scope):
-    x = _rows(model, 150, seed=2)
+    x = _rows(model, 2 * ROW_BLOCK + 19, seed=2)
     fused, per_path = predict(model, x, FusionStrategy.MEAN_ALL, scope)
     feats = model.features(x)
-    for chunk in (1, 7, 64):
+    for chunk in (1, 7, 64, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1):
         parts = [predict(model, x[lo:lo + chunk], FusionStrategy.MEAN_ALL, scope)
                  for lo in range(0, len(x), chunk)]
         assert np.array_equal(np.vstack([f for f, _ in parts]), fused)
@@ -128,6 +129,21 @@ def test_misaligned_input_bitwise_equal(model, offset):
         part, _ = predict(model, moved[13:50], FusionStrategy.MAX_IM, scope)
         assert np.array_equal(part, fused[13:50])
     assert np.array_equal(model.features(moved), model.features(x))
+
+
+def test_input_layout_bitwise_equal(model):
+    """A Fortran-order and a column-strided input give the bits of their
+    C-contiguous copy."""
+    x = _rows(model, 2 * ROW_BLOCK + 5, seed=7)
+    wide = np.zeros((x.shape[0], 3 * x.shape[1]))
+    wide[:, 2::3] = x
+    for scope in SCOPES:
+        fused, per_path = predict(model, x, FusionStrategy.MEAN_ALL, scope)
+        for other in (np.asfortranarray(x), wide[:, 2::3]):
+            fused_o, per_path_o = predict(model, other, FusionStrategy.MEAN_ALL, scope)
+            assert np.array_equal(fused_o, fused)
+            assert all(np.array_equal(per_path[k], per_path_o[k]) for k in per_path)
+    assert np.array_equal(model.features(wide[:, 2::3]), model.features(x))
 
 
 def test_probe_copy_displacement_exactly_zero(model):

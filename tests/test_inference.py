@@ -12,6 +12,7 @@ from normaug.inference import (
     SubpathScope,
     evaluate,
     fuse,
+    main_accuracy,
     mean_paths,
     predict,
 )
@@ -205,3 +206,19 @@ class TestEvaluate:
         m = _trained_toy()
         with pytest.raises(ValueError, match="empty"):
             evaluate(m, np.zeros((0, 6)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("shape, got", [((1,), "1 labels"),
+                                            ((50, 1), r"labels of shape \(50, 1\)"),
+                                            ((49,), "49 labels")])
+    def test_labels_must_match_the_rows(self, shape, got):
+        """Labels of another shape would broadcast against the predictions:
+        (50, 1) labels once scored a fused accuracy of 0.30 on 50 rows."""
+        m = _trained_toy()
+        x = np.random.default_rng(11).standard_normal((50, 6))
+        labels = np.zeros(shape, dtype=int)
+        with pytest.raises(ValueError, match=rf"^evaluate: {got} for 50 rows$"):
+            evaluate(m, x, labels)
+        with pytest.raises(ValueError, match=rf"^main_accuracy: {got} for 50 rows$"):
+            main_accuracy(m, x, labels)
+        assert main_accuracy(m, x, np.zeros(50, dtype=int)) == evaluate(
+            m, x, np.zeros(50, dtype=int), FusionStrategy.MAIN_ONLY).fused_accuracy

@@ -1,5 +1,7 @@
 """Two-path network: route equivalences, sharing, checkpoint round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import tiny_config, tiny_model, toy_batch
 from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.model import (
+    ROW_BLOCK,
     Linear,
     ModelConfig,
     init_model,
@@ -249,6 +252,70 @@ class TestEvalOnlyRoutes:
             assert np.array_equal(mean_a, mean_b)
             assert np.array_equal(var_a, var_b)
             assert count_a == count_b
+
+
+class TestBlockProduct:
+    """`Linear.apply` runs BLAS on blocks of ROW_BLOCK rows only, so a row's
+    bits do not depend on the batch it comes in or on the input's layout."""
+
+    # the default model's layer-0, hidden and classifier shapes, and odd ones
+    SHAPES = [(16, 64), (64, 64), (64, 32), (32, 5), (7, 5), (3, 1)]
+
+    @staticmethod
+    def layer(fan_in, fan_out):
+        lin = Linear(fan_in, fan_out, np.random.default_rng(fan_in * 100 + fan_out))
+        lin.bias.data = np.random.default_rng(1).standard_normal(fan_out)
+        return lin
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_row_count_matches_one_large_call(self, shape):
+        lin = self.layer(*shape)
+        n = 2 * ROW_BLOCK + 3
+        h = np.random.default_rng(2).standard_normal((3 * n, shape[0]))
+        full = lin.apply(h)
+        for rows in range(1, n + 1):
+            assert np.array_equal(lin.apply(h[:rows]), full[:rows]), rows
+        for start in (1, ROW_BLOCK - 1, ROW_BLOCK + 5):  # rows at other block positions
+            assert np.array_equal(lin.apply(h[start:start + n]), full[start:start + n])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layout_does_not_change_the_bits(self, shape):
+        """A Fortran-order and a column-strided input give their
+        C-contiguous copy's bits (numpy multiplies some strided inputs in
+        its own loop, without BLAS)."""
+        lin = self.layer(*shape)
+        h = np.random.default_rng(3).standard_normal((2 * ROW_BLOCK + 5, shape[0]))
+        want = lin.apply(h)
+        wide = np.zeros((h.shape[0], 2 * shape[0]))
+        wide[:, 1::2] = h
+        assert np.array_equal(lin.apply(np.asfortranarray(h)), want)
+        assert np.array_equal(lin.apply(wide[:, 1::2]), want)
+
+    def test_long_batch_allocates_only_its_output(self):
+        """From ROW_BLOCK rows on, the last block overlaps the one before it
+        instead of being padded: beside its output, a product allocates no
+        more than its bias add does alone (numpy's broadcast buffer)."""
+        lin = self.layer(64, 64)
+        h = np.random.default_rng(5).standard_normal((1000, 64))
+        tracemalloc.start()
+        try:
+            out = lin.apply(h)
+            extra = tracemalloc.get_traced_memory()[1] - out.nbytes
+            tracemalloc.reset_peak()
+            out += lin.bias.data
+            bias_add = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert extra < bias_add + 4096
+
+    def test_zero_rows_keep_their_shape(self):
+        out = self.layer(16, 64).apply(np.zeros((0, 16)))
+        assert out.shape == (0, 64) and out.dtype == np.float64
+
+    def test_matches_the_tape_product(self):
+        lin = self.layer(16, 64)
+        h = np.random.default_rng(4).standard_normal((ROW_BLOCK + 9, 16))
+        assert np.abs(lin.apply(h) - lin(T.Tensor(h)).data).max() <= 1e-13
 
 
 class TestParameterBudget:
