@@ -1,0 +1,196 @@
+"""Check that a change keeps the bits of the README pipeline: run it from one
+config in a parent tree and in a change tree, and compare every artifact.
+
+Usage:
+    python3 scripts/bits_check.py --parent ../parent --change . \
+        --config configs/benchmark.txt
+
+Each tree runs, in its own temporary directory and from its own `src/`:
+`gen-data`, `train`, `eval` with the default fusion rule, `eval --strategy
+MeanAll --scope all_units`, `diagnose` and `ablate`, all from `--config`
+(with `dataset` and `checkpoint` pointing into that directory; `ablate`
+reads the config as given, so its `seeds` list sets the grid's size). For
+every artifact the tool prints `identical` or `moved`; for a moved one, its
+first differing line (a byte offset for `model.ckpt`) and the largest
+absolute difference over the numeric fields. Then each tree runs `predict`
+for every fusion rule and sub-path scope on the parent's dataset and
+checkpoint, and the tool prints, per rule and scope, the largest difference
+in fused probabilities and the number of rows whose argmax flipped, and the
+largest difference of the main route and of the sub-paths over all of them.
+
+Exits 0 when every step ran in both trees, whatever moved. The ACCEPTANCE
+lines and the perfbench digests are not compared here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+# artifact name -> path inside a tree's run directory
+ARTIFACTS = {
+    "dataset.csv": "dataset.csv",
+    "metrics.csv": "metrics.csv",
+    "model.ckpt": "model.ckpt",
+    "accuracy.csv (default)": "eval_default/accuracy.csv",
+    "accuracy.csv (MeanAll, all_units)": "eval_all/accuracy.csv",
+    "diagnostics.csv": "diagnostics.csv",
+    "ablation.csv": "ablate/ablation.csv",
+}
+# writes every fusion rule's and scope's probabilities to an .npz, from one tree
+PREDICT = """
+import sys
+import numpy as np
+from normaug import cli, datagen, inference
+from normaug.model import load_checkpoint
+config, checkpoint, dataset, out = sys.argv[1:]
+model = load_checkpoint(checkpoint)[0]
+ds = datagen.load(dataset)
+_, target = datagen.split_lodo(ds, cli._target_domain(cli.parse_config(config), ds))
+arrays = {}
+for strategy in inference.FusionStrategy:
+    if strategy is not inference.FusionStrategy.MAIN_ONLY and not model.config.use_aug:
+        continue
+    for scope in inference.SubpathScope:
+        fused, per_path = inference.predict(model, target.features, strategy, scope)
+        key = f"{strategy.value}/{scope.value}"
+        arrays[key + "/fused"] = fused
+        arrays.update((f"{key}/{name}", p) for name, p in per_path.items())
+np.savez(out, **arrays)
+"""
+
+
+def normaug(tree: Path, cwd: Path, *args: str) -> None:
+    """One `normaug` command from `tree`'s source, run in `cwd`."""
+    run_python(tree, cwd, "-m", "normaug.cli", *args)
+
+
+def run_python(tree: Path, cwd: Path, *args: str) -> None:
+    env = os.environ | {"PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=1800)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: {' '.join(args[:4])}: exit {proc.returncode}\n"
+                           f"{proc.stderr}")
+
+
+def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
+    """The README pipeline from `config` in `work`; returns the config that
+    points `dataset` and `checkpoint` into `work`."""
+    work.mkdir(parents=True)
+    text = config.read_text(encoding="utf-8")
+    run_config = work / "run.txt"
+    run_config.write_text(f"{text}\ndataset = {work / 'dataset.csv'}\n"
+                          f"checkpoint = {work / 'model.ckpt'}\n", encoding="utf-8")
+    cfg = str(run_config)
+    normaug(tree, work, "gen-data", "--config", str(config), "--out", str(work))
+    normaug(tree, work, "train", "--config", cfg, "--out", str(work))
+    normaug(tree, work, "eval", "--config", cfg, "--out", str(work / "eval_default"))
+    normaug(tree, work, "eval", "--config", cfg, "--out", str(work / "eval_all"),
+            "--strategy", "MeanAll", "--scope", "all_units")
+    normaug(tree, work, "diagnose", "--config", cfg, "--out", str(work))
+    normaug(tree, work, "ablate", "--config", str(config), "--out", str(work / "ablate"))
+    return run_config
+
+
+def _number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def compare_bytes(parent: bytes, change: bytes, text: bool) -> str:
+    """`identical`, or `moved` with the first differing line (text) or byte
+    (binary) and, for text, the largest absolute difference over the
+    numeric fields that sit at the same line and column on both sides."""
+    if parent == change:
+        return "identical"
+    if not text:
+        diff = next((i for i, (a, b) in enumerate(zip(parent, change)) if a != b),
+                    min(len(parent), len(change)))
+        return f"moved: first difference at byte {diff} ({len(parent)} vs {len(change)} bytes)"
+    p_lines = parent.decode("utf-8").splitlines()
+    c_lines = change.decode("utf-8").splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(p_lines, c_lines)) if a != b),
+                 min(len(p_lines), len(c_lines)))
+    largest = 0.0
+    for a, b in zip(p_lines, c_lines):
+        for x, y in zip(a.split(","), b.split(",")):
+            x, y = _number(x), _number(y)
+            if x is not None and y is not None:
+                largest = max(largest, abs(x - y))
+    shown = [lines[first] if first < len(lines) else "<end of file>"
+             for lines in (p_lines, c_lines)]
+    return (f"moved: line {first + 1}: parent {shown[0]!r}, change {shown[1]!r}; "
+            f"{len(p_lines)} vs {len(c_lines)} lines; largest numeric difference {largest:.3g}")
+
+
+def compare_predictions(parent: dict, change: dict) -> list[str]:
+    """Per rule and scope, the largest fused-probability difference and the
+    argmax flips; then the largest main-route and sub-path differences."""
+    if parent.keys() != change.keys():
+        return [f"predict: routes differ: {sorted(parent.keys() ^ change.keys())}"]
+    lines = []
+    main = subs = 0.0
+    for key in sorted(parent):
+        p, c = parent[key], change[key]
+        if p.shape != c.shape:
+            lines.append(f"predict {key}: shape {p.shape} vs {c.shape}")
+            continue
+        largest = float(np.abs(p - c).max(initial=0.0))
+        rule, scope, route = key.split("/")
+        if route == "fused":
+            flips = int((p.argmax(axis=1) != c.argmax(axis=1)).sum())
+            lines.append(f"predict {rule}/{scope}: largest fused difference {largest:.3g}, "
+                         f"argmax flips {flips}")
+        elif route == "main":
+            main = max(main, largest)
+        else:
+            subs = max(subs, largest)
+    lines.append(f"predict: largest main-route difference {main:.3g}, "
+                 f"largest sub-path difference {subs:.3g}")
+    return lines
+
+
+def check(parent: Path, change: Path, config: Path, work: Path) -> list[str]:
+    """Every comparison line for the two trees, run under `work`."""
+    configs = {side: run_pipeline(tree, config, work / side)
+               for side, tree in (("parent", parent), ("change", change))}
+    lines = []
+    for name, rel in ARTIFACTS.items():
+        a, b = ((work / side / rel).read_bytes() for side in ("parent", "change"))
+        lines.append(f"{name}: {compare_bytes(a, b, not rel.endswith('.ckpt'))}")
+    probs = {}
+    for side, tree in (("parent", parent), ("change", change)):
+        out = work / f"predict_{side}.npz"
+        run_python(tree, work, "-c", PREDICT, str(configs["parent"]),
+                   str(work / "parent" / "model.ckpt"), str(work / "parent" / "dataset.csv"),
+                   str(out))
+        with np.load(out) as z:
+            probs[side] = {k: z[k] for k in z.files}
+    return lines + compare_predictions(probs["parent"], probs["change"])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
+    ap.add_argument("--change", type=Path, default=ROOT, help="tree of the change (default: this one)")
+    ap.add_argument("--config", type=Path, required=True, help="pipeline config file")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bits_check_") as tmp:
+        for line in check(args.parent.resolve(), args.change.resolve(),
+                          args.config.resolve(), Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

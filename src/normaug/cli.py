@@ -225,6 +225,9 @@ def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
 
 
 def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
+    probe_rows = _value(cfg, "probe_rows", 64)
+    if probe_rows < 1:
+        raise UsageError(f"config key probe_rows: expected a positive integer, got {probe_rows}")
     model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
     dataset = datagen.load(_require(cfg, "dataset"))
     _check_dataset(model, dataset)
@@ -240,7 +243,6 @@ def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
     rows = [["divergence", "d_s2s", _fmt(report.d_s2s)],
             ["divergence", "d_s2t", _fmt(report.d_s2t)]]
 
-    probe_rows = _value(cfg, "probe_rows", 64)
     domains = sorted(by_domain)
     probe_domain = domains[0]
     probe = _draw_rows(by_domain[probe_domain], probe_rows, rng)

@@ -79,6 +79,8 @@ def perturbation_probe(model: TwoPathNetwork, probe: np.ndarray,
     if not companions:
         raise ValueError("perturbation_probe: no companion sets")
     probe = np.asarray(probe, dtype=np.float64)
+    if probe.shape[0] == 0:
+        raise ValueError("perturbation_probe: empty probe batch")
     base = model.features_with_batch_stats(probe)
     out = []
     for name, comp in companions:

@@ -51,9 +51,20 @@ class SubpathScope(enum.Enum):
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax of each row, computed on a class-major copy: the max and the
+    sum over classes are elementwise passes over C rows of n values. The sum
+    runs in class order whatever n is, which is the bits of a row-wise sum
+    for C < 8 (numpy sums 8 or more elements pairwise). Returns
+    C-contiguous (n, C)."""
+    z = logits.T.copy()
+    z -= np.maximum.reduce(z)
+    np.exp(z, out=z)
+    total = z[0].copy()
+    for row in z[1:]:
+        total += row
+    out = np.empty(logits.shape)
+    np.divide(z, total, out=out.T)
+    return out
 
 
 def _renormalize(p: np.ndarray) -> np.ndarray:
@@ -145,7 +156,7 @@ def predict(model: TwoPathNetwork, features: np.ndarray,
             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluation-mode probabilities: the fused matrix and one matrix per
     route ('main' plus 'sub_<domains>'). Every route runs on plain arrays
-    from one shared layer-0 product (`TwoPathNetwork.eval_logits`)."""
+    from the input rows (`TwoPathNetwork.eval_logits`)."""
     subsets = subpath_subsets(model, scope)
     main, subs = model.eval_logits(features, subsets)
     p_main, p_subs = _softmax_rows(main), [_softmax_rows(z) for z in subs]

@@ -3,10 +3,12 @@ dispatch either to the main route (plain BN or the BN/IN mixture) or to the
 per-subset bank, plus one classifier per route.
 
 Training runs on the autodiff tape. Evaluation runs every route on plain
-arrays (`eval_logits`): every layer product is a sequence of BLAS products
-of one fixed shape (`ROW_BLOCK` rows at a time, `Linear.apply`) and each
-normalization is a per-channel affine map, so per-sample outputs never
-depend on how a split is batched.
+arrays from the input rows (`eval_logits`): every layer product is a
+sequence of BLAS products of one fixed shape (`ROW_BLOCK` rows at a time,
+`Linear.apply`), a BN unit's evaluation-mode map is folded into the product
+before it, and an ON unit normalizes the product with a per-channel affine
+map plus per-row instance statistics, so per-sample outputs never depend on
+how a split is batched.
 """
 
 from __future__ import annotations
@@ -78,8 +80,12 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
-    def apply(self, h: np.ndarray) -> np.ndarray:
+    def apply(self, h: np.ndarray, scale: np.ndarray | None = None,
+              shift: np.ndarray | None = None) -> np.ndarray:
         """Evaluation-mode product on arrays, `ROW_BLOCK` rows at a time.
+        Given a normalization's per-channel map `y * scale + shift`, it is
+        folded into the product: the rows are multiplied by `W * scale` and
+        `b * scale + shift` is added.
 
         Every BLAS call has the same (ROW_BLOCK, K) @ (K, P) shape on
         C-contiguous operands, so a row's bits depend neither on the rest of
@@ -92,7 +98,9 @@ class Linear:
         moved the allocator state that the training benchmark reads).
         """
         h = np.ascontiguousarray(h, dtype=np.float64)
-        w = self.weight.data
+        w, b = self.weight.data, self.bias.data
+        if scale is not None:
+            w, b = w * scale, b * scale + shift
         n = h.shape[0]
         out = np.empty((n, w.shape[1]))
         if n < ROW_BLOCK:
@@ -102,7 +110,7 @@ class Linear:
         else:
             for lo in [*range(0, n - ROW_BLOCK, ROW_BLOCK), n - ROW_BLOCK]:
                 np.matmul(h[lo:lo + ROW_BLOCK], w, out=out[lo:lo + ROW_BLOCK])
-        out += self.bias.data
+        out += b
         return out
 
     def parameters(self):
@@ -121,9 +129,15 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, padding=self.padding)
 
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        """Evaluation-mode convolution on arrays, with the tape op's bits."""
-        return T.conv2d_array(h, self.weight.data, self.bias.data, self.padding)[0]
+    def apply(self, h: np.ndarray, scale: np.ndarray | None = None,
+              shift: np.ndarray | None = None) -> np.ndarray:
+        """Evaluation-mode convolution on arrays, with the tape op's bits;
+        a per-channel map `y * scale + shift` folds into the kernel and the
+        bias as in `Linear.apply`."""
+        w, b = self.weight.data, self.bias.data
+        if scale is not None:
+            w, b = w * scale[:, None, None, None], b * scale + shift
+        return T.conv2d_array(h, w, b, self.padding)[0]
 
     def parameters(self):
         return [("W", self.weight), ("b", self.bias)]
@@ -240,6 +254,19 @@ class TwoPathNetwork:
                 f"model: expected (B, {self.config.input_dim}) features, got {arr.shape}")
         return arr
 
+    def _eval_input(self, x) -> np.ndarray:
+        """The evaluation walk's input: `x` as C-contiguous float64 rows,
+        shaped as the first layer takes them. A non-finite feature is a
+        ValueError naming its row (training checks its loss instead)."""
+        h = np.ascontiguousarray(self._rows(x))
+        if not np.isfinite(h).all():
+            row = np.flatnonzero(~np.isfinite(h).all(axis=1))[0]
+            raise ValueError(f"model: non-finite feature in row {row}")
+        if self.config.backbone == "smallconv":
+            side = math.isqrt(self.config.input_dim)
+            h = h.reshape(h.shape[0], 1, side, side)
+        return h
+
     def _check_input(self, x: np.ndarray | Tensor) -> Tensor:
         arr = self._rows(x)
         return x if isinstance(x, Tensor) else Tensor(arr)
@@ -275,7 +302,7 @@ class TwoPathNetwork:
     def features(self, x) -> np.ndarray:
         """Main-route penultimate features from the evaluation walk, on
         arrays, so reading them never changes the model."""
-        return self._eval_features(self._first_layer(x), self.main_units)
+        return self._eval_features(self._eval_input(x), self.main_units)
 
     def forward_aux(self, x, domain_ids: np.ndarray, partition: Partition,
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
@@ -327,7 +354,7 @@ class TwoPathNetwork:
         units = self._bank_units(subset)
         if mode != "eval":
             raise ValueError(f"forward_subpath: mode must be 'eval', got {mode!r}")
-        feats = self._eval_features(self._first_layer(x), units)
+        feats = self._eval_features(self._eval_input(x), units)
         return Tensor(self._aux_classifier(subset).apply(feats))
 
     def _aux_classifier(self, subset: DomainSubset) -> Linear:
@@ -338,24 +365,19 @@ class TwoPathNetwork:
 
     # -- evaluation on arrays ----------------------------------------------
 
-    def _first_layer(self, x) -> np.ndarray:
-        """Layer-0 product of the input rows: every evaluation route starts
-        from it, since all routes share the backbone weights."""
-        h = self._rows(x)
-        if self.config.backbone == "smallconv":
-            side = math.isqrt(self.config.input_dim)
-            h = h.reshape(h.shape[0], 1, side, side)
-        return self.layers[0].apply(h)
-
-    def _eval_features(self, z: np.ndarray, units: list[BNUnit], moments=None) -> np.ndarray:
-        """Penultimate features from the layer-0 product `z`, normalizing
-        site i with `units[i]` in evaluation mode. `moments(h)`, if given,
-        supplies the (mean, var) that stand in for the running ones."""
-        h = z
-        for i, unit in enumerate(units):
-            if i:
-                h = self.layers[i].apply(h)
-            h = nb.eval_normalize(unit, h, None if moments is None else moments(h))
+    def _eval_features(self, h: np.ndarray, units: list[BNUnit], moments=None) -> np.ndarray:
+        """Penultimate features of the input rows `h` (`_eval_input`),
+        normalizing site i with `units[i]` in evaluation mode. A BN unit's
+        map (`nb.eval_affine`) folds into the product before it; an ON unit,
+        or every unit when `moments(h)` supplies the (mean, var) that stand
+        in for the running ones, normalizes the plain product with
+        `nb.eval_normalize`."""
+        for layer, unit in zip(self.layers, units):
+            if moments is None and not isinstance(unit, ONUnit):
+                h = layer.apply(h, *nb.eval_affine(unit))
+            else:
+                h = layer.apply(h)
+                h = nb.eval_normalize(unit, h, None if moments is None else moments(h))
             np.maximum(h, 0.0, out=h)
         if self.config.backbone == "smallconv":
             h = h.mean(axis=(2, 3))
@@ -368,11 +390,11 @@ class TwoPathNetwork:
 
     def eval_logits(self, x, subsets=()) -> tuple[np.ndarray, list[np.ndarray]]:
         """Evaluation-mode logits of the main route and of each subset's
-        sub-path (its bank units and classifier), on arrays, sharing one
-        layer-0 product. Uses the running statistics only."""
-        z = self._first_layer(x)
-        main = self.classifier_main.apply(self._eval_features(z, self.main_units))
-        subs = [self._aux_classifier(s).apply(self._eval_features(z, self._bank_units(s)))
+        sub-path (its bank units and classifier), on arrays, each route
+        walking from the input rows. Uses the running statistics only."""
+        h = self._eval_input(x)
+        main = self.classifier_main.apply(self._eval_features(h, self.main_units))
+        subs = [self._aux_classifier(s).apply(self._eval_features(h, self._bank_units(s)))
                 for s in subsets]
         return main, subs
 
@@ -390,7 +412,7 @@ class TwoPathNetwork:
         not depend on the other rows, so a companion that is a bitwise copy
         of the probe leaves the features bitwise unchanged.
         """
-        blocks = [self._rows(b) for b in (probe, companion) if b is not None]
+        blocks = [self._eval_input(b) for b in (probe, companion) if b is not None]
         n = blocks[0].shape[0]
 
         def moments(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +422,7 @@ class TwoPathNetwork:
                 mu, var = nb.pooled_moments(mu, var, n, mu_c, var_c, h.shape[0] - n)
             return mu, var
 
-        z = self._first_layer(np.concatenate(blocks))
-        return self._eval_features(z, self.main_units, moments)[:n]
+        return self._eval_features(np.concatenate(blocks), self.main_units, moments)[:n]
 
 
 def init_model(config: ModelConfig, seed: int) -> TwoPathNetwork:

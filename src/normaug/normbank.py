@@ -272,17 +272,27 @@ def pooled_moments(mu_a: np.ndarray, var_a: np.ndarray, count_a: int,
     return mu, var
 
 
+def eval_affine(unit: BNUnit, moments: tuple[np.ndarray, np.ndarray] | None = None,
+                weight: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The per-channel map `h * scale + shift` of this unit's evaluation-mode
+    batch normalization: `scale = gamma / sqrt(var + eps)`, times `weight`
+    if given, and `shift = beta - mean * scale`, from the running moments or
+    from `moments` = (mean, var) standing in for them."""
+    mean, var = moments if moments is not None else (unit.running_mean, unit.running_var)
+    scale = unit.gamma.data / np.sqrt(var + unit.eps)
+    if weight is not None:
+        scale = scale * weight
+    return scale, unit.beta.data - mean * scale
+
+
 def eval_normalize(unit: BNUnit, h: np.ndarray,
                    moments: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Evaluation-mode normalization of the array `h` with this unit.
 
-    The batch term is one per-channel affine map, `h * scale + shift` with
-    `scale = gamma / sqrt(var + eps)` and `shift = beta - mean * scale`,
-    from the running moments or from `moments` = (mean, var) standing in
-    for them. An `ONUnit` weights that term by softmax(mix_logits)[0] and
-    adds the instance standardization times gamma * softmax(mix_logits)[1].
-    Every row is transformed alone, so the result does not depend on the
-    batch.
+    The batch term is the unit's `eval_affine` map. An `ONUnit` weights it
+    by softmax(mix_logits)[0] and adds the instance standardization times
+    gamma * softmax(mix_logits)[1]. Every row is transformed alone, so the
+    result does not depend on the batch.
     """
     _check_channels("eval_normalize", unit.channels, h)
     bn_axes = _reduce_axes(h.ndim)
@@ -293,17 +303,12 @@ def eval_normalize(unit: BNUnit, h: np.ndarray,
             raise T.ShapeError("IN undefined for single-feature rows")
         e = np.exp(unit.mix_logits.data - unit.mix_logits.data.max())
         w = e / e.sum()
-    mean, var = moments if moments is not None else (unit.running_mean, unit.running_var)
-    gamma = unit.gamma.data
-    scale = gamma / np.sqrt(var + unit.eps)
-    if mixture:
-        scale = scale * w[0]
-    shift = unit.beta.data - mean * scale
+    scale, shift = eval_affine(unit, moments, w[0] if mixture else None)
     out = h * scale.reshape(pshape)
     out += shift.reshape(pshape)
     if mixture:
         in_hat = T._standardize(h, unit.eps, _instance_axes(h.ndim))[0]
-        in_hat *= (gamma * w[1]).reshape(pshape)
+        in_hat *= (unit.gamma.data * w[1]).reshape(pshape)
         out += in_hat
     return out
 

@@ -1,0 +1,83 @@
+"""The bits check tool: its comparison helpers on canned inputs, and the whole
+pipeline on a tiny config with one tree on both sides."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).parents[1]
+SCRIPT = ROOT / "scripts" / "bits_check.py"
+TINY = """
+num_classes = 3
+num_domains = 3
+per_cell = 16
+feature_dim = 6
+hidden_sizes = 8,4
+epochs = 1
+iters_per_epoch = 3
+batch_per_domain = 4
+probe_rows = 8
+seeds = 0
+"""
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bits_check", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identical_bytes(tool):
+    assert tool.compare_bytes(b"a,1\n", b"a,1\n", text=True) == "identical"
+    assert tool.compare_bytes(b"\x00\x01", b"\x00\x01", text=False) == "identical"
+
+
+def test_moved_text_names_the_first_line_and_the_largest_difference(tool):
+    parent = b"metric,name,value\nd,s2s,0.5\nd,s2t,1.25\np,x,3.0\n"
+    change = b"metric,name,value\nd,s2s,0.5\nd,s2t,1.2500000000000002\np,x,2.5\n"
+    assert tool.compare_bytes(parent, change, text=True) == (
+        "moved: line 3: parent 'd,s2t,1.25', change 'd,s2t,1.2500000000000002'; "
+        "4 vs 4 lines; largest numeric difference 0.5")
+
+
+def test_moved_text_of_other_length(tool):
+    out = tool.compare_bytes(b"h\n1\n", b"h\n1\n2\n", text=True)
+    assert out.startswith("moved: line 3: parent '<end of file>', change '2'; 2 vs 3 lines")
+
+
+def test_moved_binary_names_the_first_byte(tool):
+    assert tool.compare_bytes(b"NAUG\x01\x02", b"NAUG\x01\x03", text=False) == (
+        "moved: first difference at byte 5 (6 vs 6 bytes)")
+
+
+def test_prediction_summary(tool):
+    p = np.array([[0.6, 0.4], [0.3, 0.7]])
+    parent = {"MeanAll/all_units/fused": p, "MeanAll/all_units/main": p,
+              "MeanAll/all_units/sub_0": p}
+    change = {"MeanAll/all_units/fused": np.array([[0.4, 0.6], [0.3, 0.7]]),
+              "MeanAll/all_units/main": p.copy(),
+              "MeanAll/all_units/sub_0": p + 1e-16}
+    assert tool.compare_predictions(parent, change) == [
+        "predict MeanAll/all_units: largest fused difference 0.2, argmax flips 1",
+        "predict: largest main-route difference 0, largest sub-path difference 1.11e-16"]
+    assert tool.compare_predictions(parent, {}) == [
+        "predict: routes differ: ['MeanAll/all_units/fused', 'MeanAll/all_units/main', "
+        "'MeanAll/all_units/sub_0']"]
+
+
+def test_one_tree_on_both_sides_is_identical(tool, tmp_path):
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY, encoding="utf-8")
+    lines = tool.check(ROOT, ROOT, config, tmp_path / "work")
+    assert [line.split(": ")[1] for line in lines[:len(tool.ARTIFACTS)]] == \
+        ["identical"] * len(tool.ARTIFACTS)
+    predicted = lines[len(tool.ARTIFACTS):-1]
+    assert len(predicted) == 16  # 8 rules x 2 scopes
+    assert all(line.endswith("largest fused difference 0, argmax flips 0")
+               for line in predicted)
+    assert lines[-1] == ("predict: largest main-route difference 0, "
+                         "largest sub-path difference 0")

@@ -184,6 +184,20 @@ class TestDiagnoseCommand:
         copy_disp = [float(r[2]) for r in probe_rows if r[1] == "probe_copy"]
         assert copy_disp == [0.0]
 
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_probe_rows_below_one_is_usage_error(self, pipeline, tmp_path, capsys, rows):
+        tmp, out, dataset, _ = pipeline
+        cfg = write_config(
+            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
+                 f"probe_rows = {rows}\n", "diag_rows.txt")
+        capsys.readouterr()
+        result = tmp_path / "result"
+        assert main(["diagnose", "--config", cfg, "--out", str(result)]) == 2
+        assert capsys.readouterr().err == (
+            f"normaug diagnose: config key probe_rows: expected a positive integer, "
+            f"got {rows}\n")
+        assert not list(result.iterdir())
+
 
 class TestDatasetFitsModel:
     """eval and diagnose check the dataset against the checkpoint's model

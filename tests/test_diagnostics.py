@@ -217,3 +217,14 @@ class TestPerturbationProbe:
             perturbation_probe(m, np.ones((4, 6)), [])
         with pytest.raises(ValueError, match="empty companion"):
             perturbation_probe(m, np.ones((4, 6)), [("x", np.ones((0, 6)))])
+
+    def test_empty_probe_batch_rejected_before_any_walk(self, monkeypatch):
+        """A 0-row probe has no moments; it used to come back as NaN."""
+        m = tiny_model()
+
+        def no_walk(*args):
+            raise AssertionError("the probe walked an empty batch")
+
+        monkeypatch.setattr(m, "features_with_batch_stats", no_walk)
+        with pytest.raises(ValueError, match="^perturbation_probe: empty probe batch$"):
+            perturbation_probe(m, np.ones((0, 6)), [("c", np.ones((4, 6)))])

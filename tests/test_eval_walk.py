@@ -1,20 +1,23 @@
 """The evaluation walk on plain arrays: agreement with the tape composite it
-replaced, bitwise chunk invariance, the exact-zero probe copy, and no tape
-use at all."""
+replaced, bitwise chunk invariance, the exact-zero probe copy, non-finite
+input refused, and no tape use at all."""
 
 import numpy as np
 import pytest
 
 from helpers import composite_eval_logits, tiny_model, toy_batch
+from normaug import inference
 from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.diagnostics import divergence, perturbation_probe
+from normaug.normbank import ONUnit
 from normaug.inference import (
     FusionStrategy,
     SubpathScope,
     _softmax_rows,
     evaluate,
     fuse,
+    main_accuracy,
     predict,
 )
 from normaug.model import ROW_BLOCK
@@ -29,6 +32,8 @@ KINDS = {
     "odd-mlp": dict(input_dim=7, hidden=(5, 3)),
 }
 SCOPES = list(SubpathScope)
+# a batch under one row block, and one whose last block overlaps the one before
+ROW_COUNTS = (40, 2 * ROW_BLOCK + 19)
 
 
 def _trained(kw: dict):
@@ -70,35 +75,54 @@ def _misaligned_copy(x: np.ndarray, offset: int) -> np.ndarray:
 
 @pytest.mark.parametrize("scope", SCOPES)
 def test_matches_tape_composite(model, scope):
-    x = _rows(model, 40)
     subsets = [s for s in model.banks[0].subsets()
                if scope is SubpathScope.ALL_UNITS or s.size == 1]
-    ref = {"main": _softmax_rows(composite_eval_logits(model, x)[0])}
-    for s in subsets:
-        ref[f"sub_{s.label()}"] = _softmax_rows(composite_eval_logits(model, x, s)[0])
-    for strategy in FusionStrategy:
-        fused, per_path = predict(model, x, strategy, scope)
-        assert list(per_path) == list(ref)
-        for name, p in per_path.items():
-            assert np.abs(p - ref[name]).max() <= 1e-13, name
-        ref_fused = fuse(ref["main"], list(ref.values())[1:], strategy)
-        assert np.abs(fused - ref_fused).max() <= 1e-13
-        assert np.array_equal(fused.argmax(1), ref_fused.argmax(1))
+    for n in ROW_COUNTS:
+        x = _rows(model, n)
+        ref = {"main": _softmax_rows(composite_eval_logits(model, x)[0])}
+        for s in subsets:
+            ref[f"sub_{s.label()}"] = _softmax_rows(composite_eval_logits(model, x, s)[0])
+        for strategy in FusionStrategy:
+            fused, per_path = predict(model, x, strategy, scope)
+            assert list(per_path) == list(ref)
+            for name, p in per_path.items():
+                assert np.abs(p - ref[name]).max() <= 1e-13, (n, name)
+            ref_fused = fuse(ref["main"], list(ref.values())[1:], strategy)
+            assert np.abs(fused - ref_fused).max() <= 1e-13, n
+            assert np.array_equal(fused.argmax(1), ref_fused.argmax(1))
 
 
 def test_features_match_tape_composite(model):
-    x = _rows(model, 30, seed=1)
-    assert np.abs(model.features(x) - composite_eval_logits(model, x)[1]).max() <= 1e-13
-    probe, comp = x[:12], x[12:] * 1.5 + 0.7
+    for n in (30, ROW_COUNTS[1]):
+        x = _rows(model, n, seed=1)
+        assert np.abs(model.features(x) - composite_eval_logits(model, x)[1]).max() <= 1e-13
+        k = n * 2 // 5
+        probe, comp = x[:k], x[k:] * 1.5 + 0.7
 
-    def pooled(h):
-        mu, var = nb._channel_stats(h[:12])
-        mu_c, var_c = nb._channel_stats(h[12:])
-        return nb.pooled_moments(mu, var, 12, mu_c, var_c, h.shape[0] - 12)
+        def pooled(h):
+            mu, var = nb._channel_stats(h[:k])
+            mu_c, var_c = nb._channel_stats(h[k:])
+            return nb.pooled_moments(mu, var, k, mu_c, var_c, h.shape[0] - k)
 
-    _, ref = composite_eval_logits(model, np.concatenate([probe, comp]), moments=pooled)
-    got = model.features_with_batch_stats(probe, comp)
-    assert np.abs(got - ref[:12]).max() <= 1e-13
+        _, ref = composite_eval_logits(model, np.concatenate([probe, comp]), moments=pooled)
+        got = model.features_with_batch_stats(probe, comp)
+        assert np.abs(got - ref[:k]).max() <= 1e-13, n
+
+
+@pytest.mark.parametrize("kind", ["on-mlp", "on-smallconv"])
+def test_on_main_route_is_not_folded(kind):
+    """An ON unit normalizes the plain product: the main route's logits are
+    bitwise the unfolded walk's (product, `eval_normalize`, ReLU), as before
+    BN maps were folded into the products."""
+    model = _trained(KINDS[kind])
+    x = _rows(model, ROW_COUNTS[1], seed=8)
+    h = model._eval_input(x)
+    for layer, unit in zip(model.layers, model.main_units):
+        assert isinstance(unit, ONUnit)
+        h = np.maximum(nb.eval_normalize(unit, layer.apply(h)), 0.0)
+    if model.config.backbone == "smallconv":
+        h = h.mean(axis=(2, 3))
+    assert np.array_equal(model.eval_logits(x)[0], model.classifier_main.apply(h))
 
 
 @pytest.mark.parametrize("scope", SCOPES)
@@ -184,6 +208,76 @@ def test_evaluation_never_touches_the_tape(model, monkeypatch):
     perturbation_probe(model, x[:20], [("copy", x[:20].copy()), ("other", x[20:])])
     with pytest.raises(AssertionError, match="tape"):
         model.forward_main(x, mode="eval")
+
+
+@pytest.mark.parametrize("kind", ["bn-mlp", "bn-smallconv"])
+def test_bn_routes_fold_into_the_products(kind, monkeypatch):
+    """With running moments, a BN unit's map rides in the product before it:
+    no BN route calls `eval_normalize`, and the probe's moments still do."""
+    model = _trained(KINDS[kind])
+    x = _rows(model, 30, seed=10)
+    calls = []
+    monkeypatch.setattr(nb, "eval_normalize", lambda *a: calls.append(a) or a[1])
+    predict(model, x, FusionStrategy.MEAN_ALL, SubpathScope.ALL_UNITS)
+    model.features(x)
+    assert calls == []
+    model.features_with_batch_stats(x)
+    assert len(calls) == len(model.layers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_names_its_row(bad):
+    """Every evaluation entry refuses a non-finite feature before the walk,
+    naming the first bad row, instead of scoring a NaN row as class 0."""
+    m = _trained(KINDS["on-mlp"])
+    x = _rows(m, 10, seed=9)
+    x[2, 4] = x[5, 0] = bad
+    labels = np.arange(10) % m.config.num_classes
+    message = "^model: non-finite feature in row 2$"
+    calls = [
+        lambda: predict(m, x),
+        lambda: evaluate(m, x, labels, FusionStrategy.MEAN_ALL, SubpathScope.ALL_UNITS),
+        lambda: main_accuracy(m, x, labels),
+        lambda: m.features(x),
+        lambda: m.eval_logits(x, m.banks[0].subsets()),
+        lambda: divergence(m, {0: x, 1: x[6:]}, x[6:]),
+        lambda: divergence(m, {0: x[6:], 1: x[6:]}, x),
+        lambda: perturbation_probe(m, x, [("copy", x.copy())]),
+        lambda: m.features_with_batch_stats(x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match="^model: non-finite feature in row 0$"):
+        perturbation_probe(m, x[6:], [("companion", x[5:])])
+
+
+def test_non_finite_check_is_off_the_training_step():
+    """Training checks its loss, not its input: a train-mode forward of a
+    non-finite batch runs."""
+    m = tiny_model()
+    x = np.ones((6, 6))
+    x[1, 1] = np.nan
+    logits, _ = m.forward_main(x, mode="train")
+    assert np.isnan(logits.data).any()
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 5, 6, 7, 8, 9, 16])
+def test_softmax_rows_class_major(classes):
+    """The class-major softmax is bitwise the row-wise formula below 8
+    classes (both sum in class order) and within 1e-15 above."""
+    logits = np.random.default_rng(classes).standard_normal((300, classes)) * 6.0
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    want = e / e.sum(axis=1, keepdims=True)
+    got = inference._softmax_rows(logits)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    if classes < 8:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15
+    assert np.array_equal(inference._softmax_rows(logits[:1]), got[:1])
+    assert inference._softmax_rows(logits[:0]).shape == (0, classes)
 
 
 def test_eval_rejects_bad_input():

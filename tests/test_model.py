@@ -10,6 +10,7 @@ from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.model import (
     ROW_BLOCK,
+    Conv2d,
     Linear,
     ModelConfig,
     init_model,
@@ -311,6 +312,47 @@ class TestBlockProduct:
     def test_zero_rows_keep_their_shape(self):
         out = self.layer(16, 64).apply(np.zeros((0, 16)))
         assert out.shape == (0, 64) and out.dtype == np.float64
+
+    @staticmethod
+    def channel_map(channels, seed=4):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.3, 2.0, channels), rng.standard_normal(channels)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_folded_map_every_row_count_and_layout(self, shape):
+        """A folded `(scale, shift)` keeps the fixed-shape blocks: still
+        bitwise chunk- and layout-invariant, and within 1e-13 of the plain
+        product followed by the map."""
+        lin = self.layer(*shape)
+        scale, shift = self.channel_map(shape[1])
+        n = 2 * ROW_BLOCK + 3
+        h = np.random.default_rng(2).standard_normal((3 * n, shape[0]))
+        full = lin.apply(h, scale, shift)
+        assert np.abs(full - (lin.apply(h) * scale + shift)).max() <= 1e-13
+        for rows in range(1, n + 1):
+            assert np.array_equal(lin.apply(h[:rows], scale, shift), full[:rows]), rows
+        for start in (1, ROW_BLOCK - 1, ROW_BLOCK + 5):
+            assert np.array_equal(lin.apply(h[start:start + n], scale, shift),
+                                  full[start:start + n])
+        wide = np.zeros((h.shape[0], 2 * shape[0]))
+        wide[:, 1::2] = h
+        assert np.array_equal(lin.apply(np.asfortranarray(h), scale, shift), full)
+        assert np.array_equal(lin.apply(wide[:, 1::2], scale, shift), full)
+
+    def test_folded_map_into_a_convolution(self):
+        """`Conv2d.apply` folds the map into its kernel and bias: rows stay
+        independent of their batch, within 1e-13 of the plain convolution
+        followed by the map."""
+        conv = Conv2d(3, 4, 3, np.random.default_rng(6))
+        conv.bias.data = np.random.default_rng(1).standard_normal(4)
+        scale, shift = self.channel_map(4)
+        h = np.random.default_rng(7).standard_normal((40, 3, 5, 5))
+        full = conv.apply(h, scale, shift)
+        per_channel = (slice(None), None, None)
+        assert np.abs(full - (conv.apply(h) * scale[per_channel] + shift[per_channel])
+                      ).max() <= 1e-13
+        for lo, hi in ((0, 1), (3, 4), (5, 22), (0, 40)):
+            assert np.array_equal(conv.apply(h[lo:hi], scale, shift), full[lo:hi])
 
 
 class TestParameterBudget:
