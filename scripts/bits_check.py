@@ -1,5 +1,6 @@
-"""Check that a change keeps the bits of the README pipeline: run it from one
-config in a parent tree and in a change tree, and compare every artifact.
+"""Check that a change keeps the bits of the README pipeline, the acceptance
+gate and the benchmark's training runs: run each in a parent tree and in a
+change tree, and compare.
 
 Usage:
     python3 scripts/bits_check.py --parent ../parent --change . \
@@ -8,24 +9,33 @@ Usage:
 Each tree runs, in its own temporary directory and from its own `src/`:
 `gen-data`, `train`, `eval` with the default fusion rule, `eval --strategy
 MeanAll --scope all_units`, `diagnose` and `ablate`, all from `--config`
-(with `dataset` and `checkpoint` pointing into that directory; `ablate`
-reads the config as given, so its `seeds` list sets the grid's size). For
-every artifact the tool prints `identical` or `moved`; for a moved one, its
-first differing line (a byte offset for `model.ckpt`) and the largest
-absolute difference over the numeric fields. Then each tree runs `predict`
-for every fusion rule and sub-path scope on the parent's dataset and
-checkpoint, and the tool prints, per rule and scope, the largest difference
-in fused probabilities and the number of rows whose argmax flipped, and the
-largest difference of the main route and of the sub-paths over all of them.
+(with its `dataset` and `checkpoint` keys replaced by paths into that
+directory; `ablate` reads the config as given, so its `seeds` list sets the
+grid's size). For every artifact the tool prints `identical` or `moved`; for
+a moved one, its first differing line (a byte offset for `model.ckpt`) and
+the largest absolute difference over the numeric fields. Then each tree runs
+`predict` for every fusion rule and sub-path scope on the parent's dataset
+and checkpoint, and the tool prints, per rule and scope, the largest
+difference in fused probabilities and the number of rows whose argmax
+flipped, and the largest difference of the main route and of the sub-paths
+over all of them.
 
-Exits 0 when every step ran in both trees, whatever moved. The ACCEPTANCE
-lines and the perfbench digests are not compared here.
+Then each tree runs its own `tests/test_acceptance.py`, and the tool
+compares the ACCEPTANCE lines criterion by criterion, with timings (`0.3s`,
+`34s`) left out. Last, each tree's `perfbench/run.py` is imported, read
+only, and its own workloads, schedule and `run_digest` give the digests of
+the `train_aug` and `train_main` runs and of the `eval_fusion` set-up's
+warm-up run, for seeds 1 and 7; the tool compares them.
+
+Exits 0 when every step ran in both trees, whatever moved.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -65,6 +75,34 @@ for strategy in inference.FusionStrategy:
         arrays.update((f"{key}/{name}", p) for name, p in per_path.items())
 np.savez(out, **arrays)
 """
+# prints the perfbench run digests of one tree as JSON, from its own run.py
+PERFBENCH = """
+import importlib.util
+import json
+import sys
+from pathlib import Path
+tree, work, scale, *seeds = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("perfbench_run", Path(tree) / "perfbench" / "run.py")
+run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+run.import_normaug()
+digests = {}
+for seed in map(int, seeds):
+    bench = run.Bench(getattr(run, scale), seed, Path(work))
+    for name, wl in (("train_aug", run.TrainWorkload(bench, "on_aug")),
+                     ("train_main", run.TrainWorkload(bench, "on")),
+                     ("eval_fusion", run.EvalWorkload(bench))):
+        wl.setup()
+        if name != "eval_fusion":
+            wl.unit(run.new_record())
+        digests[f"{name} seed {seed}"] = wl.digest
+    if bench.checks.failed:
+        sys.exit(f"perfbench checks failed: {bench.checks.messages}")
+print(json.dumps(digests))
+"""
+PERFBENCH_SEEDS = (1, 7)
+# a timing in an ACCEPTANCE line: `in 0.3s`, `grid=34s`
+TIMING = re.compile(r"\b\d+(?:\.\d+)?s\b")
 
 
 def normaug(tree: Path, cwd: Path, *args: str) -> None:
@@ -72,23 +110,34 @@ def normaug(tree: Path, cwd: Path, *args: str) -> None:
     run_python(tree, cwd, "-m", "normaug.cli", *args)
 
 
-def run_python(tree: Path, cwd: Path, *args: str) -> None:
-    env = os.environ | {"PYTHONPATH": str(tree / "src")}
+def run_python(tree: Path, cwd: Path, *args: str, ok: tuple[int, ...] = (0,)) -> str:
+    """Python with `tree`'s `src/` on the path; its standard output. An exit
+    code outside `ok` is a RuntimeError."""
+    env = os.environ | {"PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=1800)
-    if proc.returncode != 0:
+    if proc.returncode not in ok:
         raise RuntimeError(f"{tree}: {' '.join(args[:4])}: exit {proc.returncode}\n"
                            f"{proc.stderr}")
+    return proc.stdout
+
+
+def pipeline_config(text: str, work: Path) -> str:
+    """The config `text` with its `dataset` and `checkpoint` keys, if any,
+    replaced by paths into `work` (a key may appear only once)."""
+    kept = [line for line in text.splitlines()
+            if line.split("#", 1)[0].partition("=")[0].strip() not in ("dataset", "checkpoint")]
+    return "\n".join([*kept, f"dataset = {work / 'dataset.csv'}",
+                      f"checkpoint = {work / 'model.ckpt'}"]) + "\n"
 
 
 def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
     """The README pipeline from `config` in `work`; returns the config that
     points `dataset` and `checkpoint` into `work`."""
     work.mkdir(parents=True)
-    text = config.read_text(encoding="utf-8")
     run_config = work / "run.txt"
-    run_config.write_text(f"{text}\ndataset = {work / 'dataset.csv'}\n"
-                          f"checkpoint = {work / 'model.ckpt'}\n", encoding="utf-8")
+    run_config.write_text(pipeline_config(config.read_text(encoding="utf-8"), work),
+                          encoding="utf-8")
     cfg = str(run_config)
     normaug(tree, work, "gen-data", "--config", str(config), "--out", str(work))
     normaug(tree, work, "train", "--config", cfg, "--out", str(work))
@@ -160,8 +209,61 @@ def compare_predictions(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def acceptance_lines(output: str) -> dict[str, str]:
+    """The ACCEPTANCE lines of a gate run's output: criterion -> the rest of
+    the line, with each timing replaced by `<t>s`."""
+    lines = {}
+    for line in output.splitlines():
+        if line.startswith("ACCEPTANCE "):
+            criterion, _, rest = line[len("ACCEPTANCE "):].partition(": ")
+            lines[criterion] = TIMING.sub("<t>s", rest.strip())
+    return lines
+
+
+def compare_keyed(label: str, parent: dict[str, str], change: dict[str, str]) -> list[str]:
+    """One line per key of either side, the parent's first: `identical`,
+    `moved` with both values, or missing on one side."""
+    lines = []
+    for key in [*parent, *(k for k in change if k not in parent)]:
+        p, c = parent.get(key), change.get(key)
+        if p == c:
+            status = "identical"
+        elif p is None or c is None:
+            status = f"missing in the {'parent' if p is None else 'change'}"
+        else:
+            status = f"moved: parent {p!r}, change {c!r}"
+        lines.append(f"{label} {key}: {status}")
+    return lines
+
+
+def perfbench_digests(tree: Path, work: Path, seeds=PERFBENCH_SEEDS,
+                      scale: str = "FULL") -> dict[str, str]:
+    """`tree`'s perfbench run digests per workload and seed, from its own
+    `perfbench/run.py` at its `scale` schedule."""
+    work.mkdir(parents=True)
+    out = run_python(tree, work, "-c", PERFBENCH, str(tree), str(work), scale, *map(str, seeds))
+    return json.loads(out.splitlines()[-1])
+
+
+def check_gate(parent: Path, change: Path, work: Path) -> list[str]:
+    """The ACCEPTANCE lines, timings aside, and the perfbench digests of the
+    two trees, compared."""
+    gate, digests = {}, {}
+    for side, tree in (("parent", parent), ("change", change)):
+        # a failed criterion exits 1 and still prints its line
+        out = run_python(tree, tree, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
+                         "tests/test_acceptance.py", ok=(0, 1))
+        gate[side] = acceptance_lines(out)
+        digests[side] = perfbench_digests(tree, work / f"perfbench_{side}")
+    return ([f"ACCEPTANCE: {len(gate['parent'])} lines in the parent, "
+             f"{len(gate['change'])} in the change"]
+            + compare_keyed("ACCEPTANCE", gate["parent"], gate["change"])
+            + compare_keyed("perfbench", digests["parent"], digests["change"]))
+
+
 def check(parent: Path, change: Path, config: Path, work: Path) -> list[str]:
-    """Every comparison line for the two trees, run under `work`."""
+    """The pipeline's and `predict`'s comparison lines for the two trees,
+    run under `work`."""
     configs = {side: run_pipeline(tree, config, work / side)
                for side, tree in (("parent", parent), ("change", change))}
     lines = []
@@ -185,9 +287,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, default=ROOT, help="tree of the change (default: this one)")
     ap.add_argument("--config", type=Path, required=True, help="pipeline config file")
     args = ap.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
     with tempfile.TemporaryDirectory(prefix="bits_check_") as tmp:
-        for line in check(args.parent.resolve(), args.change.resolve(),
-                          args.config.resolve(), Path(tmp)):
+        for line in check(parent, change, args.config.resolve(), Path(tmp)):
+            print(line, flush=True)
+        for line in check_gate(parent, change, Path(tmp)):
             print(line)
     return 0
 

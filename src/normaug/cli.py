@@ -61,6 +61,7 @@ def parse_config(path) -> dict[str, str]:
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for ln, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,7 +72,9 @@ def parse_config(path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in KNOWN_KEYS:
             raise UsageError(f"{p}:{ln}: unknown config key {key!r}")
-        out[key] = value
+        if key in first:
+            raise UsageError(f"{p}:{ln}: config key {key!r} repeated (first on line {first[key]})")
+        first[key], out[key] = ln, value
     return out
 
 
@@ -84,6 +87,20 @@ def _value(cfg: dict, key: str, default):
         return parse_value(key, cfg[key], kind)
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _check_seeds(cfg: dict, command: str, override: int | None) -> None:
+    """`--seed` and the seeds the command reads (`seeds` for ablate, `seed`
+    for the others) must be non-negative integers, as numpy's generators
+    require."""
+    if override is not None and override < 0:
+        raise UsageError(f"--seed: expected a non-negative integer, got {override}")
+    key, default = ("seeds", ()) if command == "ablate" else ("seed", 0)
+    if key in COMMAND_KEYS[command]:
+        value = _value(cfg, key, default)
+        for seed in value if key == "seeds" else [value]:
+            if seed < 0:
+                raise UsageError(f"config key {key}: expected a non-negative integer, got {seed}")
 
 
 def _config(cls, cfg: dict, **fixed):
@@ -334,6 +351,7 @@ def main(argv=None) -> int:
             # one config file serves every command, so other commands' keys are not errors
             print(f"normaug {args.command}: ignoring config keys {', '.join(ignored)}",
                   file=sys.stderr)
+        _check_seeds(cfg, args.command, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "gen-data":

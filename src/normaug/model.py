@@ -143,6 +143,23 @@ class Conv2d:
         return [("W", self.weight), ("b", self.bias)]
 
 
+class ParamBlock:
+    """Parameters that a training step updates together, as named views of
+    one float64 buffer: each parameter's `data` becomes its slice of the
+    buffer, in order. `name` is the first parameter's."""
+
+    __slots__ = ("name", "params", "views", "buffer")
+
+    def __init__(self, params: list[tuple[str, Tensor]]):
+        self.name, self.params = params[0][0], params
+        self.buffer = np.concatenate([t.data for _, t in params], axis=None)
+        self.views, start = [], 0
+        for _, t in params:
+            t.data = self.buffer[start:start + t.data.size].reshape(t.data.shape)
+            self.views.append(t.data)
+            start += t.data.size
+
+
 class TwoPathNetwork:
     """Shared backbone with a main normalization route and an auxiliary
     per-subset route; use `init_model` to construct."""
@@ -186,7 +203,7 @@ class TwoPathNetwork:
                 shared = Linear(self.feature_dim, config.num_classes, rng)
                 for s in nb.scheme_subsets(config.num_domains):
                     self.classifiers_aux[s] = shared
-        self._share_buffers()
+        self.blocks = self._share_buffers()
         # forward_aux's current batch layout and its rows per partition
         self._layout: tuple | None = None
         self._layout_rows: dict[Partition, tuple[list, list]] = {}
@@ -194,55 +211,31 @@ class TwoPathNetwork:
     # -- parameter registry ---------------------------------------------
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """Named parameters in deterministic order, aliases listed once."""
-        out: list[tuple[str, Tensor]] = []
-        seen: set[int] = set()
+        """Named parameters, block by block (`blocks`), aliases listed once."""
+        return [p for block in self.blocks for p in block.params]
 
-        def put(name: str, t: Tensor) -> None:
-            if id(t) not in seen:
-                seen.add(id(t))
-                out.append((name, t))
+    def _share_buffers(self) -> list[ParamBlock]:
+        """The named blocks of parameters that a training step updates
+        together, each with one buffer: the backbone with the main units,
+        the main classifier, each bank subset's units at every site, and
+        each auxiliary classifier that is not an alias of another."""
+        def named(prefix: str, owner) -> list[tuple[str, Tensor]]:
+            return [(f"{prefix}.{suffix}", t) for suffix, t in owner.parameters()]
 
-        for i, layer in enumerate(self.layers):
-            for suffix, t in layer.parameters():
-                put(f"backbone.layer{i}.{suffix}", t)
-        for i, unit in enumerate(self.main_units):
-            for suffix, t in unit.parameters():
-                put(f"main.site{i}.{suffix}", t)
-        for i, bank in enumerate(self.banks):
-            for s in bank.subsets():
-                for suffix, t in bank.units[s].parameters():
-                    put(f"bank.site{i}.u{s.label()}.{suffix}", t)
-        put("classifier.main.W", self.classifier_main.weight)
-        put("classifier.main.b", self.classifier_main.bias)
-        for s, clf in self.classifiers_aux.items():
-            put(f"classifier.aux.u{s.label()}.W", clf.weight)
-            put(f"classifier.aux.u{s.label()}.b", clf.bias)
-        return out
-
-    def _share_buffers(self) -> None:
-        """Give each block of parameters that a training step updates
-        together one buffer, every parameter's `data` a view of it, so that
-        `SGD` updates a block with one set of array operations: the backbone
-        with the main units, the main classifier, each bank subset's units
-        at every site, and each auxiliary classifier."""
-        def params(*owners) -> list[Tensor]:
-            return [t for owner in owners for _, t in owner.parameters()]
-
-        blocks = [params(*self.layers, *self.main_units), params(self.classifier_main)]
+        trunk = [p for i, layer in enumerate(self.layers)
+                 for p in named(f"backbone.layer{i}", layer)]
+        trunk += [p for i, unit in enumerate(self.main_units)
+                  for p in named(f"main.site{i}", unit)]
+        blocks = [trunk, named("classifier.main", self.classifier_main)]
         for s in (self.banks[0].subsets() if self.banks else []):
-            blocks.append(params(*(bank.units[s] for bank in self.banks)))
+            blocks.append([p for i, bank in enumerate(self.banks)
+                           for p in named(f"bank.site{i}.u{s.label()}", bank.units[s])])
         shared = {id(self.classifier_main)}
-        for clf in self.classifiers_aux.values():
+        for s, clf in self.classifiers_aux.items():
             if id(clf) not in shared:
                 shared.add(id(clf))
-                blocks.append(params(clf))
-        for block in blocks:
-            buffer = np.concatenate([t.data for t in block], axis=None)
-            start = 0
-            for t in block:
-                t.data = buffer[start:start + t.data.size].reshape(t.data.shape)
-                start += t.data.size
+                blocks.append(named(f"classifier.aux.u{s.label()}", clf))
+        return [ParamBlock(b) for b in blocks]
 
     # -- forward routes ---------------------------------------------------
 

@@ -3,7 +3,8 @@
 Each iteration draws an equal number of rows per source domain, samples one
 sub-batch combination, and minimizes the main-route cross entropy plus the
 weighted mean of the per-group auxiliary cross entropies with SGD
-(momentum, weight decay, separate classifier / backbone learning rates).
+(momentum, weight decay, separate classifier / backbone learning rates)
+over the model's parameter blocks, each updated whole or not at all.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import datagen, inference
 from . import normbank as nb
 from . import tensor as T
 from .datagen import Dataset
-from .model import TwoPathNetwork, encode_rng_state, save_checkpoint
+from .model import ParamBlock, TwoPathNetwork, encode_rng_state, save_checkpoint
 from .normbank import Partition
 from .tensor import Tensor
 
@@ -186,156 +187,81 @@ def two_path_loss(main_logits: Tensor, labels: np.ndarray,
 # optimizer
 
 
-class _Block:
-    """Parameters of one SGD group whose arrays tile one float64 buffer in
-    memory order (`TwoPathNetwork` shares one buffer per block of
-    parameters that a step updates together), and a velocity buffer laid
-    out the same way."""
-
-    __slots__ = ("params", "views", "data", "velocity", "velocity_views")
-
-    def __init__(self, params: list[Tensor]):
-        self.params = params
-        self.views = [t.data for t in params]
-        self.data = params[0].data.base
-        self.velocity = np.zeros(self.data.size)
-        self.velocity_views, start = [], 0
-        for t in params:
-            self.velocity_views.append(
-                self.velocity[start:start + t.data.size].reshape(t.data.shape))
-            start += t.data.size
-
-    @staticmethod
-    def tiles(params: list[Tensor]) -> bool:
-        """Whether the arrays are C-contiguous views that tile their shared
-        1-D buffer, in this order."""
-        base = params[0].data.base
-        if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
-                and base.flags.c_contiguous):
-            return False
-        at = base.ctypes.data
-        for t in params:
-            if t.data.base is not base or not t.data.flags.c_contiguous or t.data.ctypes.data != at:
-                return False
-            at += t.data.nbytes
-        return at == base.ctypes.data + base.nbytes
-
-    def whole(self, velocity: dict[int, np.ndarray]) -> bool:
-        """Whether one update of the buffer is every parameter's update:
-        each has a gradient of its shape and still holds its view, and all
-        or none have a velocity."""
-        started = 0
-        for t, view in zip(self.params, self.views):
-            if t.grad is None or t.data is not view or t.grad.shape != view.shape:
-                return False
-            started += id(t) in velocity
-        return started == 0 or started == len(self.params)
-
-
-def _blocks(params: list[Tensor]) -> tuple[list[_Block], list[Tensor]]:
-    """A group's parameters as blocks (those sharing a buffer they tile) and
-    the rest, one by one."""
-    shared: dict[int, list[Tensor]] = {}
-    singles = []
-    for t in params:
-        if t.data.base is None:
-            singles.append(t)
-        else:
-            shared.setdefault(id(t.data.base), []).append(t)
-    blocks = []
-    for ts in shared.values():
-        ts.sort(key=lambda t: t.data.ctypes.data)
-        if _Block.tiles(ts):
-            blocks.append(_Block(ts))
-        else:
-            singles += ts
-    return blocks, singles
-
-
 class SGD:
-    """Momentum SGD with decoupled parameter groups.
-
-    v <- momentum * v + (grad + weight_decay * w); w <- w - lr * v, in
-    place with the bits of those expressions. Parameters that tile a shared
-    buffer (a `_Block`) and all have a gradient update as one array: the
-    same elementwise operations, so the same bits."""
+    """Momentum SGD over parameter blocks (`TwoPathNetwork.blocks`), in
+    groups with their own learning rates: v <- momentum * v + (grad +
+    weight_decay * w); w <- w - lr * v, in place on each block's buffer with
+    the bits of those expressions, a block's first v being its first
+    update. A block is updated when the step gave every one of its
+    parameters a gradient and skipped when it gave none; anything else
+    raises (`_gradients`)."""
 
     def __init__(self, groups: list[dict]):
-        # each group: {"params": [(name, Tensor)], "lr": float}
-        self.groups = []
-        for g in groups:
-            self.groups.append({
-                "params": list(g["params"]),
-                "lr": float(g["lr"]),
-                "momentum": float(g.get("momentum", 0.0)),
-                "weight_decay": float(g.get("weight_decay", 0.0)),
-            })
-        self._velocity: dict[int, np.ndarray] = {}
-        self._blocks = [_blocks([t for _, t in g["params"]]) for g in self.groups]
+        # each group: {"blocks": [ParamBlock], "lr", "momentum", "weight_decay"}
+        self.groups = [{"blocks": list(g["blocks"]), "lr": float(g["lr"]),
+                        "momentum": float(g.get("momentum", 0.0)),
+                        "weight_decay": float(g.get("weight_decay", 0.0)),
+                        "velocity": [None] * len(g["blocks"])} for g in groups]
         self.lr_scale = 1.0
 
     def zero_grad(self) -> None:
         for g in self.groups:
-            for _, t in g["params"]:
-                t.grad = None
+            for block in g["blocks"]:
+                for _, t in block.params:
+                    t.grad = None
 
     def step(self) -> None:
-        velocity = self._velocity
-        for g, (blocks, singles) in zip(self.groups, self._blocks):
+        for g in self.groups:
             lr = g["lr"] * self.lr_scale
-            mom, wd = g["momentum"], g["weight_decay"]
-            for block in blocks:
-                if not block.whole(velocity):
-                    for t, slot in zip(block.params, block.velocity_views):
-                        self._update(t, slot, lr, mom, wd)
+            mom, wd, velocity = g["momentum"], g["weight_decay"], g["velocity"]
+            for i, block in enumerate(g["blocks"]):
+                grads = _gradients(block)
+                if grads is None:
                     continue
-                upd = np.concatenate([t.grad for t in block.params], axis=None)
+                upd = np.concatenate(grads, axis=None)
                 if wd:
-                    upd += wd * block.data
+                    upd += wd * block.buffer
                 if mom:
-                    v = block.velocity
-                    if id(block.params[0]) in velocity:
-                        v *= mom
-                        v += upd
+                    if velocity[i] is None:
+                        velocity[i] = upd
                     else:
-                        v[...] = upd
-                        velocity.update(zip(map(id, block.params), block.velocity_views))
-                    upd = v
-                block.data -= lr * upd
-            for t in singles:
-                self._update(t, None, lr, mom, wd)
+                        velocity[i] *= mom
+                        velocity[i] += upd
+                    upd = velocity[i]
+                block.buffer -= lr * upd
 
-    def _update(self, t: Tensor, slot: np.ndarray | None, lr: float, mom: float,
-                wd: float) -> None:
-        """One parameter's update; its first velocity goes into `slot` (its
-        view of a block's velocity buffer) when that has the shape."""
-        if t.grad is None:
-            return
-        upd = t.grad + wd * t.data if wd else t.grad
-        if mom:
-            v = self._velocity.get(id(t))
-            if v is None:
-                if slot is not None and slot.shape == upd.shape:
-                    slot[...] = upd
-                    v = slot
-                else:  # a copy: a gradient may be a read-only view
-                    v = upd.copy()
-                self._velocity[id(t)] = v
-            else:
-                v *= mom
-                v += upd
-            upd = v
-        t.data -= lr * upd
+
+def _gradients(block: ParamBlock) -> list[np.ndarray] | None:
+    """The block's gradients in order, or None when no parameter has one. A
+    ValueError naming the block when only some have one, or when a
+    parameter's `data` is no longer its view of the buffer or its gradient
+    has another shape."""
+    grads = [t.grad for _, t in block.params]
+    have = sum(g is not None for g in grads)
+    if have == 0:
+        return None
+    if have < len(grads):
+        raise ValueError(f"SGD: block {block.name}: {have} of {len(grads)} parameters "
+                         f"have a gradient")
+    for (name, t), view, g in zip(block.params, block.views, grads):
+        if t.data is not view:
+            raise ValueError(f"SGD: block {block.name}: parameter {name} no longer holds "
+                             f"its view of the block's buffer")
+        if g.shape != view.shape:
+            raise ValueError(f"SGD: block {block.name}: parameter {name} has shape "
+                             f"{view.shape}, its gradient {g.shape}")
+    return grads
 
 
 def make_optimizer(model: TwoPathNetwork, config: TrainConfig) -> SGD:
-    params = model.parameters()
-    clf = [(n, t) for n, t in params if n.startswith("classifier.")]
-    rest = [(n, t) for n, t in params if not n.startswith("classifier.")]
+    """The model's blocks in two groups: the classifiers at `lr_classifier`,
+    the rest at `lr_backbone`."""
+    clf = [b for b in model.blocks if b.name.startswith("classifier.")]
+    rest = [b for b in model.blocks if not b.name.startswith("classifier.")]
     common = {"momentum": config.momentum, "weight_decay": config.weight_decay}
     return SGD([
-        {"params": rest, "lr": config.lr_backbone, **common},
-        {"params": clf, "lr": config.lr_classifier, **common},
+        {"blocks": rest, "lr": config.lr_backbone, **common},
+        {"blocks": clf, "lr": config.lr_classifier, **common},
     ])
 
 

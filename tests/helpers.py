@@ -139,22 +139,35 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
 
 class ReferenceSGD(SGD):
     """Out-of-place oracle for the in-place `SGD.step`: every step builds
-    new velocity and parameter arrays from the update rule's expressions."""
+    new velocity and parameter arrays from the update rule's expressions,
+    one parameter at a time. A block's velocity is the list of its
+    parameters' velocities (`block_velocities` joins it)."""
 
     def step(self) -> None:
         for g in self.groups:
             lr = g["lr"] * self.lr_scale
             mom, wd = g["momentum"], g["weight_decay"]
-            for _, t in g["params"]:
-                if t.grad is None:
-                    continue
-                upd = t.grad + wd * t.data if wd else t.grad
-                if mom:
-                    v = self._velocity.get(id(t))
-                    v = upd if v is None else mom * v + upd
-                    self._velocity[id(t)] = v
-                    upd = v
-                t.data = t.data - lr * upd
+            for i, block in enumerate(g["blocks"]):
+                velocity = g["velocity"][i] or [None] * len(block.params)
+                for k, (_, t) in enumerate(block.params):
+                    if t.grad is None:
+                        continue
+                    upd = t.grad + wd * t.data if wd else t.grad
+                    if mom:
+                        v = velocity[k]
+                        v = upd if v is None else mom * v + upd
+                        velocity[k] = v
+                        upd = v
+                    t.data = t.data - lr * upd
+                if any(v is not None for v in velocity):
+                    g["velocity"][i] = velocity
+
+
+def block_velocities(opt: SGD) -> list[np.ndarray | None]:
+    """Every block's velocity, group by group, as one flat array (None
+    before the block's first update)."""
+    return [v if v is None or isinstance(v, np.ndarray) else np.concatenate(v, axis=None)
+            for g in opt.groups for v in g["velocity"]]
 
 
 def two_pass_stats(block: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
-"""The bits check tool: its comparison helpers on canned inputs, and the whole
-pipeline on a tiny config with one tree on both sides."""
+"""The bits check tool: its comparison helpers on canned inputs, the whole
+pipeline on a tiny config with one tree on both sides, and the perfbench
+digests on the smoke-test schedule. The acceptance gate itself is not run
+here: the tier-1 suite runs it once already."""
 
 import importlib.util
 from pathlib import Path
@@ -81,3 +83,56 @@ def test_one_tree_on_both_sides_is_identical(tool, tmp_path):
                for line in predicted)
     assert lines[-1] == ("predict: largest main-route difference 0, "
                          "largest sub-path difference 0")
+
+
+GATE = """tests/test_acceptance.py
+ACCEPTANCE 1 statistics-oracle: PASS  max |diff|=1.42e-14 over 1000 cases in 0.3s
+.
+ACCEPTANCE 5 ablation-ordering: PASS  ours=0.8696 aug=0.8670 gap=3.10pt grid=34s
+.
+ACCEPTANCE 9 random-vs-single: PASS  random=0.8696 single=0.8672 diff=0.24pt
+.
+3 passed in 35.12s
+"""
+
+
+def test_acceptance_lines_leave_timings_out(tool):
+    assert tool.acceptance_lines(GATE) == {
+        "1 statistics-oracle": "PASS  max |diff|=1.42e-14 over 1000 cases in <t>s",
+        "5 ablation-ordering": "PASS  ours=0.8696 aug=0.8670 gap=3.10pt grid=<t>s",
+        "9 random-vs-single": "PASS  random=0.8696 single=0.8672 diff=0.24pt"}
+
+
+def test_acceptance_comparison(tool):
+    parent = tool.acceptance_lines(GATE)
+    change = tool.acceptance_lines(
+        GATE.replace("in 0.3s", "in 1.7s").replace("grid=34s", "grid=41s")
+        .replace("single=0.8672", "single=0.8701").replace("diff=0.24pt", "diff=-0.05pt")
+        .replace("ACCEPTANCE 1 statistics-oracle", "ACCEPTANCE 1 statistics-oracle-typo"))
+    assert tool.compare_keyed("ACCEPTANCE", parent, change) == [
+        "ACCEPTANCE 1 statistics-oracle: missing in the change",
+        "ACCEPTANCE 5 ablation-ordering: identical",
+        "ACCEPTANCE 9 random-vs-single: moved: parent 'PASS  random=0.8696 single=0.8672 "
+        "diff=0.24pt', change 'PASS  random=0.8696 single=0.8701 diff=-0.05pt'",
+        "ACCEPTANCE 1 statistics-oracle-typo: missing in the parent"]
+
+
+def test_pipeline_config_replaces_dataset_and_checkpoint(tool, tmp_path):
+    """A config that sets `dataset` or `checkpoint` gets the run's paths
+    instead, once each, so the CLI does not refuse a repeated key."""
+    from normaug.cli import parse_config
+
+    text = TINY + "dataset = elsewhere.csv  # old\n checkpoint=old.ckpt\n"
+    run = tmp_path / "run.txt"
+    run.write_text(tool.pipeline_config(text, tmp_path / "work"), encoding="utf-8")
+    cfg = parse_config(run)
+    assert cfg["dataset"] == str(tmp_path / "work" / "dataset.csv")
+    assert cfg["checkpoint"] == str(tmp_path / "work" / "model.ckpt")
+    assert cfg["per_cell"] == "16"
+
+
+def test_perfbench_digests_on_the_smoke_schedule(tool, tmp_path):
+    digests = tool.perfbench_digests(ROOT, tmp_path / "pb", seeds=(1,), scale="TINY")
+    assert list(digests) == ["train_aug seed 1", "train_main seed 1", "eval_fusion seed 1"]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    assert len(set(digests.values())) == 3

@@ -375,6 +375,35 @@ class TestUsageErrors:
         assert f"TrainConfig: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("lines", [["per_cell = 20", "per_cell = 200"],
+                                       ["per_cell=20  # small", " per_cell = 200"]])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, monkeypatch, lines):
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["gen-data", "--config", "c.txt", "--out", "out"]) == 2
+        assert capsys.readouterr().err == (
+            "normaug gen-data: c.txt:2: config key 'per_cell' repeated (first on line 1)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, flag, message", [
+        ("gen-data", SMALL_GEN, ["--seed", "-1"], "--seed: expected a non-negative integer, got -1"),
+        ("train", "dataset = missing.csv\n", ["--seed", "-3"],
+         "--seed: expected a non-negative integer, got -3"),
+        ("train", "dataset = missing.csv\nseed = -3\n", [],
+         "config key seed: expected a non-negative integer, got -3"),
+        ("diagnose", "checkpoint = missing.ckpt\ndataset = missing.csv\nseed = -2\n", [],
+         "config key seed: expected a non-negative integer, got -2"),
+        ("ablate", "seeds = -1\n", [], "config key seeds: expected a non-negative integer, got -1"),
+    ], ids=["gen-data", "train-flag", "train-key", "diagnose", "ablate"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, text, flag, message):
+        """Refused before any file is read (the dataset and checkpoint do not
+        exist) or written."""
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out),
+                     *flag]) == 2
+        assert capsys.readouterr().err == f"normaug {command}: {message}\n"
+        assert not out.exists()
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1

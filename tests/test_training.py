@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ReferenceSGD, add, tiny_config, tiny_model, toy_batch
+from helpers import ReferenceSGD, add, block_velocities, tiny_config, tiny_model, toy_batch
 from normaug import datagen, inference, normbank as nb, tensor as T, training
 from normaug.gradcheck import grad_check_params
-from normaug.model import TwoPathNetwork, init_model, load_checkpoint
+from normaug.model import ParamBlock, TwoPathNetwork, init_model, load_checkpoint
 from normaug.normbank import DomainSubset, Partition
 from normaug.tensor import Tensor
 from normaug.training import (
@@ -264,11 +264,15 @@ class TestLoss:
             assert grad_check_params(fn, params, h=1e-5) < 1e-6
 
 
+def one_block_sgd(t: Tensor, **group) -> SGD:
+    """SGD over one block holding the single parameter `t`."""
+    return SGD([{"blocks": [ParamBlock([("w", t)])], **group}])
+
+
 class TestSGD:
     def test_plain_sgd_is_lr_times_grad(self):
         t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = SGD([{"params": [("w", t)], "lr": 0.1, "momentum": 0.0,
-                    "weight_decay": 0.0}])
+        opt = one_block_sgd(t, lr=0.1, momentum=0.0, weight_decay=0.0)
         t.grad = np.array([3.0, -1.0])
         before = t.data.copy()
         opt.step()
@@ -289,8 +293,7 @@ class TestSGD:
 
     def test_momentum_accumulates_velocity(self):
         t = Tensor(np.array([0.0]), requires_grad=True)
-        opt = SGD([{"params": [("w", t)], "lr": 1.0, "momentum": 0.5,
-                    "weight_decay": 0.0}])
+        opt = one_block_sgd(t, lr=1.0, momentum=0.5, weight_decay=0.0)
         t.grad = np.array([1.0])
         opt.step()  # v=1, w=-1
         t.grad = np.array([1.0])
@@ -299,8 +302,7 @@ class TestSGD:
 
     def test_weight_decay_added_to_grad(self):
         t = Tensor(np.array([2.0]), requires_grad=True)
-        opt = SGD([{"params": [("w", t)], "lr": 0.1, "momentum": 0.0,
-                    "weight_decay": 0.5}])
+        opt = one_block_sgd(t, lr=0.1, momentum=0.0, weight_decay=0.5)
         t.grad = np.array([0.0])
         opt.step()
         assert np.allclose(t.data, [2.0 - 0.1 * (0.5 * 2.0)])
@@ -327,14 +329,16 @@ class TestSGD:
         assert loss_a == loss_b
         for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
             assert np.array_equal(ta.data, tb.data), name
-            assert np.array_equal(opt_a._velocity[id(ta)], opt_b._velocity[id(tb)]), name
+        va, vb = block_velocities(opt_a), block_velocities(opt_b)
+        assert len(va) == len(vb) == len(m_a.blocks)
+        for block, a, b in zip(m_a.blocks, va, vb):
+            assert a is not None and a.tobytes() == b.tobytes(), block.name
 
     def test_read_only_gradient_without_weight_decay(self):
         """`sum`'s backward hands a leaf a read-only broadcast view as its
         gradient; the velocity is a copy, never that view."""
         t = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        opt = SGD([{"params": [("w", t)], "lr": 0.1, "momentum": 0.5,
-                    "weight_decay": 0.0}])
+        opt = one_block_sgd(t, lr=0.1, momentum=0.5, weight_decay=0.0)
         grads = []
         for _ in range(3):
             opt.zero_grad()
@@ -342,7 +346,7 @@ class TestSGD:
             assert not t.grad.flags.writeable
             grads.append(t.grad)
             opt.step()
-            assert not any(np.shares_memory(opt._velocity[id(t)], g) for g in grads)
+            assert not any(np.shares_memory(opt.groups[0]["velocity"][0], g) for g in grads)
         want = np.array([1.0, -2.0, 0.5])
         for v in (1.0, 1.5, 1.75):
             want = want - 0.1 * v
@@ -365,9 +369,10 @@ class TestSGD:
 
     @pytest.mark.parametrize("mode", ["independent", "shared_one", "shared_two"])
     def test_every_model_parameter_is_in_a_block(self, mode):
-        """Built or loaded, a model's parameters tile one buffer per block:
-        the backbone with the main units, each bank subset's units, each
-        classifier."""
+        """Built or loaded, a model's parameters tile one buffer per block,
+        each once and in order: the backbone with the main units, each bank
+        subset's units, each classifier. `make_optimizer` puts the
+        classifiers' blocks in the second group."""
         fixture = Path(__file__).parent / "data" / "tiny_aug.ckpt"
         n = len(nb.scheme_subsets(3))
         aux = {"independent": n, "shared_one": 0, "shared_two": 1}[mode]
@@ -375,53 +380,76 @@ class TestSGD:
             if m.config.classifier_mode != mode:
                 continue
             sites = len(m.config.hidden_sizes)
-            opt = make_optimizer(m, TrainConfig())
-            (rest, rest_singles), (clf, clf_singles) = opt._blocks
-            assert rest_singles == [] and clf_singles == []
+            owners = [*m.layers, *m.main_units, m.classifier_main, *m.classifiers_aux.values()]
+            owners += [u for bank in m.banks for u in bank.units.values()]
+            tensors = {id(t) for owner in owners for _, t in owner.parameters()}
+            in_blocks = [id(t) for b in m.blocks for _, t in b.params]
+            assert sorted(in_blocks) == sorted(tensors)
+            assert [(n, id(t)) for n, t in m.parameters()] == \
+                [(n, id(t)) for b in m.blocks for n, t in b.params]
+            for block in m.blocks:
+                assert block.name == block.params[0][0]
+                start = block.buffer.__array_interface__["data"][0]
+                for (name, t), view in zip(block.params, block.views):
+                    assert t.data is view and view.base is block.buffer, name
+                    assert view.__array_interface__["data"][0] == start, name
+                    start += view.nbytes
+                assert start == block.buffer.__array_interface__["data"][0] + block.buffer.nbytes
+            rest, clf = (g["blocks"] for g in make_optimizer(m, TrainConfig()).groups)
             # per site: a layer's W and b, the main unit's gamma, beta and mix
             assert [len(b.params) for b in rest] == [5 * sites] + [2 * sites] * n
             assert [len(b.params) for b in clf] == [2] * (1 + aux)
+            assert all(b.name.startswith("classifier.") for b in clf)
+            assert not any(b.name.startswith("classifier.") for b in rest)
 
-    def test_block_falls_back_to_each_parameter(self):
-        """A block whose parameters do not all have a gradient, or do not
-        all have a velocity yet, updates one parameter at a time; then as
-        one array. Every step has the reference bits."""
-        def block():
-            buffer = np.linspace(-1.0, 1.0, 6)
-            return [Tensor(buffer[:2], requires_grad=True),
-                    Tensor(buffer[2:].reshape(2, 2), requires_grad=True)]
+    def test_block_without_gradients_is_skipped(self):
+        """A step that gave a block no gradient leaves its buffer and its
+        velocity alone."""
+        m = tiny_model(seed=5)
+        opt = make_optimizer(m, TrainConfig())
+        before = [b.buffer.copy() for b in m.blocks]
+        opt.zero_grad()
+        opt.step()
+        assert all(b.buffer.tobytes() == x.tobytes() for b, x in zip(m.blocks, before))
+        assert block_velocities(opt) == [None] * len(m.blocks)
 
-        a, b = block(), block()
-        group = {"lr": 0.1, "momentum": 0.9, "weight_decay": 5e-4}
-        opt = SGD([{"params": [("p", a[0]), ("q", a[1])], **group}])
-        ref = ReferenceSGD([{"params": [("p", b[0]), ("q", b[1])], **group}])
-        assert [len(blk.params) for blk in opt._blocks[0][0]] == [2]
-        rng = np.random.default_rng(0)
-        for has_grad in ([True, False], [True, True], [True, True], [False, True]):
-            for x, y, on in zip(a, b, has_grad):
-                x.grad = y.grad = rng.standard_normal(x.shape) if on else None
+    def test_partly_updated_block_raises(self):
+        """A block of which some, not all, parameters have a gradient is an
+        error naming its first parameter; its buffer does not move."""
+        m = tiny_model(seed=5, hidden=(5, 4, 3))
+        opt = make_optimizer(m, TrainConfig())
+        block = next(b for b in m.blocks if b.name.startswith("bank."))
+        assert block.name == "bank.site0.u0.gamma" and len(block.params) == 6
+        opt.zero_grad()
+        for _, t in block.params[:2]:
+            t.grad = np.ones(t.shape)
+        before = block.buffer.copy()
+        with pytest.raises(ValueError) as err:
             opt.step()
-            ref.step()
-            for x, y in zip(a, b):
-                assert x.data.tobytes() == y.data.tobytes()
-                v, w = opt._velocity.get(id(x)), ref._velocity.get(id(y))
-                assert (v is None) == (w is None) and (v is None or v.tobytes() == w.tobytes())
-        assert all(np.shares_memory(opt._velocity[id(x)], opt._blocks[0][0][0].velocity)
-                   for x in a)
+        assert str(err.value) == "SGD: block bank.site0.u0.gamma: 2 of 6 parameters have a gradient"
+        assert block.buffer.tobytes() == before.tobytes()
 
-    def test_replaced_parameter_array_updates_alone(self):
-        """A parameter whose `data` was replaced after the optimizer was
-        made no longer tiles its block: the block updates one parameter at
-        a time, with the reference bits."""
-        m_a, m_b = tiny_model(seed=5), tiny_model(seed=5)
-        opt = make_optimizer(m_a, TrainConfig())
-        w = m_a.layers[0].weight
+    def test_replaced_parameter_array_raises(self):
+        """A parameter whose `data` was replaced after the model was built
+        no longer tiles its block: the step is an error naming the block and
+        the parameter."""
+        m = tiny_model(seed=5)
+        opt = make_optimizer(m, TrainConfig())
+        w = m.layers[0].weight
         w.data = w.data.copy()
-        _, opt, losses = self.run_steps(lambda groups: opt, 5e-4, m_a)
-        _, ref, ref_losses = self.run_steps(ReferenceSGD, 5e-4, m_b)
-        assert losses == ref_losses
-        for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
-            assert ta.data.tobytes() == tb.data.tobytes(), name
+        with pytest.raises(ValueError) as err:
+            self.run_steps(lambda groups: opt, 5e-4, m)
+        assert str(err.value) == ("SGD: block backbone.layer0.W: parameter backbone.layer0.W "
+                                  "no longer holds its view of the block's buffer")
+
+    def test_gradient_of_another_shape_raises(self):
+        t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = one_block_sgd(t, lr=0.1)
+        t.grad = np.ones((1, 2))
+        with pytest.raises(ValueError) as err:
+            opt.step()
+        assert str(err.value) == "SGD: block w: parameter w has shape (2,), its gradient (1, 2)"
+        assert np.array_equal(t.data, [1.0, -2.0])
 
 
 class TestTrainStep:
@@ -617,8 +645,10 @@ class TestStepOracle:
         assert loss_a == loss_b
         for (name, ta), (_, tb) in zip(m_a.parameters(), m_b.parameters()):
             assert np.array_equal(ta.data, tb.data), name
-            va, vb = opt_a._velocity.get(id(ta)), opt_b._velocity.get(id(tb))
-            assert (va is None) == (vb is None) and (va is None or np.array_equal(va, vb)), name
+        va, vb = block_velocities(opt_a), block_velocities(opt_b)
+        assert len(va) == len(vb) == len(m_a.blocks)
+        for block, a, b in zip(m_a.blocks, va, vb):
+            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), block.name
         units_a = m_a.main_units + [b.units[s] for b in m_a.banks for s in b.subsets()]
         units_b = m_b.main_units + [b.units[s] for b in m_b.banks for s in b.subsets()]
         for a, b in zip(units_a, units_b):
