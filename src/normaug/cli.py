@@ -92,7 +92,7 @@ def _value(cfg: dict, key: str, default):
 def _check_seeds(cfg: dict, command: str, override: int | None) -> None:
     """`--seed` and the seeds the command reads (`seeds` for ablate, `seed`
     for the others) must be non-negative integers, as numpy's generators
-    require."""
+    require, and the `seeds` list must not repeat one."""
     if override is not None and override < 0:
         raise UsageError(f"--seed: expected a non-negative integer, got {override}")
     key, default = ("seeds", ()) if command == "ablate" else ("seed", 0)
@@ -101,6 +101,8 @@ def _check_seeds(cfg: dict, command: str, override: int | None) -> None:
         for seed in value if key == "seeds" else [value]:
             if seed < 0:
                 raise UsageError(f"config key {key}: expected a non-negative integer, got {seed}")
+        if key == "seeds" and (repeated := experiments.repeated_seed(value)) is not None:
+            raise UsageError(f"config key seeds: seed {repeated} repeated")
 
 
 def _config(cls, cfg: dict, **fixed):

@@ -20,15 +20,78 @@ from .model import TwoPathNetwork
 def _column_means(rows: list[np.ndarray]) -> np.ndarray:
     """Exactly rounded per-column mean over the stacked rows (fsum), so the
     result is independent of sample order and chunking."""
-    return _means([r.T.tolist() for r in rows], sum(r.shape[0] for r in rows))
+    return _means([(r, *_exact_sums(r)) for r in rows])
 
 
-def _means(blocks: list[list[list[float]]], total: int) -> np.ndarray:
-    """`_column_means` of row blocks given as column lists (`r.T.tolist()`),
-    so that a block converted once serves several means."""
+# Blocks of this many rows or more keep the fsum route: below it, n extracted
+# values always sum exactly (n * (n + 2) < 2^54).
+_EXTRACT_ROWS = 1 << 26
+
+
+def _exact_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of the (n, C) block reduced to a few rows of doubles that
+    sum exactly to the column's sum, by vectorized error-free extraction
+    (Rump, Ogita & Oishi, "Accurate floating-point summation", SIAM J. Sci.
+    Comput. 2008): with max|p| < 2^e over a column and sigma =
+    2^(e + ceil(log2(n + 2))), q = (sigma + p) - sigma and p - q are exact,
+    and the q are multiples of 2^-53 sigma whose sums stay below sigma, so
+    `np.add.reduce` adds them exactly in any order. Each round appends
+    one row and goes on with p - q until it is zero.
+
+    Also returns each column's sigma / 2^1023, which bounds its absolute
+    sum over 2^1023, or inf for a column that keeps the fsum route (its
+    rows are zero there): a non-finite value, a sigma above 2^1023 (near
+    overflow), a zero column holding -0.0 (fsum decides that sign), or a
+    block of `_EXTRACT_ROWS` rows or more."""
+    p = np.asarray(block, dtype=np.float64)
+    n, c = p.shape
+    if n == 0:
+        return np.zeros((0, c)), np.zeros(c)
+    k = (n + 1).bit_length()  # ceil(log2(n + 2))
+    m = np.maximum(np.maximum.reduce(p, axis=0), -np.minimum.reduce(p, axis=0))
+    bound = np.ldexp(1.0, np.frexp(m)[1] + (k - 1023))  # sigma / 2^1023
+    bound[~np.isfinite(m)] = np.inf
+    zero = m == 0.0
+    if zero.any():
+        bound[zero] = np.where(np.signbit(p[:, zero]).any(axis=0), np.inf, bound[zero])
+    if n >= _EXTRACT_ROWS:
+        bound[:] = np.inf
+    fsum_route = bound > 1.0
+    if fsum_route.any():
+        p = np.where(fsum_route, 0.0, p)
+        m[fsum_route] = 0.0
+    else:
+        p = p.copy()
+    q = np.empty(p.shape)
+    rows = []
+    while m.any():
+        sigma = np.ldexp(1.0, np.frexp(m)[1] + k)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        rows.append(np.add.reduce(q, axis=0))
+        m = np.maximum.reduce(np.abs(p, out=q), axis=0)
+    return np.array(rows).reshape(len(rows), c), bound
+
+
+def _means(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """`_column_means` of the stacked blocks given as (block, *_exact_sums(
+    block)), so that blocks reduced once serve several means. A column is
+    fsum of the blocks' extracted rows, which is the correctly rounded sum
+    of its values, as fsum of the values is. Where a block keeps it on the
+    fsum route or the blocks' sigmas add up past 2^1023, it is fsum of the
+    values in block order, so that fsum raises OverflowError (an
+    intermediate sum beyond the float range, which depends on the order)
+    exactly as it would over the values."""
+    total = sum(b.shape[0] for b, _, _ in blocks)
     if total == 0:
         raise ValueError("divergence: empty feature set")
-    return np.array([math.fsum(itertools.chain(*col)) for col in zip(*blocks)]) / total
+    fsum_route = sum(bound for _, _, bound in blocks) > 1.0
+    columns = zip(*(r.T.tolist() for _, r, _ in blocks))
+    sums = [math.fsum(itertools.chain(*(b[:, j].tolist() for b, _, _ in blocks)))
+            if fsum_route[j] else math.fsum(itertools.chain(*col))
+            for j, col in enumerate(columns)]
+    return np.array(sums) / total
 
 
 @dataclass
@@ -57,9 +120,9 @@ def divergence(model: TwoPathNetwork, sources_by_domain: dict[int, np.ndarray],
     for d, f in feats.items():
         if f.shape[0] == 0:
             raise ValueError(f"divergence: empty source domain {d}")
-    columns = {d: f.T.tolist() for d, f in feats.items()}
-    per_domain = {d: _means([columns[d]], f.shape[0]) for d, f in feats.items()}
-    source_mean = _means(list(columns.values()), sum(f.shape[0] for f in feats.values()))
+    sums = {d: (f, *_exact_sums(f)) for d, f in feats.items()}
+    per_domain = {d: _means([s]) for d, s in sums.items()}
+    source_mean = _means(list(sums.values()))
     target_mean = _column_means([model.features(target_features)])
     n = len(per_domain)
     d_s2s = sum(float(np.linalg.norm(source_mean - m)) for m in per_domain.values()) / n

@@ -75,6 +75,11 @@ def run_variant(dataset: Dataset, target_domain: int, variant: str, seed: int,
                         base_model_config, (variant,))[variant]
 
 
+def repeated_seed(seeds) -> int | None:
+    """The first seed of the list that an earlier one repeats, or None."""
+    return next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+
+
 def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
                   train_config: TrainConfig | None = None,
                   base_model_config: ModelConfig | None = None,
@@ -83,6 +88,8 @@ def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
     data (one dataset per seed) and summarize mean/std target accuracy."""
     if not seeds:
         raise ValueError("ablation_grid: empty seed list")
+    if (repeated := repeated_seed(seeds)) is not None:
+        raise ValueError(f"ablation_grid: seed {repeated} repeated")
     per_variant: dict[str, list[float]] = {v: [] for v in VARIANTS}
     for seed in seeds:
         dataset, target_domain = make_benchmark(seed, shift_kappa,

@@ -23,16 +23,11 @@ import numpy as np
 
 from . import normbank as nb
 from . import tensor as T
-from .normbank import BNBank, BNUnit, DomainSubset, ONUnit, Partition
+from .normbank import ROW_BLOCK, BNBank, BNUnit, DomainSubset, ONUnit, Partition
 from .tensor import Tensor
 
 CLASSIFIER_MODES = ("independent", "shared_one", "shared_two")
 BACKBONES = ("mlp", "smallconv")
-
-# Rows per BLAS product in `Linear.apply`: every call has the shape
-# (ROW_BLOCK, K) @ (K, P) whatever the batch, a multiple of 16. 64 and 128
-# measured alike on a 1000-row evaluate; 256 was about 5% slower.
-ROW_BLOCK = 128
 
 CHECKPOINT_MAGIC = b"NAUG"
 CHECKPOINT_VERSION = 1
@@ -95,7 +90,9 @@ class Linear:
         into zero rows. In a longer one, the last block is the one that
         ends at the last row, overlapping the block before it, so no
         temporary is allocated beside the output (padding there as well
-        moved the allocator state that the training benchmark reads).
+        moved the allocator state that the training benchmark reads). The
+        bias is added with `nb.channel_op`, so beside the output only its
+        tile is allocated.
         """
         h = np.ascontiguousarray(h, dtype=np.float64)
         w, b = self.weight.data, self.bias.data
@@ -110,8 +107,7 @@ class Linear:
         else:
             for lo in [*range(0, n - ROW_BLOCK, ROW_BLOCK), n - ROW_BLOCK]:
                 np.matmul(h[lo:lo + ROW_BLOCK], w, out=out[lo:lo + ROW_BLOCK])
-        out += b
-        return out
+        return nb.channel_op(np.add, out, b, out)
 
     def parameters(self):
         return [("W", self.weight), ("b", self.bias)]

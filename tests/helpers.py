@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable
 
 import numpy as np
 
+from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.datagen import Dataset, expected_header
 from normaug.gradcheck import grad_check_params
-from normaug.model import ModelConfig, TwoPathNetwork, init_model
+from normaug.model import ROW_BLOCK, ModelConfig, TwoPathNetwork, init_model
 from normaug.tensor import Tensor
 from normaug.training import SGD
 
@@ -304,6 +307,66 @@ def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
         if model.config.backbone == "smallconv":
             h = T.mean(h, axis=(2, 3))
         return _einsum_linear(h, clf.weight, clf.bias).data, h.data
+
+
+# ---------------------------------------------------------------------------
+# the evaluation walk's per-channel maps as broadcasts, and the divergence's
+# column means by fsum over every value: the formulas `normbank.channel_op`
+# and the exact partial sums replaced, whose bits they must keep
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, dtypes and bytes: unlike `np.array_equal`, -0.0 differs
+    from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def broadcast_linear_apply(lin, h: np.ndarray, scale=None, shift=None) -> np.ndarray:
+    """`Linear.apply` with its bias added as one broadcast `out += b`."""
+    h = np.ascontiguousarray(h, dtype=np.float64)
+    w, b = lin.weight.data, lin.bias.data
+    if scale is not None:
+        w, b = w * scale, b * scale + shift
+    n = h.shape[0]
+    out = np.empty((n, w.shape[1]))
+    if n < ROW_BLOCK:
+        block = np.zeros((ROW_BLOCK, w.shape[0]))
+        block[:n] = h
+        out[...] = (block @ w)[:n]
+    else:
+        for lo in [*range(0, n - ROW_BLOCK, ROW_BLOCK), n - ROW_BLOCK]:
+            np.matmul(h[lo:lo + ROW_BLOCK], w, out=out[lo:lo + ROW_BLOCK])
+    out += b
+    return out
+
+
+def broadcast_eval_normalize(unit, h: np.ndarray, moments=None) -> np.ndarray:
+    """`normbank.eval_normalize` with every per-channel factor and term
+    broadcast from its (1, C, 1, ...) shape."""
+    bn_axes = nb._reduce_axes(h.ndim)
+    pshape = tuple(1 if a in bn_axes else n for a, n in enumerate(h.shape))
+    mixture = isinstance(unit, nb.ONUnit)
+    if mixture:
+        e = np.exp(unit.mix_logits.data - unit.mix_logits.data.max())
+        w = e / e.sum()
+    scale, shift = nb.eval_affine(unit, moments, w[0] if mixture else None)
+    out = h * scale.reshape(pshape)
+    out += shift.reshape(pshape)
+    if mixture:
+        in_hat = T._standardize(h, unit.eps, nb._instance_axes(h.ndim))[0]
+        in_hat *= (unit.gamma.data * w[1]).reshape(pshape)
+        out += in_hat
+    return out
+
+
+def fsum_column_means(rows: list[np.ndarray]) -> np.ndarray:
+    """`diagnostics._column_means` as fsum over every value of each column,
+    converted to Python floats, in block order."""
+    total = sum(r.shape[0] for r in rows)
+    if total == 0:
+        raise ValueError("divergence: empty feature set")
+    columns = zip(*(r.T.tolist() for r in rows))
+    return np.array([math.fsum(itertools.chain(*col)) for col in columns]) / total
 
 
 # ---------------------------------------------------------------------------

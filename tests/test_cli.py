@@ -404,6 +404,16 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"normaug {command}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [[], ["--seed", "5"]], ids=["config", "seed-flag"])
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, flag):
+        """`seeds = 0,1,1` is refused, naming the seed, before any file is
+        written, also when --seed replaces the list."""
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SMALL_GEN.replace("seed = 0", "seeds = 0,1,1"))
+        assert main(["ablate", "--config", cfg, "--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err == "normaug ablate: config key seeds: seed 1 repeated\n"
+        assert not out.exists()
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1

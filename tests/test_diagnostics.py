@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tiny_model
+from helpers import fsum_column_means, same_bits, tiny_model
 from normaug import datagen
 from normaug.diagnostics import _column_means, divergence, perturbation_probe
 
@@ -123,6 +123,89 @@ class TestDivergenceArithmetic:
         target_feats = m.features(target)
         mean_dist = np.linalg.norm(target_feats - rep.source_mean, axis=1).mean()
         assert rep.d_s2t <= mean_dist + 1e-12
+
+
+class TestExactSums:
+    """`_column_means` reduces each block to a few rows of exact partial sums
+    (error-free extraction) and rounds once with fsum: bitwise per-column
+    `math.fsum` over the values (`helpers.fsum_column_means`) at the edges
+    of the extraction."""
+
+    def test_subnormal_only_columns(self):
+        rng = np.random.default_rng(0)
+        block = np.ldexp(rng.standard_normal((50, 4)), rng.integers(-1074, -1023, (50, 4)))
+        block[:, 0] = 5e-324
+        block[::2, 1] = -5e-324
+        assert (np.abs(block) < 2.2250738585072014e-308).all()
+        assert same_bits(_column_means([block]), fsum_column_means([block]))
+
+    @pytest.mark.parametrize("big", [1e308, -1e308, 1e300, 8.98846567431158e307])
+    def test_huge_mixed_with_the_smallest_subnormal(self, big):
+        block = np.array([[big, 5e-324], [5e-324, big], [-5e-324, 1.0], [1.0, 5e-324]])
+        assert same_bits(_column_means([block]), fsum_column_means([block]))
+
+    def test_zero_and_negative_zero_columns(self):
+        block = np.array([[0.0, -0.0, 0.0, -0.0, 1.0],
+                          [0.0, -0.0, -0.0, 0.0, -1.0],
+                          [0.0, -0.0, -0.0, -0.0, -0.0]])
+        assert same_bits(_column_means([block]), fsum_column_means([block]))
+        assert same_bits(_column_means([block[:, 1:2], block[:, 1:2]]),
+                         fsum_column_means([block[:, 1:2], block[:, 1:2]]))
+
+    def test_one_row(self):
+        rng = np.random.default_rng(1)
+        row = rng.standard_normal((1, 6)) * 10.0 ** rng.integers(-300, 300, (1, 6))
+        row[0, :2] = (-0.0, 5e-324)
+        assert same_bits(_column_means([row]), fsum_column_means([row]))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 10])
+    def test_row_counts_around_powers_of_two(self, k):
+        """n + 2 crossing a power of two moves sigma's exponent by one."""
+        rng = np.random.default_rng(k)
+        for n in range(2 ** k - 3, 2 ** k + 2):
+            block = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-20, 20, (n, 5))
+            block[:, 0] = 1.0 - 2.0 ** -52  # each value one ulp below its sigma's bound
+            block[:, 1] = rng.choice([1e16, -1e16, 1.0, -1.0], n)
+            assert same_bits(_column_means([block]), fsum_column_means([block])), n
+
+    def test_overflow_raises_exactly_when_fsum_does(self):
+        """fsum's intermediate overflow depends on the value order; a column
+        that could overflow, in a block or across blocks, keeps the fsum
+        route over the values."""
+        for blocks in ([np.array([[1e308], [1e308], [-1e308]])],
+                       [np.array([[2.2e307]])] * 9,
+                       # the last block's sum is 0, but its first value overflows
+                       [np.array([[2.2e307]])] * 8 + [np.array([[2.2e307], [-2.2e307]])]):
+            with pytest.raises(OverflowError):
+                fsum_column_means(blocks)
+            with pytest.raises(OverflowError):
+                _column_means(blocks)
+        for blocks in ([np.array([[1e308], [-1e308], [1e308]])],
+                       [np.array([[2.2e307]])] * 8):
+            assert same_bits(_column_means(blocks), fsum_column_means(blocks))
+
+    def test_non_finite_columns_keep_fsum(self):
+        block = np.array([[np.inf, np.nan, 1.0], [1.0, 1.0, 2.0]])
+        assert same_bits(_column_means([block]), fsum_column_means([block]))
+        with pytest.raises(ValueError, match="inf"):
+            _column_means([np.array([[np.inf], [-np.inf]])])
+
+    def test_benchmark_sized_divergence_matches_the_fsum_route(self):
+        """Three 1000-row source domains and a 1000-row target of 64
+        non-negative features (as after the last ReLU, dead columns
+        included): every mean bitwise the fsum route's."""
+        rng = np.random.default_rng(9)
+        sources = {d: np.maximum(rng.standard_normal((1000, 64)) * (d + 1.0) + 0.1 * d, 0.0)
+                   for d in range(3)}
+        for x in sources.values():
+            x[:, 5] = 0.0
+            x[::7, 6] *= 1e-30
+        target = np.maximum(rng.standard_normal((1000, 64)) + 0.5, 0.0)
+        rep = divergence(IdentityFeatures(), sources, target)
+        assert same_bits(rep.source_mean, fsum_column_means(list(sources.values())))
+        for d, x in sources.items():
+            assert same_bits(rep.per_domain_means[d], fsum_column_means([x]))
+        assert same_bits(rep.target_mean, fsum_column_means([target]))
 
 
 # (use_on, backbone, input_dim): every main-route normalization on both backbones

@@ -101,6 +101,16 @@ def test_ablation_grid_summarizes_run_variant():
         assert row["std_tgt_acc"] == float(np.std(accs))
 
 
+@pytest.mark.parametrize("seeds, repeated", [([1, 1], 1), ([0, 1, 1], 1), ([2, 0, 2, 0], 2)])
+def test_ablation_grid_refuses_a_repeated_seed(monkeypatch, seeds, repeated):
+    """Refused before any dataset is generated: a repeated seed would count
+    one run twice in every variant's mean and std."""
+    monkeypatch.setattr(experiments, "make_benchmark", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=f"^ablation_grid: seed {repeated} repeated$"):
+        experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
+                                  base_model_config=TINY_MODEL, generate_kwargs=TINY_GEN)
+
+
 # ---------------------------------------------------------------------------
 # sweep scripts
 
