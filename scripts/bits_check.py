@@ -11,9 +11,10 @@ Each tree runs, in its own temporary directory and from its own `src/`:
 MeanAll --scope all_units`, `diagnose` and `ablate`, all from `--config`
 (with its `dataset` and `checkpoint` keys replaced by paths into that
 directory; `ablate` reads the config as given, so its `seeds` list sets the
-grid's size). For every artifact the tool prints `identical` or `moved`; for
-a moved one, its first differing line (a byte offset for `model.ckpt`) and
-the largest absolute difference over the numeric fields. Then each tree runs
+grid's size). For every artifact the tool prints `identical`, `moved` or
+which tree did not write it (`missing in the parent`); for a moved one, its
+first differing line (a byte offset for `model.ckpt`) and the largest
+absolute difference over the numeric fields. Then each tree runs
 `predict` for every fusion rule and sub-path scope on the parent's dataset
 and checkpoint, and the tool prints, per rule and scope, the largest
 difference in fused probabilities and the number of rows whose argmax
@@ -53,6 +54,7 @@ ARTIFACTS = {
     "accuracy.csv (MeanAll, all_units)": "eval_all/accuracy.csv",
     "diagnostics.csv": "diagnostics.csv",
     "ablation.csv": "ablate/ablation.csv",
+    "fusion.csv": "ablate/fusion.csv",
 }
 # writes every fusion rule's and scope's probabilities to an .npz, from one tree
 PREDICT = """
@@ -182,6 +184,16 @@ def compare_bytes(parent: bytes, change: bytes, text: bool) -> str:
             f"{len(p_lines)} vs {len(c_lines)} lines; largest numeric difference {largest:.3g}")
 
 
+def compare_files(parent: Path, change: Path) -> str:
+    """`compare_bytes` of two artifact files (a `.ckpt` as binary), or which
+    side lacks the file."""
+    missing = [side for side, path in (("parent", parent), ("change", change))
+               if not path.is_file()]
+    if missing:
+        return f"missing in the {' and the '.join(missing)}"
+    return compare_bytes(parent.read_bytes(), change.read_bytes(), parent.suffix != ".ckpt")
+
+
 def compare_predictions(parent: dict, change: dict) -> list[str]:
     """Per rule and scope, the largest fused-probability difference and the
     argmax flips; then the largest main-route and sub-path differences."""
@@ -268,8 +280,7 @@ def check(parent: Path, change: Path, config: Path, work: Path) -> list[str]:
                for side, tree in (("parent", parent), ("change", change))}
     lines = []
     for name, rel in ARTIFACTS.items():
-        a, b = ((work / side / rel).read_bytes() for side in ("parent", "change"))
-        lines.append(f"{name}: {compare_bytes(a, b, not rel.endswith('.ckpt'))}")
+        lines.append(f"{name}: {compare_files(work / 'parent' / rel, work / 'change' / rel)}")
     probs = {}
     for side, tree in (("parent", parent), ("change", change)):
         out = work / f"predict_{side}.npz"

@@ -27,7 +27,6 @@ from .normbank import (
     compute_batch_stats,
     enumerate_full_combinations,
     enumerate_reduced_combinations,
-    on_forward,
     partitioned_forward,
 )
 from .tensor import Tensor, backward, no_grad
@@ -68,7 +67,6 @@ __all__ = [
     "load",
     "load_checkpoint",
     "no_grad",
-    "on_forward",
     "partitioned_forward",
     "predict",
     "sample_combination",

@@ -302,15 +302,16 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
         raise UsageError(f"config key target_domain: ablate holds out the last domain "
                          f"({last}), got {cfg['target_domain']!r}")
     base = _model_config(cfg, gen_kwargs["feature_dim"], gen_kwargs["num_classes"], last)
-    rows_out = experiments.ablation_grid(
+    variants, fusion = experiments.ablation_grid(
         seeds, shift_kappa=shift_kappa, train_config=tc,
         base_model_config=base, generate_kwargs=gen_kwargs)
-    path = out / "ablation.csv"
-    _write_csv_atomic(path, ["variant", "mean_tgt_acc", "std_tgt_acc"],
-                      [[r["variant"], _fmt(r["mean_tgt_acc"]), _fmt(r["std_tgt_acc"])]
-                       for r in rows_out])
-    summary = ", ".join(f"{r['variant']}={r['mean_tgt_acc']:.4f}" for r in rows_out)
-    print(f"wrote {path}; {summary}")
+    for name, keys, rows in (("ablation.csv", ["variant"], variants),
+                             ("fusion.csv", ["strategy", "scope"], fusion)):
+        _write_csv_atomic(out / name, [*keys, "mean_tgt_acc", "std_tgt_acc"],
+                          [[*(r[k] for k in keys), _fmt(r["mean_tgt_acc"]),
+                            _fmt(r["std_tgt_acc"])] for r in rows])
+    summary = ", ".join(f"{r['variant']}={r['mean_tgt_acc']:.4f}" for r in variants)
+    print(f"wrote {out / 'ablation.csv'} and {out / 'fusion.csv'}; {summary}")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "train a model and write checkpoint + per-epoch metrics"),
         ("eval", "evaluate a checkpoint on the held-out domain"),
         ("diagnose", "write divergence and perturbation-probe diagnostics"),
-        ("ablate", "run the ON/AUG/EP ablation grid over a seed list"),
+        ("ablate", "run the ON/AUG/EP ablation grid and the fusion table over a seed list"),
     ]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="key=value config file")

@@ -1,5 +1,6 @@
 """Seeded experiment drivers: the ablation grid over the ON / AUG / EP
-switches and the default synthetic benchmark they run on."""
+switches, with every fusion rule scored on its `on_aug` runs, and the
+default synthetic benchmark they run on."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import datagen, training
+from . import datagen, inference, training
 from .datagen import Dataset
+from .inference import FusionStrategy, SubpathScope
 from .model import ModelConfig, init_model
 from .training import TrainConfig, TrainResult
 
@@ -83,14 +85,19 @@ def repeated_seed(seeds) -> int | None:
 def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
                   train_config: TrainConfig | None = None,
                   base_model_config: ModelConfig | None = None,
-                  generate_kwargs: dict | None = None) -> list[dict]:
+                  generate_kwargs: dict | None = None) -> tuple[list[dict], list[dict]]:
     """Run every variant over the seed list on freshly generated benchmark
-    data (one dataset per seed) and summarize mean/std target accuracy."""
+    data (one dataset per seed) and summarize mean/std target accuracy: one
+    row per variant, and one per fusion rule and sub-path scope, scored on
+    the held-out domain by each seed's `on_aug` model. A scope's rows are
+    left out unless every seed's model serves it (`all_units` needs every
+    bank unit updated). Fusion rows are sorted by (strategy, scope)."""
     if not seeds:
         raise ValueError("ablation_grid: empty seed list")
     if (repeated := repeated_seed(seeds)) is not None:
         raise ValueError(f"ablation_grid: seed {repeated} repeated")
     per_variant: dict[str, list[float]] = {v: [] for v in VARIANTS}
+    per_rule: dict[tuple[str, str], list[float]] = {}
     for seed in seeds:
         dataset, target_domain = make_benchmark(seed, shift_kappa,
                                                 **(generate_kwargs or {}))
@@ -98,13 +105,25 @@ def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
                              base_model_config)
         for variant, cell in cells.items():
             per_variant[variant].append(cell.target_accuracy)
-    rows = []
-    for variant, accs in per_variant.items():
-        arr = np.asarray(accs)
-        rows.append({
-            "variant": variant,
-            "mean_tgt_acc": float(arr.mean()),
-            "std_tgt_acc": float(arr.std()),
-            "accs": accs,
-        })
-    return rows
+        _, target = datagen.split_lodo(dataset, target_domain)
+        model = cells["on_aug"].result.model
+        for scope in SubpathScope:
+            try:
+                inference.subpath_subsets(model, scope)
+            except ValueError:  # a bank unit never updated
+                continue
+            for strategy in FusionStrategy:
+                rep = inference.evaluate(model, target.features, target.labels,
+                                         strategy, scope)
+                per_rule.setdefault((strategy.value, scope.value), []).append(
+                    rep.fused_accuracy)
+    return ([_summary({"variant": v}, accs) for v, accs in per_variant.items()],
+            [_summary({"strategy": strategy, "scope": scope}, accs)
+             for (strategy, scope), accs in sorted(per_rule.items())
+             if len(accs) == len(seeds)])
+
+
+def _summary(row: dict, accs: list[float]) -> dict:
+    arr = np.asarray(accs)
+    return row | {"mean_tgt_acc": float(arr.mean()), "std_tgt_acc": float(arr.std()),
+                  "accs": accs}

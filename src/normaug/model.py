@@ -562,12 +562,21 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
 
 
 def _parse_config_text(text: str) -> dict[str, str]:
+    """The config block's `key=value` lines; a line without `=`, a key
+    `_config_text` does not write, or a repeated key raises ValueError."""
+    known = {f.name for f in fields(ModelConfig)} | {"seed", "epoch", "rng_state", "bank_subsets"}
     out = {}
     for line in text.split("\n"):
         line = line.strip()
         if not line:
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"config line {line!r}: expected key=value")
+        if key not in known:
+            raise ValueError(f"config key {key!r} unknown")
+        if key in out:
+            raise ValueError(f"config key {key} repeated")
         out[key] = value
     return out
 
@@ -575,9 +584,9 @@ def _parse_config_text(text: str) -> dict[str, str]:
 def load_checkpoint(path) -> tuple[TwoPathNetwork, int, str | None]:
     """Rebuild a model bit-exactly from `save_checkpoint` output.
 
-    Strict: every config key, exactly the model's array names and shapes,
-    finite values; anything else raises ValueError. Returns (model, epoch,
-    rng_state or None).
+    Strict: every config key once and no other, exactly the model's array
+    names and shapes, finite values; anything else raises ValueError.
+    Returns (model, epoch, rng_state or None).
     """
     with open(path, "rb") as f:
         blob = f.read()

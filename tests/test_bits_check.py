@@ -56,6 +56,33 @@ def test_moved_binary_names_the_first_byte(tool):
         "moved: first difference at byte 5 (6 vs 6 bytes)")
 
 
+def test_missing_artifact(tool, tmp_path):
+    present, absent = tmp_path / "fusion.csv", tmp_path / "absent.csv"
+    present.write_bytes(b"h\n1\n")
+    assert tool.compare_files(absent, present) == "missing in the parent"
+    assert tool.compare_files(present, absent) == "missing in the change"
+    assert tool.compare_files(absent, absent) == "missing in the parent and the change"
+    assert tool.compare_files(present, present) == "identical"
+
+
+def test_check_reports_an_artifact_one_tree_did_not_write(tool, tmp_path, monkeypatch):
+    """A parent that predates an artifact: `check` names the missing side
+    and goes on to the others and to `predict`."""
+    def pipeline(tree, config, work):
+        for rel in tool.ARTIFACTS.values():
+            if work.name == "change" or rel != "ablate/fusion.csv":
+                (work / rel).parent.mkdir(parents=True, exist_ok=True)
+                (work / rel).write_bytes(b"h\n1\n")
+        return work / "run.txt"
+
+    monkeypatch.setattr(tool, "run_pipeline", pipeline)
+    monkeypatch.setattr(tool, "run_python", lambda tree, cwd, *args, **kw: np.savez(args[-1]))
+    lines = tool.check(ROOT, ROOT, tmp_path / "tiny.txt", tmp_path)
+    assert lines == [f"{name}: identical" for name in tool.ARTIFACTS if name != "fusion.csv"] \
+        + ["fusion.csv: missing in the parent",
+           "predict: largest main-route difference 0, largest sub-path difference 0"]
+
+
 def test_prediction_summary(tool):
     p = np.array([[0.6, 0.4], [0.3, 0.7]])
     parent = {"MeanAll/all_units/fused": p, "MeanAll/all_units/main": p,

@@ -248,6 +248,20 @@ class TestFixture:
         save_checkpoint(model, tmp_path / "again.ckpt", epoch, rng_state)
         assert (tmp_path / "again.ckpt").read_bytes() == self.FIXTURE.read_bytes()
 
+    @pytest.mark.parametrize("extra,error", [
+        ("seed=99\n", "config key seed repeated"),
+        ("seed\n", "config line 'seed': expected key=value"),
+        ("momentum=0.9\n", "config key 'momentum' unknown")],
+        ids=["repeated-key", "line-without-equals", "unknown-key"])
+    def test_config_block_is_strict(self, tmp_path, extra, error):
+        """A line appended to the fixture's config block is refused: a
+        repeated key would otherwise override the first (seed 99 loaded)."""
+        text, _, records = layout(self.FIXTURE.read_bytes())
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(assemble(text + extra, [r for _, r in records]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}") + "$"):
+            load_checkpoint(path)
+
     def test_recipe_writes_the_fixture(self, tmp_path):
         model, rng = self.fixture_model()
         save_checkpoint(model, tmp_path / "m.ckpt", epoch=1, rng_state=encode_rng_state(rng))

@@ -20,6 +20,7 @@ from normaug.cli import (
     parse_config,
     train_config_from,
 )
+from normaug.inference import FusionStrategy, SubpathScope
 from normaug.model import ModelConfig
 
 SMALL_GEN = """
@@ -252,6 +253,38 @@ class TestAblateCommand:
         assert [r[0] for r in rows[1:]] == ["baseline", "on", "on_aug", "on_aug_ep"]
         for r in rows[1:]:
             assert 0.0 <= float(r[1]) <= 1.0
+
+    def test_fusion_table(self, tmp_path):
+        """fusion.csv beside ablation.csv: every rule and scope in (strategy,
+        scope) order, every value a float, and the MainOnly and MeanMeanIM
+        rows over the singleton sub-paths the same bits as the on_aug and
+        on_aug_ep rows."""
+        cfg = write_config(tmp_path, SMALL_GRID)
+        out = tmp_path / "grid"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "fusion.csv")
+        assert rows[0] == ["strategy", "scope", "mean_tgt_acc", "std_tgt_acc"]
+        assert [tuple(r[:2]) for r in rows[1:]] == sorted(
+            (rule.value, scope.value) for rule in FusionStrategy for scope in SubpathScope)
+        for r in rows[1:]:
+            assert 0.0 <= float(r[2]) <= 1.0 and float(r[3]) >= 0.0
+        fusion = {tuple(r[:2]): r[2:] for r in rows[1:]}
+        ablation = {r[0]: r[1:] for r in read_csv(out / "ablation.csv")[1:]}
+        assert fusion["MainOnly", "independent_only"] == ablation["on_aug"]
+        assert fusion["MeanMeanIM", "independent_only"] == ablation["on_aug_ep"]
+
+    def test_single_only_grid_leaves_out_all_units(self, tmp_path):
+        """With three sources, single_only never updates the merged bank
+        units, so the grid still runs and writes the independent_only rows
+        only."""
+        cfg = write_config(tmp_path, SMALL_GRID.replace("num_domains = 3", "num_domains = 4")
+                           + "combination_mode = single_only\n")
+        out = tmp_path / "grid"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "fusion.csv")
+        assert [tuple(r[:2]) for r in rows[1:]] == sorted(
+            (rule.value, "independent_only") for rule in FusionStrategy)
+        assert all(float(r[2]) >= 0.0 and float(r[3]) >= 0.0 for r in rows[1:])
 
     def test_keys_reach_every_cell(self, tmp_path, monkeypatch):
         models, generated = [], []

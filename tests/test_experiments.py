@@ -1,15 +1,16 @@
 """The experiment driver: each variant's score is its run's final metrics
-row, and the grid and the sweep scripts run through the same driver."""
+row and the grid's fusion table scores its own `on_aug` runs; plus a run
+of the probe sweep script."""
 
 import csv
-import functools
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normaug import experiments, inference, training
+from normaug import datagen, experiments, inference, training
 from normaug.experiments import VARIANTS
 from normaug.model import ModelConfig
 from normaug.training import TrainConfig
@@ -86,9 +87,9 @@ def test_unknown_variant_is_rejected():
 
 def test_ablation_grid_summarizes_run_variant():
     seeds = [0, 1]
-    rows = experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
-                                     base_model_config=TINY_MODEL,
-                                     generate_kwargs=TINY_GEN)
+    rows, _ = experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
+                                        base_model_config=TINY_MODEL,
+                                        generate_kwargs=TINY_GEN)
     assert [r["variant"] for r in rows] == list(VARIANTS)
     for row in rows:
         accs = []
@@ -99,6 +100,58 @@ def test_ablation_grid_summarizes_run_variant():
         assert row["accs"] == accs
         assert row["mean_tgt_acc"] == float(np.mean(accs))
         assert row["std_tgt_acc"] == float(np.std(accs))
+
+
+def sweep_table(seeds, train_config, model_config, generate_kwargs):
+    """Every fusion rule and scope scored on a separately trained `on_aug`
+    cell per seed, as a standalone sweep would: (strategy, scope) -> accs,
+    keeping a scope only if it scored every seed."""
+    accs = {}
+    for seed in seeds:
+        dataset, target_domain = experiments.make_benchmark(seed, **generate_kwargs)
+        _, target = datagen.split_lodo(dataset, target_domain)
+        model = experiments.run_variant(dataset, target_domain, "on_aug", seed,
+                                        train_config, model_config).result.model
+        for scope in inference.SubpathScope:
+            for strategy in inference.FusionStrategy:
+                try:
+                    rep = inference.evaluate(model, target.features, target.labels,
+                                             strategy, scope)
+                except ValueError as e:
+                    assert "units never updated" in str(e)
+                    break
+                accs.setdefault((strategy.value, scope.value), []).append(rep.fused_accuracy)
+    return {key: v for key, v in accs.items() if len(v) == len(seeds)}
+
+
+@pytest.mark.parametrize("num_domains, mode, seeds, scopes", [
+    (3, "random", [0, 1], ["all_units", "independent_only"]),
+    (4, "random", [0, 2], ["all_units", "independent_only"]),
+    (4, "random", [0, 1], ["independent_only"]),
+    (4, "single_only", [0, 1], ["independent_only"])],
+    ids=["two-sources", "every-unit-drawn", "one-seed-missed-a-unit", "single-only"])
+def test_fusion_rows_are_the_sweep_table(num_domains, mode, seeds, scopes):
+    """Two sources have only singleton units. With three, six random steps
+    update every merged unit on seeds 0 and 2 but miss {0+1} on seed 1, and
+    single_only never updates one; `all_units` rows need every seed."""
+    gen = TINY_GEN | {"num_domains": num_domains}
+    train_config = replace(TINY_TRAIN, combination_mode=mode)
+    model_config = replace(TINY_MODEL, num_domains=num_domains - 1)
+    variants, fusion = experiments.ablation_grid(seeds, train_config=train_config,
+                                                 base_model_config=model_config,
+                                                 generate_kwargs=gen)
+    expected = sweep_table(seeds, train_config, model_config, gen)
+    keys = sorted((s.value, scope) for s in inference.FusionStrategy for scope in scopes)
+    assert [(r["strategy"], r["scope"]) for r in fusion] == keys == sorted(expected)
+    for row in fusion:
+        accs = expected[row["strategy"], row["scope"]]
+        assert row["accs"] == accs
+        assert row["mean_tgt_acc"] == float(np.mean(accs))
+        assert row["std_tgt_acc"] == float(np.std(accs))
+    by_rule = {(r["strategy"], r["scope"]): r for r in fusion}
+    by_variant = {r["variant"]: r for r in variants}
+    assert by_rule["MainOnly", "independent_only"]["accs"] == by_variant["on_aug"]["accs"]
+    assert by_rule["MeanMeanIM", "independent_only"]["accs"] == by_variant["on_aug_ep"]["accs"]
 
 
 @pytest.mark.parametrize("seeds, repeated", [([1, 1], 1), ([0, 1, 1], 1), ([2, 0, 2, 0], 2)])
@@ -112,7 +165,7 @@ def test_ablation_grid_refuses_a_repeated_seed(monkeypatch, seeds, repeated):
 
 
 # ---------------------------------------------------------------------------
-# sweep scripts
+# sweep script
 
 
 def load_script(name):
@@ -125,18 +178,6 @@ def load_script(name):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
-
-
-def test_fusion_sweep_runs(tmp_path, monkeypatch):
-    # long enough that every bank unit is drawn, which all_units scope requires
-    short = TrainConfig(epochs=2, iters_per_epoch=20)
-    monkeypatch.setattr(experiments, "run_variant",
-                        functools.partial(experiments.run_variant, train_config=short))
-    out = tmp_path / "fusion.csv"
-    load_script("fusion_sweep").sweep([0], out)
-    rows = read_csv(out)
-    assert rows[0] == ["strategy", "scope", "mean_tgt_acc", "std_tgt_acc"]
-    assert len(rows) - 1 == len(inference.FusionStrategy) * len(inference.SubpathScope) == 16
 
 
 def test_probe_sweep_runs(tmp_path):

@@ -332,6 +332,13 @@ class TestPartitionedForward:
 
 
 class TestONForward:
+    def test_not_exported_by_the_package(self):
+        """`bn_forward` is the one entry; `normbank.on_forward` stays only
+        for the benchmark's tracer, which resolves it in `normbank`."""
+        import normaug
+
+        assert "on_forward" not in normaug.__all__ and not hasattr(normaug, "on_forward")
+
     def test_pure_bn_weight_matches_bn(self):
         rng = np.random.default_rng(11)
         u = ONUnit(4)
