@@ -21,7 +21,8 @@ import numpy as np
 
 from . import datagen, diagnostics, experiments, inference, training
 from .inference import FusionStrategy, SubpathScope
-from .model import ModelConfig, config_from_text, init_model, load_checkpoint, parse_value
+from .model import (ModelConfig, config_from_text, init_model, load_checkpoint, parse_value,
+                    save_checkpoint)
 from .training import TrainConfig
 
 
@@ -158,21 +159,20 @@ def _check_dataset(model, dataset: datagen.Dataset) -> None:
 # artifacts
 
 
-def _atomic_path(path: Path):
-    return path.with_name(path.name + ".partial")
+def _write_atomic(path: Path, write) -> None:
+    """`write(partial)` to `path` with a `.partial` suffix, then rename it
+    into place, so `path` appears only when complete."""
+    partial = path.with_name(path.name + ".partial")
+    write(partial)
+    os.replace(partial, path)
 
 
-def _finalize(partial: Path, final: Path) -> None:
-    os.replace(partial, final)
+def _write_csv_atomic(path: Path, header, rows: list[list]) -> None:
+    def write(partial: Path) -> None:
+        with open(partial, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f).writerows([header, *rows])
 
-
-def _write_csv_atomic(path: Path, header: list[str], rows: list[list]) -> None:
-    partial = _atomic_path(path)
-    with open(partial, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-    _finalize(partial, path)
+    _write_atomic(path, write)
 
 
 def _fmt(x: float) -> str:
@@ -189,9 +189,7 @@ def cmd_gen_data(cfg: dict, out: Path, seed_override: int | None) -> None:
         gen_kwargs["seed"] = seed_override
     ds, _ = datagen.generate(**gen_kwargs)
     path = out / "dataset.csv"
-    partial = _atomic_path(path)
-    datagen.save(ds, partial)
-    _finalize(partial, path)
+    _write_atomic(path, lambda partial: datagen.save(ds, partial))
     print(f"wrote {path} ({len(ds)} rows, {ds.num_domains} domains)")
 
 
@@ -202,26 +200,32 @@ def cmd_train(cfg: dict, out: Path, seed_override: int | None) -> None:
     n_sources = int(np.unique(dataset.domain_ids).size) - 1
     mc = _model_config(cfg, dataset.feature_dim, dataset.num_classes, n_sources)
     model = init_model(mc, seed=tc.seed)
+    result = training.train(model, dataset, target, tc)
     metrics_path = out / "metrics.csv"
+    _write_csv_atomic(metrics_path, training.METRICS_COLUMNS,
+                      [[r["epoch"], *(_fmt(r[c]) for c in training.METRICS_COLUMNS[1:])]
+                       for r in result.metrics])
     ckpt_path = out / "model.ckpt"
-    result = training.train(model, dataset, target, tc,
-                            metrics_path=_atomic_path(metrics_path),
-                            checkpoint_path=_atomic_path(ckpt_path))
-    _finalize(_atomic_path(metrics_path), metrics_path)
-    _finalize(_atomic_path(ckpt_path), ckpt_path)
+    _write_atomic(ckpt_path, lambda partial: save_checkpoint(
+        result.model, partial, epoch=tc.epochs, rng_state=result.rng_state))
     final = result.final
     print(f"wrote {ckpt_path} and {metrics_path}; "
           f"final target accuracy main={final['tgt_acc_main']:.4f} "
           f"ensemble={final['tgt_acc_ensemble']:.4f}")
 
 
-def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
-             strategy_override: str | None, scope_override: str | None) -> None:
-    model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
+def _load_run(cfg: dict):
+    """The checkpoint's model and the fitting dataset's source and held-out splits."""
+    model = load_checkpoint(_require(cfg, "checkpoint"))[0]
     dataset = datagen.load(_require(cfg, "dataset"))
     _check_dataset(model, dataset)
-    target = _target_domain(cfg, dataset)
-    _, target_set = datagen.split_lodo(dataset, target)
+    sources, target_set = datagen.split_lodo(dataset, _target_domain(cfg, dataset))
+    return model, sources, target_set
+
+
+def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
+             strategy_override: str | None, scope_override: str | None) -> None:
+    model, _, target_set = _load_run(cfg)
     requested = strategy_override or cfg.get("strategy")
     try:
         strategy = (FusionStrategy.from_name(requested) if requested
@@ -233,6 +237,10 @@ def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
     if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
         raise UsageError(f"strategy {strategy.value} needs sub-path predictions, "
                          f"but the model was trained without a bank (use_aug = false)")
+    try:
+        inference.subpath_subsets(model, scope)
+    except ValueError as e:  # the checkpoint cannot serve the scope
+        raise UsageError(str(e)) from None
     report = inference.evaluate(model, target_set.features, target_set.labels,
                                 strategy, scope)
     rows = [[name, _fmt(acc)] for name, acc in sorted(report.per_path.items())]
@@ -247,11 +255,7 @@ def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
     probe_rows = _value(cfg, "probe_rows", 64)
     if probe_rows < 1:
         raise UsageError(f"config key probe_rows: expected a positive integer, got {probe_rows}")
-    model, _, _ = load_checkpoint(_require(cfg, "checkpoint"))
-    dataset = datagen.load(_require(cfg, "dataset"))
-    _check_dataset(model, dataset)
-    target = _target_domain(cfg, dataset)
-    sources, target_set = datagen.split_lodo(dataset, target)
+    model, sources, target_set = _load_run(cfg)
     seed = seed_override if seed_override is not None else _value(cfg, "seed", 0)
     rng = np.random.default_rng(seed)
 

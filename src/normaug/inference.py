@@ -30,11 +30,7 @@ class FusionStrategy(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "FusionStrategy":
-        for member in cls:
-            if name.lower() in (member.value.lower(), member.name.lower()):
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown fusion strategy {name!r}; expected one of {valid}")
+        return _by_name(cls, name, "fusion strategy")
 
 
 class SubpathScope(enum.Enum):
@@ -43,11 +39,16 @@ class SubpathScope(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "SubpathScope":
-        for member in cls:
-            if name.lower() in (member.value, member.name.lower()):
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown sub-path scope {name!r}; expected one of {valid}")
+        return _by_name(cls, name, "sub-path scope")
+
+
+def _by_name(cls, name: str, what: str):
+    """The member of `cls` whose value or name is `name` in any case."""
+    for member in cls:
+        if name.lower() in (member.value.lower(), member.name.lower()):
+            return member
+    valid = ", ".join(m.value for m in cls)
+    raise ValueError(f"unknown {what} {name!r}; expected one of {valid}")
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -137,6 +138,8 @@ def default_strategy(model: TwoPathNetwork) -> FusionStrategy:
 
 
 def subpath_subsets(model: TwoPathNetwork, scope: SubpathScope) -> list[DomainSubset]:
+    """The bank subsets whose sub-paths `scope` runs; a ValueError naming
+    the units when `all_units` would run one that training never updated."""
     if not model.config.use_aug:
         return []
     bank = model.banks[0]
@@ -146,7 +149,7 @@ def subpath_subsets(model: TwoPathNetwork, scope: SubpathScope) -> list[DomainSu
              if any(b.units[s].update_count == 0 for b in model.banks)]
     if stale:
         labels = ", ".join("{" + s.label() + "}" for s in stale)
-        raise ValueError(f"predict: scope=all_units but units never updated: {labels}")
+        raise ValueError(f"scope=all_units but units never updated: {labels}")
     return bank.subsets()
 
 

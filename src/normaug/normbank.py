@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -220,28 +221,10 @@ class ONUnit(BNUnit):
         return self.gamma, self.beta, self.mix_logits
 
 
-def _reduce_axes(ndim: int) -> tuple[int, ...]:
-    # batch statistics: over rows for rank-2, over rows and space for rank-4
-    if ndim == 2:
-        return (0,)
-    if ndim == 4:
-        return (0, 2, 3)
-    raise T.ShapeError(f"normalization expects rank-2 or rank-4 features, got rank {ndim}")
-
-
-def _instance_axes(ndim: int) -> tuple[int, ...]:
-    if ndim == 2:
-        return (1,)
-    if ndim == 4:
-        return (2, 3)
-    raise T.ShapeError(f"normalization expects rank-2 or rank-4 features, got rank {ndim}")
-
-
 def _channel_stats(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axes = _reduce_axes(arr.ndim)
-    mu = arr.mean(axis=axes)
-    var = ((arr - arr.mean(axis=axes, keepdims=True)) ** 2).mean(axis=axes)
-    return mu, var
+    """Per-channel batch mean and population variance."""
+    mu, _, var = T._moments(arr, T._feature_axes(arr.ndim)[0])
+    return mu.ravel(), var.ravel()
 
 
 def compute_batch_stats(features: np.ndarray, rows: np.ndarray | None = None,
@@ -253,11 +236,8 @@ def compute_batch_stats(features: np.ndarray, rows: np.ndarray | None = None,
     """
     arr = np.asarray(features, dtype=np.float64)
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size == 0:
-            raise ValueError("compute_batch_stats: empty sub-batch")
-        arr = arr[rows]
-    elif arr.shape[0] == 0:
+        arr = arr[np.asarray(rows, dtype=np.intp)]
+    if arr.shape[0] == 0:
         raise ValueError("compute_batch_stats: empty sub-batch")
     mu, var = _channel_stats(arr)
     return mu, np.sqrt(var + eps)
@@ -329,19 +309,17 @@ def eval_normalize(unit: BNUnit, h: np.ndarray,
     result does not depend on the batch. Each per-channel factor and term
     is a `channel_op`.
     """
+    _, in_axes = T._feature_axes(h.ndim)
     _check_channels("eval_normalize", unit.channels, h)
     h = np.ascontiguousarray(h)
     mixture = isinstance(unit, ONUnit)
     if mixture:
-        if h.ndim == 2 and h.shape[1] == 1:
-            raise T.ShapeError("IN undefined for single-feature rows")
-        e = np.exp(unit.mix_logits.data - unit.mix_logits.data.max())
-        w = e / e.sum()
+        w = T._mix_weights("eval_normalize", h.shape, unit.mix_logits.data)
     scale, shift = eval_affine(unit, moments, w[0] if mixture else None)
     out = channel_op(np.multiply, h, scale, np.empty(h.shape))
     channel_op(np.add, out, shift, out)
     if mixture:
-        in_hat = T._standardize(h, unit.eps, _instance_axes(h.ndim))[0]
+        in_hat = T._standardize(h, unit.eps, in_axes)[0]
         out += channel_op(np.multiply, in_hat, unit.gamma.data * w[1], in_hat)
     return out
 
@@ -374,10 +352,17 @@ def bn_forward(unit: BNUnit, features: Tensor, rows: np.ndarray | None = None,
     _check_channels("bn_forward", unit.channels, features)
     if features.shape[0] == 0:
         raise ValueError("bn_forward: empty sub-batch")
-    out, ((mu, var),) = T.segment_norm(features, _WHOLE_BATCH, (unit.norm_params(),), unit.eps,
-                                       _reduce_axes(features.ndim),
-                                       _instance_axes(features.ndim), relu)
-    unit.update_running(mu, var)
+    return _normalize_units([unit], features, _WHOLE_BATCH, unit.eps, relu)
+
+
+def _normalize_units(units: list[BNUnit], features: Tensor,
+                     group_rows: Sequence[np.ndarray | slice], eps: float, relu: bool) -> Tensor:
+    """`T.segment_norm` of each row group with its unit, then each unit's
+    running moments updated with its group's batch moments."""
+    out, moments = T.segment_norm(features, group_rows, [u.norm_params() for u in units],
+                                  eps, relu)
+    for unit, (mu, var) in zip(units, moments):
+        unit.update_running(mu, var)
     return out
 
 
@@ -477,10 +462,5 @@ def partitioned_forward(bank: BNBank, partition: Partition, features: Tensor,
             f"partitioned_forward: {domain_ids.shape[0]} domain ids for "
             f"{features.shape[0]} rows")
     rows = group_rows if group_rows is not None else partition_rows(partition, domain_ids)
-    units = [bank.unit(group) for group in partition]
-    out, moments = T.segment_norm(features, rows, [u.norm_params() for u in units], bank.eps,
-                                  _reduce_axes(features.ndim), _instance_axes(features.ndim),
-                                  relu)
-    for unit, (mu, var) in zip(units, moments):
-        unit.update_running(mu, var)
-    return out
+    return _normalize_units([bank.unit(group) for group in partition], features, rows,
+                            bank.eps, relu)

@@ -390,20 +390,46 @@ def _count(shape: tuple[int, ...], axes: tuple[int, ...]) -> int:
     return n
 
 
+def _feature_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(batch axes, instance axes) of rank-2 (rows, C) or rank-4 (rows, C,
+    H, W) features."""
+    if ndim == 2:
+        return (0,), (1,)
+    if ndim == 4:
+        return (0, 2, 3), (2, 3)
+    raise ShapeError(f"normalization expects rank-2 or rank-4 features, got rank {ndim}")
+
+
+def _moments(x: np.ndarray, axes: tuple[int, ...]):
+    """(mean, x - mean, population variance) over `axes`, the moments with
+    `keepdims`. A mean is `np.add.reduce` divided by the count, which is
+    what `ndarray.mean` computes (same bits) without its Python wrapper."""
+    n = _count(x.shape, axes)
+    mu = np.add.reduce(x, axes, keepdims=True) / n
+    centered = x - mu
+    var = np.add.reduce(np.square(centered), axes, keepdims=True) / n  # the bits of ** 2.0
+    return mu, centered, var
+
+
 def _standardize(x: np.ndarray, eps: float, axes: tuple[int, ...]):
     """(x - mean) / sqrt(var + eps) over `axes` with the population variance,
     by the same numpy expressions as the primitive-op composite. Returns
-    (xhat, sigma, mean, var), the last three with `keepdims`.
-
-    A mean is `np.add.reduce` divided by the count, which is what
-    `ndarray.mean` computes (same bits) without its Python wrapper."""
-    n = _count(x.shape, axes)
-    mu = np.add.reduce(x, axes, keepdims=True) / n
-    xhat = x - mu
-    var = np.add.reduce(np.square(xhat), axes, keepdims=True) / n  # the bits of ** 2.0
+    (xhat, sigma, mean, var), the last three with `keepdims`."""
+    mu, xhat, var = _moments(x, axes)
     sigma = np.sqrt(var + eps)
     xhat /= sigma
     return xhat, sigma, mu, var
+
+
+def _mix_weights(op: str, shape: tuple[int, ...], logits: np.ndarray) -> np.ndarray:
+    """softmax(logits): the batch and the instance weights of the BN/IN
+    mixture on features of `shape`, which needs two features per row."""
+    if len(shape) == 2 and shape[1] == 1:
+        raise ShapeError("IN undefined for single-feature rows")
+    if logits.shape != (2,):
+        raise ShapeError(f"{op}: mix_logits shape {logits.shape} != (2,)")
+    e = np.exp(logits - np.maximum.reduce(logits, 0, keepdims=True))
+    return e / np.add.reduce(e, 0, keepdims=True)
 
 
 def _standardize_grad(g_hat: np.ndarray, xhat: np.ndarray, sigma: np.ndarray,
@@ -429,15 +455,15 @@ def _channel_shape(op: str, x: Tensor, axes: tuple[int, ...], *params: Tensor):
 
 def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
                  params: Sequence[tuple[Tensor, Tensor, Tensor | None]], eps: float,
-                 bn_axes: tuple[int, ...], in_axes: tuple[int, ...], relu: bool = False
-                 ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
-    """Train-mode normalization of disjoint row groups as one node.
+                 relu: bool = False) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
+    """Train-mode normalization of disjoint row groups of rank-2 or rank-4
+    features as one node.
 
-    Group k's rows `x[group_rows[k]]` are standardized over `bn_axes` with
-    that group's own batch moments and take `params[k] = (gamma, beta,
+    Group k's rows `x[group_rows[k]]` are standardized with that group's
+    own batch moments (`_feature_axes`) and take `params[k] = (gamma, beta,
     mix_logits or None)`. Mixture logits make it the BN/IN mixture:
     softmax(mix_logits) weights the batch standardization and the instance
-    one (over `in_axes`) before the per-channel affine. A sole group
+    one before the per-channel affine. A sole group
     `slice(None)` is the whole batch and is computed directly; otherwise no
     row may lie in two groups, a slice group is a view, and rows in no
     group come out 0. `relu` clamps the output at 0 in the same node.
@@ -447,7 +473,7 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
     if len(group_rows) != len(params):
         raise ShapeError(
             f"segment_norm: {len(group_rows)} row groups for {len(params)} parameter sets")
-    bn_axes, in_axes = tuple(bn_axes), tuple(in_axes)
+    bn_axes, in_axes = _feature_axes(x.ndim)
     pshape = _channel_shape("segment_norm", x, bn_axes,
                             *(p for gamma, beta, _ in params for p in (gamma, beta)))
     whole = (len(group_rows) == 1 and isinstance(group_rows[0], slice)
@@ -455,21 +481,15 @@ def segment_norm(x: Tensor, group_rows: Sequence[np.ndarray | slice],
     out = None if whole else np.zeros(x.data.shape)
     inputs, saved, moments = [x], [], []
     for idx, (gamma, beta, mix) in zip(group_rows, params):
-        if mix is not None:
-            if x.ndim == 2 and x.shape[1] == 1:
-                raise ShapeError("IN undefined for single-feature rows")
-            if mix.shape != (2,):
-                raise ShapeError(f"segment_norm: mix_logits shape {mix.shape} != (2,)")
+        w = None if mix is None else _mix_weights("segment_norm", x.shape, mix.data)
         block = x.data if whole else x.data[idx]
         xhat, sigma, mu, var = _standardize(block, eps, bn_axes)
         if mix is None:
             inputs += (gamma, beta)
-            w = in_hat = in_sigma = None
+            in_hat = in_sigma = None
             mixed = xhat
         else:
             inputs += (gamma, beta, mix)
-            e = np.exp(mix.data - np.maximum.reduce(mix.data, 0, keepdims=True))
-            w = e / np.add.reduce(e, 0, keepdims=True)
             in_hat, in_sigma, _, _ = _standardize(block, eps, in_axes)
             mixed = xhat * w[0:1]
             mixed += in_hat * w[1:2]

@@ -9,8 +9,7 @@ over the model's parameter blocks, each updated whole or not at all.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from . import datagen, inference
 from . import normbank as nb
 from . import tensor as T
 from .datagen import Dataset
-from .model import ParamBlock, TwoPathNetwork, encode_rng_state, save_checkpoint
+from .model import ParamBlock, TwoPathNetwork, encode_rng_state
 from .normbank import Partition
 from .tensor import Tensor
 
@@ -293,27 +292,22 @@ def train_step(model: TwoPathNetwork, batch: DomainBatch,
 
 @dataclass
 class TrainResult:
+    """One metrics row per epoch; `rng_state` is the batch sampler's final state."""
+
     model: TwoPathNetwork
-    metrics: list[dict] = field(default_factory=list)
+    metrics: list[dict]
+    rng_state: str
 
     @property
     def final(self) -> dict:
         return self.metrics[-1]
 
 
-def write_metrics_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(METRICS_COLUMNS)
-        for r in rows:
-            w.writerow([r["epoch"]] + [repr(float(r[c])) for c in METRICS_COLUMNS[1:]])
-
-
 def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
-          config: TrainConfig, metrics_path=None, checkpoint_path=None) -> TrainResult:
+          config: TrainConfig) -> TrainResult:
     """Leave-one-domain-out training: fit on all domains except
-    `target_domain`, log per-epoch source-validation and target accuracy,
-    persist the final-epoch model."""
+    `target_domain` and score the source validation split and the target
+    after every epoch. Writes no file: the caller persists the result."""
     config.validate()
     sources, target = datagen.split_lodo(dataset, target_domain)
     n_sources = np.unique(sources.domain_ids).size
@@ -361,9 +355,4 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
             "tgt_acc_ensemble": tgt.fused_accuracy,
         })
 
-    if metrics_path is not None:
-        write_metrics_csv(rows, metrics_path)
-    if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, epoch=config.epochs,
-                        rng_state=encode_rng_state(sampler_rng))
-    return TrainResult(model=model, metrics=rows)
+    return TrainResult(model=model, metrics=rows, rng_state=encode_rng_state(sampler_rng))

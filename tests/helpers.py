@@ -196,6 +196,29 @@ def two_pass_stats(block: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
+# the normalization formulas `tensor` replaced with its shared helpers, whose
+# bits they must keep: batch and instance axes by rank, the per-channel
+# moments by `ndarray.mean` (`T._moments`) and the mixture weights by
+# `.max()` / `.sum()` (`T._mix_weights`)
+
+BN_AXES = {2: (0,), 4: (0, 2, 3)}
+IN_AXES = {2: (1,), 4: (2, 3)}
+
+
+def mean_method_stats(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel batch mean and population variance by `ndarray.mean`."""
+    axes = BN_AXES[arr.ndim]
+    mu = arr.mean(axis=axes)
+    var = ((arr - arr.mean(axis=axes, keepdims=True)) ** 2).mean(axis=axes)
+    return mu, var
+
+
+def max_sum_softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+# ---------------------------------------------------------------------------
 # primitive-op composites: the graphs the fused tensor ops replace
 
 
@@ -270,7 +293,7 @@ def composite_eval_normalize(unit, x: Tensor, moments=None) -> Tensor:
         if x.ndim == 2 and x.shape[1] == 1:
             raise T.ShapeError("IN undefined for single-feature rows")
         w = softmax(unit.mix_logits, axis=0)
-        in_hat, _, _ = composite_standardize(x, unit.eps, (1,) if x.ndim == 2 else (2, 3))
+        in_hat, _, _ = composite_standardize(x, unit.eps, IN_AXES[x.ndim])
         xhat = add(xhat * T.gather_rows(w, np.array([0])),
                    in_hat * T.gather_rows(w, np.array([1])))
     return add(xhat * _per_channel(unit.gamma, x.ndim), _per_channel(unit.beta, x.ndim))
@@ -343,17 +366,15 @@ def broadcast_linear_apply(lin, h: np.ndarray, scale=None, shift=None) -> np.nda
 def broadcast_eval_normalize(unit, h: np.ndarray, moments=None) -> np.ndarray:
     """`normbank.eval_normalize` with every per-channel factor and term
     broadcast from its (1, C, 1, ...) shape."""
-    bn_axes = nb._reduce_axes(h.ndim)
-    pshape = tuple(1 if a in bn_axes else n for a, n in enumerate(h.shape))
+    pshape = tuple(1 if a in BN_AXES[h.ndim] else n for a, n in enumerate(h.shape))
     mixture = isinstance(unit, nb.ONUnit)
     if mixture:
-        e = np.exp(unit.mix_logits.data - unit.mix_logits.data.max())
-        w = e / e.sum()
+        w = max_sum_softmax(unit.mix_logits.data)
     scale, shift = nb.eval_affine(unit, moments, w[0] if mixture else None)
     out = h * scale.reshape(pshape)
     out += shift.reshape(pshape)
     if mixture:
-        in_hat = T._standardize(h, unit.eps, nb._instance_axes(h.ndim))[0]
+        in_hat = T._standardize(h, unit.eps, IN_AXES[h.ndim])[0]
         in_hat *= (unit.gamma.data * w[1]).reshape(pshape)
         out += in_hat
     return out

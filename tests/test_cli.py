@@ -167,6 +167,23 @@ class TestEvalCommand:
                          "--strategy", strategy]) == 2
 
 
+    def test_scope_the_model_cannot_serve_is_usage_error(self, tmp_path, capsys):
+        """single_only training over three sources never updates the merged
+        bank units, so `all_units` is refused, naming them; the default
+        scope still runs."""
+        tmp, out, dataset, _ = run_pipeline(tmp_path, "combination_mode = single_only\n")
+        eval_cfg = write_config(
+            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n", "eval.txt")
+        eout = tmp_path / "eo"
+        capsys.readouterr()
+        assert main(["eval", "--config", eval_cfg, "--out", str(eout),
+                     "--scope", "all_units"]) == 2
+        assert capsys.readouterr().err == ("normaug eval: scope=all_units but units never "
+                                           "updated: {0+1}, {0+2}, {1+2}\n")
+        assert not (eout / "accuracy.csv").exists()
+        assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
+
+
 class TestDiagnoseCommand:
     def test_writes_divergence_and_probe(self, pipeline, tmp_path):
         tmp, out, dataset, _ = pipeline

@@ -1,11 +1,7 @@
 """The experiment driver: each variant's score is its run's final metrics
-row and the grid's fusion table scores its own `on_aug` runs; plus a run
-of the probe sweep script."""
+row and the grid's fusion table scores its own `on_aug` runs."""
 
-import csv
-import importlib.util
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,6 @@ from normaug.training import TrainConfig
 TINY_GEN = {"num_classes": 3, "num_domains": 3, "per_cell": 16, "feature_dim": 6}
 TINY_TRAIN = TrainConfig(epochs=2, iters_per_epoch=3, batch_per_domain=4)
 TINY_MODEL = ModelConfig(input_dim=6, hidden_sizes=(8, 4), num_classes=3, num_domains=2)
-SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
 def tiny_benchmark(seed):
@@ -162,28 +157,3 @@ def test_ablation_grid_refuses_a_repeated_seed(monkeypatch, seeds, repeated):
     with pytest.raises(ValueError, match=f"^ablation_grid: seed {repeated} repeated$"):
         experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
                                   base_model_config=TINY_MODEL, generate_kwargs=TINY_GEN)
-
-
-# ---------------------------------------------------------------------------
-# sweep script
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def read_csv(path):
-    with open(path, newline="") as f:
-        return list(csv.reader(f))
-
-
-def test_probe_sweep_runs(tmp_path):
-    out = tmp_path / "probe.csv"
-    module = load_script("probe_sweep")
-    module.sweep([0], out)
-    rows = read_csv(out)
-    assert rows[0] == ["seed", "companion_kappa", "mean_displacement"]
-    assert len(rows) - 1 == len(module.KAPPAS) == 5

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BN_AXES,
+    IN_AXES,
     add,
     composite_batch_norm,
     composite_cross_entropy,
@@ -25,10 +27,6 @@ from normaug import tensor as T
 from normaug.gradcheck import grad_check_params
 from normaug.model import ModelConfig, init_model
 from normaug.tensor import Tensor
-
-BN_AXES = {2: (0,), 4: (0, 2, 3)}
-IN_AXES = {2: (1,), 4: (2, 3)}
-
 
 def forward_backward(fn, arrays, upstream):
     """Run `fn` on fresh leaves holding `arrays`, backpropagate `upstream`
@@ -223,8 +221,7 @@ class TestBatchNorm:
             arrays = [rng.standard_normal(shape) * rng.uniform(0.5, 4.0) + rng.uniform(-3, 3),
                       rng.uniform(0.5, 2.0, c), rng.standard_normal(c)]
             axes = BN_AXES[rank]
-            agree(lambda x, g, b: whole_batch(T.segment_norm(x, WHOLE, [(g, b, None)], eps,
-                                                             axes, IN_AXES[rank])),
+            agree(lambda x, g, b: whole_batch(T.segment_norm(x, WHOLE, [(g, b, None)], eps)),
                   lambda x, g, b: with_moments(composite_batch_norm(x, g, b, eps, axes)),
                   arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
@@ -238,9 +235,7 @@ class TestBatchNorm:
             up = Tensor(rng.standard_normal(shape))
 
             def fn():
-                rank = len(shape)
-                out = T.segment_norm(x, WHOLE, [(g, b, None)], 1e-5, BN_AXES[rank],
-                                     IN_AXES[rank])[0]
+                out = T.segment_norm(x, WHOLE, [(g, b, None)], 1e-5)[0]
                 return (out * up).sum()
 
             assert grad_check_params(fn, [x, g, b]) < 1e-6
@@ -248,13 +243,13 @@ class TestBatchNorm:
     def test_parameter_shape_checked(self):
         with pytest.raises(T.ShapeError, match=r"segment_norm: parameter shape \(2,\)"):
             T.segment_norm(Tensor(np.ones((4, 3))), WHOLE,
-                           [(Tensor(np.ones(2)), Tensor(np.ones(2)), None)], 1e-5, (0,), (1,))
+                           [(Tensor(np.ones(2)), Tensor(np.ones(2)), None)], 1e-5)
 
     def test_group_count_checked(self):
         one = Tensor(np.ones(3))
         with pytest.raises(T.ShapeError, match="2 row groups for 1 parameter sets"):
             T.segment_norm(Tensor(np.ones((4, 3))), [np.arange(2), np.arange(2, 4)],
-                           [(one, one, None)], 1e-5, (0,), (1,))
+                           [(one, one, None)], 1e-5)
 
 
 class TestMixtureNorm:
@@ -270,7 +265,7 @@ class TestMixtureNorm:
                       rng.uniform(0.5, 2.0, c), rng.standard_normal(c),
                       rng.standard_normal(2)]
             args = (eps, BN_AXES[rank], IN_AXES[rank])
-            agree(lambda x, g, b, m: whole_batch(T.segment_norm(x, WHOLE, [(g, b, m)], *args)),
+            agree(lambda x, g, b, m: whole_batch(T.segment_norm(x, WHOLE, [(g, b, m)], eps)),
                   lambda x, g, b, m: with_moments(composite_mixture_norm(x, g, b, m, *args)),
                   arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
@@ -286,8 +281,7 @@ class TestMixtureNorm:
             up = Tensor(rng.standard_normal(shape))
 
             def fn():
-                out = T.segment_norm(x, WHOLE, [(g, b, m)], 1e-5, BN_AXES[rank],
-                                     IN_AXES[rank])[0]
+                out = T.segment_norm(x, WHOLE, [(g, b, m)], 1e-5)[0]
                 return (out * up).sum()
 
             assert grad_check_params(fn, [x, g, b, m]) < 1e-6
@@ -295,14 +289,12 @@ class TestMixtureNorm:
     def test_single_feature_rows_rejected(self):
         one = Tensor(np.ones(1))
         with pytest.raises(T.ShapeError, match="IN undefined for single-feature rows"):
-            T.segment_norm(Tensor(np.ones((4, 1))), WHOLE, [(one, one, Tensor(np.zeros(2)))],
-                           1e-5, (0,), (1,))
+            T.segment_norm(Tensor(np.ones((4, 1))), WHOLE, [(one, one, Tensor(np.zeros(2)))], 1e-5)
 
     def test_mix_logits_shape_checked(self):
         one = Tensor(np.ones(3))
         with pytest.raises(T.ShapeError, match=r"mix_logits shape \(3,\) != \(2,\)"):
-            T.segment_norm(Tensor(np.ones((4, 3))), WHOLE, [(one, one, Tensor(np.zeros(3)))],
-                           1e-5, (0,), (1,))
+            T.segment_norm(Tensor(np.ones((4, 3))), WHOLE, [(one, one, Tensor(np.zeros(3)))], 1e-5)
 
     @pytest.mark.parametrize("rank", [2, 4])
     def test_mixture_groups_match_gather_scatter_composite(self, rank):
@@ -331,7 +323,7 @@ class TestMixtureNorm:
                 return out, moments
 
             agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
-                                                            *args)),
+                                                            args[0])),
                   composite, arrays, rng.standard_normal(shape), grad_tol=1e-12)
 
 
@@ -370,7 +362,7 @@ class TestMixtureWeights:
                       rng.uniform(0.5, 2.0, c), rng.standard_normal(c), np.array(logits)]
             up = rng.standard_normal(shape)
             out, moments, grads = forward_backward(
-                lambda x, g, b, m: whole_batch(T.segment_norm(x, WHOLE, [(g, b, m)], *args)),
+                lambda x, g, b, m: whole_batch(T.segment_norm(x, WHOLE, [(g, b, m)], args[0])),
                 arrays, up)
             out_c, moments_c, grads_c = forward_backward(
                 lambda x, g, b, m: with_moments(composite_mixture_norm(x, g, b, m, *args)),
@@ -405,8 +397,7 @@ class TestSegmentBatchNorm:
 
             def fused(x, *p):
                 triples = [(g, b, None) for g, b in pairs(p)]
-                return flat_moments(T.segment_norm(x, rows, triples, eps, BN_AXES[rank],
-                                                   IN_AXES[rank]))
+                return flat_moments(T.segment_norm(x, rows, triples, eps))
 
             def composite(x, *p):
                 return flat_moments(composite_segment_batch_norm(x, rows, pairs(p), eps,
@@ -426,8 +417,7 @@ class TestSegmentBatchNorm:
             up = Tensor(rng.standard_normal(shape))
 
             def fn():
-                return (T.segment_norm(x, rows, params, 1e-5, BN_AXES[rank], IN_AXES[rank])[0]
-                        * up).sum()
+                return (T.segment_norm(x, rows, params, 1e-5)[0] * up).sum()
 
             assert grad_check_params(fn, [x] + [t for g, b, _ in params for t in (g, b)]) < 1e-6
 
@@ -490,15 +480,13 @@ class TestReluEpilogue:
         rng = np.random.default_rng(30 + rank)
         for _ in range(40):
             rows, mixed, arrays, up = norm_case(rng, kind, rank)
-            args = (1e-5, BN_AXES[rank], IN_AXES[rank])
 
             def composite(x, *p):
-                out, moments = flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
-                                                           *args))
+                out, moments = flat_moments(T.segment_norm(x, rows, param_triples(p, mixed), 1e-5))
                 return relu(out), moments
 
             agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
-                                                            *args, relu=True)),
+                                                            1e-5, relu=True)),
                   composite, arrays, up, grad_tol=None)
 
     @pytest.mark.parametrize("apply_relu", [False, True])
@@ -508,11 +496,10 @@ class TestReluEpilogue:
         for _ in range(40):
             rows, mixed, arrays, up = norm_case(rng, "slice_groups", rank)
             index_rows = [np.arange(s.start, s.stop) for s in rows]
-            args = (1e-5, BN_AXES[rank], IN_AXES[rank])
             agree(lambda x, *p: flat_moments(T.segment_norm(x, rows, param_triples(p, mixed),
-                                                            *args, relu=apply_relu)),
+                                                            1e-5, relu=apply_relu)),
                   lambda x, *p: flat_moments(T.segment_norm(
-                      x, index_rows, param_triples(p, mixed), *args, relu=apply_relu)),
+                      x, index_rows, param_triples(p, mixed), 1e-5, relu=apply_relu)),
                   arrays, up, grad_tol=None)
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
@@ -525,8 +512,7 @@ class TestReluEpilogue:
             params = param_triples(leaves[1:], mixed)
 
             def fn():
-                out = T.segment_norm(leaves[0], rows, params, 1e-5, BN_AXES[rank],
-                                     IN_AXES[rank], relu=True)[0]
+                out = T.segment_norm(leaves[0], rows, params, 1e-5, relu=True)[0]
                 return (out * Tensor(up)).sum()
 
             assert grad_check_params(fn, leaves) < 1e-6

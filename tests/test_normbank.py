@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import two_pass_stats
+from helpers import max_sum_softmax, mean_method_stats, same_bits, two_pass_stats
 from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.gradcheck import grad_check_params
@@ -81,6 +81,61 @@ class TestBatchStats:
         mu_o, sigma_o = two_pass_stats(block, eps=1e-5)
         assert np.allclose(mu, mu_o, atol=1e-12)
         assert np.allclose(sigma, sigma_o, atol=1e-12)
+
+
+def random_block(rng, rank: int) -> np.ndarray:
+    """A rank-2 or rank-4 block of 1 to 9 rows, scaled and shifted, with one
+    column made constant half the time."""
+    shape = (int(rng.integers(1, 10)), int(rng.integers(1, 9)))
+    if rank == 4:
+        shape = shape[:1] + (int(rng.integers(1, 5)),) + tuple(rng.integers(1, 4, 2).tolist())
+    block = rng.standard_normal(shape) * rng.uniform(0.1, 50.0) + rng.uniform(-20.0, 20.0)
+    if rng.integers(2):
+        block[:, int(rng.integers(shape[1]))] = rng.uniform(-20.0, 20.0)
+    return block
+
+
+class TestNormalizationRule:
+    """`tensor` owns the normalization rule: its moments and mixture weights
+    keep the bits of the formulas they replaced (`ndarray.mean`, and
+    `.max()` / `.sum()`), and a rank-3 input is the one ShapeError."""
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_moments_have_the_mean_method_bits(self, rank):
+        rng = np.random.default_rng(60 + rank)
+        blocks = [random_block(rng, rank) for _ in range(600)]
+        blocks += [np.array([[1.5, -2.0, 7.0]]), np.full((5, 3), 0.1),
+                   np.full((1, 2, 3, 3), -3.3), np.full((4, 2, 2, 1), 1e9 + 0.1)]
+        for block in (b for b in blocks if b.ndim == rank):
+            mu, var = mean_method_stats(block)
+            got_mu, got_var = nb._channel_stats(block)
+            assert same_bits(got_mu, mu) and same_bits(got_var, var)
+            got_mu, sigma = compute_batch_stats(block, eps=1e-5)
+            assert same_bits(got_mu, mu) and same_bits(sigma, np.sqrt(var + 1e-5))
+
+    def test_mixture_weights_have_the_max_sum_bits(self):
+        rng = np.random.default_rng(62)
+        pairs = [rng.standard_normal(2) * rng.choice([1e-3, 1.0, 30.0, 800.0])
+                 for _ in range(2000)]
+        pairs += [np.array(p) for p in ((0.0, 0.0), (2.5, 2.5), (0.0, 800.0), (800.0, 0.0))]
+        for logits in pairs:
+            for shape in ((6, 3), (2, 3, 2, 2)):
+                assert same_bits(T._mix_weights("test", shape, logits), max_sum_softmax(logits))
+
+    def test_rank3_is_one_shape_error(self):
+        x = np.ones((4, 3, 2))
+        message = "^normalization expects rank-2 or rank-4 features, got rank 3$"
+        unit = ONUnit(3)
+        with pytest.raises(T.ShapeError, match=message):
+            T.segment_norm(Tensor(x), [slice(None)], [unit.norm_params()], 1e-5)
+        with pytest.raises(T.ShapeError, match=message):
+            bn_forward(unit, Tensor(x))
+        for u in (BNUnit(3), unit):
+            with pytest.raises(T.ShapeError, match=message):
+                eval_normalize(u, x)
+        with pytest.raises(T.ShapeError, match=message):
+            compute_batch_stats(x)
+        assert unit.update_count == 0
 
 
 class TestBNForward:

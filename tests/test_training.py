@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import ReferenceSGD, add, block_velocities, tiny_config, tiny_model, toy_batch
-from normaug import datagen, inference, normbank as nb, tensor as T, training
+from normaug import cli, datagen, inference, normbank as nb, tensor as T, training
 from normaug.gradcheck import grad_check_params
-from normaug.model import ParamBlock, TwoPathNetwork, init_model, load_checkpoint
+from normaug.model import (ParamBlock, TwoPathNetwork, encode_rng_state, init_model,
+                           load_checkpoint, save_checkpoint)
 from normaug.normbank import DomainSubset, Partition
 from normaug.tensor import Tensor
 from normaug.training import (
@@ -658,38 +659,53 @@ class TestStepOracle:
 
 
 class TestTrainLoop:
-    def _run(self, tmp_path, seed=0, **overrides):
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        ds = small_dataset(seed=seed)
+    def _run(self, seed=0, **overrides):
         cfg_kwargs = dict(epochs=2, iters_per_epoch=4, batch_per_domain=4, seed=seed)
         cfg_kwargs.update(overrides)
-        tc = TrainConfig(**cfg_kwargs)
-        mc = tiny_config(num_classes=3)
-        m = init_model(mc, seed=seed)
-        metrics = tmp_path / f"metrics_{seed}.csv"
-        ckpt = tmp_path / f"model_{seed}.ckpt"
-        result = train(m, ds, 3, tc, metrics_path=metrics, checkpoint_path=ckpt)
-        return result, metrics, ckpt
+        m = init_model(tiny_config(num_classes=3), seed=seed)
+        return train(m, small_dataset(seed=seed), 3, TrainConfig(**cfg_kwargs))
 
     def test_metrics_contract(self, tmp_path):
-        result, metrics, _ = self._run(tmp_path)
-        lines = metrics.read_text().splitlines()
+        """One row per epoch holding every metrics column, in order; the
+        CLI's helper writes them as a header plus one line per epoch."""
+        result = self._run()
+        assert [r["epoch"] for r in result.metrics] == [1, 2]
+        assert all(tuple(r) == training.METRICS_COLUMNS for r in result.metrics)
+        path = tmp_path / "metrics.csv"
+        cli._write_csv_atomic(path, training.METRICS_COLUMNS,
+                              [list(r.values()) for r in result.metrics])
+        lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,src_acc,tgt_acc_main,tgt_acc_ensemble"
         assert len(lines) == 3  # header + 2 epochs
-        assert len(result.metrics) == 2
-        assert result.metrics[0]["epoch"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
     def test_seeded_run_reproducible(self, tmp_path):
-        r1, m1, c1 = self._run(tmp_path / "a")
-        r2, m2, c2 = self._run(tmp_path / "b")
-        assert m1.read_text() == m2.read_text()
-        assert c1.read_bytes() == c2.read_bytes()
+        r1, r2 = self._run(), self._run()
+        assert r1.metrics == r2.metrics and r1.rng_state == r2.rng_state
+        assert self._run(seed=1).rng_state != r1.rng_state
+        for name, r in (("a", r1), ("b", r2)):
+            save_checkpoint(r.model, tmp_path / name, epoch=2, rng_state=r.rng_state)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
-    def test_final_epoch_model_persisted(self, tmp_path):
-        from normaug.model import load_checkpoint
-        result, _, ckpt = self._run(tmp_path)
-        loaded, epoch, _ = load_checkpoint(ckpt)
-        assert epoch == 2
+    def test_final_epoch_model_persisted(self, tmp_path, monkeypatch):
+        """`rng_state` is the batch sampler's generator after the last epoch,
+        and a checkpoint of the result reloads the final model."""
+        rngs, initial = [], []
+        init = EpochSampler.__init__
+
+        def spy(self, dataset, per_domain, rng):
+            rngs.append(rng)
+            initial.append(encode_rng_state(rng))
+            init(self, dataset, per_domain, rng)
+
+        monkeypatch.setattr(EpochSampler, "__init__", spy)
+        result = self._run()
+        assert len(rngs) == 1
+        assert result.rng_state == encode_rng_state(rngs[0]) != initial[0]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(result.model, ckpt, epoch=2, rng_state=result.rng_state)
+        loaded, epoch, rng_state = load_checkpoint(ckpt)
+        assert epoch == 2 and rng_state == result.rng_state
         for (n1, t1), (n2, t2) in zip(result.model.parameters(), loaded.parameters()):
             assert n1 == n2 and np.array_equal(t1.data, t2.data)
 
