@@ -23,20 +23,35 @@ side's median and quartiles of a run's minor page faults (`minflt`: the
 `RUSAGE_CHILDREN` `ru_minflt` delta around the run's process), which move
 the benchmark's reference kernel; then the operation counts, the change
 side's environment and the traced per-layer values of both sides.
+
+With --ablate-pairs N, it also times N alternating pairs of the ablation grid,
+`python3 -m normaug.cli ablate --config configs/benchmark.txt` run from each
+tree's `src/` with one BLAS thread (as the benchmark pins it), and records
+under "ablate" each side's median and quartiles of the grid's wall time, the
+pairs where the change is faster and each pair's change/parent ratio. A pair
+whose `ablation.csv` or `fusion.csv` differ in a single byte stops the tool.
+--pairs may then be left out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMAND = "python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds} --trace <0|1>"
+ABLATE_CONFIG = "configs/benchmark.txt"
+ABLATE_COMMAND = f"python3 -m normaug.cli ablate --config {ABLATE_CONFIG} --out <dir>"
+ABLATE_FILES = ("ablation.csv", "fusion.csv")
+ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -51,6 +66,35 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
         raise RuntimeError(f"{tree}: {workload} seed {seed}: exit {proc.returncode}\n"
                            f"{proc.stderr}")
     return parse_run(tree, workload, seed, proc.stdout) | {"minflt": faults}
+
+
+def time_ablate(tree: Path, config: Path, out: Path) -> tuple[float, dict[str, bytes]]:
+    """One `normaug ablate` process from `tree`'s source into `out`: its wall
+    seconds and the bytes of the files it wrote."""
+    env = os.environ | ONE_THREAD | {"PYTHONPATH": str(tree / "src"),
+                                     "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "normaug.cli", "ablate", "--config", str(config),
+           "--out", str(out)]
+    t0 = perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=1800)
+    wall = perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: ablate: exit {proc.returncode}\n{proc.stderr}")
+    return wall, {name: (out / name).read_bytes() for name in ABLATE_FILES}
+
+
+def ablate_pair(trees: tuple[Path, Path], config: Path, work: Path,
+                parent_first: bool) -> tuple[float, float]:
+    """The (parent, change) wall seconds of one grid pair; a RuntimeError
+    when the two trees' tables differ."""
+    runs = [None, None]
+    for side in ((0, 1) if parent_first else (1, 0)):
+        runs[side] = time_ablate(trees[side], config, work / ("parent", "change")[side])
+    (parent, p_files), (change, c_files) = runs
+    moved = [name for name in ABLATE_FILES if p_files[name] != c_files[name]]
+    if moved:
+        raise RuntimeError(f"ablate: {', '.join(moved)} differ between the trees")
+    return parent, change
 
 
 def parse_run(tree: Path, workload: str, seed: int, stdout: str) -> dict:
@@ -98,7 +142,7 @@ def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple
         "pairs": {w: len(ps) for w, ps in pairs.items()} | ({"traced": 1} if traced else {}),
         "failed_operations": per_side(every_pair, "failed"),
         "attempted_operations": per_side(every_pair, "attempted"),
-        "env": every_pair[0][1]["info"]["env"],
+        "env": every_pair[0][1]["info"]["env"] if every_pair else None,
         "host_factor": {},
         "minflt": {},
     }
@@ -128,6 +172,13 @@ def summarize(pairs: dict[str, list[tuple[dict, dict]]], traced: dict[str, tuple
     return out
 
 
+def summarize_ablate(walls: list[tuple[float, float]]) -> dict:
+    """The "ablate" entry from the (parent, change) wall seconds of each grid pair."""
+    return {"command": ABLATE_COMMAND, "pairs": len(walls),
+            "tables": f"{' and '.join(ABLATE_FILES)} byte-identical in every pair",
+            "wall_s": compare([p for p, _ in walls], [c for _, c in walls], "s", "lower")}
+
+
 def per_side(pairs: list[tuple[dict, dict]], key: str) -> dict:
     return {side: sum(pair[i]["result"][key] for pair in pairs)
             for i, side in enumerate(("parent", "change"))}
@@ -145,12 +196,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
     ap.add_argument("--change", type=Path, default=ROOT, help="tree of the change (default: this one)")
-    ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
+    ap.add_argument("--pairs", nargs="*", default=[], metavar="WORKLOAD=N")
+    ap.add_argument("--ablate-pairs", type=int, default=0, metavar="N",
+                    help=f"also time N pairs of `normaug ablate` on {ABLATE_CONFIG}")
     ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--traced", action="store_true", help="add a --trace 1 pair per workload")
     ap.add_argument("--what", required=True, help="the comparison, in words")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if not args.pairs and args.ablate_pairs < 1:
+        ap.error("nothing to run: give --pairs or --ablate-pairs")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     counts = {}
@@ -179,6 +234,15 @@ def main(argv=None) -> int:
     traced = {w: run_pair(trees, w, seeds["traced"][0], seconds, True, True)
               for w in counts} if args.traced else {}
     out = summarize(pairs, traced, spec["end_to_end"], seeds, args.what, seconds)
+    if args.ablate_pairs:
+        walls = []
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_ablate_") as tmp:
+            for i in range(args.ablate_pairs):
+                work = Path(tmp) / str(i)
+                walls.append(ablate_pair(trees, trees[1] / ABLATE_CONFIG, work, i % 2 == 0))
+                print(f"ablate pair {i}: parent {walls[-1][0]:.1f} s, change {walls[-1][1]:.1f} s",
+                      file=sys.stderr, flush=True)
+        out["ablate"] = summarize_ablate(walls)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

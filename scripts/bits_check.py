@@ -26,7 +26,11 @@ compares the ACCEPTANCE lines criterion by criterion, with timings (`0.3s`,
 `34s`) left out. Last, each tree's `perfbench/run.py` is imported, read
 only, and its own workloads, schedule and `run_digest` give the digests of
 the `train_aug` and `train_main` runs and of the `eval_fusion` set-up's
-warm-up run, for seeds 1 and 7; the tool compares them.
+warm-up run, for seeds 1 and 7; the tool compares them. Each digest is
+taken over what a `run_variants` run holds in either tree: every epoch's
+`epoch` and `train_loss`, the final row whole, and the target accuracy
+(`run_variants` scores only the final epoch; a tree that scores every
+epoch has the same bits in those fields).
 
 Exits 0 when every step ran in both trees, whatever moved.
 """
@@ -88,6 +92,9 @@ spec = importlib.util.spec_from_file_location("perfbench_run", Path(tree) / "per
 run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run)
 run.import_normaug()
+full_digest = run.run_digest
+run.run_digest = lambda rows, acc: full_digest(
+    [{k: r[k] for k in ("epoch", "train_loss")} for r in rows[:-1]] + rows[-1:], acc)
 digests = {}
 for seed in map(int, seeds):
     bench = run.Bench(getattr(run, scale), seed, Path(work))

@@ -45,7 +45,8 @@ def run_variants(dataset: Dataset, target_domain: int, seed: int,
                  variants: tuple[str, ...] = tuple(VARIANTS)) -> dict[str, VariantResult]:
     """Train each distinct (use_on, use_aug) pair among `variants` once and
     score every variant from its run's final metrics row: the ensemble
-    column for an EP variant, the main-route column otherwise."""
+    column for an EP variant, the main-route column otherwise. Only that
+    row is scored: the earlier epochs' rows hold `epoch` and `train_loss`."""
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise ValueError(f"run_variants: unknown variant {unknown[0]!r}")
@@ -60,7 +61,8 @@ def run_variants(dataset: Dataset, target_domain: int, seed: int,
         use_on, use_aug, use_ep = VARIANTS[variant]
         if (use_on, use_aug) not in runs:
             model = init_model(replace(base, use_on=use_on, use_aug=use_aug), seed=seed)
-            runs[use_on, use_aug] = training.train(model, dataset, target_domain, tc)
+            runs[use_on, use_aug] = training.train(model, dataset, target_domain, tc,
+                                                   score_every_epoch=False)
         result = runs[use_on, use_aug]
         accuracy = result.final["tgt_acc_ensemble" if use_ep else "tgt_acc_main"]
         cells[variant] = VariantResult(variant=variant, seed=seed,

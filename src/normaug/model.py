@@ -57,6 +57,10 @@ class ModelConfig:
             raise ValueError(f"ModelConfig: hidden sizes must be positive, got {self.hidden_sizes}")
         if self.classifier_mode not in CLASSIFIER_MODES:
             raise ValueError(f"ModelConfig: unknown classifier_mode {self.classifier_mode!r}")
+        if not 0.0 < self.bn_momentum <= 1.0:
+            raise ValueError(f"ModelConfig: bn_momentum {self.bn_momentum} outside (0, 1]")
+        if not 0.0 < self.bn_eps < math.inf:
+            raise ValueError(f"ModelConfig: bn_eps {self.bn_eps} must be positive and finite")
         if self.backbone not in BACKBONES:
             raise ValueError(f"ModelConfig: unknown backbone {self.backbone!r}")
         if self.backbone == "smallconv":
@@ -497,19 +501,38 @@ def _config_text(model: TwoPathNetwork, epoch: int, rng_state: str | None) -> st
     return "\n".join(lines) + "\n"
 
 
+def _units(model: TwoPathNetwork) -> list[tuple[str, BNUnit]]:
+    """Every normalization unit with its checkpoint name prefix."""
+    units = [(f"main.site{i}", u) for i, u in enumerate(model.main_units)]
+    return units + [(f"bank.site{i}.u{s.label()}", bank.units[s])
+                    for i, bank in enumerate(model.banks) for s in bank.subsets()]
+
+
 def _state(model: TwoPathNetwork) -> dict[str, tuple[object, str]]:
     """Every checkpoint array by name -> (owner, attribute) holding it:
     parameter tensors' `data`, units' running moments, and units'
     `update_count`, stored as a one-element float array."""
     table = {name: (t, "data") for name, t in model.parameters()}
-    units = [(f"main.site{i}", u) for i, u in enumerate(model.main_units)]
-    units += [(f"bank.site{i}.u{s.label()}", bank.units[s])
-              for i, bank in enumerate(model.banks) for s in bank.subsets()]
-    for prefix, unit in units:
+    for prefix, unit in _units(model):
         for attr in ("running_mean", "running_var"):
             table[f"{prefix}.{attr}"] = (unit, attr)
         table[f"{prefix}.count"] = (unit, "update_count")
     return table
+
+
+def non_finite_array(model: TwoPathNetwork) -> str | None:
+    """The checkpoint name of the first parameter or running moment of
+    `model` holding a non-finite value, or None: one reduction per block
+    buffer and per moment."""
+    for block in model.blocks:
+        if not np.isfinite(block.buffer).all():
+            return next(name for (name, _), view in zip(block.params, block.views)
+                        if not np.isfinite(view).all())
+    for prefix, unit in _units(model):
+        for attr in ("running_mean", "running_var"):
+            if not np.isfinite(getattr(unit, attr)).all():
+                return f"{prefix}.{attr}"
+    return None
 
 
 def _array_floats(config: ModelConfig) -> int:
@@ -541,17 +564,23 @@ def _array(owner, attr: str) -> np.ndarray:
 def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
                     rng_state: str | None = None) -> None:
     """Versioned binary container: magic, version, config text block, then
-    named float64 arrays with shape prefixes, sorted by name."""
+    named float64 arrays with shape prefixes, sorted by name. A non-finite
+    array is refused before the file is opened, as `load_checkpoint`
+    refuses it."""
     config = _config_text(model, epoch, rng_state).encode("utf-8")
     state = _state(model)
+    arrays = {name: np.ascontiguousarray(_array(*state[name]), dtype=np.float64)
+              for name in sorted(state)}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"save_checkpoint: array {name}: non-finite values")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<Q", len(config)))
         f.write(config)
-        f.write(struct.pack("<I", len(state)))
-        for name in sorted(state):
-            arr = np.ascontiguousarray(_array(*state[name]), dtype=np.float64)
+        f.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
             nb_ = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb_)))
             f.write(nb_)

@@ -17,7 +17,7 @@ from . import datagen, inference
 from . import normbank as nb
 from . import tensor as T
 from .datagen import Dataset
-from .model import ParamBlock, TwoPathNetwork, encode_rng_state
+from .model import ParamBlock, TwoPathNetwork, encode_rng_state, non_finite_array
 from .normbank import Partition
 from .tensor import Tensor
 
@@ -292,7 +292,8 @@ def train_step(model: TwoPathNetwork, batch: DomainBatch,
 
 @dataclass
 class TrainResult:
-    """One metrics row per epoch; `rng_state` is the batch sampler's final state."""
+    """One metrics row per epoch (see `train` for the unscored ones);
+    `rng_state` is the batch sampler's final state."""
 
     model: TwoPathNetwork
     metrics: list[dict]
@@ -304,10 +305,15 @@ class TrainResult:
 
 
 def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
-          config: TrainConfig) -> TrainResult:
+          config: TrainConfig, *, score_every_epoch: bool = True) -> TrainResult:
     """Leave-one-domain-out training: fit on all domains except
     `target_domain` and score the source validation split and the target
-    after every epoch. Writes no file: the caller persists the result."""
+    after every epoch, or, with `score_every_epoch=False`, after the last
+    one only; an unscored epoch's row holds just `epoch` and `train_loss`.
+    Scoring touches no training state, so the final row, the parameters
+    and `rng_state` are the same either way. After each epoch every block
+    buffer and running moment must be finite, or the run aborts naming the
+    first that is not. Writes no file: the caller persists the result."""
     config.validate()
     sources, target = datagen.split_lodo(dataset, target_domain)
     n_sources = np.unique(sources.domain_ids).size
@@ -344,15 +350,15 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
                                     config.aux_weight)
             except RuntimeError as e:
                 raise RuntimeError(f"train: aborted at epoch {epoch}: {e}") from e
-        src_acc = inference.main_accuracy(model, val_pool.features, val_pool.labels)
-        tgt = inference.evaluate(model, target.features, target.labels,
-                                 inference.default_strategy(model))
-        rows.append({
-            "epoch": epoch,
-            "train_loss": total / config.iters_per_epoch,
-            "src_acc": src_acc,
-            "tgt_acc_main": tgt.per_path["main"],
-            "tgt_acc_ensemble": tgt.fused_accuracy,
-        })
+        if (name := non_finite_array(model)) is not None:
+            raise RuntimeError(f"train: aborted at epoch {epoch}: non-finite parameter {name}")
+        row = {"epoch": epoch, "train_loss": total / config.iters_per_epoch}
+        if score_every_epoch or epoch == config.epochs:
+            src_acc = inference.main_accuracy(model, val_pool.features, val_pool.labels)
+            tgt = inference.evaluate(model, target.features, target.labels,
+                                     inference.default_strategy(model))
+            row |= {"src_acc": src_acc, "tgt_acc_main": tgt.per_path["main"],
+                    "tgt_acc_ensemble": tgt.fused_accuracy}
+        rows.append(row)
 
     return TrainResult(model=model, metrics=rows, rng_state=encode_rng_state(sampler_rng))

@@ -155,3 +155,65 @@ def test_parse_run_refuses_a_run_whose_checks_failed(tool):
     with pytest.raises(RuntimeError, match=r"^change: train_aug seed 3: result not correct "
                                            r"\(2 failed checks\)$"):
         tool.parse_run(Path("change"), "train_aug", 3, run_output(False, failed=2))
+
+
+FAKE_CLI = """
+import os, sys
+from pathlib import Path
+args = sys.argv[1:]
+assert args[:2] == ["ablate", "--config"] and args[3] == "--out", args
+out = Path(args[4])
+out.mkdir(parents=True)
+(out / "ablation.csv").write_text({ablation!r})
+(out / "fusion.csv").write_text("same\\n")
+with open({log!r}, "a") as f:
+    f.write({side!r} + " " + os.environ["OPENBLAS_NUM_THREADS"] + "\\n")
+"""
+
+
+def fake_tree(root: Path, side: str, ablation: str, log: Path) -> Path:
+    """A tree whose `normaug.cli ablate` writes the given tables and logs its call."""
+    package = root / side / "src" / "normaug"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI.format(ablation=ablation, log=str(log), side=side))
+    return root / side
+
+
+def test_ablate_pair_alternates_and_checks_the_tables(tool, tmp_path):
+    """Each side's grid runs from its own source with one BLAS thread, in
+    the order asked; the walls come back as (parent, change)."""
+    log = tmp_path / "calls.log"
+    trees = (fake_tree(tmp_path, "parent", "v\n", log), fake_tree(tmp_path, "change", "v\n", log))
+    config = tmp_path / "c.txt"
+    config.write_text("")
+    for i, parent_first in enumerate((True, False)):
+        walls = tool.ablate_pair(trees, config, tmp_path / f"w{i}", parent_first)
+        assert len(walls) == 2 and all(0.0 < w < 60.0 for w in walls)
+    assert log.read_text().split("\n") == ["parent 1", "change 1", "change 1", "parent 1", ""]
+
+
+def test_ablate_pair_refuses_tables_that_differ(tool, tmp_path):
+    log = tmp_path / "calls.log"
+    trees = (fake_tree(tmp_path, "parent", "v\n", log), fake_tree(tmp_path, "change", "w\n", log))
+    config = tmp_path / "c.txt"
+    config.write_text("")
+    with pytest.raises(RuntimeError, match=r"^ablate: ablation.csv differ between the trees$"):
+        tool.ablate_pair(trees, config, tmp_path / "w", True)
+
+
+def test_nothing_to_run_is_a_usage_error(tool, tmp_path):
+    with pytest.raises(SystemExit):
+        tool.main(["--parent", str(tmp_path), "--what", "x", "--out", str(tmp_path / "o.json")])
+
+
+def test_ablate_summary(tool):
+    out = tool.summarize_ablate([(36.0, 33.0), (35.0, 34.0), (37.0, 38.0)])
+    assert out["command"] == ("python3 -m normaug.cli ablate --config configs/benchmark.txt "
+                              "--out <dir>")
+    assert out["pairs"] == 3
+    assert out["tables"] == "ablation.csv and fusion.csv byte-identical in every pair"
+    w = out["wall_s"]
+    assert (w["parent"], w["change"], w["unit"]) == (36.0, 34.0, "s")
+    assert w["change_better_pairs"] == 2
+    assert w["per_pair_ratio"] == [0.9167, 0.9714, 1.027]

@@ -4,6 +4,7 @@ digests on the smoke-test schedule. The acceptance gate itself is not run
 here: the tier-1 suite runs it once already."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -163,3 +164,19 @@ def test_perfbench_digests_on_the_smoke_schedule(tool, tmp_path):
     assert list(digests) == ["train_aug seed 1", "train_main seed 1", "eval_fusion seed 1"]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
     assert len(set(digests.values())) == 3
+
+
+def test_perfbench_digests_read_what_run_variants_keeps(tool, tmp_path):
+    """A tree whose `run_variants` scores every epoch gives the same digests: they
+    cover every row's epoch and train_loss and the final row whole."""
+    every = tmp_path / "every"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, every / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    experiments = every / "src" / "normaug" / "experiments.py"
+    text = experiments.read_text()
+    assert text.count("score_every_epoch=False") == 1
+    experiments.write_text(text.replace("score_every_epoch=False", "score_every_epoch=True"))
+    digests = [tool.perfbench_digests(tree, tmp_path / name, seeds=(1,), scale="TINY")
+               for tree, name in ((ROOT, "last"), (every, "all"))]
+    assert digests[0] == digests[1]

@@ -26,6 +26,7 @@ from normaug.model import (
     encode_rng_state,
     init_model,
     load_checkpoint,
+    non_finite_array,
     save_checkpoint,
 )
 from normaug.training import DomainBatch, TrainConfig, make_optimizer, train_step
@@ -221,6 +222,44 @@ class TestStrictLoad:
         model = init_model(config, seed=0)
         stored = sum(_array(*where).size for where in _state(model).values())
         assert _array_floats(config) == stored
+
+
+class TestFiniteOnSave:
+    """What the loader refuses as non-finite, `non_finite_array` names and
+    `save_checkpoint` refuses to write."""
+
+    @pytest.mark.parametrize("name", ["backbone.layer0.W", "main.site1.beta",
+                                      "bank.site0.u0+2.gamma", "classifier.aux.u1.b"])
+    def test_parameter(self, tmp_path, name):
+        model = tiny_model(seed=3)
+        assert non_finite_array(model) is None
+        owner, attr = _state(model)[name]
+        getattr(owner, attr).flat[-1] = math.nan
+        self.assert_refused(model, name, tmp_path)
+
+    @pytest.mark.parametrize("name", ["main.site0.running_var", "bank.site1.u1.running_mean"])
+    def test_running_moment(self, tmp_path, name):
+        model = tiny_model(seed=3)
+        owner, attr = _state(model)[name]
+        getattr(owner, attr)[0] = -math.inf
+        self.assert_refused(model, name, tmp_path)
+
+    def test_blocks_come_before_moments(self):
+        """The first non-finite parameter in block order, then moments."""
+        model = tiny_model(seed=3)
+        for name in ("main.site0.running_mean", "classifier.main.W", "backbone.layer1.b"):
+            owner, attr = _state(model)[name]
+            getattr(owner, attr).flat[0] = math.nan
+        assert non_finite_array(model) == "backbone.layer1.b"
+
+    @staticmethod
+    def assert_refused(model, name, tmp_path):
+        assert non_finite_array(model) == name
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match=re.escape(
+                f"save_checkpoint: array {name}: non-finite values")):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
 
 class TestFixture:

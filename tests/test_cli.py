@@ -425,6 +425,19 @@ class TestUsageErrors:
         assert f"TrainConfig: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("bn_momentum = 2", "ModelConfig: bn_momentum 2.0 outside (0, 1]"),
+        ("bn_momentum = 0", "ModelConfig: bn_momentum 0.0 outside (0, 1]"),
+        ("bn_eps = 0", "ModelConfig: bn_eps 0.0 must be positive and finite"),
+        ("bn_eps = -1e-5", "ModelConfig: bn_eps -1e-05 must be positive and finite")])
+    def test_bad_normalization_constant_exits_2(self, tmp_path, capsys, line, message):
+        gen_cfg = write_config(tmp_path, SMALL_GEN, "gen.txt")
+        assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path)]) == 0
+        cfg = write_config(tmp_path, SMALL_TRAIN + f"{line}\ndataset = {tmp_path / 'dataset.csv'}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"normaug train: {message}"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("lines", [["per_cell = 20", "per_cell = 200"],
                                        ["per_cell=20  # small", " per_cell = 200"]])
     def test_repeated_key_exits_2(self, tmp_path, capsys, monkeypatch, lines):
@@ -463,6 +476,22 @@ class TestUsageErrors:
         assert main(["ablate", "--config", cfg, "--out", str(out), *flag]) == 2
         assert capsys.readouterr().err == "normaug ablate: config key seeds: seed 1 repeated\n"
         assert not out.exists()
+
+    def test_diverged_training_exits_1_without_a_checkpoint(self, tmp_path, capsys):
+        """A learning rate that overflows the weights in the last step of an
+        epoch, after its loss was finite, is a runtime failure: no
+        checkpoint that `load_checkpoint` would refuse is written."""
+        text = ("num_domains = 3\nper_cell = 12\nfeature_dim = 4\nhidden_sizes = 8\n"
+                "epochs = 1\niters_per_epoch = 2\nbatch_per_domain = 4\n"
+                f"lr_backbone = 1e300\ndataset = {tmp_path / 'dataset.csv'}\n")
+        cfg = write_config(tmp_path, text)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "normaug train: failed: train: aborted at epoch 1: "
+            "non-finite parameter backbone.layer0.W")
+        assert list((tmp_path / "run").iterdir()) == []
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import same_bits
 from normaug import datagen, experiments, inference, training
 from normaug.experiments import VARIANTS
-from normaug.model import ModelConfig
+from normaug.model import ModelConfig, _units, init_model
 from normaug.training import TrainConfig
 
 TINY_GEN = {"num_classes": 3, "num_domains": 3, "per_cell": 16, "feature_dim": 6}
@@ -34,8 +35,8 @@ def test_target_accuracy_is_the_final_row(variant):
 
 
 def test_run_variant_scores_only_inside_training(monkeypatch):
-    """Training scores twice per epoch (the main route on the source split,
-    the ensemble on the target) and nothing else scores."""
+    """Training scores its last epoch only, twice (the main route on the
+    source split, the ensemble on the target), and nothing else scores."""
     calls = []
 
     def spy(name):
@@ -51,8 +52,43 @@ def test_run_variant_scores_only_inside_training(monkeypatch):
     spy("main_accuracy")
     dataset, target_domain = tiny_benchmark(0)
     experiments.run_variant(dataset, target_domain, "on_aug_ep", 0, TINY_TRAIN, TINY_MODEL)
-    assert len(calls) == 2 * TINY_TRAIN.epochs
-    assert calls.count("evaluate") == calls.count("main_accuracy") == TINY_TRAIN.epochs
+    assert sorted(calls) == ["evaluate", "main_accuracy"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scoring_the_last_epoch_only_keeps_every_bit(seed):
+    """Oracle for scoring the last epoch only: each run of `run_variants` equals
+    `training.train` scoring every epoch, in the final row, every block
+    buffer, running moment and update count, and the sampler's state; each
+    earlier row is exactly that run's `epoch` and `train_loss`."""
+    dataset, target_domain = tiny_benchmark(seed)
+    tc = replace(TINY_TRAIN, epochs=3, seed=seed)
+    cells = experiments.run_variants(dataset, target_domain, seed, tc, TINY_MODEL)
+
+    def hexes(row):
+        return {k: float(v).hex() for k, v in row.items()}
+
+    for variant, cell in cells.items():
+        use_on, use_aug, _ = VARIANTS[variant]
+        oracle = training.train(
+            init_model(replace(TINY_MODEL, use_on=use_on, use_aug=use_aug), seed=seed),
+            dataset, target_domain, tc)
+        got = cell.result
+        assert len(got.metrics) == len(oracle.metrics) == tc.epochs
+        assert hexes(got.final) == hexes(oracle.final), variant
+        for row, full in zip(got.metrics[:-1], oracle.metrics[:-1]):
+            assert hexes(row) == {k: float(full[k]).hex() for k in ("epoch", "train_loss")}
+        assert got.rng_state == oracle.rng_state
+        a, b = got.model, oracle.model
+        assert [blk.name for blk in a.blocks] == [blk.name for blk in b.blocks]
+        for x, y in zip(a.blocks, b.blocks):
+            assert same_bits(x.buffer, y.buffer), (variant, x.name)
+        units_a, units_b = _units(a), _units(b)
+        assert [name for name, _ in units_a] == [name for name, _ in units_b]
+        for (_, ua), (_, ub) in zip(units_a, units_b):
+            assert same_bits(ua.running_mean, ub.running_mean)
+            assert same_bits(ua.running_var, ub.running_var)
+            assert ua.update_count == ub.update_count
 
 
 def test_run_variants_trains_each_switch_pair_once(monkeypatch):

@@ -51,6 +51,21 @@ class TestInit:
         with pytest.raises(ValueError):
             ModelConfig(input_dim=4, classifier_mode="bogus").validate()
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("bn_momentum", 0.0, "bn_momentum 0.0 outside \\(0, 1\\]"),
+        ("bn_momentum", 1.5, "bn_momentum 1.5 outside \\(0, 1\\]"),
+        ("bn_momentum", float("nan"), "bn_momentum nan outside"),
+        ("bn_eps", 0.0, "bn_eps 0.0 must be positive and finite"),
+        ("bn_eps", -1e-5, "bn_eps -1e-05 must be positive"),
+        ("bn_eps", float("inf"), "bn_eps inf must be positive and finite")])
+    def test_normalization_constants_rejected(self, key, value, error):
+        """The config refuses what `BNUnit` would refuse, naming the key."""
+        with pytest.raises(ValueError, match=f"ModelConfig: {error}"):
+            ModelConfig(input_dim=4, **{key: value}).validate()
+
+    def test_normalization_constants_at_their_bounds(self):
+        ModelConfig(input_dim=4, bn_momentum=1.0, bn_eps=5e-324).validate()
+
 
 class TestForwardMain:
     def test_identical_rows_identical_logits(self):

@@ -659,11 +659,12 @@ class TestStepOracle:
 
 
 class TestTrainLoop:
-    def _run(self, seed=0, **overrides):
+    def _run(self, seed=0, score_every_epoch=True, **overrides):
         cfg_kwargs = dict(epochs=2, iters_per_epoch=4, batch_per_domain=4, seed=seed)
         cfg_kwargs.update(overrides)
         m = init_model(tiny_config(num_classes=3), seed=seed)
-        return train(m, small_dataset(seed=seed), 3, TrainConfig(**cfg_kwargs))
+        return train(m, small_dataset(seed=seed), 3, TrainConfig(**cfg_kwargs),
+                     score_every_epoch=score_every_epoch)
 
     def test_metrics_contract(self, tmp_path):
         """One row per epoch holding every metrics column, in order; the
@@ -754,6 +755,38 @@ class TestTrainLoop:
         want = inference.evaluate(m, val.features, val.labels,
                                   inference.FusionStrategy.MAIN_ONLY).fused_accuracy
         assert result.final["src_acc"] == want
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_unscored_epochs(self, monkeypatch, epochs):
+        """With `score_every_epoch=False` only the last epoch is scored, once
+        per split; the earlier rows hold exactly `epoch` and `train_loss`,
+        and every row equals the fully scored run's in what it holds."""
+        calls = []
+        for name in ("evaluate", "main_accuracy"):
+            scorer = getattr(inference, name)
+            monkeypatch.setattr(inference, name, lambda *a, _f=scorer, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        every = self._run(epochs=epochs)
+        assert sorted(calls) == ["evaluate"] * epochs + ["main_accuracy"] * epochs
+        calls.clear()
+        last = self._run(epochs=epochs, score_every_epoch=False)
+        assert sorted(calls) == ["evaluate", "main_accuracy"]
+        assert [tuple(r) for r in last.metrics[:-1]] == [("epoch", "train_loss")] * (epochs - 1)
+        assert tuple(last.final) == training.METRICS_COLUMNS
+        for a, b in zip(every.metrics, last.metrics):
+            assert {k: float(v).hex() for k, v in b.items()} == {
+                k: float(a[k]).hex() for k in b}
+        assert last.rng_state == every.rng_state
+
+    def test_non_finite_moment_aborts_before_scoring(self, monkeypatch):
+        """A running variance that overflows in the epoch's last forward,
+        whose loss is still finite, aborts the run, naming the moment,
+        before the epoch is scored."""
+        monkeypatch.setattr(inference, "evaluate", lambda *a, **k: pytest.fail("scored"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match=r"^train: aborted at epoch 1: "
+                                                   r"non-finite parameter main\.site1\.running_var$"):
+                self._run(epochs=2, iters_per_epoch=2, lr_backbone=1e100)
 
     def test_step_decay_scales_the_learning_rate_per_epoch(self, monkeypatch):
         scales = []
