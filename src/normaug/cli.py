@@ -136,7 +136,13 @@ def _require(cfg: dict, key: str) -> str:
 
 
 def _target_domain(cfg: dict, dataset: datagen.Dataset) -> int:
-    return _value(cfg, "target_domain", dataset.num_domains - 1)
+    """The held-out domain, `target_domain` or the last one: a domain of the dataset."""
+    target = _value(cfg, "target_domain", dataset.num_domains - 1)
+    present = np.unique(dataset.domain_ids).tolist()
+    if target not in present:
+        raise UsageError(f"config key target_domain: domain {target} is not in the dataset, "
+                         f"whose domains are {', '.join(map(str, present))}")
+    return target
 
 
 def _check_dataset(model, dataset: datagen.Dataset) -> None:

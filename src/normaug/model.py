@@ -3,9 +3,10 @@ dispatch either to the main route (plain BN or the BN/IN mixture) or to the
 per-subset bank, plus one classifier per route.
 
 Training runs on the autodiff tape. Evaluation runs every route on plain
-arrays from the input rows (`eval_logits`): every layer product is a
-sequence of BLAS products of one fixed shape (`ROW_BLOCK` rows at a time,
-`Linear.apply`), a BN unit's evaluation-mode map is folded into the product
+arrays from the input rows (`eval_logits`): every layer product is one
+stacked call for the whole `ROW_BLOCK`-row blocks and one for the
+overlapping last block (`Linear.apply`), every BLAS call still (ROW_BLOCK,
+K) @ (K, P); a BN unit's evaluation-mode map is folded into the product
 before it, and an ON unit normalizes the product with a per-channel affine
 map plus per-row instance statistics, so per-sample outputs never depend on
 how a split is batched.
@@ -81,36 +82,42 @@ class Linear:
 
     def apply(self, h: np.ndarray, scale: np.ndarray | None = None,
               shift: np.ndarray | None = None) -> np.ndarray:
-        """Evaluation-mode product on arrays, `ROW_BLOCK` rows at a time.
+        """Evaluation-mode product on arrays, in blocks of `ROW_BLOCK` rows.
         Given a normalization's per-channel map `y * scale + shift`, it is
         folded into the product: the rows are multiplied by `W * scale` and
         `b * scale + shift` is added.
 
-        Every BLAS call has the same (ROW_BLOCK, K) @ (K, P) shape on
-        C-contiguous operands, so a row's bits depend neither on the rest of
-        the batch nor on its position, its alignment or the input's layout;
-        a single-row product (gemv) or a strided one (numpy's own loop)
-        would round differently. A batch shorter than ROW_BLOCK is copied
-        into zero rows. In a longer one, the last block is the one that
-        ends at the last row, overlapping the block before it, so no
-        temporary is allocated beside the output (padding there as well
-        moved the allocator state that the training benchmark reads). The
-        bias is added with `nb.channel_op`, so beside the output only its
-        tile is allocated.
+        One stacked call multiplies the whole blocks, the (k, ROW_BLOCK, K)
+        view of the rows, and one more the overlapping last block; numpy
+        runs one gemm per stacked block, so every BLAS call is still
+        (ROW_BLOCK, K) @ (K, P) on C-contiguous operands. A row's bits
+        therefore depend neither on the rest of the batch nor on its
+        position, its alignment or the input's layout; a single-row product
+        (gemv) or a strided one (numpy's own loop) would round differently.
+        A batch shorter than ROW_BLOCK is copied into zero rows. In a longer
+        one, the last block is the one that ends at the last row,
+        overlapping the block before it, so no temporary is allocated beside
+        the output (padding there as well moved the allocator state that
+        the training benchmark reads). The bias is added with
+        `nb.channel_op`, so beside the output only its tile is allocated.
         """
         h = np.ascontiguousarray(h, dtype=np.float64)
         w, b = self.weight.data, self.bias.data
         if scale is not None:
             w, b = w * scale, b * scale + shift
-        n = h.shape[0]
-        out = np.empty((n, w.shape[1]))
+        (n, k), p = h.shape, w.shape[1]
+        out = np.empty((n, p))
         if n < ROW_BLOCK:
-            block = np.zeros((ROW_BLOCK, w.shape[0]))
+            block = np.zeros((ROW_BLOCK, k))
             block[:n] = h
             out[...] = (block @ w)[:n]
         else:
-            for lo in [*range(0, n - ROW_BLOCK, ROW_BLOCK), n - ROW_BLOCK]:
-                np.matmul(h[lo:lo + ROW_BLOCK], w, out=out[lo:lo + ROW_BLOCK])
+            whole = n - n % ROW_BLOCK
+            blocks = whole // ROW_BLOCK
+            np.matmul(h[:whole].reshape(blocks, ROW_BLOCK, k), w,
+                      out=out[:whole].reshape(blocks, ROW_BLOCK, p))
+            if whole < n:
+                np.matmul(h[n - ROW_BLOCK:], w, out=out[n - ROW_BLOCK:])
         return nb.channel_op(np.add, out, b, out)
 
     def parameters(self):

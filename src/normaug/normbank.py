@@ -21,10 +21,12 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-# Rows per BLAS product in `model.Linear.apply`: every call has the shape
-# (ROW_BLOCK, K) @ (K, P) whatever the batch, a multiple of 16. 64 and 128
-# measured alike on a 1000-row evaluate; 256 was about 5% slower. It is
-# also the height of `channel_op`'s tile.
+# Rows per BLAS product in `model.Linear.apply`: one stacked call for the
+# whole blocks, one for the overlapping last block, and every BLAS call still
+# (ROW_BLOCK, K) @ (K, P) whatever the batch, a multiple of 16. With the
+# stacked call, 64 and 128 measured alike on a 1000-row `independent_only`
+# evaluate (5.8 ms); 256 was about 5% slower, as with one call per block.
+# It is also the height of `channel_op`'s tile.
 ROW_BLOCK = 128
 
 
@@ -282,18 +284,22 @@ def channel_op(op: np.ufunc, h: np.ndarray, v: np.ndarray, out: np.ndarray) -> n
     inner loop. The tile has ROW_BLOCK rows, or more where a narrow row
     would leave it under numpy's buffer size (`np.getbufsize()` elements):
     numpy copies a shorter inner loop through its iteration buffer, as it
-    did the broadcast. `out` must be C-contiguous (it may be `h`); other
-    layouts are a ValueError."""
+    did the broadcast. Where the tile would cover every row of `h` (narrow
+    rows, or a batch of at most ROW_BLOCK rows), writing it costs more
+    than it saves, and the broadcast itself runs. `out` must be
+    C-contiguous (it may be `h`); other layouts are a ValueError."""
     if not out.flags.c_contiguous:  # so that its reshape below is a view
         raise ValueError("channel_op: out must be C-contiguous")
     n, width = h.shape[0], math.prod(h.shape[1:])
-    rows = min(n, max(ROW_BLOCK, -(-np.getbufsize() // max(width, 1))))
+    rows = max(ROW_BLOCK, -(-np.getbufsize() // max(width, 1)))
+    per_channel = v.reshape(v.shape + (1,) * (h.ndim - 2))
+    if rows >= n:
+        return op(h, per_channel, out=out)
     tile = np.empty((rows,) + h.shape[1:])
-    tile[...] = v.reshape(v.shape + (1,) * (h.ndim - 2))
-    whole = n - n % rows if rows else 0
-    if whole:
-        tiles = (whole // rows,) + tile.shape
-        op(h[:whole].reshape(tiles), tile, out=out[:whole].reshape(tiles))
+    tile[...] = per_channel
+    whole = n - n % rows
+    tiles = (whole // rows,) + tile.shape
+    op(h[:whole].reshape(tiles), tile, out=out[:whole].reshape(tiles))
     if whole < n:
         op(h[whole:], tile[:n - whole], out=out[whole:])
     return out

@@ -333,9 +333,10 @@ def composite_eval_logits(model: TwoPathNetwork, x: np.ndarray, subset=None,
 
 
 # ---------------------------------------------------------------------------
-# the evaluation walk's per-channel maps as broadcasts, and the divergence's
-# column means by fsum over every value: the formulas `normbank.channel_op`
-# and the exact partial sums replaced, whose bits they must keep
+# the evaluation walk's products one block per call and its per-channel maps
+# as broadcasts, and the divergence's column means by fsum over every value:
+# the formulas the stacked product, `normbank.channel_op` and the exact
+# partial sums replaced, whose bits they must keep
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -345,7 +346,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def broadcast_linear_apply(lin, h: np.ndarray, scale=None, shift=None) -> np.ndarray:
-    """`Linear.apply` with its bias added as one broadcast `out += b`."""
+    """`Linear.apply` as one BLAS call per `ROW_BLOCK` rows (the last block
+    overlapping the one before it), with its bias added as one broadcast
+    `out += b`."""
     h = np.ascontiguousarray(h, dtype=np.float64)
     w, b = lin.weight.data, lin.bias.data
     if scale is not None:

@@ -1,7 +1,8 @@
 """Per-channel maps as flat tile ops (`normbank.channel_op`): bitwise the
 broadcast formulas they replaced in `Linear.apply` and `eval_normalize`, at
 row counts around the tile's height, with one tile allocated and no numpy
-iteration buffer."""
+iteration buffer; where the tile would cover every row, the broadcast
+itself."""
 
 import tracemalloc
 
@@ -25,7 +26,9 @@ def rows(n: int, shape: tuple[int, ...], seed: int = 0) -> np.ndarray:
 
 def tile_bytes(n: int, shape: tuple[int, ...]) -> int:
     """`channel_op`'s tile: ROW_BLOCK rows, or as many as numpy's buffer
-    holds elements where rows are narrower, and at most n."""
+    holds elements where rows are narrower, and at most n (where the tile
+    would cover all n rows, the broadcast's buffer of at most as many
+    elements takes its place)."""
     width = int(np.prod(shape))
     return min(n, max(ROW_BLOCK, -(-np.getbufsize() // width))) * width * 8
 
@@ -36,8 +39,26 @@ def tile_bytes(n: int, shape: tuple[int, ...]) -> int:
 def test_channel_op_is_the_broadcast_op(op, site, n):
     """Into a fresh output and in place, with a vector holding -0.0, a
     subnormal and a huge value."""
-    shape = SITES[site]
-    h = rows(n, shape)
+    check_broadcast_bits(op, rows(n, SITES[site]))
+
+
+# rows the tile would cover whole (a 1000 x 5 classifier bias, a 128-row
+# probe batch, a 128-row smallconv site) and rows that keep the tile
+# (1000 x 64 hidden rows)
+EVAL_SHAPES = [(1000, (5,)), (ROW_BLOCK, (64,)), (ROW_BLOCK, (4, 3, 3)), (1000, (64,))]
+
+
+@pytest.mark.parametrize("n, shape", EVAL_SHAPES,
+                         ids=["bias-1000x5", "probe-128x64", "conv-128", "hidden-1000x64"])
+@pytest.mark.parametrize("op", [np.add, np.subtract, np.multiply])
+def test_evaluation_shapes_are_the_broadcast_op(op, n, shape):
+    check_broadcast_bits(op, rows(n, shape, seed=9))
+
+
+def check_broadcast_bits(op, h: np.ndarray) -> None:
+    """`channel_op` into a fresh output and in place has the broadcast's
+    bits."""
+    shape = h.shape[1:]
     v = np.random.default_rng(1).standard_normal(shape[0])
     v[:3] = (-0.0, 5e-324, 1e300)
     want = op(h, v.reshape(v.shape + (1,) * (h.ndim - 2)))
@@ -80,10 +101,11 @@ class TestLinearApply:
     @pytest.mark.parametrize("folded", [False, True], ids=["plain", "folded"])
     def test_allocates_its_output_and_one_tile(self, folded, width):
         """No buffer beside the output and the bias tile: a broadcast `out +=
-        b` took numpy's iteration buffer (64 KB for 1000 x 64 or 1000 x 32,
-        40 KB for 1000 x 5), and so does a tile op whose flat inner loop is
-        shorter than that buffer. The folded product also holds its folded
-        weights."""
+        b` took numpy's iteration buffer (64 KB for 1000 x 64 or 1000 x 32),
+        and so does a tile op whose flat inner loop is shorter than that
+        buffer. At width 5 the tile would cover all 1000 rows, so the
+        broadcast runs, and its 40 KB buffer is the tile's size. The folded
+        product also holds its folded weights."""
         lin = self.layer(64, width)
         h = rows(1000, (64,), seed=5)
         args = np.random.default_rng(4).uniform(0.3, 2.0, (2, width)) if folded else ()

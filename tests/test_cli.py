@@ -246,6 +246,30 @@ class TestDatasetFitsModel:
         assert not list(result.iterdir())
 
 
+class TestTargetDomain:
+    """A `target_domain` that is not one of the dataset's domains (the
+    pipeline's are 0-3) is refused before anything is trained, scored or
+    written."""
+
+    @pytest.mark.parametrize("target", ["7", "-1"])
+    @pytest.mark.parametrize("command", ["train", "eval", "diagnose"])
+    def test_domain_outside_the_dataset_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                       command, target):
+        tmp, out, dataset, _ = pipeline
+        if command == "train":
+            text = SMALL_TRAIN.replace("target_domain = 3", f"target_domain = {target}")
+        else:
+            text = f"checkpoint = {out / 'model.ckpt'}\ntarget_domain = {target}\n"
+        cfg = write_config(tmp, text + f"dataset = {dataset}\n", "target.txt")
+        capsys.readouterr()
+        result = tmp_path / "result"
+        assert main([command, "--config", cfg, "--out", str(result)]) == 2
+        assert capsys.readouterr().err == (
+            f"normaug {command}: config key target_domain: domain {target} is not in the "
+            f"dataset, whose domains are 0, 1, 2, 3\n")
+        assert not list(result.iterdir())
+
+
 SMALL_GRID = """
 seeds = 0,1
 num_classes = 3

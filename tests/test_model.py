@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import tiny_config, tiny_model, toy_batch
+from helpers import broadcast_linear_apply, same_bits, tiny_config, tiny_model, toy_batch
 from normaug import normbank as nb
 from normaug import tensor as T
 from normaug.model import (
@@ -276,6 +276,9 @@ class TestBlockProduct:
 
     # the default model's layer-0, hidden and classifier shapes, and odd ones
     SHAPES = [(16, 64), (64, 64), (64, 32), (32, 5), (7, 5), (3, 1)]
+    # whole blocks only, one or more whole blocks and an overlapping last
+    # block, and the evaluation's and a longer chunk's row counts
+    GUARD_ROWS = (ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK, 1000, 4000)
 
     @staticmethod
     def layer(fan_in, fan_out):
@@ -306,6 +309,38 @@ class TestBlockProduct:
         wide[:, 1::2] = h
         assert np.array_equal(lin.apply(np.asfortranarray(h)), want)
         assert np.array_equal(lin.apply(wide[:, 1::2]), want)
+
+    @pytest.mark.parametrize("n", GUARD_ROWS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stacked_product_is_one_gemm_per_block(self, shape, n):
+        """What `Linear.apply` relies on: numpy multiplies the (k, ROW_BLOCK,
+        K) view of the whole blocks by one gemm per block, so the stacked call
+        has the bits of per-block calls. A numpy that batches stacked
+        products differently fails here first."""
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal(shape)
+        whole = n - n % ROW_BLOCK
+        h = rng.standard_normal((whole, shape[0]))
+        stacked = np.empty((whole, shape[1]))
+        blocks = whole // ROW_BLOCK
+        np.matmul(h.reshape(blocks, ROW_BLOCK, shape[0]), w,
+                  out=stacked.reshape(blocks, ROW_BLOCK, shape[1]))
+        per_block = np.empty_like(stacked)
+        for lo in range(0, whole, ROW_BLOCK):
+            np.matmul(h[lo:lo + ROW_BLOCK], w, out=per_block[lo:lo + ROW_BLOCK])
+        assert same_bits(stacked, per_block)
+
+    @pytest.mark.parametrize("n", GUARD_ROWS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_plain_and_folded_are_the_per_block_loop(self, shape, n):
+        """Byte-equal to `helpers.broadcast_linear_apply`, which multiplies
+        one block per call."""
+        lin = self.layer(*shape)
+        scale, shift = self.channel_map(shape[1])
+        h = np.random.default_rng(n + 1).standard_normal((n, shape[0]))
+        assert same_bits(lin.apply(h), broadcast_linear_apply(lin, h))
+        assert same_bits(lin.apply(h, scale, shift),
+                         broadcast_linear_apply(lin, h, scale, shift))
 
     def test_long_batch_allocates_only_its_output(self):
         """From ROW_BLOCK rows on, the last block overlaps the one before it
