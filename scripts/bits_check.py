@@ -19,7 +19,9 @@ absolute difference over the numeric fields. Then each tree runs
 and checkpoint, and the tool prints, per rule and scope, the largest
 difference in fused probabilities and the number of rows whose argmax
 flipped, and the largest difference of the main route and of the sub-paths
-over all of them.
+over all of them. The tool resolves the held-out domain once (the config's
+`target_domain`, else the dataset's last domain) and passes it to both
+trees, so `predict` calls only the library, not the CLI's helpers.
 
 Then each tree runs its own `tests/test_acceptance.py`, and the tool
 compares the ACCEPTANCE lines criterion by criterion, with timings (`0.3s`,
@@ -60,16 +62,16 @@ ARTIFACTS = {
     "ablation.csv": "ablate/ablation.csv",
     "fusion.csv": "ablate/fusion.csv",
 }
-# writes every fusion rule's and scope's probabilities to an .npz, from one tree
+# writes every fusion rule's and scope's probabilities on the held-out domain
+# to an .npz, from one tree's public library
 PREDICT = """
 import sys
 import numpy as np
-from normaug import cli, datagen, inference
+from normaug import datagen, inference
 from normaug.model import load_checkpoint
-config, checkpoint, dataset, out = sys.argv[1:]
+target_domain, checkpoint, dataset, out = sys.argv[1:]
 model = load_checkpoint(checkpoint)[0]
-ds = datagen.load(dataset)
-_, target = datagen.split_lodo(ds, cli._target_domain(cli.parse_config(config), ds))
+_, target = datagen.split_lodo(datagen.load(dataset), int(target_domain))
 arrays = {}
 for strategy in inference.FusionStrategy:
     if strategy is not inference.FusionStrategy.MAIN_ONLY and not model.config.use_aug:
@@ -138,6 +140,17 @@ def pipeline_config(text: str, work: Path) -> str:
             if line.split("#", 1)[0].partition("=")[0].strip() not in ("dataset", "checkpoint")]
     return "\n".join([*kept, f"dataset = {work / 'dataset.csv'}",
                       f"checkpoint = {work / 'model.ckpt'}"]) + "\n"
+
+
+def held_out_domain(config: Path, dataset: Path) -> int:
+    """The domain `train` held out: the config's `target_domain`, else the
+    dataset's last domain."""
+    for line in config.read_text(encoding="utf-8").splitlines():
+        key, _, value = line.split("#", 1)[0].partition("=")
+        if key.strip() == "target_domain":
+            return int(value)
+    rows = dataset.read_text(encoding="utf-8").splitlines()[1:]
+    return max(int(row.split(",", 1)[0]) for row in rows)
 
 
 def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
@@ -289,11 +302,12 @@ def check(parent: Path, change: Path, config: Path, work: Path) -> list[str]:
     for name, rel in ARTIFACTS.items():
         lines.append(f"{name}: {compare_files(work / 'parent' / rel, work / 'change' / rel)}")
     probs = {}
+    dataset = work / "parent" / "dataset.csv"
+    target = held_out_domain(configs["parent"], dataset)
     for side, tree in (("parent", parent), ("change", change)):
         out = work / f"predict_{side}.npz"
-        run_python(tree, work, "-c", PREDICT, str(configs["parent"]),
-                   str(work / "parent" / "model.ckpt"), str(work / "parent" / "dataset.csv"),
-                   str(out))
+        run_python(tree, work, "-c", PREDICT, str(target),
+                   str(work / "parent" / "model.ckpt"), str(dataset), str(out))
         with np.load(out) as z:
             probs[side] = {k: z[k] for k in z.files}
     return lines + compare_predictions(probs["parent"], probs["change"])

@@ -2,9 +2,13 @@
 
 Subcommands: gen-data, train, eval, diagnose, ablate. Runs are driven by a
 flat key=value config file (UTF-8, `#` comments); `--seed` overrides the
-config seed. Output files are written with a `.partial` suffix and renamed
-into place only when complete. Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+config seed (eval has none). Output files are written with a `.partial`
+suffix and renamed into place only when complete; `--out` is made by the
+first write, so a refused command leaves nothing behind. Exit codes: 0
+success; 2 bad input, i.e. any ValueError, raised naming the key or file by
+the config, function or loader that owns the rule (a config value or flag,
+a malformed dataset or checkpoint, or the two disagreeing); 1 anything
+else: an I/O failure, such as a missing dataset file, or diverged training.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ from .inference import FusionStrategy, SubpathScope
 from .model import (ModelConfig, config_from_text, init_model, load_checkpoint, parse_value,
                     save_checkpoint)
 from .training import TrainConfig
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ KNOWN_KEYS = set().union(*COMMAND_KEYS.values())
 def parse_config(path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
-        raise UsageError(f"config file not found: {p}")
+        raise ValueError(f"config file not found: {p}")
     out: dict[str, str] = {}
     first: dict[str, int] = {}
     for ln, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
@@ -69,12 +69,12 @@ def parse_config(path) -> dict[str, str]:
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise UsageError(f"{p}:{ln}: expected key=value, got {raw!r}")
+            raise ValueError(f"{p}:{ln}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
         if key not in KNOWN_KEYS:
-            raise UsageError(f"{p}:{ln}: unknown config key {key!r}")
+            raise ValueError(f"{p}:{ln}: unknown config key {key!r}")
         if key in first:
-            raise UsageError(f"{p}:{ln}: config key {key!r} repeated (first on line {first[key]})")
+            raise ValueError(f"{p}:{ln}: config key {key!r} repeated (first on line {first[key]})")
         first[key], out[key] = ln, value
     return out
 
@@ -84,44 +84,16 @@ def _value(cfg: dict, key: str, default):
     if key not in cfg:
         return default
     kind = tuple[int, ...] if isinstance(default, tuple) else type(default)
-    try:
-        return parse_value(key, cfg[key], kind)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
-def _check_seeds(cfg: dict, command: str, override: int | None) -> None:
-    """`--seed` and the seeds the command reads (`seeds` for ablate, `seed`
-    for the others) must be non-negative integers, as numpy's generators
-    require, and the `seeds` list must not repeat one."""
-    if override is not None and override < 0:
-        raise UsageError(f"--seed: expected a non-negative integer, got {override}")
-    key, default = ("seeds", ()) if command == "ablate" else ("seed", 0)
-    if key in COMMAND_KEYS[command]:
-        value = _value(cfg, key, default)
-        for seed in value if key == "seeds" else [value]:
-            if seed < 0:
-                raise UsageError(f"config key {key}: expected a non-negative integer, got {seed}")
-        if key == "seeds" and (repeated := experiments.repeated_seed(value)) is not None:
-            raise UsageError(f"config key seeds: seed {repeated} repeated")
-
-
-def _config(cls, cfg: dict, **fixed):
-    try:
-        config = config_from_text(cls, cfg, **fixed)
-        config.validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    return config
+    return parse_value(key, cfg[key], kind)
 
 
 def train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
-    return _config(TrainConfig, cfg, **({} if seed_override is None else {"seed": seed_override}))
-
-
-def _model_config(cfg: dict, input_dim: int, num_classes: int, num_domains: int) -> ModelConfig:
-    return _config(ModelConfig, cfg, input_dim=input_dim, num_classes=num_classes,
-                   num_domains=num_domains)
+    """Validated before any file is read; a ModelConfig is validated by the
+    `init_model` that uses it."""
+    tc = config_from_text(TrainConfig, cfg,
+                          **({} if seed_override is None else {"seed": seed_override}))
+    tc.validate()
+    return tc
 
 
 def _gen_kwargs(cfg: dict) -> dict:
@@ -131,18 +103,8 @@ def _gen_kwargs(cfg: dict) -> dict:
 
 def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
-        raise UsageError(f"config key {key!r} is required for this command")
+        raise ValueError(f"config key {key!r} is required for this command")
     return cfg[key]
-
-
-def _target_domain(cfg: dict, dataset: datagen.Dataset) -> int:
-    """The held-out domain, `target_domain` or the last one: a domain of the dataset."""
-    target = _value(cfg, "target_domain", dataset.num_domains - 1)
-    present = np.unique(dataset.domain_ids).tolist()
-    if target not in present:
-        raise UsageError(f"config key target_domain: domain {target} is not in the dataset, "
-                         f"whose domains are {', '.join(map(str, present))}")
-    return target
 
 
 def _check_dataset(model, dataset: datagen.Dataset) -> None:
@@ -151,13 +113,13 @@ def _check_dataset(model, dataset: datagen.Dataset) -> None:
     mc = model.config
     domains = int(np.unique(dataset.domain_ids).size)
     if domains != mc.num_domains + 1:
-        raise UsageError(f"dataset has {domains} domains, the model needs "
+        raise ValueError(f"dataset has {domains} domains, the model needs "
                          f"{mc.num_domains + 1} ({mc.num_domains} sources + 1 held out)")
     if dataset.feature_dim != mc.input_dim:
-        raise UsageError(f"dataset has feature_dim {dataset.feature_dim}, "
+        raise ValueError(f"dataset has feature_dim {dataset.feature_dim}, "
                          f"the model has input_dim {mc.input_dim}")
     if dataset.num_classes > mc.num_classes:
-        raise UsageError(f"dataset has labels up to {dataset.num_classes - 1}, "
+        raise ValueError(f"dataset has labels up to {dataset.num_classes - 1}, "
                          f"the model has num_classes {mc.num_classes}")
 
 
@@ -167,9 +129,15 @@ def _check_dataset(model, dataset: datagen.Dataset) -> None:
 
 def _write_atomic(path: Path, write) -> None:
     """`write(partial)` to `path` with a `.partial` suffix, then rename it
-    into place, so `path` appears only when complete."""
+    into place, so `path` appears only when complete; makes the directory
+    first, and removes the partial file if `write` raises."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
-    write(partial)
+    try:
+        write(partial)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     os.replace(partial, path)
 
 
@@ -200,11 +168,12 @@ def cmd_gen_data(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 
 def cmd_train(cfg: dict, out: Path, seed_override: int | None) -> None:
-    dataset = datagen.load(_require(cfg, "dataset"))
-    target = _target_domain(cfg, dataset)
     tc = train_config_from(cfg, seed_override)
+    dataset = datagen.load(_require(cfg, "dataset"))
+    target = _value(cfg, "target_domain", dataset.num_domains - 1)  # split_lodo checks it
     n_sources = int(np.unique(dataset.domain_ids).size) - 1
-    mc = _model_config(cfg, dataset.feature_dim, dataset.num_classes, n_sources)
+    mc = config_from_text(ModelConfig, cfg, input_dim=dataset.feature_dim,
+                          num_classes=dataset.num_classes, num_domains=n_sources)
     model = init_model(mc, seed=tc.seed)
     result = training.train(model, dataset, target, tc)
     metrics_path = out / "metrics.csv"
@@ -225,28 +194,23 @@ def _load_run(cfg: dict):
     model = load_checkpoint(_require(cfg, "checkpoint"))[0]
     dataset = datagen.load(_require(cfg, "dataset"))
     _check_dataset(model, dataset)
-    sources, target_set = datagen.split_lodo(dataset, _target_domain(cfg, dataset))
+    sources, target_set = datagen.split_lodo(
+        dataset, _value(cfg, "target_domain", dataset.num_domains - 1))
     return model, sources, target_set
 
 
-def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
-             strategy_override: str | None, scope_override: str | None) -> None:
+def cmd_eval(cfg: dict, out: Path, strategy_override: str | None,
+             scope_override: str | None) -> None:
     model, _, target_set = _load_run(cfg)
     requested = strategy_override or cfg.get("strategy")
-    try:
-        strategy = (FusionStrategy.from_name(requested) if requested
-                    else inference.default_strategy(model))
-        scope = SubpathScope.from_name(
-            scope_override or cfg.get("scope", SubpathScope.INDEPENDENT_ONLY.value))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    strategy = (FusionStrategy.from_name(requested) if requested
+                else inference.default_strategy(model))
+    scope = SubpathScope.from_name(
+        scope_override or cfg.get("scope", SubpathScope.INDEPENDENT_ONLY.value))
     if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
-        raise UsageError(f"strategy {strategy.value} needs sub-path predictions, "
+        raise ValueError(f"strategy {strategy.value} needs sub-path predictions, "
                          f"but the model was trained without a bank (use_aug = false)")
-    try:
-        inference.subpath_subsets(model, scope)
-    except ValueError as e:  # the checkpoint cannot serve the scope
-        raise UsageError(str(e)) from None
+    inference.subpath_subsets(model, scope)  # refuses a scope the checkpoint cannot serve
     report = inference.evaluate(model, target_set.features, target_set.labels,
                                 strategy, scope)
     rows = [[name, _fmt(acc)] for name, acc in sorted(report.per_path.items())]
@@ -260,9 +224,11 @@ def cmd_eval(cfg: dict, out: Path, seed_override: int | None,
 def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
     probe_rows = _value(cfg, "probe_rows", 64)
     if probe_rows < 1:
-        raise UsageError(f"config key probe_rows: expected a positive integer, got {probe_rows}")
-    model, sources, target_set = _load_run(cfg)
+        raise ValueError(f"config key probe_rows: expected a positive integer, got {probe_rows}")
     seed = seed_override if seed_override is not None else _value(cfg, "seed", 0)
+    if seed < 0:
+        raise ValueError(f"config key seed: expected a non-negative integer, got {seed}")
+    model, sources, target_set = _load_run(cfg)
     rng = np.random.default_rng(seed)
 
     by_domain = {int(d): sources.features[sources.domain_ids == d]
@@ -298,10 +264,11 @@ def _draw_rows(features: np.ndarray, count: int, rng: np.random.Generator) -> np
 def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
     overridden = sorted(ABLATE_CELL_KEYS & cfg.keys())
     if overridden:
-        raise UsageError(f"config key {', '.join(overridden)}: every grid cell sets its own "
+        raise ValueError(f"config key {', '.join(overridden)}: every grid cell sets its own "
                          f"switches and seed (the seed list is `seeds` or --seed)")
     seeds = list(_value(cfg, "seeds", (0, 1, 2, 3, 4)))
     if seed_override is not None:
+        experiments.check_seeds(seeds)  # the list still sets the grid's size
         seeds = [seed_override + i for i in range(len(seeds))]
     tc = train_config_from(cfg, None)
     gen_kwargs = _gen_kwargs(cfg)
@@ -309,9 +276,11 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
     shift_kappa = gen_kwargs.pop("shift_kappa")
     last = gen_kwargs["num_domains"] - 1
     if _value(cfg, "target_domain", last) != last:
-        raise UsageError(f"config key target_domain: ablate holds out the last domain "
+        raise ValueError(f"config key target_domain: ablate holds out the last domain "
                          f"({last}), got {cfg['target_domain']!r}")
-    base = _model_config(cfg, gen_kwargs["feature_dim"], gen_kwargs["num_classes"], last)
+    # validated by each cell's init_model, after `generate` checked the keys that shape it
+    base = config_from_text(ModelConfig, cfg, input_dim=gen_kwargs["feature_dim"],
+                            num_classes=gen_kwargs["num_classes"], num_domains=last)
     variants, fusion = experiments.ablation_grid(
         seeds, shift_kappa=shift_kappa, train_config=tc,
         base_model_config=base, generate_kwargs=gen_kwargs)
@@ -326,6 +295,10 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "diagnose": cmd_diagnose,
+            "ablate": cmd_ablate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "eval":
+        if name != "eval":  # eval draws nothing
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        else:
             p.add_argument("--strategy", default=None,
                            help="fusion strategy (" +
                                 ", ".join(m.value for m in FusionStrategy) + ")")
@@ -364,25 +338,15 @@ def main(argv=None) -> int:
             # one config file serves every command, so other commands' keys are not errors
             print(f"normaug {args.command}: ignoring config keys {', '.join(ignored)}",
                   file=sys.stderr)
-        _check_seeds(cfg, args.command, args.seed)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "gen-data":
-            cmd_gen_data(cfg, out, args.seed)
-        elif args.command == "train":
-            cmd_train(cfg, out, args.seed)
-        elif args.command == "eval":
-            cmd_eval(cfg, out, args.seed, args.strategy, args.scope)
-        elif args.command == "diagnose":
-            cmd_diagnose(cfg, out, args.seed)
-        elif args.command == "ablate":
-            cmd_ablate(cfg, out, args.seed)
-        else:  # pragma: no cover - argparse enforces the choice
-            raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as e:
+        if args.command == "eval":
+            cmd_eval(cfg, out, args.strategy, args.scope)
+        else:
+            COMMANDS[args.command](cfg, out, args.seed)
+    except ValueError as e:  # bad input
         print(f"normaug {args.command}: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # noqa: BLE001 - CLI boundary
+    except Exception as e:  # noqa: BLE001 - CLI boundary: I/O, diverged training
         print(f"normaug {args.command}: failed: {e}", file=sys.stderr)
         return 1
     return 0

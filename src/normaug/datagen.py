@@ -39,6 +39,9 @@ ANGLE_RANGE = 0.1
 # source styles; below 1 the target leans mostly on one source.
 TARGET_MIX_ALPHA = 0.4
 
+# a style scale exp(t) with |t| above this overflows float64 (or underflows to 0)
+MAX_LOG_SCALE = float(np.log(np.finfo(np.float64).max))
+
 BLOCK_ROWS = 256  # rows per `write` of `save` (about 90 kB of text at 16 features)
 
 
@@ -135,16 +138,16 @@ def generate(num_classes: int = DEFAULT_CLASSES,
 
     The last domain id is the held-out target: its transform magnitude is
     TARGET_KAPPA_FACTOR * shift_kappa, outside the source range. With
-    shift_kappa = 0 every transform is the identity.
+    shift_kappa = 0 every transform is the identity. A ValueError names
+    the parameter whose rule fails: each one's lower bound, a shift_kappa
+    whose style scales overflow, or features that leave float64's range.
     """
-    if per_cell < 4:
-        raise ValueError(f"generate: per_cell must be >= 4, got {per_cell}")
-    if feature_dim < 4:
-        raise ValueError(f"generate: feature_dim must be >= 4, got {feature_dim}")
-    if num_classes < 2 or num_domains < 2:
-        raise ValueError("generate: need at least 2 classes and 2 domains")
-    if shift_kappa < 0 or noise_sigma < 0:
-        raise ValueError("generate: shift_kappa and noise_sigma must be >= 0")
+    for key, value, low in (("num_classes", num_classes, 2), ("num_domains", num_domains, 2),
+                            ("per_cell", per_cell, 4), ("feature_dim", feature_dim, 4),
+                            ("shift_kappa", shift_kappa, 0), ("noise_sigma", noise_sigma, 0),
+                            ("seed", seed, 0)):
+        if not value >= low:
+            raise ValueError(f"generate: {key} must be >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
 
     protos = rng.standard_normal((num_classes, feature_dim))
@@ -174,22 +177,31 @@ def generate(num_classes: int = DEFAULT_CLASSES,
     specs = []
     for d, (cs, fs, csh, fsh, ang) in enumerate(draws):
         kappa = shift_kappa * (TARGET_KAPPA_FACTOR if d == num_domains - 1 else 1.0)
+        log_scale = kappa * (cs + fs)
+        if not np.abs(log_scale).max() < MAX_LOG_SCALE:
+            raise ValueError(f"generate: shift_kappa {shift_kappa!r} overflows the style "
+                             f"scale of domain {d}")
         specs.append(DomainSpec(
             domain_id=d,
-            scale=np.exp(kappa * (cs + fs)),
+            scale=np.exp(log_scale),
             shift=kappa * (csh + fsh),
             angle=float(kappa * ang),
             noise_sigma=noise_sigma,
         ))
 
     feats, labels, domains = [], [], []
-    for d, spec in enumerate(specs):
-        for c in range(num_classes):
-            base = protos[c] + noise_sigma * rng.standard_normal((per_cell, feature_dim))
-            feats.append(spec.apply(base))
-            labels.append(np.full(per_cell, c, dtype=np.int64))
-            domains.append(np.full(per_cell, d, dtype=np.int64))
-    ds = Dataset(np.concatenate(feats), np.concatenate(labels), np.concatenate(domains),
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, naming the keys
+        for d, spec in enumerate(specs):
+            for c in range(num_classes):
+                base = protos[c] + noise_sigma * rng.standard_normal((per_cell, feature_dim))
+                feats.append(spec.apply(base))
+                labels.append(np.full(per_cell, c, dtype=np.int64))
+                domains.append(np.full(per_cell, d, dtype=np.int64))
+    features = np.concatenate(feats)
+    if not np.isfinite(features).all():
+        raise ValueError(f"generate: non-finite features from separation {separation!r}, "
+                         f"shift_kappa {shift_kappa!r} and noise_sigma {noise_sigma!r}")
+    ds = Dataset(features, np.concatenate(labels), np.concatenate(domains),
                  num_classes, num_domains)
     return ds, specs
 
@@ -216,8 +228,9 @@ def save(dataset: Dataset, path) -> None:
 
 def load(path) -> Dataset:
     """Read a `save` file with Python's `int` / `float`, except that `_` or
-    whitespace in a value (which those skip) makes it malformed, and so
-    does a domain id or label outside int64."""
+    whitespace in a value (which those skip) or a non-ASCII character
+    (they read other scripts' digits) makes it malformed, and so does a
+    domain id or label outside int64."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().split("\n")
     if lines[-1] == "":
@@ -246,6 +259,8 @@ def load(path) -> Dataset:
             feats[ln - 2] = list(map(float, parts[2:]))
             if "_" in line or line.split() != [line]:  # split() keeps a clean line whole
                 raise ValueError("'_' or whitespace in a value")
+            if not line.isascii():
+                raise ValueError("non-ASCII character in a value")
         except ValueError as e:
             raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
         except OverflowError:  # an integer that int64 cannot hold
@@ -265,8 +280,10 @@ def load(path) -> Dataset:
 
 def split_lodo(dataset: Dataset, target_domain: int) -> tuple[Dataset, Dataset]:
     """Leave-one-domain-out split: (all other domains, the target domain)."""
-    if target_domain not in np.unique(dataset.domain_ids):
-        raise ValueError(f"split_lodo: domain {target_domain} not present")
+    present = np.unique(dataset.domain_ids).tolist()
+    if target_domain not in present:
+        raise ValueError(f"split_lodo: target_domain {target_domain} is not present in the "
+                         f"dataset, whose domains are {', '.join(map(str, present))}")
     tgt_rows = dataset.domain_rows(target_domain)
     src_rows = np.flatnonzero(dataset.domain_ids != target_domain)
     return dataset.subset(src_rows), dataset.subset(tgt_rows)
@@ -284,7 +301,8 @@ def split_train_val(dataset: Dataset, fraction: float, seed: int
             cell = np.flatnonzero((dataset.domain_ids == d) & (dataset.labels == c))
             k = max(1, int(round(fraction * cell.size)))
             if k >= cell.size:
-                raise ValueError("split_train_val: fraction leaves an empty train cell")
+                raise ValueError(f"split_train_val: a val_fraction of {fraction} leaves no "
+                                 f"training row of class {c} in domain {d}")
             val_rows.append(rng.choice(cell, size=k, replace=False))
     val = np.sort(np.concatenate(val_rows))
     mask = np.ones(len(dataset), dtype=bool)

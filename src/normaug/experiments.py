@@ -79,9 +79,17 @@ def run_variant(dataset: Dataset, target_domain: int, variant: str, seed: int,
                         base_model_config, (variant,))[variant]
 
 
-def repeated_seed(seeds) -> int | None:
-    """The first seed of the list that an earlier one repeats, or None."""
-    return next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+def check_seeds(seeds: list[int]) -> None:
+    """`ablation_grid`'s rule for its seed list: not empty, every seed
+    non-negative (numpy's generators need it), none repeated (a repeat
+    would count one run twice in every mean and std)."""
+    if not seeds:
+        raise ValueError("ablation_grid: seeds: empty list")
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"ablation_grid: seeds: seed {seed} is negative")
+        if seed in seeds[:i]:
+            raise ValueError(f"ablation_grid: seeds: seed {seed} repeated")
 
 
 def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
@@ -94,10 +102,7 @@ def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
     the held-out domain by each seed's `on_aug` model. A scope's rows are
     left out unless every seed's model serves it (`all_units` needs every
     bank unit updated). Fusion rows are sorted by (strategy, scope)."""
-    if not seeds:
-        raise ValueError("ablation_grid: empty seed list")
-    if (repeated := repeated_seed(seeds)) is not None:
-        raise ValueError(f"ablation_grid: seed {repeated} repeated")
+    check_seeds(seeds)
     per_variant: dict[str, list[float]] = {v: [] for v in VARIANTS}
     per_rule: dict[tuple[str, str], list[float]] = {}
     for seed in seeds:

@@ -51,11 +51,11 @@ class ModelConfig:
         if self.input_dim < 1:
             raise ValueError(f"ModelConfig: input_dim {self.input_dim} < 1")
         if self.num_domains < 2:
-            raise ValueError(f"ModelConfig: need >= 2 source domains, got {self.num_domains}")
+            raise ValueError(f"ModelConfig: num_domains {self.num_domains} < 2 source domains")
         if self.num_classes < 2:
-            raise ValueError(f"ModelConfig: need >= 2 classes, got {self.num_classes}")
+            raise ValueError(f"ModelConfig: num_classes {self.num_classes} < 2")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"ModelConfig: hidden sizes must be positive, got {self.hidden_sizes}")
+            raise ValueError(f"ModelConfig: hidden_sizes must be positive, got {self.hidden_sizes}")
         if self.classifier_mode not in CLASSIFIER_MODES:
             raise ValueError(f"ModelConfig: unknown classifier_mode {self.classifier_mode!r}")
         if not 0.0 < self.bn_momentum <= 1.0:
@@ -68,7 +68,8 @@ class ModelConfig:
             side = math.isqrt(self.input_dim)
             if side * side != self.input_dim:
                 raise ValueError(
-                    f"ModelConfig: smallconv needs a square input_dim, got {self.input_dim}")
+                    f"ModelConfig: backbone smallconv needs a square input_dim, "
+                    f"got {self.input_dim}")
 
 
 class Linear:
@@ -620,8 +621,9 @@ def _parse_config_text(text: str) -> dict[str, str]:
 def load_checkpoint(path) -> tuple[TwoPathNetwork, int, str | None]:
     """Rebuild a model bit-exactly from `save_checkpoint` output.
 
-    Strict: every config key once and no other, exactly the model's array
-    names and shapes, finite values; anything else raises ValueError.
+    Strict: every config key once and no other, each value as
+    `save_checkpoint` writes it, exactly the model's array names and
+    shapes, finite values; anything else raises ValueError.
     Returns (model, epoch, rng_state or None).
     """
     with open(path, "rb") as f:
@@ -667,6 +669,12 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
         raise ValueError(f"config key bank_subsets: expected {bank_subsets}, "
                          f"got {_parse_key(kv, 'bank_subsets', str)}")
     model = TwoPathNetwork(config, seed=_parse_key(kv, "seed", int))
+    epoch, rng_state = _parse_key(kv, "epoch", int), _parse_key(kv, "rng_state", str)
+    # refuse what the parser reads but `_config_text` never writes (`1_0`, `yes`, ` 8`)
+    written = _parse_config_text(_config_text(model, epoch, rng_state))
+    for key, value in written.items():
+        if kv[key] != value:
+            raise ValueError(f"config key {key}: expected {value!r}, got {kv[key]!r}")
     state = _state(model)
 
     for _ in range(unpack("<I")):
@@ -691,7 +699,7 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
         raise ValueError("trailing bytes")
     if state:
         raise ValueError(f"missing arrays {', '.join(sorted(state))}")
-    return model, _parse_key(kv, "epoch", int), _parse_key(kv, "rng_state", str)
+    return model, epoch, rng_state
 
 
 def encode_rng_state(rng: np.random.Generator) -> str:

@@ -83,24 +83,25 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def validate(self) -> None:
-        if self.lr_backbone <= 0 or self.lr_classifier <= 0:
-            raise ValueError("TrainConfig: learning rates must be positive")
-        if self.batch_per_domain < 2:
-            raise ValueError("TrainConfig: batch_per_domain must be >= 2")
-        if self.epochs < 1 or self.iters_per_epoch < 1:
-            raise ValueError("TrainConfig: epochs and iters_per_epoch must be >= 1")
-        if self.combination_mode not in ("random", "single_only"):
-            raise ValueError(f"TrainConfig: unknown combination_mode {self.combination_mode!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("TrainConfig: momentum must be in [0, 1)")
-        if self.weight_decay < 0 or self.aux_weight < 0:
-            raise ValueError("TrainConfig: weight_decay and aux_weight must be >= 0")
-        if self.lr_step_epochs < 0:
-            raise ValueError("TrainConfig: lr_step_epochs must be >= 0 (0 disables the step decay)")
-        if not 0.0 < self.lr_step_gamma <= 1.0:
-            raise ValueError("TrainConfig: lr_step_gamma must be in (0, 1]")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("TrainConfig: val_fraction must be in (0, 1)")
+        """Each field's rule, in field order; a ValueError names the first
+        field that breaks its rule."""
+        for key, ok, rule in (
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("iters_per_epoch", self.iters_per_epoch >= 1, ">= 1"),
+                ("batch_per_domain", self.batch_per_domain >= 2, ">= 2"),
+                ("lr_backbone", self.lr_backbone > 0, "positive"),
+                ("lr_classifier", self.lr_classifier > 0, "positive"),
+                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"),  # numpy's generators need it
+                ("combination_mode", self.combination_mode in ("random", "single_only"),
+                 "random or single_only"),
+                ("aux_weight", self.aux_weight >= 0, ">= 0"),
+                ("lr_step_epochs", self.lr_step_epochs >= 0, ">= 0 (0 disables the step decay)"),
+                ("lr_step_gamma", 0.0 < self.lr_step_gamma <= 1.0, "in (0, 1]"),
+                ("val_fraction", 0.0 < self.val_fraction < 1.0, "in (0, 1)")):
+            if not ok:
+                raise ValueError(f"TrainConfig: {key} must be {rule}, got {getattr(self, key)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,8 @@ class EpochSampler:
         self.ids = ids
         for d, r in rows.items():
             if r.size < per_domain:
-                raise ValueError(f"EpochSampler: domain {d} has {r.size} rows < {per_domain}")
+                raise ValueError(f"EpochSampler: batch_per_domain {per_domain} is more than "
+                                 f"the {r.size} training rows of domain {d}")
         self._pools = {int(d): rng.permutation(rows[int(d)]) for d in ids}
         self._cursor = {int(d): 0 for d in ids}
 

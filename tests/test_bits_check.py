@@ -74,14 +74,34 @@ def test_check_reports_an_artifact_one_tree_did_not_write(tool, tmp_path, monkey
             if work.name == "change" or rel != "ablate/fusion.csv":
                 (work / rel).parent.mkdir(parents=True, exist_ok=True)
                 (work / rel).write_bytes(b"h\n1\n")
+        (work / "run.txt").write_text("target_domain = 1\n", encoding="utf-8")
         return work / "run.txt"
 
+    predicted = []
+
+    def run_python(tree, cwd, *args, **kw):
+        predicted.append(args[2])  # the held-out domain, after `-c PREDICT`
+        np.savez(args[-1])
+
     monkeypatch.setattr(tool, "run_pipeline", pipeline)
-    monkeypatch.setattr(tool, "run_python", lambda tree, cwd, *args, **kw: np.savez(args[-1]))
+    monkeypatch.setattr(tool, "run_python", run_python)
     lines = tool.check(ROOT, ROOT, tmp_path / "tiny.txt", tmp_path)
     assert lines == [f"{name}: identical" for name in tool.ARTIFACTS if name != "fusion.csv"] \
         + ["fusion.csv: missing in the parent",
            "predict: largest main-route difference 0, largest sub-path difference 0"]
+    assert predicted == ["1", "1"]
+
+
+def test_held_out_domain(tool, tmp_path):
+    """The config's `target_domain` (comments and spaces aside), else the
+    dataset's last domain; both trees' `predict` get the same one."""
+    config, dataset = tmp_path / "c.txt", tmp_path / "d.csv"
+    dataset.write_text("domain,label,f0\n0,0,1.0\n2,1,2.0\n1,0,3.0\n", encoding="utf-8")
+    config.write_text("# target_domain = 5\nepochs = 1\n target_domain=1  # held out\n",
+                      encoding="utf-8")
+    assert tool.held_out_domain(config, dataset) == 1
+    config.write_text("epochs = 1\n", encoding="utf-8")
+    assert tool.held_out_domain(config, dataset) == 2
 
 
 def test_prediction_summary(tool):

@@ -156,7 +156,17 @@ class TestStrictLoad:
 
     @pytest.mark.parametrize("line,bad", [("use_aug=true", "use_aug=tru!"),
                                           ("bn_eps=1e-05", "bn_eps=nan"),
-                                          ("hidden_sizes=8,4", "hidden_sizes=8,x")])
+                                          ("hidden_sizes=8,4", "hidden_sizes=8,x"),
+                                          # parsed, but not as `save_checkpoint` writes them
+                                          ("seed=3", "seed=0_3"),
+                                          ("seed=3", "seed=\u0663"),
+                                          ("epoch=0", "epoch=+0"),
+                                          ("hidden_sizes=8,4", "hidden_sizes= 8,4"),
+                                          ("hidden_sizes=8,4", "hidden_sizes=8, 4"),
+                                          ("use_on=true", "use_on=yes"),
+                                          ("use_aug=true", "use_aug=1"),
+                                          ("bn_eps=1e-05", "bn_eps=1E-05"),
+                                          ("bn_momentum=0.1", "bn_momentum=0.10")])
     def test_malformed_config_value(self, saved, line, bad):
         blob, directory = saved
         text, _, records = layout(blob)

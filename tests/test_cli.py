@@ -1,27 +1,22 @@
 """End-to-end CLI runs in temp directories: artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
-from pathlib import Path
-
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from normaug import datagen, training
-from normaug.cli import (
-    KNOWN_KEYS,
-    UsageError,
-    _gen_kwargs,
-    _model_config,
-    main,
-    parse_config,
-    train_config_from,
-)
+from normaug.cli import main, parse_config
 from normaug.inference import FusionStrategy, SubpathScope
-from normaug.model import ModelConfig
+from normaug.model import (ModelConfig, config_from_text, init_model, load_checkpoint,
+                           save_checkpoint)
+from normaug.training import TrainConfig
 
 SMALL_GEN = """
 # small benchmark
@@ -214,7 +209,7 @@ class TestDiagnoseCommand:
         assert capsys.readouterr().err == (
             f"normaug diagnose: config key probe_rows: expected a positive integer, "
             f"got {rows}\n")
-        assert not list(result.iterdir())
+        assert not result.exists()
 
 
 class TestDatasetFitsModel:
@@ -243,7 +238,7 @@ class TestDatasetFitsModel:
         result = tmp_path / "result"
         assert main([command, "--config", cfg, "--out", str(result)]) == 2
         assert capsys.readouterr().err == f"normaug {command}: {message}\n"
-        assert not list(result.iterdir())
+        assert not result.exists()
 
 
 class TestTargetDomain:
@@ -265,9 +260,9 @@ class TestTargetDomain:
         result = tmp_path / "result"
         assert main([command, "--config", cfg, "--out", str(result)]) == 2
         assert capsys.readouterr().err == (
-            f"normaug {command}: config key target_domain: domain {target} is not in the "
+            f"normaug {command}: split_lodo: target_domain {target} is not present in the "
             f"dataset, whose domains are 0, 1, 2, 3\n")
-        assert not list(result.iterdir())
+        assert not result.exists()
 
 
 SMALL_GRID = """
@@ -367,8 +362,9 @@ class TestAblateCommand:
         """configs/benchmark.txt sets its model keys to the defaults, so the
         grid it runs is the one an empty config runs."""
         cfg = parse_config(Path(__file__).parents[1] / "configs" / "benchmark.txt")
-        assert _model_config(cfg, 16, 5, 3) == ModelConfig(input_dim=16, num_classes=5,
-                                                           num_domains=3)
+        assert config_from_text(ModelConfig, cfg, input_dim=16, num_classes=5,
+                                num_domains=3) == ModelConfig(input_dim=16, num_classes=5,
+                                                              num_domains=3)
         assert float(cfg.get("separation", datagen.DEFAULT_SEPARATION)) == \
             datagen.DEFAULT_SEPARATION
         assert float(cfg.get("noise_sigma", datagen.DEFAULT_NOISE_SIGMA)) == \
@@ -473,18 +469,19 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text, flag, message", [
-        ("gen-data", SMALL_GEN, ["--seed", "-1"], "--seed: expected a non-negative integer, got -1"),
+        ("gen-data", SMALL_GEN, ["--seed", "-1"], "generate: seed must be >= 0, got -1"),
         ("train", "dataset = missing.csv\n", ["--seed", "-3"],
-         "--seed: expected a non-negative integer, got -3"),
+         "TrainConfig: seed must be >= 0, got -3"),
         ("train", "dataset = missing.csv\nseed = -3\n", [],
-         "config key seed: expected a non-negative integer, got -3"),
+         "TrainConfig: seed must be >= 0, got -3"),
         ("diagnose", "checkpoint = missing.ckpt\ndataset = missing.csv\nseed = -2\n", [],
          "config key seed: expected a non-negative integer, got -2"),
-        ("ablate", "seeds = -1\n", [], "config key seeds: expected a non-negative integer, got -1"),
+        ("ablate", "seeds = -1\n", [], "ablation_grid: seeds: seed -1 is negative"),
     ], ids=["gen-data", "train-flag", "train-key", "diagnose", "ablate"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command, text, flag, message):
-        """Refused before any file is read (the dataset and checkpoint do not
-        exist) or written."""
+        """Refused by the rule's owner (`generate`, `TrainConfig.validate`,
+        `diagnose`, `ablation_grid`) before any file is read (the dataset and
+        checkpoint do not exist) or written: `--out` is not made."""
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out),
                      *flag]) == 2
@@ -498,7 +495,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         cfg = write_config(tmp_path, SMALL_GEN.replace("seed = 0", "seeds = 0,1,1"))
         assert main(["ablate", "--config", cfg, "--out", str(out), *flag]) == 2
-        assert capsys.readouterr().err == "normaug ablate: config key seeds: seed 1 repeated\n"
+        assert capsys.readouterr().err == "normaug ablate: ablation_grid: seeds: seed 1 repeated\n"
         assert not out.exists()
 
     def test_diverged_training_exits_1_without_a_checkpoint(self, tmp_path, capsys):
@@ -515,11 +512,99 @@ class TestUsageErrors:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "normaug train: failed: train: aborted at epoch 1: "
             "non-finite parameter backbone.layer0.W")
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("gen-data", "per_cell = 1", "generate: per_cell must be >= 4, got 1"),
+        ("gen-data", "num_domains = 1", "generate: num_domains must be >= 2, got 1"),
+        ("gen-data", "num_classes = 1", "generate: num_classes must be >= 2, got 1"),
+        ("gen-data", "feature_dim = 0", "generate: feature_dim must be >= 4, got 0"),
+        ("gen-data", "shift_kappa = -3", "generate: shift_kappa must be >= 0, got -3.0"),
+        ("gen-data", "shift_kappa = 1e308",
+         "generate: shift_kappa 1e+308 overflows the style scale of domain 0"),
+        ("gen-data", "noise_sigma = -1", "generate: noise_sigma must be >= 0, got -1.0"),
+        ("train", "batch_per_domain = 100000",
+         "EpochSampler: batch_per_domain 100000 is more than the 55 training rows of domain 0"),
+        ("train", "val_fraction = 0.99",
+         "split_train_val: a val_fraction of 0.99 leaves no training row of class 0 in "
+         "domain 0"),
+    ], ids=["per_cell", "num_domains", "num_classes", "feature_dim", "shift_kappa-negative",
+            "shift_kappa-overflow", "noise_sigma", "batch_per_domain", "val_fraction"])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, line, message):
+        """On the tiny probe config, a value its owner refuses (`generate`,
+        or `train` against the dataset) is bad input, exit 2, and `--out`
+        is not made."""
+        key = line.split()[0]
+        text = ("num_domains = 3\nper_cell = 12\nfeature_dim = 4\nhidden_sizes = 8\n"
+                "epochs = 1\niters_per_epoch = 2\nbatch_per_domain = 4\n"
+                f"dataset = {tmp_path / 'dataset.csv'}\n")
+        assert main(["gen-data", "--config", write_config(tmp_path, text), "--out",
+                     str(tmp_path)]) == 0
+        text = "".join(f"{ln}\n" for ln in text.splitlines() if not ln.startswith(key + " "))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, text + line + "\n", "bad.txt"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"normaug {command}: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "diagnose"])
+    def test_malformed_dataset_exits_2(self, pipeline, tmp_path, capsys, command):
+        """A malformed file is bad input like a malformed config value."""
+        tmp, out, dataset, _ = pipeline
+        bad = tmp_path / "bad.csv"
+        bad.write_text(dataset.read_text().replace("\n0,", "\n\u0660,", 1), encoding="utf-8")
+        cfg = write_config(tmp, SMALL_TRAIN + f"checkpoint = {out / 'model.ckpt'}\n"
+                                              f"dataset = {bad}\n", "bad.txt")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"normaug {command}: {bad}:2: malformed value (non-ASCII character in a value)")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_malformed_checkpoint_exits_2(self, pipeline, tmp_path, capsys, command):
+        tmp, out, dataset, _ = pipeline
+        ckpt = tmp_path / "bad.ckpt"
+        # the same length, so the block's size prefix still holds
+        ckpt.write_bytes((out / "model.ckpt").read_bytes().replace(b"bn_momentum=0.1\n",
+                                                                    b"bn_momentum=.10\n", 1))
+        cfg = write_config(tmp, f"checkpoint = {ckpt}\ndataset = {dataset}\n", "bad.txt")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"normaug {command}: checkpoint {ckpt}: config key bn_momentum: expected '0.1', "
+            f"got '.10'")
+        assert not (tmp_path / "r").exists()
+
+    def test_eval_has_no_seed_flag(self, pipeline, capsys):
+        """eval draws nothing, so `--seed` is refused as an unknown flag."""
+        tmp, out, dataset, _ = pipeline
+        cfg = write_config(tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n",
+                           "eval.txt")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", cfg, "--out", str(tmp / "e"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+        assert not (tmp / "e").exists()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        """An I/O failure inside a writer is exit 1, and its `.partial` file
+        is removed."""
+        def failing_save(dataset, path):
+            Path(path).write_text("domain,label,f0\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(datagen, "save", failing_save)
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", write_config(tmp_path, SMALL_GEN),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "normaug gen-data: failed: disk full\n"
+        assert list(out.iterdir()) == []
 
 
 class TestParseConfig:
@@ -527,28 +612,152 @@ class TestParseConfig:
         cfg = write_config(tmp_path, "# full line comment\n\nepochs = 3  # trailing\n")
         assert parse_config(cfg) == {"epochs": "3"}
 
-    @settings(max_examples=150, deadline=None)
-    @given(lines=st.dictionaries(
-        st.sampled_from(sorted(KNOWN_KEYS)),
-        st.one_of(st.text(st.characters(blacklist_characters="\n\r#",
-                                        blacklist_categories=("Cs",)), max_size=10),
-                  st.sampled_from(["nan", "-inf", "1e309", "0", "-1", "true", "No", "8,4",
-                                   "8,,4", "", "smallconv", "shared_two"]),
-                  st.integers(-3, 100).map(str), st.floats().map(repr)),
-        max_size=6))
-    def test_fuzzed_values_build_valid_configs(self, tmp_path_factory, lines):
-        """Any key = value lines give valid configs or a UsageError."""
-        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
-        try:
-            cfg = parse_config(path)
-            configs = [train_config_from(cfg, None), _model_config(cfg, 16, 5, 3)]
-            gen_kwargs = _gen_kwargs(cfg)
-        except UsageError:
-            return
-        for config in configs:
-            config.validate()
-        numbers = [v for v in vars(configs[0]).values() if isinstance(v, float)]
-        numbers += [configs[1].bn_momentum, configs[1].bn_eps, gen_kwargs["separation"],
-                    gen_kwargs["shift_kappa"], gen_kwargs["noise_sigma"]]
-        assert all(math.isfinite(x) for x in numbers)
+
+# tiny base configs: every value valid, every size small
+CONTRACT_BASE = {
+    "gen-data": "num_classes = 2\nnum_domains = 3\nper_cell = 4\nfeature_dim = 4\n",
+    "train": "epochs = 1\niters_per_epoch = 2\nbatch_per_domain = 2\nhidden_sizes = 4\n",
+    "eval": "",
+    "diagnose": "probe_rows = 4\n",
+    "ablate": ("seeds = 0\nnum_classes = 2\nnum_domains = 3\nper_cell = 4\nfeature_dim = 4\n"
+               "epochs = 1\niters_per_epoch = 1\nbatch_per_domain = 2\nhidden_sizes = 4\n"),
+}
+# each key's valid, boundary and invalid values, with sizes capped so that no
+# example allocates more than a few MB or trains more than a few steps
+CONTRACT_VALUES = {
+    "num_classes": ["2", "3", "1", "0", "two"],
+    "num_domains": ["2", "3", "1", "-1"],
+    "per_cell": ["4", "6", "3", "0", "4.0"],
+    "feature_dim": ["4", "5", "3", "0"],
+    "separation": ["3.0", "0", "-2", "1e308", "nan"],
+    "shift_kappa": ["0", "2.0", "-3", "1e4", "1e308", "inf"],
+    "noise_sigma": ["1.0", "0", "-1", "1e308"],
+    "seed": ["0", "7", "-1", "1.5"],
+    "seeds": ["0", "0,1", "1,1", "-1", "0,-2", ""],
+    "epochs": ["1", "2", "0"],
+    "iters_per_epoch": ["1", "2", "0", "-1"],
+    "batch_per_domain": ["2", "3", "1", "1000"],
+    "lr_backbone": ["0.01", "0", "-1", "1e300"],
+    "lr_classifier": ["0.01", "0", "nan"],
+    "momentum": ["0", "0.9", "1", "-0.5"],
+    "weight_decay": ["0", "5e-4", "-1"],
+    "combination_mode": ["random", "single_only", "bogus"],
+    "aux_weight": ["0", "1.0", "-1"],
+    "lr_step_epochs": ["0", "1", "-1"],
+    "lr_step_gamma": ["0.5", "1", "0", "1.5"],
+    "val_fraction": ["0.1", "0.5", "0.9", "0", "1"],
+    "hidden_sizes": ["4", "4,3", "0", "4,-1", "", "4,,3"],
+    "use_on": ["true", "false", "maybe"],
+    "use_aug": ["true", "false", "0"],
+    "classifier_mode": ["independent", "shared_one", "shared_two", "bogus"],
+    "backbone": ["mlp", "smallconv", "resnet"],
+    "bn_momentum": ["0.1", "1", "0", "2"],
+    "bn_eps": ["1e-5", "0", "-1"],
+    "target_domain": ["2", "0", "3", "-1"],
+    "strategy": ["MeanMeanIM", "MainOnly", "MaxI", "bogus"],
+    "scope": ["independent_only", "all_units", "everything"],
+    "probe_rows": ["1", "4", "0", "-1"],
+}
+# keys whose every parsed value is cheap also take any text and any float
+CONTRACT_FREE = {"separation", "shift_kappa", "noise_sigma", "seed", "lr_backbone",
+                 "lr_classifier", "momentum", "weight_decay", "combination_mode",
+                 "aux_weight", "lr_step_epochs", "lr_step_gamma", "val_fraction", "use_on",
+                 "use_aug", "classifier_mode", "backbone", "bn_momentum", "bn_eps",
+                 "target_domain", "strategy", "scope", "probe_rows"}
+CONTRACT_ARTIFACTS = {"gen-data": {"dataset.csv"}, "train": {"metrics.csv", "model.ckpt"},
+                      "eval": {"accuracy.csv"}, "diagnose": {"diagnostics.csv"},
+                      "ablate": {"ablation.csv", "fusion.csv"}}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A fitting dataset and checkpoint (two sources, domain 2 held out),
+    a dataset with one domain too many, and a malformed one of each."""
+    d = tmp_path_factory.mktemp("contract")
+    ds, _ = datagen.generate(num_classes=2, num_domains=3, per_cell=8, feature_dim=4)
+    datagen.save(ds, d / "data.csv")
+    datagen.save(datagen.generate(num_classes=2, num_domains=4, per_cell=4, feature_dim=4)[0],
+                 d / "wide.csv")
+    model = init_model(ModelConfig(input_dim=4, num_classes=2, num_domains=2,
+                                   hidden_sizes=(4,)), seed=0)
+    result = training.train(model, ds, 2, TrainConfig(epochs=1, iters_per_epoch=4,
+                                                      batch_per_domain=2))
+    save_checkpoint(result.model, d / "model.ckpt")
+    (d / "bad.csv").write_text("domain,label,f0\n0,0,\u0663.5\n", encoding="utf-8")
+    (d / "bad.ckpt").write_bytes(b"NAUG\x01")
+    return d
+
+
+def _finite_fields(path) -> bool:
+    """Every field of a written CSV below its header that reads as a number is finite."""
+    numbers = []
+    for row in read_csv(path)[1:]:
+        for field in row:
+            try:
+                numbers.append(float(field))
+            except ValueError:
+                pass
+    return all(math.isfinite(x) for x in numbers)
+
+
+class TestContract:
+    """`main` in-process on tiny configs, each key drawn from valid,
+    boundary and invalid values: it returns 0, 1 or 2 and never raises;
+    every message starts `normaug <command>:`; an exit-2 message names a
+    drawn key (a file it could not read, or the config line it could not
+    parse) and leaves `--out` absent; an exit-1 message is a missing file
+    or a diverged run; an exit 0 wrote exactly the command's artifacts,
+    each loading, with every number finite."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_main_keeps_the_contract(self, contract_files, tmp_path_factory, data):
+        d = contract_files
+        values = CONTRACT_VALUES | {
+            "dataset": [str(d / n) for n in ("data.csv", "wide.csv", "bad.csv", "missing.csv")],
+            "checkpoint": [str(d / n) for n in ("model.ckpt", "bad.ckpt", "missing.ckpt")]}
+        command = data.draw(st.sampled_from(sorted(CONTRACT_BASE)), label="command")
+        text = st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
+                       max_size=10)
+        drawn = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=4),
+                          label="keys")
+        drawn = {key: data.draw(st.one_of(st.sampled_from(values[key]), text,
+                                          st.floats().map(repr))
+                                if key in CONTRACT_FREE else st.sampled_from(values[key]),
+                                label=key)
+                 for key in drawn}
+        flag = [] if command == "eval" else data.draw(
+            st.sampled_from([[], ["--seed", "0"], ["--seed", "5"], ["--seed", "-1"]]),
+            label="flag")
+        base = dict(line.split(" = ") for line in CONTRACT_BASE[command].splitlines())
+        base |= {"dataset": str(d / "data.csv"), "checkpoint": str(d / "model.ckpt")}
+        work = tmp_path_factory.mktemp("run")
+        config = work / "c.txt"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in (base | drawn).items()),
+                          encoding="utf-8")
+        out = work / "out"
+        with np.errstate(all="ignore"), contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(config), "--out", str(out), *flag])
+        lines = err.getvalue().splitlines()
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        assert all(line.startswith(f"normaug {command}: ") for line in lines), lines
+        if code == 2:
+            message = lines[-1]
+            named = [*drawn, *(["seed"] if flag else []), str(config)]
+            named += [drawn[k] for k in ("dataset", "checkpoint") if k in drawn]
+            assert any(name in message for name in named), (message, drawn, flag)
+            assert not out.exists()
+        elif code == 1:
+            assert "No such file" in lines[-1] or "aborted" in lines[-1], lines[-1]
+        else:
+            written = {p.name for p in out.iterdir()}
+            assert written == CONTRACT_ARTIFACTS[command]
+            for name in written:
+                if name == "dataset.csv":
+                    assert np.isfinite(datagen.load(out / name).features).all()
+                elif name == "model.ckpt":
+                    load_checkpoint(out / name)
+                else:
+                    assert _finite_fields(out / name), name

@@ -1,5 +1,6 @@
 """Synthetic data generation, file round trips, splits."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,28 @@ class TestGenerate:
             generate(num_classes=1)
         with pytest.raises(ValueError):
             generate(shift_kappa=-1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
+        ({"num_domains": 1}, "num_domains must be >= 2, got 1"),
+        ({"per_cell": 3}, "per_cell must be >= 4, got 3"),
+        ({"feature_dim": 0}, "feature_dim must be >= 4, got 0"),
+        ({"shift_kappa": -3.0}, "shift_kappa must be >= 0, got -3.0"),
+        ({"shift_kappa": float("nan")}, "shift_kappa must be >= 0, got nan"),
+        ({"noise_sigma": -1.0}, "noise_sigma must be >= 0, got -1.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"shift_kappa": 1e308}, "shift_kappa 1e\\+308 overflows the style scale of domain 0"),
+        ({"shift_kappa": 1e4}, "shift_kappa 10000.0 overflows the style scale of domain"),
+        ({"noise_sigma": 1e308}, "non-finite features from separation 3.0, shift_kappa 2.0 "
+                                 "and noise_sigma 1e\\+308"),
+        ({"separation": 1e308}, "non-finite features from separation 1e\\+308")])
+    def test_refusals_name_the_parameter(self, kwargs, message):
+        """Each parameter's rule is `generate`'s own, and no numpy warning
+        comes before the refusal."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^generate: {message}"):
+                generate(**{"per_cell": 4, **kwargs})
 
     def test_target_shift_exceeds_sources(self):
         _, specs = generate(num_domains=4, per_cell=8, shift_kappa=2.0, seed=4)
@@ -338,6 +361,22 @@ class TestStrictValues:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reference_load(path)
         with pytest.raises(ValueError, match=r":6: malformed value \('_' or whitespace in a value\)$"):
+            load(path)
+
+    @pytest.mark.parametrize("field, col", [("\u0663.5", 2), ("1.\u0665", 3), ("\u0661", 0),
+                                            ("\uff11", 1), ("\U0001d7d9.0", 4)])
+    def test_non_ascii_digits_rejected(self, tmp_path, field, col):
+        """`int` / `float` read other scripts' digits (`\u0663.5` is 3.5);
+        `load` does not."""
+        lines = GOLDEN.read_text().splitlines()
+        row = lines[5].split(",")
+        row[col] = field
+        lines[5] = ",".join(row)
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reference_load(path)
+        with pytest.raises(ValueError, match=r":6: malformed value \(non-ASCII character in "
+                                             r"a value\)$"):
             load(path)
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028"])

@@ -190,6 +190,16 @@ def test_ablation_grid_refuses_a_repeated_seed(monkeypatch, seeds, repeated):
     """Refused before any dataset is generated: a repeated seed would count
     one run twice in every variant's mean and std."""
     monkeypatch.setattr(experiments, "make_benchmark", lambda *a, **k: pytest.fail("ran"))
-    with pytest.raises(ValueError, match=f"^ablation_grid: seed {repeated} repeated$"):
+    with pytest.raises(ValueError, match=f"^ablation_grid: seeds: seed {repeated} repeated$"):
+        experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
+                                  base_model_config=TINY_MODEL, generate_kwargs=TINY_GEN)
+
+
+@pytest.mark.parametrize("seeds, message", [([], "empty list"), ([0, -1], "seed -1 is negative")])
+def test_ablation_grid_refuses_an_empty_or_negative_seed_list(monkeypatch, seeds, message):
+    """The grid owns its seed list's rule: numpy's generators refuse a
+    negative seed, and an empty list has no mean."""
+    monkeypatch.setattr(experiments, "make_benchmark", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=f"^ablation_grid: seeds: {message}$"):
         experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
                                   base_model_config=TINY_MODEL, generate_kwargs=TINY_GEN)

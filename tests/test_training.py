@@ -159,7 +159,8 @@ class TestSampleBatch:
     def test_small_domain_rejected(self):
         ds = small_dataset(per_cell=4)  # 12 rows per domain
         sources, _ = datagen.split_lodo(ds, 3)
-        with pytest.raises(ValueError, match="EpochSampler: domain .* has 12 rows < 16"):
+        with pytest.raises(ValueError, match="EpochSampler: batch_per_domain 16 is more than "
+                                             "the 12 training rows of domain 0$"):
             EpochSampler(sources, 16, np.random.default_rng(0))
 
     def test_epoch_sampler_walks_without_replacement(self):
@@ -806,6 +807,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"TrainConfig: {key} must be"):
             TrainConfig(**bad).validate()
         with pytest.raises(ValueError, match=f"TrainConfig: {key} must be"):
+            train(tiny_model(), small_dataset(), 3, TrainConfig(**bad))
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": -1}, "TrainConfig: seed must be >= 0, got -1$"),
+        ({"batch_per_domain": 100}, "EpochSampler: batch_per_domain 100 is more than the 66 "
+                                    "training rows of domain 0$"),
+        ({"val_fraction": 0.99}, "split_train_val: a val_fraction of 0.99 leaves no training "
+                                 "row of class 0 in domain 0$")])
+    def test_refusals_before_the_first_step_name_the_key(self, monkeypatch, bad, message):
+        """The seed is the config's rule; batch_per_domain and val_fraction
+        against the dataset are the sampler's and the split's."""
+        monkeypatch.setattr(training, "train_step", lambda *a, **k: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match=f"^{message}"):
             train(tiny_model(), small_dataset(), 3, TrainConfig(**bad))
 
     def test_domain_count_mismatch_rejected(self):
