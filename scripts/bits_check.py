@@ -21,7 +21,10 @@ difference in fused probabilities and the number of rows whose argmax
 flipped, and the largest difference of the main route and of the sub-paths
 over all of them. The tool resolves the held-out domain once (the config's
 `target_domain`, else the dataset's last domain) and passes it to both
-trees, so `predict` calls only the library, not the CLI's helpers.
+trees, so `predict` calls only the library, not the CLI's helpers. The
+tool reads the config and the dataset with its own tree's
+`normaug.cli.parse_config` and `normaug.datagen.load`, so it reads them by
+the same rules as the CLI.
 
 Then each tree runs its own `tests/test_acceptance.py`, and the tool
 compares the ACCEPTANCE lines criterion by criterion, with timings (`0.3s`,
@@ -51,6 +54,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from normaug import datagen  # noqa: E402  (this tree's readers)
+from normaug.cli import parse_config  # noqa: E402
+from normaug.model import parse_value  # noqa: E402
+
 # artifact name -> path inside a tree's run directory
 ARTIFACTS = {
     "dataset.csv": "dataset.csv",
@@ -133,24 +141,21 @@ def run_python(tree: Path, cwd: Path, *args: str, ok: tuple[int, ...] = (0,)) ->
     return proc.stdout
 
 
-def pipeline_config(text: str, work: Path) -> str:
-    """The config `text` with its `dataset` and `checkpoint` keys, if any,
-    replaced by paths into `work` (a key may appear only once)."""
-    kept = [line for line in text.splitlines()
-            if line.split("#", 1)[0].partition("=")[0].strip() not in ("dataset", "checkpoint")]
-    return "\n".join([*kept, f"dataset = {work / 'dataset.csv'}",
-                      f"checkpoint = {work / 'model.ckpt'}"]) + "\n"
+def pipeline_config(config: Path, work: Path) -> str:
+    """The keys of the config file `config`, one `key = value` line each,
+    with `dataset` and `checkpoint` set to paths into `work`."""
+    cfg = parse_config(config) | {"dataset": str(work / "dataset.csv"),
+                                  "checkpoint": str(work / "model.ckpt")}
+    return "".join(f"{key} = {value}\n" for key, value in cfg.items())
 
 
 def held_out_domain(config: Path, dataset: Path) -> int:
     """The domain `train` held out: the config's `target_domain`, else the
     dataset's last domain."""
-    for line in config.read_text(encoding="utf-8").splitlines():
-        key, _, value = line.split("#", 1)[0].partition("=")
-        if key.strip() == "target_domain":
-            return int(value)
-    rows = dataset.read_text(encoding="utf-8").splitlines()[1:]
-    return max(int(row.split(",", 1)[0]) for row in rows)
+    cfg = parse_config(config)
+    if "target_domain" in cfg:
+        return parse_value("target_domain", cfg["target_domain"], int)
+    return datagen.load(dataset).num_domains - 1
 
 
 def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
@@ -158,8 +163,7 @@ def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
     points `dataset` and `checkpoint` into `work`."""
     work.mkdir(parents=True)
     run_config = work / "run.txt"
-    run_config.write_text(pipeline_config(config.read_text(encoding="utf-8"), work),
-                          encoding="utf-8")
+    run_config.write_text(pipeline_config(config, work), encoding="utf-8")
     cfg = str(run_config)
     normaug(tree, work, "gen-data", "--config", str(config), "--out", str(work))
     normaug(tree, work, "train", "--config", cfg, "--out", str(work))

@@ -26,7 +26,7 @@ import numpy as np
 from . import datagen, diagnostics, experiments, inference, training
 from .inference import FusionStrategy, SubpathScope
 from .model import (ModelConfig, config_from_text, init_model, load_checkpoint, parse_value,
-                    save_checkpoint)
+                    read_config, save_checkpoint)
 from .training import TrainConfig
 
 
@@ -61,22 +61,7 @@ def parse_config(path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"config file not found: {p}")
-    out: dict[str, str] = {}
-    first: dict[str, int] = {}
-    for ln, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"{p}:{ln}: expected key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
-            raise ValueError(f"{p}:{ln}: unknown config key {key!r}")
-        if key in first:
-            raise ValueError(f"{p}:{ln}: config key {key!r} repeated (first on line {first[key]})")
-        first[key], out[key] = ln, value
-    return out
+    return read_config(p.read_text(encoding="utf-8"), KNOWN_KEYS, str(p))
 
 
 def _value(cfg: dict, key: str, default):
@@ -210,7 +195,6 @@ def cmd_eval(cfg: dict, out: Path, strategy_override: str | None,
     if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
         raise ValueError(f"strategy {strategy.value} needs sub-path predictions, "
                          f"but the model was trained without a bank (use_aug = false)")
-    inference.subpath_subsets(model, scope)  # refuses a scope the checkpoint cannot serve
     report = inference.evaluate(model, target_set.features, target_set.labels,
                                 strategy, scope)
     rows = [[name, _fmt(acc)] for name, acc in sorted(report.per_path.items())]

@@ -19,6 +19,7 @@ import math
 import struct
 import typing
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class ModelConfig:
         if self.input_dim < 1:
             raise ValueError(f"ModelConfig: input_dim {self.input_dim} < 1")
         if self.num_domains < 2:
-            raise ValueError(f"ModelConfig: num_domains {self.num_domains} < 2 source domains")
+            raise ValueError(f"ModelConfig: num_domains {self.num_domains} < 2 source domains "
+                             f"(the data needs at least 3 domains: 2 sources + 1 held out)")
         if self.num_classes < 2:
             raise ValueError(f"ModelConfig: num_classes {self.num_classes} < 2")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
@@ -453,8 +455,11 @@ def format_value(value) -> str:
 
 def parse_value(key: str, raw: str, kind):
     """`raw` as a value of `kind` (bool, int, float, str or tuple[int, ...]);
-    floats must be finite. Raises ValueError naming `key`."""
+    a value of any kind but str is plain ASCII without `_`, and floats must
+    be finite. Raises ValueError naming `key`."""
     try:
+        if kind is not str and (not raw.isascii() or "_" in raw):
+            raise ValueError
         if kind is bool:
             return {"true": True, "1": True, "yes": True,
                     "false": False, "0": False, "no": False}[raw.lower()]
@@ -467,6 +472,33 @@ def parse_value(key: str, raw: str, kind):
     except (KeyError, ValueError):
         raise ValueError(
             f"config key {key}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
+
+
+def read_config(text: str, known, where: str) -> dict[str, str]:
+    """The `key = value` lines of `text` as {key: value}: lines end at
+    `\\n` only, `#` starts a comment, and whitespace around keys and values
+    and blank lines are dropped. A line without `=`, with a character
+    `str.isprintable` refuses (tabs aside), with a key not in `known` or
+    with a repeated key raises ValueError naming `where:line`."""
+    out: dict[str, str] = {}
+    first: dict[str, int] = {}
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{where}:{ln}: expected key=value, got {raw!r}")
+        if not line.expandtabs().isprintable():
+            raise ValueError(f"{where}:{ln}: unprintable character in {raw!r}")
+        key, value = key.strip(), value.strip()
+        if key not in known:
+            raise ValueError(f"{where}:{ln}: unknown config key {key!r}")
+        if key in first:
+            raise ValueError(f"{where}:{ln}: config key {key!r} repeated "
+                             f"(first on line {first[key]})")
+        first[key], out[key] = ln, value
+    return out
 
 
 def _parse_key(kv: dict[str, str], key: str, kind):
@@ -491,22 +523,19 @@ def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
 # checkpoint container
 
 
-def _bank_subsets(config: ModelConfig) -> str | None:
-    """The `bank_subsets` value of a model built from `config`: the labels
-    of `nb.scheme_subsets`, or None without a bank."""
-    if not config.use_aug:
-        return None
-    return ",".join(s.label() for s in nb.scheme_subsets(config.num_domains))
-
-
 def _config_text(model: TwoPathNetwork, epoch: int, rng_state: str | None) -> str:
     lines = [f"{f.name}={format_value(getattr(model.config, f.name))}"
              for f in fields(ModelConfig)]
     lines += [f"seed={model.seed}", f"epoch={epoch}",
               f"rng_state={rng_state if rng_state is not None else '-'}"]
     if model.banks:
-        lines.append(f"bank_subsets={_bank_subsets(model.config)}")
+        lines.append("bank_subsets=" + ",".join(
+            s.label() for s in nb.scheme_subsets(model.config.num_domains)))
     return "\n".join(lines) + "\n"
+
+
+# the keys `_config_text` writes
+_BLOCK_KEYS = {f.name for f in fields(ModelConfig)} | {"seed", "epoch", "rng_state", "bank_subsets"}
 
 
 def _units(model: TwoPathNetwork) -> list[tuple[str, BNUnit]]:
@@ -575,13 +604,12 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
     named float64 arrays with shape prefixes, sorted by name. A non-finite
     array is refused before the file is opened, as `load_checkpoint`
     refuses it."""
+    if (name := non_finite_array(model)) is not None:
+        raise ValueError(f"save_checkpoint: array {name}: non-finite values")
     config = _config_text(model, epoch, rng_state).encode("utf-8")
     state = _state(model)
     arrays = {name: np.ascontiguousarray(_array(*state[name]), dtype=np.float64)
               for name in sorted(state)}
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"save_checkpoint: array {name}: non-finite values")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -598,32 +626,12 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def _parse_config_text(text: str) -> dict[str, str]:
-    """The config block's `key=value` lines; a line without `=`, a key
-    `_config_text` does not write, or a repeated key raises ValueError."""
-    known = {f.name for f in fields(ModelConfig)} | {"seed", "epoch", "rng_state", "bank_subsets"}
-    out = {}
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"config line {line!r}: expected key=value")
-        if key not in known:
-            raise ValueError(f"config key {key!r} unknown")
-        if key in out:
-            raise ValueError(f"config key {key} repeated")
-        out[key] = value
-    return out
-
-
 def load_checkpoint(path) -> tuple[TwoPathNetwork, int, str | None]:
     """Rebuild a model bit-exactly from `save_checkpoint` output.
 
-    Strict: every config key once and no other, each value as
-    `save_checkpoint` writes it, exactly the model's array names and
-    shapes, finite values; anything else raises ValueError.
+    Strict: the config block exactly as `save_checkpoint` writes it for
+    the model it describes, exactly the model's array names and shapes,
+    finite values; anything else raises ValueError.
     Returns (model, epoch, rng_state or None).
     """
     with open(path, "rb") as f:
@@ -654,7 +662,8 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
     version = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {version}")
-    kv = _parse_config_text(take(unpack("<Q")).decode("utf-8"))
+    block = take(unpack("<Q")).decode("utf-8")
+    kv = read_config(block, _BLOCK_KEYS, "config block")
     config = config_from_text(ModelConfig, kv, required=True)
     config.validate()
     # refuse before building: the model would allocate whatever the block names
@@ -662,19 +671,13 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
     if 8 * need > len(blob) - off:
         raise ValueError(f"config block names {need} array values, more than the "
                          f"{len(blob) - off} bytes after it hold")
-    bank_subsets = _bank_subsets(config)
-    if kv.get("bank_subsets") != bank_subsets:
-        if bank_subsets is None:
-            raise ValueError("config key bank_subsets: the model has no bank (use_aug=false)")
-        raise ValueError(f"config key bank_subsets: expected {bank_subsets}, "
-                         f"got {_parse_key(kv, 'bank_subsets', str)}")
     model = TwoPathNetwork(config, seed=_parse_key(kv, "seed", int))
     epoch, rng_state = _parse_key(kv, "epoch", int), _parse_key(kv, "rng_state", str)
-    # refuse what the parser reads but `_config_text` never writes (`1_0`, `yes`, ` 8`)
-    written = _parse_config_text(_config_text(model, epoch, rng_state))
-    for key, value in written.items():
-        if kv[key] != value:
-            raise ValueError(f"config key {key}: expected {value!r}, got {kv[key]!r}")
+    written = _config_text(model, epoch, rng_state)
+    if block != written:  # name the first differing line ("" for none)
+        pairs = zip_longest(block.splitlines(True), written.splitlines(True), fillvalue="")
+        ln, got, want = next((i, g, w) for i, (g, w) in enumerate(pairs, 1) if g != w)
+        raise ValueError(f"config block:{ln}: expected {want!r}, got {got!r}")
     state = _state(model)
 
     for _ in range(unpack("<I")):

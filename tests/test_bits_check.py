@@ -4,6 +4,7 @@ digests on the smoke-test schedule. The acceptance gate itself is not run
 here: the tier-1 suite runs it once already."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -96,12 +97,32 @@ def test_held_out_domain(tool, tmp_path):
     """The config's `target_domain` (comments and spaces aside), else the
     dataset's last domain; both trees' `predict` get the same one."""
     config, dataset = tmp_path / "c.txt", tmp_path / "d.csv"
-    dataset.write_text("domain,label,f0\n0,0,1.0\n2,1,2.0\n1,0,3.0\n", encoding="utf-8")
+    dataset.write_text("domain,label,f0\n0,0,1.0\n2,1,2.0\n1,0,3.0\n0,1,4.0\n2,0,5.0\n"
+                       "1,1,6.0\n", encoding="utf-8")
     config.write_text("# target_domain = 5\nepochs = 1\n target_domain=1  # held out\n",
                       encoding="utf-8")
     assert tool.held_out_domain(config, dataset) == 1
     config.write_text("epochs = 1\n", encoding="utf-8")
     assert tool.held_out_domain(config, dataset) == 2
+
+
+def test_held_out_domain_reads_as_the_cli(tool, tmp_path):
+    """Lines end at `\\n` only, so a key after a form feed in a comment is
+    still the comment; a value the CLI refuses is refused here too."""
+    config, dataset = tmp_path / "c.txt", tmp_path / "d.csv"
+    dataset.write_text("domain,label,f0\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.0\n",
+                       encoding="utf-8")
+    config.write_text("# note\ftarget_domain = 0\n", encoding="utf-8")
+    assert tool.held_out_domain(config, dataset) == 1
+    for value in ("1_0", "\u0661"):
+        config.write_text(f"target_domain = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key target_domain: expected an integer, got {value!r}") + "$"):
+            tool.held_out_domain(config, dataset)
+    config.write_text("epochs = 1\ftarget_domain = 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}:1: unprintable character in 'epochs = 1\\x0ctarget_domain = 0'") + "$"):
+        tool.held_out_domain(config, dataset)
 
 
 def test_prediction_summary(tool):
@@ -167,16 +188,19 @@ def test_acceptance_comparison(tool):
 
 def test_pipeline_config_replaces_dataset_and_checkpoint(tool, tmp_path):
     """A config that sets `dataset` or `checkpoint` gets the run's paths
-    instead, once each, so the CLI does not refuse a repeated key."""
+    instead, once each, so the CLI does not refuse a repeated key; every
+    other key keeps its value."""
     from normaug.cli import parse_config
 
-    text = TINY + "dataset = elsewhere.csv  # old\n checkpoint=old.ckpt\n"
+    config = tmp_path / "c.txt"
+    config.write_text(TINY + "dataset = elsewhere.csv  # old\n checkpoint=old.ckpt\n"
+                      "# note\fseed = 3\n", encoding="utf-8")
     run = tmp_path / "run.txt"
-    run.write_text(tool.pipeline_config(text, tmp_path / "work"), encoding="utf-8")
+    run.write_text(tool.pipeline_config(config, tmp_path / "work"), encoding="utf-8")
     cfg = parse_config(run)
-    assert cfg["dataset"] == str(tmp_path / "work" / "dataset.csv")
-    assert cfg["checkpoint"] == str(tmp_path / "work" / "model.ckpt")
-    assert cfg["per_cell"] == "16"
+    assert cfg == parse_config(config) | {"dataset": str(tmp_path / "work" / "dataset.csv"),
+                                          "checkpoint": str(tmp_path / "work" / "model.ckpt")}
+    assert cfg["per_cell"] == "16" and "seed" not in cfg
 
 
 def test_perfbench_digests_on_the_smoke_schedule(tool, tmp_path):

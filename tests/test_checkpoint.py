@@ -38,6 +38,14 @@ ALLOC_FACTOR = 32
 
 # the reduced scheme's subsets for three source domains, as `bank_subsets` lists them
 SCHEME = "0,1,2,0+1,0+2,1+2"
+# a config block value its parser refuses -> the message
+MALFORMED = {
+    "use_aug=tru!": "config key use_aug: expected a boolean, got 'tru!'",
+    "bn_eps=nan": "config key bn_eps: expected a finite number, got 'nan'",
+    "hidden_sizes=8,x": "config key hidden_sizes: expected comma-separated ints, got '8,x'",
+    "seed=0_3": "config key seed: expected an integer, got '0_3'",
+    "seed=\u0663": "config key seed: expected an integer, got '\u0663'",
+}
 
 
 def layout(blob: bytes):
@@ -157,9 +165,9 @@ class TestStrictLoad:
     @pytest.mark.parametrize("line,bad", [("use_aug=true", "use_aug=tru!"),
                                           ("bn_eps=1e-05", "bn_eps=nan"),
                                           ("hidden_sizes=8,4", "hidden_sizes=8,x"),
-                                          # parsed, but not as `save_checkpoint` writes them
                                           ("seed=3", "seed=0_3"),
                                           ("seed=3", "seed=\u0663"),
+                                          # parsed, but not as `save_checkpoint` writes them
                                           ("epoch=0", "epoch=+0"),
                                           ("hidden_sizes=8,4", "hidden_sizes= 8,4"),
                                           ("hidden_sizes=8,4", "hidden_sizes=8, 4"),
@@ -168,12 +176,32 @@ class TestStrictLoad:
                                           ("bn_eps=1e-05", "bn_eps=1E-05"),
                                           ("bn_momentum=0.1", "bn_momentum=0.10")])
     def test_malformed_config_value(self, saved, line, bad):
+        """A value its parser refuses names the key; one it reads but
+        `save_checkpoint` would not write names the block line."""
         blob, directory = saved
         text, _, records = layout(blob)
         assert line in text.splitlines()
-        key = line.partition("=")[0]
-        with pytest.raises(ValueError, match=f"config key {key}: expected"):
+        want, got = line + "\n", bad + "\n"
+        error = MALFORMED.get(bad, f"config block:{text.splitlines().index(line) + 1}: "
+                                   f"expected {want!r}, got {got!r}")
+        with pytest.raises(ValueError, match=re.escape(error) + "$"):
             load_bytes(directory, assemble(text.replace(line, bad), [r for _, r in records]))
+
+    @pytest.mark.parametrize("case", ["reordered", "comment", "crlf"])
+    def test_block_not_as_written(self, saved, case):
+        """Keys in another order, a trailing comment and CRLF line ends each
+        read as the same values, and are refused at their first line."""
+        blob, directory = saved
+        text, _, records = layout(blob)
+        lines = text.splitlines(keepends=True)
+        edited, ln = {
+            "reordered": ("".join(lines[:10] + [lines[11], lines[10]] + lines[12:]), 11),
+            "comment": (text.replace("epoch=0\n", "epoch=0  # saved\n"), 12),
+            "crlf": (text.replace("\n", "\r\n"), 1)}[case]
+        got = edited.splitlines(keepends=True)[ln - 1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"config block:{ln}: expected {lines[ln - 1]!r}, got {got!r}") + "$"):
+            load_bytes(directory, assemble(edited, [r for _, r in records]))
 
     @pytest.mark.parametrize("array,value,error", [
         ("backbone.layer0.W", math.nan, "non-finite values"),
@@ -204,7 +232,7 @@ class TestStrictLoad:
             tracemalloc.stop()
         assert peak <= ALLOC_FACTOR * len(big)
 
-    @pytest.mark.parametrize("line,bad,error", [
+    @pytest.mark.parametrize("line,bad,fault", [
         ("bank_subsets=", "bank_subsets=0+9,", f"bank_subsets: expected {SCHEME}, got 0+9,{SCHEME}"),
         ("bank_subsets=", "bank_subsets=0+x,", f"bank_subsets: expected {SCHEME}, got 0+x,{SCHEME}"),
         ("use_aug=true", "use_aug=false", "bank_subsets: the model has no bank (use_aug=false)"),
@@ -212,14 +240,20 @@ class TestStrictLoad:
         (",1+2\n", "\n", f"bank_subsets: expected {SCHEME}, got 0,1,2,0+1,0+2"),
         ("0+2,1+2", "1+2,0+2", f"bank_subsets: expected {SCHEME}, got 0,1,2,0+1,1+2,0+2"),
         (f"bank_subsets={SCHEME}\n", "", "bank_subsets is missing")])
-    def test_bad_bank_subsets(self, saved, line, bad, error):
+    def test_bad_bank_subsets(self, saved, line, bad, fault):
         """The `bank_subsets` line lists exactly the scheme's subsets, and
-        only a model with a bank has one."""
+        only a model with a bank has one: each `fault` is refused at line
+        14, the line after `rng_state`, naming the line written there
+        ('' for none) and the one found."""
         blob, directory = saved
         text, _, records = layout(blob)
         assert text.endswith(f"bank_subsets={SCHEME}\n") and text.count(line) == 1
-        with pytest.raises(ValueError, match=re.escape(f"config key {error}") + "$"):
-            load_bytes(directory, assemble(text.replace(line, bad), [r for _, r in records]))
+        edited = text.replace(line, bad)
+        want = "" if bad == "use_aug=false" else f"bank_subsets={SCHEME}\n"
+        got = (edited.splitlines(keepends=True)[13:] + [""])[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"config block:14: expected {want!r}, got {got!r}") + "$"):
+            load_bytes(directory, assemble(edited, [r for _, r in records]))
 
     @pytest.mark.parametrize("backbone", ["mlp", "smallconv"])
     @pytest.mark.parametrize("use_on", [True, False])
@@ -298,9 +332,9 @@ class TestFixture:
         assert (tmp_path / "again.ckpt").read_bytes() == self.FIXTURE.read_bytes()
 
     @pytest.mark.parametrize("extra,error", [
-        ("seed=99\n", "config key seed repeated"),
-        ("seed\n", "config line 'seed': expected key=value"),
-        ("momentum=0.9\n", "config key 'momentum' unknown")],
+        ("seed=99\n", "config block:15: config key 'seed' repeated (first on line 11)"),
+        ("seed\n", "config block:15: expected key=value, got 'seed'"),
+        ("momentum=0.9\n", "config block:15: unknown config key 'momentum'")],
         ids=["repeated-key", "line-without-equals", "unknown-key"])
     def test_config_block_is_strict(self, tmp_path, extra, error):
         """A line appended to the fixture's config block is refused: a

@@ -514,6 +514,41 @@ class TestUsageErrors:
             "non-finite parameter backbone.layer0.W")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("gen-data", "per_cell = \u0664\u0660\n",
+         "config key per_cell: expected an integer, got '\u0664\u0660'"),
+        ("gen-data", "seed = 1_0\n", "config key seed: expected an integer, got '1_0'"),
+        ("train", "epochs = 1\f2\ndataset = missing.csv\n",
+         "c.txt:1: unprintable character in 'epochs = 1\\x0c2'"),
+    ], ids=["non-ascii-digits", "underscore", "form-feed"])
+    def test_config_value_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                                  command, text, message):
+        """A number is plain ASCII without `_`, and a line ends at `\\n`
+        only: a form feed is refused on the line the editor shows."""
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text(text, encoding="utf-8")
+        assert main([command, "--config", "c.txt", "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"normaug {command}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_two_domains_exit_2(self, tmp_path, capsys, command):
+        """Two domains leave one source beside the held-out one: the model
+        needs at least three, and says so in terms of the data."""
+        text = ("num_domains = 2\nper_cell = 12\nfeature_dim = 4\nhidden_sizes = 8\n"
+                "epochs = 1\niters_per_epoch = 2\nbatch_per_domain = 4\n"
+                + ("seeds = 0\n" if command == "ablate"
+                   else f"dataset = {tmp_path / 'dataset.csv'}\n"))
+        cfg = write_config(tmp_path, text)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"normaug {command}: ModelConfig: num_domains 1 < 2 source domains "
+            f"(the data needs at least 3 domains: 2 sources + 1 held out)")
+        assert not out.exists()
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -577,8 +612,8 @@ class TestUsageErrors:
         capsys.readouterr()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"normaug {command}: checkpoint {ckpt}: config key bn_momentum: expected '0.1', "
-            f"got '.10'")
+            f"normaug {command}: checkpoint {ckpt}: config block:9: "
+            f"expected 'bn_momentum=0.1\\n', got 'bn_momentum=.10\\n'")
         assert not (tmp_path / "r").exists()
 
     def test_eval_has_no_seed_flag(self, pipeline, capsys):
@@ -612,6 +647,11 @@ class TestParseConfig:
         cfg = write_config(tmp_path, "# full line comment\n\nepochs = 3  # trailing\n")
         assert parse_config(cfg) == {"epochs": "3"}
 
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"epochs = 3\r\n# note\r\nseed = 1\r\n")
+        assert parse_config(path) == {"epochs": "3", "seed": "1"}
+
 
 # tiny base configs: every value valid, every size small
 CONTRACT_BASE = {
@@ -627,12 +667,12 @@ CONTRACT_BASE = {
 CONTRACT_VALUES = {
     "num_classes": ["2", "3", "1", "0", "two"],
     "num_domains": ["2", "3", "1", "-1"],
-    "per_cell": ["4", "6", "3", "0", "4.0"],
+    "per_cell": ["4", "6", "3", "0", "4.0", "\u0664\u0660"],
     "feature_dim": ["4", "5", "3", "0"],
     "separation": ["3.0", "0", "-2", "1e308", "nan"],
     "shift_kappa": ["0", "2.0", "-3", "1e4", "1e308", "inf"],
     "noise_sigma": ["1.0", "0", "-1", "1e308"],
-    "seed": ["0", "7", "-1", "1.5"],
+    "seed": ["0", "7", "-1", "1.5", "1_0", "\u0663"],
     "seeds": ["0", "0,1", "1,1", "-1", "0,-2", ""],
     "epochs": ["1", "2", "0"],
     "iters_per_epoch": ["1", "2", "0", "-1"],
@@ -717,7 +757,7 @@ class TestContract:
             "dataset": [str(d / n) for n in ("data.csv", "wide.csv", "bad.csv", "missing.csv")],
             "checkpoint": [str(d / n) for n in ("model.ckpt", "bad.ckpt", "missing.ckpt")]}
         command = data.draw(st.sampled_from(sorted(CONTRACT_BASE)), label="command")
-        text = st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
+        text = st.text(st.characters(blacklist_characters="\n#", blacklist_categories=("Cs",)),
                        max_size=10)
         drawn = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=4),
                           label="keys")
