@@ -7,10 +7,11 @@ Usage:
         --config configs/benchmark.txt
 
 Each tree runs, in its own temporary directory and from its own `src/`:
-`gen-data`, `train`, `eval` with the default fusion rule, `eval --strategy
-MeanAll --scope all_units`, `diagnose` and `ablate`, all from `--config`
-(with its `dataset` and `checkpoint` keys replaced by paths into that
-directory; `ablate` reads the config as given, so its `seeds` list sets the
+`gen-data`, `train`, `eval` with the default fusion rule, `eval` with
+`strategy = MeanAll` and `scope = all_units`, `diagnose` and `ablate`, all
+from `--config` (with its `dataset` and `checkpoint` keys replaced by paths
+into that directory, and the second `eval`'s `strategy` and `scope` keys
+set; `ablate` reads the config as given, so its `seeds` list sets the
 grid's size). For every artifact the tool prints `identical`, `moved` or
 which tree did not write it (`missing in the parent`); for a moved one, its
 first differing line (a byte offset for `model.ckpt`) and the largest
@@ -141,11 +142,11 @@ def run_python(tree: Path, cwd: Path, *args: str, ok: tuple[int, ...] = (0,)) ->
     return proc.stdout
 
 
-def pipeline_config(config: Path, work: Path) -> str:
+def pipeline_config(config: Path, work: Path, **keys: str) -> str:
     """The keys of the config file `config`, one `key = value` line each,
-    with `dataset` and `checkpoint` set to paths into `work`."""
+    with `dataset` and `checkpoint` set to paths into `work` and `keys` set."""
     cfg = parse_config(config) | {"dataset": str(work / "dataset.csv"),
-                                  "checkpoint": str(work / "model.ckpt")}
+                                  "checkpoint": str(work / "model.ckpt")} | keys
     return "".join(f"{key} = {value}\n" for key, value in cfg.items())
 
 
@@ -164,12 +165,14 @@ def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
     work.mkdir(parents=True)
     run_config = work / "run.txt"
     run_config.write_text(pipeline_config(config, work), encoding="utf-8")
+    all_config = work / "eval_all.txt"
+    all_config.write_text(pipeline_config(config, work, strategy="MeanAll", scope="all_units"),
+                          encoding="utf-8")
     cfg = str(run_config)
     normaug(tree, work, "gen-data", "--config", str(config), "--out", str(work))
     normaug(tree, work, "train", "--config", cfg, "--out", str(work))
     normaug(tree, work, "eval", "--config", cfg, "--out", str(work / "eval_default"))
-    normaug(tree, work, "eval", "--config", cfg, "--out", str(work / "eval_all"),
-            "--strategy", "MeanAll", "--scope", "all_units")
+    normaug(tree, work, "eval", "--config", str(all_config), "--out", str(work / "eval_all"))
     normaug(tree, work, "diagnose", "--config", cfg, "--out", str(work))
     normaug(tree, work, "ablate", "--config", str(config), "--out", str(work / "ablate"))
     return run_config

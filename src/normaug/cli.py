@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, diagnose, ablate. Runs are driven by a
-flat key=value config file (UTF-8, `#` comments); `--seed` overrides the
-config seed (eval has none). Output files are written with a `.partial`
-suffix and renamed into place only when complete; `--out` is made by the
-first write, so a refused command leaves nothing behind. Exit codes: 0
-success; 2 bad input, i.e. any ValueError, raised naming the key or file by
-the config, function or loader that owns the rule (a config value or flag,
-a malformed dataset or checkpoint, or the two disagreeing); 1 anything
-else: an I/O failure, such as a missing dataset file, or diverged training.
+flat key=value config file (UTF-8, `#` comments), which sets every run
+value; each command takes exactly `--config` and `--out`. Output files are
+written with a `.partial` suffix and renamed into place only when complete;
+`--out` is made by the first write, so a refused command leaves nothing
+behind. Exit codes: 0 success; 2 bad input, i.e. any ValueError, raised
+naming the key or file by the config, function or loader that owns the rule
+(a config value, a malformed dataset or checkpoint, or the two
+disagreeing); 1 anything else: an I/O failure, such as a missing dataset
+file, or diverged training.
 """
 
 from __future__ import annotations
@@ -72,11 +73,10 @@ def _value(cfg: dict, key: str, default):
     return parse_value(key, cfg[key], kind)
 
 
-def train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
+def train_config_from(cfg: dict) -> TrainConfig:
     """Validated before any file is read; a ModelConfig is validated by the
     `init_model` that uses it."""
-    tc = config_from_text(TrainConfig, cfg,
-                          **({} if seed_override is None else {"seed": seed_override}))
+    tc = config_from_text(TrainConfig, cfg)
     tc.validate()
     return tc
 
@@ -142,18 +142,15 @@ def _fmt(x: float) -> str:
 # subcommands
 
 
-def cmd_gen_data(cfg: dict, out: Path, seed_override: int | None) -> None:
-    gen_kwargs = _gen_kwargs(cfg)
-    if seed_override is not None:
-        gen_kwargs["seed"] = seed_override
-    ds, _ = datagen.generate(**gen_kwargs)
+def cmd_gen_data(cfg: dict, out: Path) -> None:
+    ds, _ = datagen.generate(**_gen_kwargs(cfg))
     path = out / "dataset.csv"
     _write_atomic(path, lambda partial: datagen.save(ds, partial))
     print(f"wrote {path} ({len(ds)} rows, {ds.num_domains} domains)")
 
 
-def cmd_train(cfg: dict, out: Path, seed_override: int | None) -> None:
-    tc = train_config_from(cfg, seed_override)
+def cmd_train(cfg: dict, out: Path) -> None:
+    tc = train_config_from(cfg)
     dataset = datagen.load(_require(cfg, "dataset"))
     target = _value(cfg, "target_domain", dataset.num_domains - 1)  # split_lodo checks it
     n_sources = int(np.unique(dataset.domain_ids).size) - 1
@@ -184,17 +181,11 @@ def _load_run(cfg: dict):
     return model, sources, target_set
 
 
-def cmd_eval(cfg: dict, out: Path, strategy_override: str | None,
-             scope_override: str | None) -> None:
+def cmd_eval(cfg: dict, out: Path) -> None:
     model, _, target_set = _load_run(cfg)
-    requested = strategy_override or cfg.get("strategy")
-    strategy = (FusionStrategy.from_name(requested) if requested
+    strategy = (FusionStrategy.from_name(cfg["strategy"]) if cfg.get("strategy")
                 else inference.default_strategy(model))
-    scope = SubpathScope.from_name(
-        scope_override or cfg.get("scope", SubpathScope.INDEPENDENT_ONLY.value))
-    if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
-        raise ValueError(f"strategy {strategy.value} needs sub-path predictions, "
-                         f"but the model was trained without a bank (use_aug = false)")
+    scope = SubpathScope.from_name(cfg.get("scope", SubpathScope.INDEPENDENT_ONLY.value))
     report = inference.evaluate(model, target_set.features, target_set.labels,
                                 strategy, scope)
     rows = [[name, _fmt(acc)] for name, acc in sorted(report.per_path.items())]
@@ -205,11 +196,11 @@ def cmd_eval(cfg: dict, out: Path, strategy_override: str | None,
           f"({strategy.value}, {scope.value})")
 
 
-def cmd_diagnose(cfg: dict, out: Path, seed_override: int | None) -> None:
+def cmd_diagnose(cfg: dict, out: Path) -> None:
     probe_rows = _value(cfg, "probe_rows", 64)
     if probe_rows < 1:
         raise ValueError(f"config key probe_rows: expected a positive integer, got {probe_rows}")
-    seed = seed_override if seed_override is not None else _value(cfg, "seed", 0)
+    seed = _value(cfg, "seed", 0)
     if seed < 0:
         raise ValueError(f"config key seed: expected a non-negative integer, got {seed}")
     model, sources, target_set = _load_run(cfg)
@@ -245,19 +236,15 @@ def _draw_rows(features: np.ndarray, count: int, rng: np.random.Generator) -> np
     return features[rng.choice(features.shape[0], size=count, replace=False)]
 
 
-def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
+def cmd_ablate(cfg: dict, out: Path) -> None:
     overridden = sorted(ABLATE_CELL_KEYS & cfg.keys())
     if overridden:
         raise ValueError(f"config key {', '.join(overridden)}: every grid cell sets its own "
-                         f"switches and seed (the seed list is `seeds` or --seed)")
+                         f"switches and seed (the seed list is `seeds`)")
     seeds = list(_value(cfg, "seeds", (0, 1, 2, 3, 4)))
-    if seed_override is not None:
-        experiments.check_seeds(seeds)  # the list still sets the grid's size
-        seeds = [seed_override + i for i in range(len(seeds))]
-    tc = train_config_from(cfg, None)
+    tc = train_config_from(cfg)
     gen_kwargs = _gen_kwargs(cfg)
     del gen_kwargs["seed"]  # one dataset per grid seed
-    shift_kappa = gen_kwargs.pop("shift_kappa")
     last = gen_kwargs["num_domains"] - 1
     if _value(cfg, "target_domain", last) != last:
         raise ValueError(f"config key target_domain: ablate holds out the last domain "
@@ -266,8 +253,7 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
     base = config_from_text(ModelConfig, cfg, input_dim=gen_kwargs["feature_dim"],
                             num_classes=gen_kwargs["num_classes"], num_domains=last)
     variants, fusion = experiments.ablation_grid(
-        seeds, shift_kappa=shift_kappa, train_config=tc,
-        base_model_config=base, generate_kwargs=gen_kwargs)
+        seeds, train_config=tc, base_model_config=base, generate_kwargs=gen_kwargs)
     for name, keys, rows in (("ablation.csv", ["variant"], variants),
                              ("fusion.csv", ["strategy", "scope"], fusion)):
         _write_csv_atomic(out / name, [*keys, "mean_tgt_acc", "std_tgt_acc"],
@@ -281,8 +267,8 @@ def cmd_ablate(cfg: dict, out: Path, seed_override: int | None) -> None:
 # entry point
 
 
-COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "diagnose": cmd_diagnose,
-            "ablate": cmd_ablate}
+COMMANDS = {"gen-data": cmd_gen_data, "train": cmd_train, "eval": cmd_eval,
+            "diagnose": cmd_diagnose, "ablate": cmd_ablate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,14 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", required=True, help="output directory")
-        if name != "eval":  # eval draws nothing
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        else:
-            p.add_argument("--strategy", default=None,
-                           help="fusion strategy (" +
-                                ", ".join(m.value for m in FusionStrategy) + ")")
-            p.add_argument("--scope", default=None,
-                           help="sub-path scope (independent_only, all_units)")
     return parser
 
 
@@ -322,11 +300,7 @@ def main(argv=None) -> int:
             # one config file serves every command, so other commands' keys are not errors
             print(f"normaug {args.command}: ignoring config keys {', '.join(ignored)}",
                   file=sys.stderr)
-        out = Path(args.out)
-        if args.command == "eval":
-            cmd_eval(cfg, out, args.strategy, args.scope)
-        else:
-            COMMANDS[args.command](cfg, out, args.seed)
+        COMMANDS[args.command](cfg, Path(args.out))
     except ValueError as e:  # bad input
         print(f"normaug {args.command}: {e}", file=sys.stderr)
         return 2

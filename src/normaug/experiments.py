@@ -23,11 +23,10 @@ VARIANTS: dict[str, tuple[bool, bool, bool]] = {
 }
 
 
-def make_benchmark(seed: int, shift_kappa: float = 2.0,
-                   **generate_kwargs) -> tuple[Dataset, int]:
+def make_benchmark(seed: int, **generate_kwargs) -> tuple[Dataset, int]:
     """Default benchmark: N-1 source domains plus the last domain held out
     as the shifted target. `generate_kwargs` go to `datagen.generate`."""
-    ds, _ = datagen.generate(shift_kappa=shift_kappa, seed=seed, **generate_kwargs)
+    ds, _ = datagen.generate(seed=seed, **generate_kwargs)
     return ds, ds.num_domains - 1
 
 
@@ -92,8 +91,7 @@ def check_seeds(seeds: list[int]) -> None:
             raise ValueError(f"ablation_grid: seeds: seed {seed} repeated")
 
 
-def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
-                  train_config: TrainConfig | None = None,
+def ablation_grid(seeds: list[int], train_config: TrainConfig | None = None,
                   base_model_config: ModelConfig | None = None,
                   generate_kwargs: dict | None = None) -> tuple[list[dict], list[dict]]:
     """Run every variant over the seed list on freshly generated benchmark
@@ -106,8 +104,7 @@ def ablation_grid(seeds: list[int], shift_kappa: float = 2.0,
     per_variant: dict[str, list[float]] = {v: [] for v in VARIANTS}
     per_rule: dict[tuple[str, str], list[float]] = {}
     for seed in seeds:
-        dataset, target_domain = make_benchmark(seed, shift_kappa,
-                                                **(generate_kwargs or {}))
+        dataset, target_domain = make_benchmark(seed, **(generate_kwargs or {}))
         cells = run_variants(dataset, target_domain, seed, train_config,
                              base_model_config)
         for variant, cell in cells.items():

@@ -159,7 +159,11 @@ def predict(model: TwoPathNetwork, features: np.ndarray,
             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluation-mode probabilities: the fused matrix and one matrix per
     route ('main' plus 'sub_<domains>'). Every route runs on plain arrays
-    from the input rows (`TwoPathNetwork.eval_logits`)."""
+    from the input rows (`TwoPathNetwork.eval_logits`). A rule that needs
+    sub-paths is refused for a model without a bank before any route runs."""
+    if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
+        raise ValueError(f"strategy {strategy.value} needs sub-path predictions, "
+                         f"but the model was trained without a bank (use_aug = false)")
     subsets = subpath_subsets(model, scope)
     main, subs = model.eval_logits(features, subsets)
     p_main, p_subs = _softmax_rows(main), [_softmax_rows(z) for z in subs]

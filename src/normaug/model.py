@@ -602,10 +602,19 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
                     rng_state: str | None = None) -> None:
     """Versioned binary container: magic, version, config text block, then
     named float64 arrays with shape prefixes, sorted by name. A non-finite
-    array is refused before the file is opened, as `load_checkpoint`
-    refuses it."""
+    array, or an `rng_state` that would not load back as written (its
+    block line read by `read_config`; `-` stands for None), is refused
+    before the file is opened, as `load_checkpoint` refuses it."""
     if (name := non_finite_array(model)) is not None:
         raise ValueError(f"save_checkpoint: array {name}: non-finite values")
+    if rng_state is not None:
+        try:
+            read_back = read_config(f"rng_state={rng_state}", {"rng_state"}, "rng_state")
+        except ValueError:
+            read_back = None
+        if rng_state == "-" or read_back != {"rng_state": rng_state}:
+            raise ValueError(f"save_checkpoint: rng_state {rng_state!r} does not "
+                             f"load back as written")
     config = _config_text(model, epoch, rng_state).encode("utf-8")
     state = _state(model)
     arrays = {name: np.ascontiguousarray(_array(*state[name]), dtype=np.float64)

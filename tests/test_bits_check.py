@@ -203,6 +203,20 @@ def test_pipeline_config_replaces_dataset_and_checkpoint(tool, tmp_path):
     assert cfg["per_cell"] == "16" and "seed" not in cfg
 
 
+def test_pipeline_config_sets_the_given_keys(tool, tmp_path):
+    """The second `eval` reads its rule and scope from config keys, set
+    once each over a config that already holds them."""
+    from normaug.cli import parse_config
+
+    config = tmp_path / "c.txt"
+    config.write_text(TINY + "strategy = MaxI\n", encoding="utf-8")
+    run = tmp_path / "run.txt"
+    run.write_text(tool.pipeline_config(config, tmp_path / "work", strategy="MeanAll",
+                                        scope="all_units"), encoding="utf-8")
+    cfg = parse_config(run)
+    assert (cfg["strategy"], cfg["scope"], cfg["per_cell"]) == ("MeanAll", "all_units", "16")
+
+
 def test_perfbench_digests_on_the_smoke_schedule(tool, tmp_path):
     digests = tool.perfbench_digests(ROOT, tmp_path / "pb", seeds=(1,), scale="TINY")
     assert list(digests) == ["train_aug seed 1", "train_main seed 1", "eval_fusion seed 1"]

@@ -306,6 +306,28 @@ class TestFiniteOnSave:
         assert not path.exists()
 
 
+class TestRngStateOnSave:
+    """`save_checkpoint` writes only an `rng_state` that `load_checkpoint`
+    gives back: its block line, read by `read_config`, holds the same
+    text, and it is not `-`, which stands for None."""
+
+    @pytest.mark.parametrize("rng_state", ["a#b", " x", "a\nepoch=3", "-"],
+                             ids=["comment", "leading-space", "newline", "none-sentinel"])
+    def test_refused_before_the_file_is_opened(self, tmp_path, rng_state):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match=re.escape(
+                f"save_checkpoint: rng_state {rng_state!r} does not load back as written") + "$"):
+            save_checkpoint(tiny_model(seed=3), path, rng_state=rng_state)
+        assert not path.exists()
+
+    def test_encoded_state_and_none_round_trip(self, tmp_path):
+        model = tiny_model(seed=3)
+        encoded = encode_rng_state(np.random.default_rng(5))
+        for rng_state in (encoded, None):
+            save_checkpoint(model, tmp_path / "m.ckpt", epoch=2, rng_state=rng_state)
+            assert load_checkpoint(tmp_path / "m.ckpt")[1:] == (2, rng_state)
+
+
 class TestFixture:
     """`data/tiny_aug.ckpt` is a committed checkpoint: `fixture_model`'s
     model saved with epoch 1 and the state of its batch generator."""

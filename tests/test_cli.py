@@ -83,11 +83,12 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
 
-    def test_seed_override_changes_data(self, tmp_path):
-        cfg = write_config(tmp_path, SMALL_GEN)
+    def test_seed_key_changes_data(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["gen-data", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["gen-data", "--config", cfg, "--out", str(b), "--seed", "9"]) == 0
+        assert main(["gen-data", "--config", write_config(tmp_path, SMALL_GEN),
+                     "--out", str(a)]) == 0
+        other = write_config(tmp_path, SMALL_GEN.replace("seed = 0", "seed = 9"), "c9.txt")
+        assert main(["gen-data", "--config", other, "--out", str(b)]) == 0
         assert (a / "dataset.csv").read_bytes() != (b / "dataset.csv").read_bytes()
 
 
@@ -127,56 +128,59 @@ class TestEvalCommand:
         metrics = read_csv(out / "metrics.csv")
         assert fused == metrics[-1][4]  # tgt_acc_ensemble of the final epoch
 
-    def test_strategy_flag(self, pipeline, tmp_path):
+    def test_strategy_key(self, pipeline, tmp_path):
         tmp, out, dataset, _ = pipeline
         eval_cfg = write_config(
-            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n",
-            "eval2.txt")
+            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
+                 "strategy = MainOnly\n", "eval2.txt")
         eout = tmp_path / "eo"
-        assert main(["eval", "--config", eval_cfg, "--out", str(eout),
-                     "--strategy", "MainOnly"]) == 0
+        assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
         rows = {r[0]: r[1] for r in read_csv(eout / "accuracy.csv")[1:]}
         assert rows["fused"] == rows["main"]
 
     def test_bad_strategy_is_usage_error(self, pipeline, tmp_path):
         tmp, out, dataset, _ = pipeline
         eval_cfg = write_config(
-            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n",
-            "eval3.txt")
-        code = main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x"),
-                     "--strategy", "bogus"])
-        assert code == 2
+            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
+                 "strategy = bogus\n", "eval3.txt")
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
-    def test_model_without_bank(self, tmp_path):
-        """The default rule follows the model; a sub-path rule is a usage error."""
+    def test_model_without_bank(self, tmp_path, capsys):
+        """The default rule follows the model; a sub-path rule is a usage
+        error, raised by `inference.predict`."""
         tmp, out, dataset, _ = run_pipeline(tmp_path, "use_aug = false\n")
-        eval_cfg = write_config(
-            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n", "eval.txt")
+        text = f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
         eout = tmp_path / "eo"
-        assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
+        assert main(["eval", "--config", write_config(tmp, text, "eval.txt"),
+                     "--out", str(eout)]) == 0
         rows = {r[0]: r[1] for r in read_csv(eout / "accuracy.csv")[1:]}
         assert set(rows) == {"main", "fused"}
         assert rows["fused"] == rows["main"] == read_csv(out / "metrics.csv")[-1][4]
         for strategy in ("MeanMeanIM", "MeanI"):
-            assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x"),
-                         "--strategy", strategy]) == 2
-
+            cfg = write_config(tmp, text + f"strategy = {strategy}\n", f"{strategy}.txt")
+            capsys.readouterr()
+            assert main(["eval", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err == (
+                f"normaug eval: strategy {strategy} needs sub-path predictions, but the "
+                f"model was trained without a bank (use_aug = false)\n")
+            assert not (tmp_path / "x").exists()
 
     def test_scope_the_model_cannot_serve_is_usage_error(self, tmp_path, capsys):
         """single_only training over three sources never updates the merged
         bank units, so `all_units` is refused, naming them; the default
         scope still runs."""
         tmp, out, dataset, _ = run_pipeline(tmp_path, "combination_mode = single_only\n")
-        eval_cfg = write_config(
-            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n", "eval.txt")
+        text = f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
         eout = tmp_path / "eo"
         capsys.readouterr()
-        assert main(["eval", "--config", eval_cfg, "--out", str(eout),
-                     "--scope", "all_units"]) == 2
+        assert main(["eval", "--config", write_config(tmp, text + "scope = all_units\n",
+                                                      "all.txt"), "--out", str(eout)]) == 2
         assert capsys.readouterr().err == ("normaug eval: scope=all_units but units never "
                                            "updated: {0+1}, {0+2}, {1+2}\n")
         assert not (eout / "accuracy.csv").exists()
-        assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
+        assert main(["eval", "--config", write_config(tmp, text, "eval.txt"),
+                     "--out", str(eout)]) == 0
 
 
 class TestDiagnoseCommand:
@@ -337,6 +341,7 @@ class TestAblateCommand:
         monkeypatch.setattr(training, "train", spy_train)
         monkeypatch.setattr(datagen, "generate", spy_generate)
         cfg = write_config(tmp_path, SMALL_GRID.replace("feature_dim = 6", "feature_dim = 9")
+                           .replace("shift_kappa = 2.0", "shift_kappa = 1.5")
                            + "backbone = smallconv\nclassifier_mode = shared_two\n"
                              "bn_momentum = 0.3\nbn_eps = 0.5\nseparation = 2.5\n"
                              "noise_sigma = 3.0\ntarget_domain = 2\n")
@@ -347,7 +352,7 @@ class TestAblateCommand:
                     c.bn_eps) == ((8, 4), "smallconv", "shared_two", 0.3, 0.5)
         assert len(generated) == 2
         for kw in generated:
-            assert (kw["separation"], kw["noise_sigma"]) == (2.5, 3.0)
+            assert (kw["separation"], kw["noise_sigma"], kw["shift_kappa"]) == (2.5, 3.0, 1.5)
 
     @pytest.mark.parametrize("extra", ["target_domain = 0\n", "backbone = smallconv\n",
                                        "hidden_sizes = 8,x\n", "use_on = false\n",
@@ -357,6 +362,15 @@ class TestAblateCommand:
     def test_bad_keys_are_usage_errors(self, tmp_path, extra):
         cfg = write_config(tmp_path, SMALL_GRID + extra)
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "grid")]) == 2
+
+    def test_cell_keys_name_the_seed_list(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_GRID + "seed = 7\nuse_on = false\n")
+        out = tmp_path / "grid"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "normaug ablate: config key seed, use_on: every grid cell sets its own switches "
+            "and seed (the seed list is `seeds`)\n")
+        assert not out.exists()
 
     def test_benchmark_config_is_the_default_model(self):
         """configs/benchmark.txt sets its model keys to the defaults, so the
@@ -468,33 +482,31 @@ class TestUsageErrors:
             "normaug gen-data: c.txt:2: config key 'per_cell' repeated (first on line 1)\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, text, flag, message", [
-        ("gen-data", SMALL_GEN, ["--seed", "-1"], "generate: seed must be >= 0, got -1"),
-        ("train", "dataset = missing.csv\n", ["--seed", "-3"],
+    @pytest.mark.parametrize("command, text, message", [
+        ("gen-data", SMALL_GEN.replace("seed = 0", "seed = -1"),
+         "generate: seed must be >= 0, got -1"),
+        ("train", "dataset = missing.csv\nseed = -3\n",
          "TrainConfig: seed must be >= 0, got -3"),
-        ("train", "dataset = missing.csv\nseed = -3\n", [],
-         "TrainConfig: seed must be >= 0, got -3"),
-        ("diagnose", "checkpoint = missing.ckpt\ndataset = missing.csv\nseed = -2\n", [],
+        ("diagnose", "checkpoint = missing.ckpt\ndataset = missing.csv\nseed = -2\n",
          "config key seed: expected a non-negative integer, got -2"),
-        ("ablate", "seeds = -1\n", [], "ablation_grid: seeds: seed -1 is negative"),
-    ], ids=["gen-data", "train-flag", "train-key", "diagnose", "ablate"])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, command, text, flag, message):
+        ("ablate", "seeds = -1\n", "ablation_grid: seeds: seed -1 is negative"),
+    ], ids=["gen-data", "train-key", "diagnose", "ablate"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, text, message):
         """Refused by the rule's owner (`generate`, `TrainConfig.validate`,
         `diagnose`, `ablation_grid`) before any file is read (the dataset and
         checkpoint do not exist) or written: `--out` is not made."""
         out = tmp_path / "out"
-        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out),
-                     *flag]) == 2
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"normaug {command}: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [[], ["--seed", "5"]], ids=["config", "seed-flag"])
-    def test_repeated_seed_exits_2(self, tmp_path, capsys, flag):
-        """`seeds = 0,1,1` is refused, naming the seed, before any file is
-        written, also when --seed replaces the list."""
+    @pytest.mark.parametrize("seeds", ["0,1,1"], ids=["config"])
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):
+        """A repeated seed in `seeds` is refused, naming it, before any file
+        is written."""
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, SMALL_GEN.replace("seed = 0", "seeds = 0,1,1"))
-        assert main(["ablate", "--config", cfg, "--out", str(out), *flag]) == 2
+        cfg = write_config(tmp_path, SMALL_GEN.replace("seed = 0", f"seeds = {seeds}"))
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "normaug ablate: ablation_grid: seeds: seed 1 repeated\n"
         assert not out.exists()
 
@@ -616,16 +628,22 @@ class TestUsageErrors:
             f"expected 'bn_momentum=0.1\\n', got 'bn_momentum=.10\\n'")
         assert not (tmp_path / "r").exists()
 
-    def test_eval_has_no_seed_flag(self, pipeline, capsys):
-        """eval draws nothing, so `--seed` is refused as an unknown flag."""
+    def test_only_config_and_out_are_flags(self, pipeline, capsys):
+        """The config file sets every run value: `--seed` is refused by every
+        command, and `--strategy` and `--scope` by eval, as unknown flags."""
         tmp, out, dataset, _ = pipeline
-        cfg = write_config(tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n",
-                           "eval.txt")
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--config", cfg, "--out", str(tmp / "e"), "--seed", "-1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
-        assert not (tmp / "e").exists()
+        cfg = write_config(tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
+                                "seeds = 0\n", "all.txt")
+        cases = [(command, ["--seed", "1"])
+                 for command in ("gen-data", "train", "eval", "diagnose", "ablate")]
+        cases += [("eval", ["--strategy", "MeanAll"]), ("eval", ["--scope", "all_units"])]
+        for command, flag in cases:
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", cfg, "--out", str(tmp / "e"), *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+            assert not (tmp / "e").exists()
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
         """An I/O failure inside a writer is exit 1, and its `.partial` file
@@ -766,9 +784,6 @@ class TestContract:
                                 if key in CONTRACT_FREE else st.sampled_from(values[key]),
                                 label=key)
                  for key in drawn}
-        flag = [] if command == "eval" else data.draw(
-            st.sampled_from([[], ["--seed", "0"], ["--seed", "5"], ["--seed", "-1"]]),
-            label="flag")
         base = dict(line.split(" = ") for line in CONTRACT_BASE[command].splitlines())
         base |= {"dataset": str(d / "data.csv"), "checkpoint": str(d / "model.ckpt")}
         work = tmp_path_factory.mktemp("run")
@@ -778,16 +793,16 @@ class TestContract:
         out = work / "out"
         with np.errstate(all="ignore"), contextlib.redirect_stderr(io.StringIO()) as err, \
                 contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(config), "--out", str(out), *flag])
+            code = main([command, "--config", str(config), "--out", str(out)])
         lines = err.getvalue().splitlines()
         event(f"{command} exit {code}")
         assert code in (0, 1, 2)
         assert all(line.startswith(f"normaug {command}: ") for line in lines), lines
         if code == 2:
             message = lines[-1]
-            named = [*drawn, *(["seed"] if flag else []), str(config)]
+            named = [*drawn, str(config)]
             named += [drawn[k] for k in ("dataset", "checkpoint") if k in drawn]
-            assert any(name in message for name in named), (message, drawn, flag)
+            assert any(name in message for name in named), (message, drawn)
             assert not out.exists()
         elif code == 1:
             assert "No such file" in lines[-1] or "aborted" in lines[-1], lines[-1]

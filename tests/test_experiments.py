@@ -203,3 +203,15 @@ def test_ablation_grid_refuses_an_empty_or_negative_seed_list(monkeypatch, seeds
     with pytest.raises(ValueError, match=f"^ablation_grid: seeds: {message}$"):
         experiments.ablation_grid(seeds, train_config=TINY_TRAIN,
                                   base_model_config=TINY_MODEL, generate_kwargs=TINY_GEN)
+
+
+def test_ablation_grid_takes_shift_kappa_as_a_generate_keyword():
+    """`shift_kappa` reaches `datagen.generate` through `generate_kwargs`
+    like every other keyword, with `generate`'s own default."""
+    gen = TINY_GEN | {"shift_kappa": 1.0}
+    variants, _ = experiments.ablation_grid([0], train_config=TINY_TRAIN,
+                                            base_model_config=TINY_MODEL, generate_kwargs=gen)
+    dataset, target_domain = experiments.make_benchmark(0, **gen)
+    assert dataset.features.tobytes() == datagen.generate(seed=0, **gen)[0].features.tobytes()
+    cells = experiments.run_variants(dataset, target_domain, 0, TINY_TRAIN, TINY_MODEL)
+    assert [r["accs"] for r in variants] == [[cells[v].target_accuracy] for v in VARIANTS]

@@ -165,6 +165,17 @@ class TestPredict:
         assert set(per_path) == {"main"}
         assert np.array_equal(fused, per_path["main"])
 
+    def test_sub_path_rule_on_baseline_model_runs_no_route(self, monkeypatch):
+        """A rule that needs sub-paths, asked of a model without a bank, is
+        refused before the main route runs."""
+        m = _trained_toy(use_aug=False)
+        monkeypatch.setattr(m, "eval_logits", lambda *a, **k: pytest.fail("route ran"))
+        with pytest.raises(ValueError, match=(
+                r"^strategy MeanMeanIM needs sub-path predictions, but the model was "
+                r"trained without a bank \(use_aug = false\)$")):
+            evaluate(m, np.zeros((4, 6)), np.zeros(4, dtype=int),
+                     FusionStrategy.MEAN_MEAN_IM)
+
 
 class TestEvaluate:
     def test_all_correct_toy_model(self):
