@@ -17,10 +17,12 @@ which tree did not write it (`missing in the parent`); for a moved one, its
 first differing line (a byte offset for `model.ckpt`) and the largest
 absolute difference over the numeric fields. Then each tree runs
 `predict` for every fusion rule and sub-path scope on the parent's dataset
-and checkpoint, and the tool prints, per rule and scope, the largest
-difference in fused probabilities and the number of rows whose argmax
-flipped, and the largest difference of the main route and of the sub-paths
-over all of them. The tool resolves the held-out domain once (the config's
+and checkpoint, once on the held-out split and once on its rows repeated to
+`SEAM_ROWS` rows, which crosses the seams of the evaluation walk's
+1024-row pieces, and the tool prints, per rule, scope and split, the
+largest difference in fused probabilities and the number of rows whose
+argmax flipped, and the largest difference of the main route and of the
+sub-paths over all of them. The tool resolves the held-out domain once (the config's
 `target_domain`, else the dataset's last domain) and passes it to both
 trees, so `predict` calls only the library, not the CLI's helpers. The
 tool reads the config and the dataset with its own tree's
@@ -71,25 +73,32 @@ ARTIFACTS = {
     "ablation.csv": "ablate/ablation.csv",
     "fusion.csv": "ablate/fusion.csv",
 }
-# writes every fusion rule's and scope's probabilities on the held-out domain
-# to an .npz, from one tree's public library
+# rows of the second `predict` split: more than two 1024-row pieces of the
+# evaluation walk and one 128-row product block more
+SEAM_ROWS = 2 * 1024 + 128 + 3
+# writes every fusion rule's and scope's probabilities on the held-out domain,
+# and on its rows repeated to `rows` rows, to an .npz, from one tree's public
+# library
 PREDICT = """
 import sys
 import numpy as np
 from normaug import datagen, inference
 from normaug.model import load_checkpoint
-target_domain, checkpoint, dataset, out = sys.argv[1:]
+target_domain, checkpoint, dataset, rows, out = sys.argv[1:]
 model = load_checkpoint(checkpoint)[0]
 _, target = datagen.split_lodo(datagen.load(dataset), int(target_domain))
+splits = {"": target.features,
+          f" ({rows} rows)": np.resize(target.features, (int(rows), target.feature_dim))}
 arrays = {}
 for strategy in inference.FusionStrategy:
     if strategy is not inference.FusionStrategy.MAIN_ONLY and not model.config.use_aug:
         continue
     for scope in inference.SubpathScope:
-        fused, per_path = inference.predict(model, target.features, strategy, scope)
-        key = f"{strategy.value}/{scope.value}"
-        arrays[key + "/fused"] = fused
-        arrays.update((f"{key}/{name}", p) for name, p in per_path.items())
+        for split, features in splits.items():
+            fused, per_path = inference.predict(model, features, strategy, scope)
+            key = f"{strategy.value}/{scope.value}{split}"
+            arrays[key + "/fused"] = fused
+            arrays.update((f"{key}/{name}", p) for name, p in per_path.items())
 np.savez(out, **arrays)
 """
 # prints the perfbench run digests of one tree as JSON, from its own run.py
@@ -314,7 +323,7 @@ def check(parent: Path, change: Path, config: Path, work: Path) -> list[str]:
     for side, tree in (("parent", parent), ("change", change)):
         out = work / f"predict_{side}.npz"
         run_python(tree, work, "-c", PREDICT, str(target),
-                   str(work / "parent" / "model.ckpt"), str(dataset), str(out))
+                   str(work / "parent" / "model.ckpt"), str(dataset), str(SEAM_ROWS), str(out))
         with np.load(out) as z:
             probs[side] = {k: z[k] for k in z.files}
     return lines + compare_predictions(probs["parent"], probs["change"])

@@ -62,7 +62,14 @@ def parse_config(path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"config file not found: {p}")
-    return read_config(p.read_text(encoding="utf-8"), KNOWN_KEYS, str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:  # `e.object` is the whole file
+        head = e.object[:e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1  # counted as `read_text` breaks lines
+        raise ValueError(f"{p}:{line}: not valid UTF-8 (byte 0x{e.object[e.start]:02x})"
+                         ) from None
+    return read_config(text, KNOWN_KEYS, str(p))
 
 
 def _value(cfg: dict, key: str, default):
@@ -183,7 +190,7 @@ def _load_run(cfg: dict):
 
 def cmd_eval(cfg: dict, out: Path) -> None:
     model, _, target_set = _load_run(cfg)
-    strategy = (FusionStrategy.from_name(cfg["strategy"]) if cfg.get("strategy")
+    strategy = (FusionStrategy.from_name(cfg["strategy"]) if "strategy" in cfg
                 else inference.default_strategy(model))
     scope = SubpathScope.from_name(cfg.get("scope", SubpathScope.INDEPENDENT_ONLY.value))
     report = inference.evaluate(model, target_set.features, target_set.labels,

@@ -12,6 +12,7 @@ global "style" shifts normalization statistics can absorb.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ TARGET_MIX_ALPHA = 0.4
 # a style scale exp(t) with |t| above this overflows float64 (or underflows to 0)
 MAX_LOG_SCALE = float(np.log(np.finfo(np.float64).max))
 
-BLOCK_ROWS = 256  # rows per `write` of `save` (about 90 kB of text at 16 features)
+BLOCK_ROWS = 256  # rows per `write` of `save` and per array block of `load`
 
 
 @dataclass
@@ -227,51 +228,77 @@ def save(dataset: Dataset, path) -> None:
 
 
 def load(path) -> Dataset:
-    """Read a `save` file with Python's `int` / `float`, except that `_` or
-    whitespace in a value (which those skip) or a non-ASCII character
-    (they read other scripts' digits) makes it malformed, and so does a
-    domain id or label outside int64."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline ends the last line
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    header = lines[0]
-    cols = header.split(",")
-    if len(cols) < 3 or cols[0] != "domain" or cols[1] != "label":
-        raise ValueError(f"{path}: bad header; expected 'domain,label,f0..'")
-    dim = len(cols) - 2
-    if header != expected_header(dim):
-        raise ValueError(f"{path}: bad header; expected {expected_header(dim)!r}")
-    if len(lines) == 1:
+    """Read a `save` file one line at a time into `BLOCK_ROWS`-row arrays,
+    with Python's `int` / `float`, except that `_` or whitespace in a value
+    (which those skip) or a non-ASCII character (they read other scripts'
+    digits) makes it malformed, and so does a domain id or label outside
+    int64. The first line that fails, in file order, is reported, a byte
+    that is not UTF-8 first within its line; a non-finite feature only
+    once every line has parsed."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        header = f.readline()
+        if not header:
+            raise ValueError(f"{path}: empty dataset file")
+        header = header.removesuffix("\n")
+        _check_utf8(path, 1, header)
+        cols = header.split(",")
+        if len(cols) < 3 or cols[0] != "domain" or cols[1] != "label":
+            raise ValueError(f"{path}: bad header; expected 'domain,label,f0..'")
+        dim = len(cols) - 2
+        if header != expected_header(dim):
+            raise ValueError(f"{path}: bad header; expected {expected_header(dim)!r}")
+        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        i = BLOCK_ROWS
+        for ln, line in enumerate(f, start=2):
+            if i == BLOCK_ROWS:
+                domains = np.empty(BLOCK_ROWS, dtype=np.int64)
+                labels = np.empty(BLOCK_ROWS, dtype=np.int64)
+                feats = np.empty((BLOCK_ROWS, dim))
+                blocks.append((domains, labels, feats))
+                i = 0
+            line = line.removesuffix("\n")
+            _check_utf8(path, ln, line)
+            parts = line.split(",")
+            if len(parts) != dim + 2:
+                raise ValueError(f"{path}:{ln}: expected {dim + 2} fields, got {len(parts)}")
+            try:
+                domains[i] = int(parts[0])
+                labels[i] = int(parts[1])
+                feats[i] = list(map(float, parts[2:]))
+                if "_" in line or line.split() != [line]:  # split() keeps a clean line whole
+                    raise ValueError("'_' or whitespace in a value")
+                if not line.isascii():
+                    raise ValueError("non-ASCII character in a value")
+            except ValueError as e:
+                raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
+            except OverflowError:  # an integer that int64 cannot hold
+                raise ValueError(f"{path}:{ln}: malformed value (domain or label outside int64)"
+                                 ) from None
+            i += 1
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    feats = np.empty((len(lines) - 1, dim))
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
-    domains = np.empty(len(lines) - 1, dtype=np.int64)
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise ValueError(f"{path}:{ln}: expected {dim + 2} fields, got {len(parts)}")
-        try:
-            domains[ln - 2] = int(parts[0])
-            labels[ln - 2] = int(parts[1])
-            feats[ln - 2] = list(map(float, parts[2:]))
-            if "_" in line or line.split() != [line]:  # split() keeps a clean line whole
-                raise ValueError("'_' or whitespace in a value")
-            if not line.isascii():
-                raise ValueError("non-ASCII character in a value")
-        except ValueError as e:
-            raise ValueError(f"{path}:{ln}: malformed value ({e})") from None
-        except OverflowError:  # an integer that int64 cannot hold
-            raise ValueError(f"{path}:{ln}: malformed value (domain or label outside int64)"
-                             ) from None
+    blocks[-1] = tuple(a[:i] for a in blocks[-1])
+    domains, labels, feats = (np.concatenate(arrays) for arrays in zip(*blocks))
+    del blocks  # freed before the checks below allocate
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite feature")
     return Dataset(feats, labels, domains,
                    num_classes=int(labels.max()) + 1,
                    num_domains=int(domains.max()) + 1)
+
+
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte `surrogateescape` could not decode
+
+
+def _check_utf8(path, ln: int, line: str) -> None:
+    """A ValueError naming the first byte of `line` (read with
+    `surrogateescape`) that is not UTF-8."""
+    if not line.isascii():
+        bad = _UNDECODED.search(line)
+        if bad:
+            raise ValueError(f"{path}:{ln}: not valid UTF-8 "
+                             f"(byte 0x{ord(bad.group()) - 0xDC00:02x})")
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ dispatch either to the main route (plain BN or the BN/IN mixture) or to the
 per-subset bank, plus one classifier per route.
 
 Training runs on the autodiff tape. Evaluation runs every route on plain
-arrays from the input rows (`eval_logits`): every layer product is one
-stacked call for the whole `ROW_BLOCK`-row blocks and one for the
-overlapping last block (`Linear.apply`), every BLAS call still (ROW_BLOCK,
-K) @ (K, P); a BN unit's evaluation-mode map is folded into the product
-before it, and an ON unit normalizes the product with a per-channel affine
-map plus per-row instance statistics, so per-sample outputs never depend on
-how a split is batched.
+arrays from the input rows (`eval_logits`), in pieces of at most
+`EVAL_ROWS` rows: every layer product is one stacked call for the whole
+`ROW_BLOCK`-row blocks and one for the overlapping last block
+(`Linear.apply`), every BLAS call still (ROW_BLOCK, K) @ (K, P); a BN
+unit's evaluation-mode map is folded into the product before it, and an ON
+unit normalizes the product with a per-channel affine map plus per-row
+instance statistics, so per-sample outputs never depend on how a split is
+batched or cut into pieces.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .tensor import Tensor
 
 CLASSIFIER_MODES = ("independent", "shared_one", "shared_two")
 BACKBONES = ("mlp", "smallconv")
+
+# rows per piece of the evaluation walk (`_walk`); measured, see
+# README "Evaluation walk"
+EVAL_ROWS = 1024
 
 CHECKPOINT_MAGIC = b"NAUG"
 CHECKPOINT_VERSION = 1
@@ -305,7 +310,7 @@ class TwoPathNetwork:
     def features(self, x) -> np.ndarray:
         """Main-route penultimate features from the evaluation walk, on
         arrays, so reading them never changes the model."""
-        return self._eval_features(self._eval_input(x), self.main_units)
+        return _walk(self._eval_input(x), lambda h: self._eval_features(h, self.main_units))
 
     def forward_aux(self, x, domain_ids: np.ndarray, partition: Partition,
                     mode: str = "train") -> dict[DomainSubset, tuple[np.ndarray, Tensor]]:
@@ -357,8 +362,8 @@ class TwoPathNetwork:
         units = self._bank_units(subset)
         if mode != "eval":
             raise ValueError(f"forward_subpath: mode must be 'eval', got {mode!r}")
-        feats = self._eval_features(self._eval_input(x), units)
-        return Tensor(self._aux_classifier(subset).apply(feats))
+        return Tensor(self._route_logits(self._eval_input(x), units,
+                                         self._aux_classifier(subset)))
 
     def _aux_classifier(self, subset: DomainSubset) -> Linear:
         try:
@@ -391,13 +396,18 @@ class TwoPathNetwork:
             raise ValueError("forward_subpath: model built with use_aug=False")
         return [bank.unit(subset) for bank in self.banks]
 
+    def _route_logits(self, h: np.ndarray, units: list[BNUnit], classifier: Linear
+                      ) -> np.ndarray:
+        return _walk(h, lambda piece: classifier.apply(self._eval_features(piece, units)))
+
     def eval_logits(self, x, subsets=()) -> tuple[np.ndarray, list[np.ndarray]]:
         """Evaluation-mode logits of the main route and of each subset's
         sub-path (its bank units and classifier), on arrays, each route
-        walking from the input rows. Uses the running statistics only."""
+        walking from the input rows in pieces (`_walk`). Uses the running
+        statistics only."""
         h = self._eval_input(x)
-        main = self.classifier_main.apply(self._eval_features(h, self.main_units))
-        subs = [self._aux_classifier(s).apply(self._eval_features(h, self._bank_units(s)))
+        main = self._route_logits(h, self.main_units, self.classifier_main)
+        subs = [self._route_logits(h, self._bank_units(s), self._aux_classifier(s))
                 for s in subsets]
         return main, subs
 
@@ -426,6 +436,22 @@ class TwoPathNetwork:
             return mu, var
 
         return self._eval_features(np.concatenate(blocks), self.main_units, moments)[:n]
+
+
+def _walk(h: np.ndarray, route) -> np.ndarray:
+    """`route(piece)` over the `EVAL_ROWS`-row pieces of the input rows `h`
+    (`_eval_input`), stacked. A row's bits depend on no other row, so they
+    are those of one walk over all of `h`, while only one piece's
+    temporaries are alive at a time."""
+    first = route(h[:EVAL_ROWS])
+    n = h.shape[0]
+    if n <= EVAL_ROWS:
+        return first
+    out = np.empty((n, *first.shape[1:]))
+    out[:EVAL_ROWS] = first
+    for i in range(EVAL_ROWS, n, EVAL_ROWS):
+        out[i:i + EVAL_ROWS] = route(h[i:i + EVAL_ROWS])
+    return out
 
 
 def init_model(config: ModelConfig, seed: int) -> TwoPathNetwork:

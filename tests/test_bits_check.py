@@ -93,6 +93,14 @@ def test_check_reports_an_artifact_one_tree_did_not_write(tool, tmp_path, monkey
     assert predicted == ["1", "1"]
 
 
+def test_seam_split_crosses_two_evaluation_pieces(tool):
+    """The repeated split is walked in at least three pieces and ends in an
+    overlapping product block, so the change's pieces meet the parent's walk."""
+    from normaug.model import EVAL_ROWS, ROW_BLOCK
+
+    assert tool.SEAM_ROWS > 2 * EVAL_ROWS and tool.SEAM_ROWS % EVAL_ROWS > ROW_BLOCK
+
+
 def test_held_out_domain(tool, tmp_path):
     """The config's `target_domain` (comments and spaces aside), else the
     dataset's last domain; both trees' `predict` get the same one."""
@@ -147,7 +155,8 @@ def test_one_tree_on_both_sides_is_identical(tool, tmp_path):
     assert [line.split(": ")[1] for line in lines[:len(tool.ARTIFACTS)]] == \
         ["identical"] * len(tool.ARTIFACTS)
     predicted = lines[len(tool.ARTIFACTS):-1]
-    assert len(predicted) == 16  # 8 rules x 2 scopes
+    assert len(predicted) == 32  # 8 rules x 2 scopes x 2 splits
+    assert sum(f"({tool.SEAM_ROWS} rows): " in line for line in predicted) == 16
     assert all(line.endswith("largest fused difference 0, argmax flips 0")
                for line in predicted)
     assert lines[-1] == ("predict: largest main-route difference 0, "

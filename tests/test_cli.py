@@ -146,6 +146,24 @@ class TestEvalCommand:
         assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, what, members", [
+        ("strategy", "fusion strategy", FusionStrategy),
+        ("scope", "sub-path scope", SubpathScope),
+    ])
+    def test_empty_value_is_usage_error(self, pipeline, tmp_path, capsys, key, what, members):
+        """An empty `strategy =` is refused like an empty `scope =`, not read
+        as the default rule."""
+        tmp, out, dataset, _ = pipeline
+        eval_cfg = write_config(
+            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n{key} =\n",
+            "empty.txt")
+        capsys.readouterr()
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x")]) == 2
+        valid = ", ".join(m.value for m in members)
+        assert capsys.readouterr().err == (
+            f"normaug eval: unknown {what} ''; expected one of {valid}\n")
+        assert not (tmp_path / "x").exists()
+
     def test_model_without_bank(self, tmp_path, capsys):
         """The default rule follows the model; a sub-path rule is a usage
         error, raised by `inference.predict`."""
@@ -613,6 +631,31 @@ class TestUsageErrors:
             f"normaug {command}: {bad}:2: malformed value (non-ASCII character in a value)")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "diagnose"])
+    def test_undecodable_dataset_exits_2(self, pipeline, tmp_path, capsys, command):
+        """A byte that is not UTF-8 is bad input naming the file and line."""
+        tmp, out, dataset, _ = pipeline
+        bad = tmp_path / "bad.csv"
+        lines = dataset.read_bytes().split(b"\n")
+        lines[4] = lines[4][:-1] + b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        cfg = write_config(tmp, SMALL_TRAIN + f"checkpoint = {out / 'model.ckpt'}\n"
+                                              f"dataset = {bad}\n", "bad.txt")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"normaug {command}: {bad}:5: not valid UTF-8 (byte 0xff)")
+        assert not (tmp_path / "r").exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"per_cell = 4\nseed = \xff1\n")
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"normaug gen-data: {cfg}:2: not valid UTF-8 (byte 0xff)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "diagnose"])
     def test_malformed_checkpoint_exits_2(self, pipeline, tmp_path, capsys, command):
         tmp, out, dataset, _ = pipeline
@@ -670,6 +713,14 @@ class TestParseConfig:
         path.write_bytes(b"epochs = 3\r\n# note\r\nseed = 1\r\n")
         assert parse_config(path) == {"epochs": "3", "seed": "1"}
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, newline):
+        """Lines counted as the reader breaks them, `\\r` alone included."""
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(newline.join([b"epochs = 3", b"# caf\xc3\xa9", b"seed = \xe91", b""]))
+        with pytest.raises(ValueError, match=r"cfg\.txt:3: not valid UTF-8 \(byte 0xe9\)$"):
+            parse_config(path)
+
 
 # tiny base configs: every value valid, every size small
 CONTRACT_BASE = {
@@ -712,8 +763,8 @@ CONTRACT_VALUES = {
     "bn_momentum": ["0.1", "1", "0", "2"],
     "bn_eps": ["1e-5", "0", "-1"],
     "target_domain": ["2", "0", "3", "-1"],
-    "strategy": ["MeanMeanIM", "MainOnly", "MaxI", "bogus"],
-    "scope": ["independent_only", "all_units", "everything"],
+    "strategy": ["MeanMeanIM", "MainOnly", "MaxI", "bogus", ""],
+    "scope": ["independent_only", "all_units", "everything", ""],
     "probe_rows": ["1", "4", "0", "-1"],
 }
 # keys whose every parsed value is cheap also take any text and any float

@@ -1,5 +1,6 @@
 """Synthetic data generation, file round trips, splits."""
 
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -408,6 +409,92 @@ class TestStrictValues:
                      np.array([0, 1]), num_classes=1, num_domains=2)
         save(ds, tmp_path / "d.csv")
         assert_same_dataset(load(tmp_path / "d.csv"), ds)
+
+
+def _long_file(tmp_path) -> tuple[Path, list[str]]:
+    """A saved file of 2 * BLOCK_ROWS + 40 data rows, and its lines."""
+    ds, _ = generate(num_classes=2, num_domains=2, per_cell=BLOCK_ROWS // 2 + 10,
+                     feature_dim=4, seed=21)
+    path = tmp_path / "long.csv"
+    save(ds, path)
+    return path, path.read_text().splitlines()
+
+
+class TestStreamingReader:
+    """`load` reads one line at a time into BLOCK_ROWS-row arrays: every
+    line number past the first block, the first failing line in file order,
+    bytes that are not UTF-8, and memory about the size of the arrays."""
+
+    @pytest.mark.parametrize("kind, message", [
+        ("bad value", "malformed value (could not convert string to float: 'oops')"),
+        ("short row", "expected 6 fields, got 5"),
+        ("nan", "non-finite feature"),
+    ])
+    @pytest.mark.parametrize("at", [BLOCK_ROWS, BLOCK_ROWS + 7, 2 * BLOCK_ROWS + 39])
+    def test_line_past_the_first_block(self, tmp_path, kind, message, at):
+        """Data row `at` (0-based) is file line `at + 2`, in any block."""
+        path, lines = _long_file(tmp_path)
+        path.write_bytes(_mutate(lines, kind, at).encode())
+        assert load_error(load, path) == f"{path}:{at + 2}: {message}"
+        assert load_error(reference_load, path) == load_error(load, path)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"domain,label,f0\n0,0,1.0\n1,\xff,2.0\n")
+        with pytest.raises(UnicodeDecodeError):
+            reference_load(path)
+        assert load_error(load, path) == f"{path}:3: not valid UTF-8 (byte 0xff)"
+
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"domain,label,f\xe90\n0,0,1.0\n", 1, "e9"),
+        (b"domain,label,f0\r\n0,0,1.0\r\n0,1,2.0\xc3\r\n", 3, "c3"),  # cut-off sequence
+        (b"domain,label,f0\n0,0,1.0\n0,1,\xed\xa0\x80\n", 3, "ed"),  # encoded surrogate
+    ])
+    def test_undecodable_byte_anywhere(self, tmp_path, data, line, byte):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        assert load_error(load, path) == f"{path}:{line}: not valid UTF-8 (byte 0x{byte})"
+
+    def test_first_failure_in_file_order(self, tmp_path):
+        """A malformed line 3 is reported before a later undecodable byte (a
+        whole-text reader met the byte first), and an undecodable line 3
+        before a later malformed one."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"domain,label,f0\n0,0,1.0\n0,1,oops\n" + b"1,0,2.0\n" * BLOCK_ROWS
+                         + b"1,1,\xff\n")
+        assert load_error(load, path) == (f"{path}:3: malformed value (could not convert "
+                                          f"string to float: 'oops')")
+        path.write_bytes(b"domain,label,f0\n0,0,1.0\n0,1,\xff\n1,0,oops\n")
+        assert load_error(load, path) == f"{path}:3: not valid UTF-8 (byte 0xff)"
+
+    def test_non_finite_after_every_line_parsed(self, tmp_path):
+        """As in the reference, a non-finite row is reported only when no
+        line is malformed, whichever block either falls in."""
+        path, lines = _long_file(tmp_path)
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+        lines[2 * BLOCK_ROWS] = lines[2 * BLOCK_ROWS].rsplit(",", 1)[0] + ",oops"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_error(load, path) == load_error(reference_load, path) == (
+            f"{path}:{2 * BLOCK_ROWS + 1}: malformed value (could not convert string to "
+            f"float: 'oops')")
+
+    def test_peak_memory_about_the_arrays(self, tmp_path):
+        """`load` keeps the rows in blocks and stacks them once: its traced
+        peak stays within 3x the bytes of the arrays it returns (2.04-2.09x
+        measured on 500-8000 rows of 4-64 features; a whole-text reader
+        peaked at 4.6-5.0x)."""
+        ds, _ = generate(per_cell=100, seed=4)  # 2000 rows of 16 features
+        path = tmp_path / "d.csv"
+        save(ds, path)
+        load(path)
+        tracemalloc.start()
+        try:
+            back = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = back.features.nbytes + back.labels.nbytes + back.domain_ids.nbytes
+        assert peak <= 3 * arrays, (peak, arrays)
 
 
 class TestSplits:

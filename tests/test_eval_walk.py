@@ -1,6 +1,9 @@
 """The evaluation walk on plain arrays: agreement with the tape composite it
-replaced, bitwise chunk invariance, the exact-zero probe copy, non-finite
-input refused, and no tape use at all."""
+replaced, bitwise chunk invariance, pieces of `EVAL_ROWS` rows bitwise one
+walk, the exact-zero probe copy, non-finite input refused, bounded memory,
+and no tape use at all."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from normaug.inference import (
     main_accuracy,
     predict,
 )
-from normaug.model import ROW_BLOCK
+from normaug.model import EVAL_ROWS, ROW_BLOCK
 from normaug.tensor import Tensor
 
 # BN and ON main routes on both backbones, plus odd widths
@@ -290,3 +293,108 @@ def test_eval_rejects_bad_input():
         nb.eval_normalize(m.main_units[0], np.ones((3, 5)))
     with pytest.raises(T.ShapeError, match="IN undefined"):
         nb.eval_normalize(nb.ONUnit(1), np.ones((3, 1)))
+
+
+# row counts at the seams of the walk's pieces and of the products' row blocks
+SEAM_ROWS = (1, ROW_BLOCK - 1, EVAL_ROWS - 1, EVAL_ROWS, EVAL_ROWS + 1,
+             2 * EVAL_ROWS + ROW_BLOCK + 3)
+
+
+def _one_walk(model, x, subsets):
+    """Main and sub-path logits and main features from one `_eval_features`
+    walk of all the rows, in no pieces."""
+    h = model._eval_input(x)
+    feats = model._eval_features(h, model.main_units)
+    subs = [model._aux_classifier(s).apply(model._eval_features(h, model._bank_units(s)))
+            for s in subsets]
+    return model.classifier_main.apply(feats), subs, feats
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_pieces_bitwise_equal_one_walk(model, scope):
+    """`eval_logits`, `features`, `predict`, `evaluate` and `main_accuracy`
+    walk in pieces of at most EVAL_ROWS rows, with the bits of one walk."""
+    subsets = inference.subpath_subsets(model, scope)
+    for n in SEAM_ROWS:
+        x = _rows(model, n, seed=n)
+        labels = np.arange(n) % model.config.num_classes
+        main, subs, feats = _one_walk(model, x, subsets)
+        got_main, got_subs = model.eval_logits(x, subsets)
+        assert np.array_equal(got_main, main), n
+        assert len(got_subs) == len(subs)
+        assert all(np.array_equal(a, b) for a, b in zip(got_subs, subs)), n
+        assert np.array_equal(model.features(x), feats), n
+        p_main, p_subs = _softmax_rows(main), [_softmax_rows(z) for z in subs]
+        for strategy in (FusionStrategy.MEAN_MEAN_IM, FusionStrategy.MAX_IM):
+            fused, per_path = predict(model, x, strategy, scope)
+            assert np.array_equal(fused, fuse(p_main, p_subs, strategy)), (n, strategy)
+            assert all(np.array_equal(a, b) for a, b in zip(per_path.values(),
+                                                            [p_main, *p_subs])), n
+        report = evaluate(model, x, labels, FusionStrategy.MEAN_ALL, scope)
+        ref = fuse(p_main, p_subs, FusionStrategy.MEAN_ALL)
+        assert np.array_equal(report.fused_probabilities, ref), n
+        assert report.fused_accuracy == float((ref.argmax(1) == labels).mean())
+        accuracy = float((p_main.argmax(1) == labels).mean())
+        assert report.per_path["main"] == main_accuracy(model, x, labels) == accuracy
+
+
+def test_walk_runs_in_pieces(monkeypatch):
+    """Every route walks pieces of at most EVAL_ROWS rows that cover the
+    rows in order; the batch-statistics probe stays one walk."""
+    m = _trained(KINDS["on-mlp"])
+    n = 2 * EVAL_ROWS + ROW_BLOCK + 3
+    x = _rows(m, n, seed=12)
+    pieces = []
+    walk = m._eval_features
+    monkeypatch.setattr(m, "_eval_features", lambda h, *a: pieces.append(h.shape[0]) or walk(h, *a))
+    predict(m, x, FusionStrategy.MEAN_ALL, SubpathScope.INDEPENDENT_ONLY)
+    routes = 1 + len(m.banks[0].singletons())
+    assert pieces == [EVAL_ROWS, EVAL_ROWS, ROW_BLOCK + 3] * routes
+    pieces.clear()
+    m.features(x)
+    assert pieces == [EVAL_ROWS, EVAL_ROWS, ROW_BLOCK + 3]
+    pieces.clear()
+    m.features_with_batch_stats(x)
+    assert pieces == [n]
+
+
+def test_non_finite_row_named_past_the_first_piece():
+    """The whole input is checked once, so a bad row in a later piece is
+    named by its row in the input."""
+    m = _trained(KINDS["bn-mlp"])
+    x = _rows(m, 2 * EVAL_ROWS, seed=13)
+    x[EVAL_ROWS + 5, 3] = np.inf
+    labels = np.arange(x.shape[0]) % m.config.num_classes
+    subset = m.banks[0].subsets()[0]
+    calls = [
+        lambda: predict(m, x),
+        lambda: evaluate(m, x, labels, FusionStrategy.MEAN_ALL, SubpathScope.ALL_UNITS),
+        lambda: main_accuracy(m, x, labels),
+        lambda: m.features(x),
+        lambda: m.eval_logits(x, [subset]),
+        lambda: m.forward_subpath(x, subset, mode="eval"),
+        lambda: divergence(m, {0: x[:10], 1: x[10:20]}, x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^model: non-finite feature in row 1029$"):
+            call()
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_predict_memory_is_outputs_plus_one_piece(scope):
+    """`predict` on 8 * EVAL_ROWS rows of a model with 64-wide layers peaks
+    within 4x its outputs (fused and per-route (n, classes) matrices) plus
+    one EVAL_ROWS piece at the widest layer: 2.53-2.74x measured, where one
+    walk of all rows peaked at 8.1-11.2x."""
+    m = _trained(dict(hidden=(64, 64)))
+    x = _rows(m, 8 * EVAL_ROWS, seed=14)
+    predict(m, x[:10], FusionStrategy.MEAN_ALL, scope)
+    tracemalloc.start()
+    try:
+        fused, per_path = predict(m, x, FusionStrategy.MEAN_ALL, scope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = fused.nbytes + sum(p.nbytes for p in per_path.values())
+    piece = EVAL_ROWS * max(m.config.hidden_sizes) * x.itemsize
+    assert peak <= 4 * (outputs + piece), (peak, outputs, piece)
