@@ -8,11 +8,12 @@ Usage:
 
 Each tree runs, in its own temporary directory and from its own `src/`:
 `gen-data`, `train`, `eval` with the default fusion rule, `eval` with
-`strategy = MeanAll` and `scope = all_units`, `diagnose` and `ablate`, all
-from `--config` (with its `dataset` and `checkpoint` keys replaced by paths
-into that directory, and the second `eval`'s `strategy` and `scope` keys
-set; `ablate` reads the config as given, so its `seeds` list sets the
-grid's size). For every artifact the tool prints `identical`, `moved` or
+`strategy = MeanAll` and `scope = all_units`, `eval` with `scope =
+all_units` alone, `diagnose` with the config's keys and with `probe_rows =
+16` and `seed = 3`, and `ablate`, all from `--config` (with its `dataset`
+and `checkpoint` keys replaced by paths into that directory, and the keys
+named here set; `ablate` reads the config as given, so its `seeds` list
+sets the grid's size). For every artifact the tool prints `identical`, `moved` or
 which tree did not write it (`missing in the parent`); for a moved one, its
 first differing line (a byte offset for `model.ckpt`) and the largest
 absolute difference over the numeric fields. Then each tree runs
@@ -69,7 +70,9 @@ ARTIFACTS = {
     "model.ckpt": "model.ckpt",
     "accuracy.csv (default)": "eval_default/accuracy.csv",
     "accuracy.csv (MeanAll, all_units)": "eval_all/accuracy.csv",
+    "accuracy.csv (all_units)": "eval_scope/accuracy.csv",
     "diagnostics.csv": "diagnostics.csv",
+    "diagnostics.csv (probe_rows 16, seed 3)": "diagnose_probe/diagnostics.csv",
     "ablation.csv": "ablate/ablation.csv",
     "fusion.csv": "ablate/fusion.csv",
 }
@@ -168,21 +171,30 @@ def held_out_domain(config: Path, dataset: Path) -> int:
     return datagen.load(dataset).num_domains - 1
 
 
+# the runs after `train` that set keys of their own: (command, output
+# directory, keys set over the pipeline config)
+KEYED_RUNS = [
+    ("eval", "eval_all", {"strategy": "MeanAll", "scope": "all_units"}),
+    ("eval", "eval_scope", {"scope": "all_units"}),
+    ("diagnose", "diagnose_probe", {"probe_rows": "16", "seed": "3"}),
+]
+
+
 def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
-    """The README pipeline from `config` in `work`; returns the config that
-    points `dataset` and `checkpoint` into `work`."""
+    """The README pipeline from `config` in `work`, and the `KEYED_RUNS`;
+    returns the config that points `dataset` and `checkpoint` into `work`."""
     work.mkdir(parents=True)
     run_config = work / "run.txt"
     run_config.write_text(pipeline_config(config, work), encoding="utf-8")
-    all_config = work / "eval_all.txt"
-    all_config.write_text(pipeline_config(config, work, strategy="MeanAll", scope="all_units"),
-                          encoding="utf-8")
     cfg = str(run_config)
     normaug(tree, work, "gen-data", "--config", str(config), "--out", str(work))
     normaug(tree, work, "train", "--config", cfg, "--out", str(work))
     normaug(tree, work, "eval", "--config", cfg, "--out", str(work / "eval_default"))
-    normaug(tree, work, "eval", "--config", str(all_config), "--out", str(work / "eval_all"))
     normaug(tree, work, "diagnose", "--config", cfg, "--out", str(work))
+    for command, out, keys in KEYED_RUNS:
+        keyed = work / f"{out}.txt"
+        keyed.write_text(pipeline_config(config, work, **keys), encoding="utf-8")
+        normaug(tree, work, command, "--config", str(keyed), "--out", str(work / out))
     normaug(tree, work, "ablate", "--config", str(config), "--out", str(work / "ablate"))
     return run_config
 

@@ -240,7 +240,7 @@ def load(path) -> Dataset:
         if not header:
             raise ValueError(f"{path}: empty dataset file")
         header = header.removesuffix("\n")
-        _check_utf8(path, 1, header)
+        check_utf8(path, 1, header)
         cols = header.split(",")
         if len(cols) < 3 or cols[0] != "domain" or cols[1] != "label":
             raise ValueError(f"{path}: bad header; expected 'domain,label,f0..'")
@@ -257,7 +257,7 @@ def load(path) -> Dataset:
                 blocks.append((domains, labels, feats))
                 i = 0
             line = line.removesuffix("\n")
-            _check_utf8(path, ln, line)
+            check_utf8(path, ln, line)
             parts = line.split(",")
             if len(parts) != dim + 2:
                 raise ValueError(f"{path}:{ln}: expected {dim + 2} fields, got {len(parts)}")
@@ -291,7 +291,7 @@ def load(path) -> Dataset:
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a byte `surrogateescape` could not decode
 
 
-def _check_utf8(path, ln: int, line: str) -> None:
+def check_utf8(path, ln: int, line: str) -> None:
     """A ValueError naming the first byte of `line` (read with
     `surrogateescape`) that is not UTF-8."""
     if not line.isascii():
@@ -305,8 +305,11 @@ def _check_utf8(path, ln: int, line: str) -> None:
 # splits
 
 
-def split_lodo(dataset: Dataset, target_domain: int) -> tuple[Dataset, Dataset]:
-    """Leave-one-domain-out split: (all other domains, the target domain)."""
+def split_lodo(dataset: Dataset, target_domain: int | None) -> tuple[Dataset, Dataset]:
+    """Leave-one-domain-out split: (all other domains, the target domain);
+    None holds out the last domain."""
+    if target_domain is None:
+        target_domain = dataset.num_domains - 1
     present = np.unique(dataset.domain_ids).tolist()
     if target_domain not in present:
         raise ValueError(f"split_lodo: target_domain {target_domain} is not present in the "
@@ -314,6 +317,14 @@ def split_lodo(dataset: Dataset, target_domain: int) -> tuple[Dataset, Dataset]:
     tgt_rows = dataset.domain_rows(target_domain)
     src_rows = np.flatnonzero(dataset.domain_ids != target_domain)
     return dataset.subset(src_rows), dataset.subset(tgt_rows)
+
+
+@dataclass
+class SplitConfig:
+    """The config keys that pick a run's data: the `dataset` file, and the
+    `target_domain` held out of training (None: the last, `split_lodo`)."""
+    dataset: str
+    target_domain: int | None = None
 
 
 def split_train_val(dataset: Dataset, fraction: float, seed: int

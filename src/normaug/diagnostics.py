@@ -154,3 +154,42 @@ def perturbation_probe(model: TwoPathNetwork, probe: np.ndarray,
         disp = float(np.linalg.norm(merged - base, axis=1).mean())
         out.append((name, disp))
     return out
+
+
+@dataclass
+class DiagnoseConfig:
+    """The `diagnose` config keys: rows per probe batch, and the seed of
+    the draw (`probe_sets`)."""
+    probe_rows: int = 64
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.probe_rows < 1:
+            raise ValueError(f"config key probe_rows: expected a positive integer, "
+                             f"got {self.probe_rows}")
+        if self.seed < 0:  # numpy's generators need it
+            raise ValueError(f"config key seed: expected a non-negative integer, got {self.seed}")
+
+
+def probe_sets(sources_by_domain: dict[int, np.ndarray], target_features: np.ndarray,
+               config: DiagnoseConfig) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
+    """The probe batch, drawn from the first source domain, and its
+    companions for `perturbation_probe`: a copy of it, a batch of each other
+    source domain, of the other sources pooled when there are two or more,
+    and of the target. Each batch is `probe_rows` rows, or all there are,
+    drawn without replacement by one generator seeded with `seed`."""
+    rng = np.random.default_rng(config.seed)
+
+    def draw(features: np.ndarray) -> np.ndarray:
+        count = min(config.probe_rows, features.shape[0])
+        return features[rng.choice(features.shape[0], size=count, replace=False)]
+
+    first, *others = sorted(sources_by_domain)
+    probe = draw(sources_by_domain[first])
+    companions = [("probe_copy", probe.copy())]
+    companions += [(f"domain_{d}", draw(sources_by_domain[d])) for d in others]
+    if len(others) > 1:
+        merged = np.concatenate([sources_by_domain[d] for d in others])
+        companions.append(("other_sources", draw(merged)))
+    companions.append(("target", draw(target_features)))
+    return probe, companions

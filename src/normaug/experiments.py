@@ -91,6 +91,30 @@ def check_seeds(seeds: list[int]) -> None:
             raise ValueError(f"ablation_grid: seeds: seed {seed} repeated")
 
 
+@dataclass
+class AblateConfig:
+    """The `ablate` config keys beside `generate`'s, the model's and the
+    training keys: the seed list, and the held-out domain, which is always
+    the last (`make_benchmark`). Every grid cell sets `seed`, `use_aug` and
+    `use_on` itself, so these are fields only to be refused."""
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    target_domain: int | None = None
+    seed: int | None = None
+    use_aug: bool | None = None
+    use_on: bool | None = None
+
+    def validate(self, num_domains: int) -> None:
+        """The rules for data of `num_domains` domains (`ablation_grid`
+        checks the seed list)."""
+        cell = [k for k in ("seed", "use_aug", "use_on") if getattr(self, k) is not None]
+        if cell:
+            raise ValueError(f"config key {', '.join(cell)}: every grid cell sets its own "
+                             f"switches and seed (the seed list is `seeds`)")
+        if self.target_domain not in (None, num_domains - 1):
+            raise ValueError(f"config key target_domain: ablate holds out the last domain "
+                             f"({num_domains - 1}), got {self.target_domain}")
+
+
 def ablation_grid(seeds: list[int], train_config: TrainConfig | None = None,
                   base_model_config: ModelConfig | None = None,
                   generate_kwargs: dict | None = None) -> tuple[list[dict], list[dict]]:

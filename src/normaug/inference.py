@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoPathNetwork
+from . import datagen
+from .datagen import Dataset, SplitConfig
+from .model import TwoPathNetwork, load_checkpoint
 from .normbank import DomainSubset
 
 
@@ -28,27 +30,10 @@ class FusionStrategy(enum.Enum):
     MAX_MEAN_I_M = "MaxMeanI_M"  # max(mean(subs), main)
     MEAN_MAX_I_M = "MeanMaxI_M"  # mean(max(subs), main)
 
-    @classmethod
-    def from_name(cls, name: str) -> "FusionStrategy":
-        return _by_name(cls, name, "fusion strategy")
-
 
 class SubpathScope(enum.Enum):
     INDEPENDENT_ONLY = "independent_only"  # singleton-domain sub-paths
     ALL_UNITS = "all_units"                # every bank unit
-
-    @classmethod
-    def from_name(cls, name: str) -> "SubpathScope":
-        return _by_name(cls, name, "sub-path scope")
-
-
-def _by_name(cls, name: str, what: str):
-    """The member of `cls` whose value or name is `name` in any case."""
-    for member in cls:
-        if name.lower() in (member.value.lower(), member.name.lower()):
-            return member
-    valid = ", ".join(m.value for m in cls)
-    raise ValueError(f"unknown {what} {name!r}; expected one of {valid}")
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -112,22 +97,56 @@ def fuse(p_main: np.ndarray, p_subs: list[np.ndarray],
         return p_main
     if not p_subs:
         raise ValueError(f"fuse: strategy {strategy.value} needs sub-path predictions")
-    mean_subs = mean_paths(p_subs)
     if strategy is S.MEAN_MEAN_IM:
-        return (p_main + mean_subs) / 2.0
+        return (p_main + mean_paths(p_subs)) / 2.0
     if strategy is S.MEAN_ALL:
         return mean_paths([p_main] + p_subs)
     if strategy is S.MEAN_I:
-        return mean_subs
+        return mean_paths(p_subs)
     if strategy is S.MAX_I:
         return _renormalize(np.maximum.reduce(p_subs))
     if strategy is S.MAX_IM:
         return _renormalize(np.maximum.reduce([p_main] + p_subs))
     if strategy is S.MAX_MEAN_I_M:
-        return _renormalize(np.maximum(mean_subs, p_main))
+        return _renormalize(np.maximum(mean_paths(p_subs), p_main))
     if strategy is S.MEAN_MAX_I_M:
         return (_renormalize(np.maximum.reduce(p_subs)) + _renormalize(p_main)) / 2.0
     raise ValueError(f"fuse: unhandled strategy {strategy}")
+
+
+@dataclass
+class EvalConfig:
+    """The `eval` config keys: the fusion rule (None: the model's
+    `default_strategy`) and the sub-path scope. Their types are their rule:
+    any other value is refused when the config is parsed."""
+    strategy: FusionStrategy | None = None
+    scope: SubpathScope = SubpathScope.INDEPENDENT_ONLY
+
+
+@dataclass(kw_only=True)
+class RunConfig(SplitConfig):
+    """The config keys of a trained run to score: its `checkpoint`, and the
+    dataset and held-out domain of `SplitConfig`."""
+    checkpoint: str
+
+    def load(self) -> tuple[TwoPathNetwork, Dataset, Dataset]:
+        """The checkpoint's model and the dataset's source and held-out
+        splits. The dataset must fit the model: its sources plus one
+        held-out domain, its input width, and labels it can score."""
+        model = load_checkpoint(self.checkpoint)[0]
+        dataset = datagen.load(self.dataset)
+        mc = model.config
+        domains = int(np.unique(dataset.domain_ids).size)
+        if domains != mc.num_domains + 1:
+            raise ValueError(f"dataset has {domains} domains, the model needs "
+                             f"{mc.num_domains + 1} ({mc.num_domains} sources + 1 held out)")
+        if dataset.feature_dim != mc.input_dim:
+            raise ValueError(f"dataset has feature_dim {dataset.feature_dim}, "
+                             f"the model has input_dim {mc.input_dim}")
+        if dataset.num_classes > mc.num_classes:
+            raise ValueError(f"dataset has labels up to {dataset.num_classes - 1}, "
+                             f"the model has num_classes {mc.num_classes}")
+        return (model, *datagen.split_lodo(dataset, self.target_domain))
 
 
 def default_strategy(model: TwoPathNetwork) -> FusionStrategy:

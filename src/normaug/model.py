@@ -15,6 +15,8 @@ batched or cut into pieces.
 
 from __future__ import annotations
 
+import enum
+import inspect
 import json
 import math
 import struct
@@ -480,10 +482,13 @@ def format_value(value) -> str:
 
 
 def parse_value(key: str, raw: str, kind):
-    """`raw` as a value of `kind` (bool, int, float, str or tuple[int, ...]);
-    a value of any kind but str is plain ASCII without `_`, and floats must
-    be finite. Raises ValueError naming `key`."""
+    """`raw` as a value of `kind`: bool, int, float, str, tuple[int, ...] or
+    an enum, whose members are read by value or name in any case; a value
+    of any kind but str and an enum is plain ASCII without `_`, and floats
+    must be finite. Raises ValueError naming `key`."""
     try:
+        if isinstance(kind, enum.EnumMeta):
+            return next(m for m in kind if raw.lower() in (m.value.lower(), m.name.lower()))
         if kind is not str and (not raw.isascii() or "_" in raw):
             raise ValueError
         if kind is bool:
@@ -495,17 +500,19 @@ def parse_value(key: str, raw: str, kind):
         if kind is float and not math.isfinite(value):
             raise ValueError
         return value
-    except (KeyError, ValueError):
-        raise ValueError(
-            f"config key {key}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
+    except (KeyError, ValueError, StopIteration):
+        expected = (f"one of {', '.join(m.value for m in kind)}"
+                    if isinstance(kind, enum.EnumMeta) else _KIND_NAMES[kind])
+        raise ValueError(f"config key {key}: expected {expected}, got {raw!r}") from None
 
 
 def read_config(text: str, known, where: str) -> dict[str, str]:
     """The `key = value` lines of `text` as {key: value}: lines end at
     `\\n` only, `#` starts a comment, and whitespace around keys and values
     and blank lines are dropped. A line without `=`, with a character
-    `str.isprintable` refuses (tabs aside), with a key not in `known` or
-    with a repeated key raises ValueError naming `where:line`."""
+    `str.isprintable` refuses (tabs aside), with a key not in `known`, with
+    a repeated key or with an empty value raises ValueError naming
+    `where:line`."""
     out: dict[str, str] = {}
     first: dict[str, int] = {}
     for ln, raw in enumerate(text.split("\n"), start=1):
@@ -523,6 +530,8 @@ def read_config(text: str, known, where: str) -> dict[str, str]:
         if key in first:
             raise ValueError(f"{where}:{ln}: config key {key!r} repeated "
                              f"(first on line {first[key]})")
+        if not value:
+            raise ValueError(f"{where}:{ln}: config key {key!r} has an empty value")
         first[key], out[key] = ln, value
     return out
 
@@ -533,16 +542,27 @@ def _parse_key(kv: dict[str, str], key: str, kind):
     return parse_value(key, kv[key], kind)
 
 
-def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
-    """Dataclass `cls` with the `fixed` field values and every other field
-    parsed from `kv` by its annotated type; a field missing from `kv` keeps
-    its default, or is an error when `required`. Not validated."""
-    hints = typing.get_type_hints(cls)
+def config_values(fn, kv: dict[str, str], required: bool = False, **fixed) -> dict:
+    """The arguments of `fn`, a dataclass or a function: the `fixed` values,
+    and every other parameter parsed from `kv` by its annotated type (`X`
+    for `X | None`), or its default if `kv` lacks it. A parameter missing
+    from `kv` that has no default, or any when `required`, is an error."""
+    hints = typing.get_type_hints(fn)
     values = dict(fixed)
-    for f in fields(cls):
-        if f.name not in fixed and (required or f.name in kv):
-            values[f.name] = _parse_key(kv, f.name, hints[f.name])
-    return cls(**values)
+    for name, p in inspect.signature(fn).parameters.items():
+        if name in fixed:
+            continue
+        if name in kv or required or p.default is p.empty:
+            args = typing.get_args(hints[name])
+            values[name] = _parse_key(kv, name, args[0] if type(None) in args else hints[name])
+        else:
+            values[name] = p.default
+    return values
+
+
+def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
+    """Dataclass `cls` built from `config_values`; not validated."""
+    return cls(**config_values(cls, kv, required, **fixed))
 
 
 # ---------------------------------------------------------------------------

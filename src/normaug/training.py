@@ -306,12 +306,13 @@ class TrainResult:
         return self.metrics[-1]
 
 
-def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int,
+def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int | None,
           config: TrainConfig, *, score_every_epoch: bool = True) -> TrainResult:
     """Leave-one-domain-out training: fit on all domains except
-    `target_domain` and score the source validation split and the target
-    after every epoch, or, with `score_every_epoch=False`, after the last
-    one only; an unscored epoch's row holds just `epoch` and `train_loss`.
+    `target_domain` (None: the last) and score the source validation split
+    and the target after every epoch, or, with `score_every_epoch=False`,
+    after the last one only; an unscored epoch's row holds just `epoch` and
+    `train_loss`.
     Scoring touches no training state, so the final row, the parameters
     and `rng_state` are the same either way. After each epoch every block
     buffer and running moment must be finite, or the run aborts naming the

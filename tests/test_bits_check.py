@@ -149,6 +149,9 @@ def test_prediction_summary(tool):
 
 
 def test_one_tree_on_both_sides_is_identical(tool, tmp_path):
+    """Every artifact and `predict` line is identical; the keyed runs wrote
+    their own files (the `diagnose` run with 16 probe rows and seed 3 moves
+    the probe rows only)."""
     config = tmp_path / "tiny.txt"
     config.write_text(TINY, encoding="utf-8")
     lines = tool.check(ROOT, ROOT, config, tmp_path / "work")
@@ -161,6 +164,12 @@ def test_one_tree_on_both_sides_is_identical(tool, tmp_path):
                for line in predicted)
     assert lines[-1] == ("predict: largest main-route difference 0, "
                          "largest sub-path difference 0")
+    run = tmp_path / "work" / "parent"
+    rows = (run / "eval_scope/accuracy.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["main", "sub_0", "sub_1", "fused"]
+    diagnostics = [(run / rel).read_text().splitlines()
+                   for rel in ("diagnostics.csv", "diagnose_probe/diagnostics.csv")]
+    assert diagnostics[0][:3] == diagnostics[1][:3] and diagnostics[0][3:] != diagnostics[1][3:]
 
 
 GATE = """tests/test_acceptance.py

@@ -309,16 +309,28 @@ class TestFiniteOnSave:
 class TestRngStateOnSave:
     """`save_checkpoint` writes only an `rng_state` that `load_checkpoint`
     gives back: its block line, read by `read_config`, holds the same
-    text, and it is not `-`, which stands for None."""
+    text, which is not empty, and it is not `-`, which stands for None."""
 
-    @pytest.mark.parametrize("rng_state", ["a#b", " x", "a\nepoch=3", "-"],
-                             ids=["comment", "leading-space", "newline", "none-sentinel"])
+    @pytest.mark.parametrize("rng_state", ["a#b", " x", "a\nepoch=3", "-", ""],
+                             ids=["comment", "leading-space", "newline", "none-sentinel",
+                                  "empty"])
     def test_refused_before_the_file_is_opened(self, tmp_path, rng_state):
         path = tmp_path / "m.ckpt"
         with pytest.raises(ValueError, match=re.escape(
                 f"save_checkpoint: rng_state {rng_state!r} does not load back as written") + "$"):
             save_checkpoint(tiny_model(seed=3), path, rng_state=rng_state)
         assert not path.exists()
+
+    def test_empty_value_refused_on_load(self, saved):
+        """What save refuses to write, the loader refuses to read."""
+        blob, directory = saved
+        text, _, records = layout(blob)
+        lines = text.splitlines(True)
+        ln = next(i for i, line in enumerate(lines, 1) if line.startswith("rng_state="))
+        lines[ln - 1] = "rng_state=\n"
+        with pytest.raises(ValueError, match=re.escape(
+                f"config block:{ln}: config key 'rng_state' has an empty value") + "$"):
+            load_bytes(directory, assemble("".join(lines), [r for _, r in records]))
 
     def test_encoded_state_and_none_round_trip(self, tmp_path):
         model = tiny_model(seed=3)

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import functools
+import inspect
 import io
 import math
 from pathlib import Path
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from normaug import datagen, training
-from normaug.cli import main, parse_config
+from normaug import cli, datagen, training
+from normaug.cli import COMMAND_KEYS, main, parse_config
 from normaug.inference import FusionStrategy, SubpathScope
 from normaug.model import (ModelConfig, config_from_text, init_model, load_checkpoint,
                            save_checkpoint)
@@ -144,24 +146,6 @@ class TestEvalCommand:
             tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
                  "strategy = bogus\n", "eval3.txt")
         assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x")]) == 2
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("key, what, members", [
-        ("strategy", "fusion strategy", FusionStrategy),
-        ("scope", "sub-path scope", SubpathScope),
-    ])
-    def test_empty_value_is_usage_error(self, pipeline, tmp_path, capsys, key, what, members):
-        """An empty `strategy =` is refused like an empty `scope =`, not read
-        as the default rule."""
-        tmp, out, dataset, _ = pipeline
-        eval_cfg = write_config(
-            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n{key} =\n",
-            "empty.txt")
-        capsys.readouterr()
-        assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "x")]) == 2
-        valid = ", ".join(m.value for m in members)
-        assert capsys.readouterr().err == (
-            f"normaug eval: unknown {what} ''; expected one of {valid}\n")
         assert not (tmp_path / "x").exists()
 
     def test_model_without_bank(self, tmp_path, capsys):
@@ -352,6 +336,7 @@ class TestAblateCommand:
             models.append(model.config)
             return train(model, *args, **kwargs)
 
+        @functools.wraps(generate)  # the CLI parses the keys by its signature
         def spy_generate(**kwargs):
             generated.append(kwargs)
             return generate(**kwargs)
@@ -434,6 +419,56 @@ class TestIgnoredKeys:
         assert cap_plain.out.replace("plain", "extra") == cap_extra.out
         for f in ("dataset.csv", "metrics.csv", "model.ckpt"):
             assert (plain / f).read_bytes() == (extra / f).read_bytes()
+
+
+# the keys each command read before its configs were typed, written out
+PINNED_KEYS = {
+    "gen-data": {"feature_dim", "noise_sigma", "num_classes", "num_domains", "per_cell", "seed",
+                 "separation", "shift_kappa"},
+    "train": {"aux_weight", "backbone", "batch_per_domain", "bn_eps", "bn_momentum",
+              "classifier_mode", "combination_mode", "dataset", "epochs", "hidden_sizes",
+              "iters_per_epoch", "lr_backbone", "lr_classifier", "lr_step_epochs",
+              "lr_step_gamma", "momentum", "seed", "target_domain", "use_aug", "use_on",
+              "val_fraction", "weight_decay"},
+    "eval": {"checkpoint", "dataset", "scope", "strategy", "target_domain"},
+    "diagnose": {"checkpoint", "dataset", "probe_rows", "seed", "target_domain"},
+    "ablate": {"aux_weight", "backbone", "batch_per_domain", "bn_eps", "bn_momentum",
+               "classifier_mode", "combination_mode", "epochs", "feature_dim", "hidden_sizes",
+               "iters_per_epoch", "lr_backbone", "lr_classifier", "lr_step_epochs",
+               "lr_step_gamma", "momentum", "noise_sigma", "num_classes", "num_domains",
+               "per_cell", "seed", "seeds", "separation", "shift_kappa", "target_domain",
+               "use_aug", "use_on", "val_fraction", "weight_decay"},
+}
+
+
+class TestCommandKeys:
+    def test_each_command_keeps_its_keys(self):
+        assert COMMAND_KEYS == PINNED_KEYS
+
+    def test_keys_are_the_parameters_each_command_parses(self, tmp_path, monkeypatch):
+        """Run every command on a valid config and record each dataclass
+        (`config_from_text`) and function (`config_values`) it parses: its
+        keys are their parameters, less the ones it fixes."""
+        parsed = set()
+
+        def spy(parse):
+            def record(fn, kv, *args, **fixed):
+                parsed.update(inspect.signature(fn).parameters.keys() - fixed.keys())
+                return parse(fn, kv, *args, **fixed)
+            return record
+
+        monkeypatch.setattr(cli, "config_from_text", spy(cli.config_from_text))
+        monkeypatch.setattr(cli, "config_values", spy(cli.config_values))
+        out = tmp_path / "out"
+        files = f"dataset = {out / 'dataset.csv'}\ncheckpoint = {out / 'model.ckpt'}\n"
+        runs = [("gen-data", SMALL_GEN), ("train", SMALL_TRAIN + files), ("eval", files),
+                ("diagnose", files + "probe_rows = 8\n"),
+                ("ablate", SMALL_GRID.replace("seeds = 0,1", "seeds = 0"))]
+        for command, text in runs:
+            parsed.clear()
+            cfg = write_config(tmp_path, text, f"{command}.txt")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert parsed == COMMAND_KEYS[command], command
 
 
 class TestUsageErrors:
@@ -578,6 +613,26 @@ class TestUsageErrors:
             f"normaug {command}: ModelConfig: num_domains 1 < 2 source domains "
             f"(the data needs at least 3 domains: 2 sources + 1 held out)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "dataset"), ("eval", "checkpoint"), ("eval", "strategy"), ("eval", "scope"),
+        ("train", "strategy")], ids=["train-dataset", "eval-checkpoint", "eval-strategy",
+                                     "eval-scope", "train-ignored-key"])
+    def test_empty_value_exits_2_naming_the_key(self, pipeline, tmp_path, capsys, command,
+                                                key):
+        """The config reader refuses an empty value for every key, one the
+        command ignores included, naming the key and its line: it is read
+        neither as the key's default nor as a path."""
+        tmp, out, dataset, _ = pipeline
+        lines = {"checkpoint": out / "model.ckpt", "dataset": dataset, key: ""}
+        text = SMALL_TRAIN + "".join(f"{k} = {v}\n" for k, v in lines.items())
+        cfg = write_config(tmp, text, "empty.txt")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        line = text.split("\n").index(f"{key} = ") + 1
+        assert capsys.readouterr().err == (
+            f"normaug {command}: {cfg}:{line}: config key '{key}' has an empty value\n")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         cfg = write_config(tmp_path, "dataset = /does/not/exist.csv\n")
@@ -731,41 +786,42 @@ CONTRACT_BASE = {
     "ablate": ("seeds = 0\nnum_classes = 2\nnum_domains = 3\nper_cell = 4\nfeature_dim = 4\n"
                "epochs = 1\niters_per_epoch = 1\nbatch_per_domain = 2\nhidden_sizes = 4\n"),
 }
-# each key's valid, boundary and invalid values, with sizes capped so that no
-# example allocates more than a few MB or trains more than a few steps
+# each key's valid, boundary and invalid values, the empty one included, with
+# sizes capped so that no example allocates more than a few MB or trains more
+# than a few steps
 CONTRACT_VALUES = {
-    "num_classes": ["2", "3", "1", "0", "two"],
-    "num_domains": ["2", "3", "1", "-1"],
-    "per_cell": ["4", "6", "3", "0", "4.0", "\u0664\u0660"],
-    "feature_dim": ["4", "5", "3", "0"],
-    "separation": ["3.0", "0", "-2", "1e308", "nan"],
-    "shift_kappa": ["0", "2.0", "-3", "1e4", "1e308", "inf"],
-    "noise_sigma": ["1.0", "0", "-1", "1e308"],
-    "seed": ["0", "7", "-1", "1.5", "1_0", "\u0663"],
+    "num_classes": ["2", "3", "1", "0", "two", ""],
+    "num_domains": ["2", "3", "1", "-1", ""],
+    "per_cell": ["4", "6", "3", "0", "4.0", "\u0664\u0660", ""],
+    "feature_dim": ["4", "5", "3", "0", ""],
+    "separation": ["3.0", "0", "-2", "1e308", "nan", ""],
+    "shift_kappa": ["0", "2.0", "-3", "1e4", "1e308", "inf", ""],
+    "noise_sigma": ["1.0", "0", "-1", "1e308", ""],
+    "seed": ["0", "7", "-1", "1.5", "1_0", "\u0663", ""],
     "seeds": ["0", "0,1", "1,1", "-1", "0,-2", ""],
-    "epochs": ["1", "2", "0"],
-    "iters_per_epoch": ["1", "2", "0", "-1"],
-    "batch_per_domain": ["2", "3", "1", "1000"],
-    "lr_backbone": ["0.01", "0", "-1", "1e300"],
-    "lr_classifier": ["0.01", "0", "nan"],
-    "momentum": ["0", "0.9", "1", "-0.5"],
-    "weight_decay": ["0", "5e-4", "-1"],
-    "combination_mode": ["random", "single_only", "bogus"],
-    "aux_weight": ["0", "1.0", "-1"],
-    "lr_step_epochs": ["0", "1", "-1"],
-    "lr_step_gamma": ["0.5", "1", "0", "1.5"],
-    "val_fraction": ["0.1", "0.5", "0.9", "0", "1"],
+    "epochs": ["1", "2", "0", ""],
+    "iters_per_epoch": ["1", "2", "0", "-1", ""],
+    "batch_per_domain": ["2", "3", "1", "1000", ""],
+    "lr_backbone": ["0.01", "0", "-1", "1e300", ""],
+    "lr_classifier": ["0.01", "0", "nan", ""],
+    "momentum": ["0", "0.9", "1", "-0.5", ""],
+    "weight_decay": ["0", "5e-4", "-1", ""],
+    "combination_mode": ["random", "single_only", "bogus", ""],
+    "aux_weight": ["0", "1.0", "-1", ""],
+    "lr_step_epochs": ["0", "1", "-1", ""],
+    "lr_step_gamma": ["0.5", "1", "0", "1.5", ""],
+    "val_fraction": ["0.1", "0.5", "0.9", "0", "1", ""],
     "hidden_sizes": ["4", "4,3", "0", "4,-1", "", "4,,3"],
-    "use_on": ["true", "false", "maybe"],
-    "use_aug": ["true", "false", "0"],
-    "classifier_mode": ["independent", "shared_one", "shared_two", "bogus"],
-    "backbone": ["mlp", "smallconv", "resnet"],
-    "bn_momentum": ["0.1", "1", "0", "2"],
-    "bn_eps": ["1e-5", "0", "-1"],
-    "target_domain": ["2", "0", "3", "-1"],
+    "use_on": ["true", "false", "maybe", ""],
+    "use_aug": ["true", "false", "0", ""],
+    "classifier_mode": ["independent", "shared_one", "shared_two", "bogus", ""],
+    "backbone": ["mlp", "smallconv", "resnet", ""],
+    "bn_momentum": ["0.1", "1", "0", "2", ""],
+    "bn_eps": ["1e-5", "0", "-1", ""],
+    "target_domain": ["2", "0", "3", "-1", ""],
     "strategy": ["MeanMeanIM", "MainOnly", "MaxI", "bogus", ""],
     "scope": ["independent_only", "all_units", "everything", ""],
-    "probe_rows": ["1", "4", "0", "-1"],
+    "probe_rows": ["1", "4", "0", "-1", ""],
 }
 # keys whose every parsed value is cheap also take any text and any float
 CONTRACT_FREE = {"separation", "shift_kappa", "noise_sigma", "seed", "lr_backbone",
@@ -823,8 +879,9 @@ class TestContract:
     def test_main_keeps_the_contract(self, contract_files, tmp_path_factory, data):
         d = contract_files
         values = CONTRACT_VALUES | {
-            "dataset": [str(d / n) for n in ("data.csv", "wide.csv", "bad.csv", "missing.csv")],
-            "checkpoint": [str(d / n) for n in ("model.ckpt", "bad.ckpt", "missing.ckpt")]}
+            "dataset": [str(d / n) for n in ("data.csv", "wide.csv", "bad.csv", "missing.csv")]
+            + [""],
+            "checkpoint": [str(d / n) for n in ("model.ckpt", "bad.ckpt", "missing.ckpt")] + [""]}
         command = data.draw(st.sampled_from(sorted(CONTRACT_BASE)), label="command")
         text = st.text(st.characters(blacklist_characters="\n#", blacklist_categories=("Cs",)),
                        max_size=10)

@@ -1,5 +1,7 @@
 """Fusion arithmetic, evaluation purity, scope handling."""
 
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from normaug.inference import (
     mean_paths,
     predict,
 )
+from normaug.model import parse_value
 from normaug.normbank import DomainSubset
 
 PM = np.array([[0.8, 0.2]])
@@ -76,11 +79,32 @@ class TestFusionArithmetic:
                 scaled = fuse(pm * scale, [s * scale for s in subs], strat).argmax(axis=1)
                 assert np.array_equal(base, scaled), strat
 
-    def test_from_name(self):
-        assert FusionStrategy.from_name("MeanMeanIM") is FusionStrategy.MEAN_MEAN_IM
-        assert FusionStrategy.from_name("mean_all") is FusionStrategy.MEAN_ALL
-        with pytest.raises(ValueError, match="unknown fusion strategy"):
-            FusionStrategy.from_name("bogus")
+    def test_rules_and_scopes_parse_by_value_or_name(self):
+        """A config value names a member by its value or its name, in any case."""
+        assert parse_value("strategy", "MeanMeanIM", FusionStrategy) is FusionStrategy.MEAN_MEAN_IM
+        assert parse_value("strategy", "mean_all", FusionStrategy) is FusionStrategy.MEAN_ALL
+        assert parse_value("scope", "ALL_UNITS", SubpathScope) is SubpathScope.ALL_UNITS
+        valid = ", ".join(m.value for m in FusionStrategy)
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key strategy: expected one of {valid}, got 'bogus'") + "$"):
+            parse_value("strategy", "bogus", FusionStrategy)
+
+    @pytest.mark.parametrize("strategy", [FusionStrategy.MAX_I, FusionStrategy.MAX_IM,
+                                          FusionStrategy.MEAN_MAX_I_M])
+    def test_max_rules_build_no_sub_path_mean(self, strategy):
+        """A rule that does not read the sub-path mean does not build it:
+        `mean_paths` alone peaks at about 12 (n, C) matrices."""
+        rng = np.random.default_rng(0)
+        n, c = 8192, 3
+        p_main, *p_subs = (rng.dirichlet(np.ones(c), size=n) for _ in range(4))
+        tracemalloc.start()
+        try:
+            fused = fuse(p_main, p_subs, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fused.shape == (n, c)
+        assert peak <= 6 * n * c * 8
 
 
 class TestMeanPaths:
