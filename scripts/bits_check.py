@@ -23,7 +23,9 @@ and checkpoint, once on the held-out split and once on its rows repeated to
 1024-row pieces, and the tool prints, per rule, scope and split, the
 largest difference in fused probabilities and the number of rows whose
 argmax flipped, and the largest difference of the main route and of the
-sub-paths over all of them. The tool resolves the held-out domain once (the config's
+sub-paths over every route both trees ran; the routes only one tree ran
+(a tree may skip those a rule does not read) are named in one line. The
+tool resolves the held-out domain once (the config's
 `target_domain`, else the dataset's last domain) and passes it to both
 trees, so `predict` calls only the library, not the CLI's helpers. The
 tool reads the config and the dataset with its own tree's
@@ -244,12 +246,13 @@ def compare_files(parent: Path, change: Path) -> str:
 
 def compare_predictions(parent: dict, change: dict) -> list[str]:
     """Per rule and scope, the largest fused-probability difference and the
-    argmax flips; then the largest main-route and sub-path differences."""
-    if parent.keys() != change.keys():
-        return [f"predict: routes differ: {sorted(parent.keys() ^ change.keys())}"]
+    argmax flips; then the largest main-route and sub-path differences,
+    over the routes both trees ran; then, if any, one line naming the
+    routes only one tree ran (a tree may skip the routes a rule does not
+    read)."""
     lines = []
     main = subs = 0.0
-    for key in sorted(parent):
+    for key in sorted(parent.keys() & change.keys()):
         p, c = parent[key], change[key]
         if p.shape != c.shape:
             lines.append(f"predict {key}: shape {p.shape} vs {c.shape}")
@@ -266,6 +269,11 @@ def compare_predictions(parent: dict, change: dict) -> list[str]:
             subs = max(subs, largest)
     lines.append(f"predict: largest main-route difference {main:.3g}, "
                  f"largest sub-path difference {subs:.3g}")
+    only = [f"{side} {sorted(a.keys() - b.keys())}"
+            for side, a, b in (("parent", parent, change), ("change", change, parent))
+            if a.keys() - b.keys()]
+    if only:
+        lines.append(f"predict: routes run in one tree only: {'; '.join(only)}")
     return lines
 
 

@@ -30,6 +30,16 @@ class FusionStrategy(enum.Enum):
     MAX_MEAN_I_M = "MaxMeanI_M"  # max(mean(subs), main)
     MEAN_MAX_I_M = "MeanMaxI_M"  # mean(max(subs), main)
 
+    @property
+    def reads_main(self) -> bool:
+        """Whether the rule reads the main route's probabilities."""
+        return self not in (FusionStrategy.MEAN_I, FusionStrategy.MAX_I)
+
+    @property
+    def reads_subpaths(self) -> bool:
+        """Whether the rule reads the sub-paths' probabilities."""
+        return self is not FusionStrategy.MAIN_ONLY
+
 
 class SubpathScope(enum.Enum):
     INDEPENDENT_ONLY = "independent_only"  # singleton-domain sub-paths
@@ -57,42 +67,67 @@ def _renormalize(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
 def mean_paths(paths: list[np.ndarray]) -> np.ndarray:
     """Elementwise mean over the path axis, rounded once.
 
-    Exact compensated accumulation followed by a remainder-corrected
-    division, so the mean of two paths equals the plain (a + b) / 2 and the
-    result does not depend on path order.
+    Exact compensated accumulation (Knuth's two-sum) followed by a
+    remainder-corrected division (Dekker's split product), so the mean of
+    two paths equals the plain (a + b) / 2 and the result does not depend
+    on path order. Each step writes into one of six reused buffers; the
+    comments give the formula each group of steps computes, in its order.
     """
     hi = np.zeros_like(paths[0])
     lo = np.zeros_like(paths[0])
+    s, bv, err = np.empty_like(hi), np.empty_like(hi), np.empty_like(hi)
     for p in paths:
-        hi, err = _two_sum(hi, p)
-        lo = lo + err
+        np.add(hi, p, out=s)                   # s = hi + p
+        np.subtract(s, hi, out=bv)             # bv = s - hi
+        np.subtract(s, bv, out=err)
+        np.subtract(hi, err, out=err)
+        np.subtract(p, bv, out=bv)
+        np.add(err, bv, out=err)               # err = (hi - (s - bv)) + (p - bv)
+        np.add(lo, err, out=lo)                # lo = lo + err
+        hi, s = s, hi                          # hi = s
     n = float(len(paths))
     q = hi / n
-    c = _SPLITTER * q
-    qh = c - (c - q)
-    ql = q - qh
-    prod = q * n
-    prod_err = (qh * n - prod) + ql * n
-    rem = ((hi - prod) - prod_err) + lo
-    return q + rem / n
+    c, qh, ql = s, bv, err
+    np.multiply(_SPLITTER, q, out=c)
+    np.subtract(c, q, out=qh)
+    np.subtract(c, qh, out=qh)                 # qh = c - (c - q)
+    np.subtract(q, qh, out=ql)                 # ql = q - qh
+    prod = np.multiply(q, n, out=c)            # prod = q * n
+    np.multiply(qh, n, out=qh)
+    np.subtract(qh, prod, out=qh)
+    np.multiply(ql, n, out=ql)
+    prod_err = np.add(qh, ql, out=qh)          # prod_err = (qh * n - prod) + ql * n
+    np.subtract(hi, prod, out=hi)
+    np.subtract(hi, prod_err, out=hi)
+    rem = np.add(hi, lo, out=hi)               # rem = ((hi - prod) - prod_err) + lo
+    np.divide(rem, n, out=rem)
+    return np.add(q, rem, out=q)               # q + rem / n
 
 
-def fuse(p_main: np.ndarray, p_subs: list[np.ndarray],
+def _renormalized_max(paths: list[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum over the paths, renormalized to a distribution:
+    one running maximum, so no (k, n, C) stack of the paths is built."""
+    out = paths[0].copy()
+    for p in paths[1:]:
+        np.maximum(out, p, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def fuse(p_main: np.ndarray | None, p_subs: list[np.ndarray],
          strategy: FusionStrategy) -> np.ndarray:
-    """Combine per-route probability matrices into the fused prediction."""
+    """Combine per-route probability matrices into the fused prediction.
+    `p_main` may be None for a rule that does not read the main route
+    (`FusionStrategy.reads_main`)."""
     S = FusionStrategy
+    if p_main is None and strategy.reads_main:
+        raise ValueError(f"fuse: strategy {strategy.value} needs main-route predictions")
     if strategy is S.MAIN_ONLY:
         return p_main
     if not p_subs:
@@ -104,13 +139,13 @@ def fuse(p_main: np.ndarray, p_subs: list[np.ndarray],
     if strategy is S.MEAN_I:
         return mean_paths(p_subs)
     if strategy is S.MAX_I:
-        return _renormalize(np.maximum.reduce(p_subs))
+        return _renormalized_max(p_subs)
     if strategy is S.MAX_IM:
-        return _renormalize(np.maximum.reduce([p_main] + p_subs))
+        return _renormalized_max([p_main] + p_subs)
     if strategy is S.MAX_MEAN_I_M:
         return _renormalize(np.maximum(mean_paths(p_subs), p_main))
     if strategy is S.MEAN_MAX_I_M:
-        return (_renormalize(np.maximum.reduce(p_subs)) + _renormalize(p_main)) / 2.0
+        return (_renormalized_max(p_subs) + _renormalize(p_main)) / 2.0
     raise ValueError(f"fuse: unhandled strategy {strategy}")
 
 
@@ -177,16 +212,22 @@ def predict(model: TwoPathNetwork, features: np.ndarray,
             scope: SubpathScope = SubpathScope.INDEPENDENT_ONLY
             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluation-mode probabilities: the fused matrix and one matrix per
-    route ('main' plus 'sub_<domains>'). Every route runs on plain arrays
-    from the input rows (`TwoPathNetwork.eval_logits`). A rule that needs
-    sub-paths is refused for a model without a bank before any route runs."""
-    if strategy is not FusionStrategy.MAIN_ONLY and not model.config.use_aug:
+    route the rule reads ('main' unless the rule is MeanI or MaxI, and
+    'sub_<domains>' for the scope's sub-paths unless it is MainOnly). Only
+    those routes run, on plain arrays from the input rows
+    (`TwoPathNetwork.eval_logits`). Whatever the rule, a model without a
+    bank is refused a rule that needs sub-paths, and `all_units` a model
+    with a stale unit (`subpath_subsets`), before any route runs."""
+    if strategy.reads_subpaths and not model.config.use_aug:
         raise ValueError(f"strategy {strategy.value} needs sub-path predictions, "
                          f"but the model was trained without a bank (use_aug = false)")
     subsets = subpath_subsets(model, scope)
-    main, subs = model.eval_logits(features, subsets)
-    p_main, p_subs = _softmax_rows(main), [_softmax_rows(z) for z in subs]
-    per_path = {"main": p_main}
+    if not strategy.reads_subpaths:
+        subsets = []
+    main, subs = model.eval_logits(features, subsets, main=strategy.reads_main)
+    p_main = None if main is None else _softmax_rows(main)
+    p_subs = [_softmax_rows(z) for z in subs]
+    per_path = {} if p_main is None else {"main": p_main}
     per_path.update((f"sub_{s.label()}", p) for s, p in zip(subsets, p_subs))
     return fuse(p_main, p_subs, strategy), per_path
 
@@ -197,17 +238,6 @@ def _check_labels(caller: str, labels, rows: int) -> None:
     if labels.shape != (rows,):
         got = f"{labels.shape[0]} labels" if labels.ndim == 1 else f"labels of shape {labels.shape}"
         raise ValueError(f"{caller}: {got} for {rows} rows")
-
-
-def main_accuracy(model: TwoPathNetwork, features: np.ndarray, labels: np.ndarray) -> float:
-    """Argmax accuracy of the main route's probabilities, computing no
-    sub-path: bitwise `evaluate(..., MainOnly).fused_accuracy`."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("main_accuracy: empty split")
-    p_main = _softmax_rows(model.eval_logits(features)[0])
-    _check_labels("main_accuracy", labels, p_main.shape[0])
-    return float((p_main.argmax(axis=1) == labels).mean())
 
 
 @dataclass

@@ -2,8 +2,8 @@
 dispatch either to the main route (plain BN or the BN/IN mixture) or to the
 per-subset bank, plus one classifier per route.
 
-Training runs on the autodiff tape. Evaluation runs every route on plain
-arrays from the input rows (`eval_logits`), in pieces of at most
+Training runs on the autodiff tape. Evaluation runs the routes asked for on
+plain arrays from the input rows (`eval_logits`), in pieces of at most
 `EVAL_ROWS` rows: every layer product is one stacked call for the whole
 `ROW_BLOCK`-row blocks and one for the overlapping last block
 (`Linear.apply`), every BLAS call still (ROW_BLOCK, K) @ (K, P); a BN
@@ -402,16 +402,18 @@ class TwoPathNetwork:
                       ) -> np.ndarray:
         return _walk(h, lambda piece: classifier.apply(self._eval_features(piece, units)))
 
-    def eval_logits(self, x, subsets=()) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Evaluation-mode logits of the main route and of each subset's
-        sub-path (its bank units and classifier), on arrays, each route
-        walking from the input rows in pieces (`_walk`). Uses the running
-        statistics only."""
+    def eval_logits(self, x, subsets=(), main: bool = True
+                    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """Evaluation-mode logits of the main route (None, and not walked,
+        when `main` is false) and of each subset's sub-path (its bank units
+        and classifier), on arrays, each route walking from the input rows
+        in pieces (`_walk`). Uses the running statistics only."""
         h = self._eval_input(x)
-        main = self._route_logits(h, self.main_units, self.classifier_main)
+        main_logits = (self._route_logits(h, self.main_units, self.classifier_main)
+                       if main else None)
         subs = [self._route_logits(h, self._bank_units(s), self._aux_classifier(s))
                 for s in subsets]
-        return main, subs
+        return main_logits, subs
 
     # -- batch-statistics probing -----------------------------------------
 

@@ -357,7 +357,8 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int | None,
             raise RuntimeError(f"train: aborted at epoch {epoch}: non-finite parameter {name}")
         row = {"epoch": epoch, "train_loss": total / config.iters_per_epoch}
         if score_every_epoch or epoch == config.epochs:
-            src_acc = inference.main_accuracy(model, val_pool.features, val_pool.labels)
+            src_acc = inference.evaluate(model, val_pool.features, val_pool.labels,
+                                         inference.FusionStrategy.MAIN_ONLY).fused_accuracy
             tgt = inference.evaluate(model, target.features, target.labels,
                                      inference.default_strategy(model))
             row |= {"src_acc": src_acc, "tgt_acc_main": tgt.per_path["main"],

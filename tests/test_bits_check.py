@@ -144,8 +144,28 @@ def test_prediction_summary(tool):
         "predict MeanAll/all_units: largest fused difference 0.2, argmax flips 1",
         "predict: largest main-route difference 0, largest sub-path difference 1.11e-16"]
     assert tool.compare_predictions(parent, {}) == [
-        "predict: routes differ: ['MeanAll/all_units/fused', 'MeanAll/all_units/main', "
-        "'MeanAll/all_units/sub_0']"]
+        "predict: largest main-route difference 0, largest sub-path difference 0",
+        "predict: routes run in one tree only: parent ['MeanAll/all_units/fused', "
+        "'MeanAll/all_units/main', 'MeanAll/all_units/sub_0']"]
+
+
+def test_prediction_summary_compares_the_routes_both_trees_ran(tool):
+    """A tree that skips the routes a rule does not read still has every
+    fused matrix and every shared route compared; the skipped routes are
+    named in one line, per side."""
+    p = np.array([[0.6, 0.4], [0.3, 0.7]])
+    parent = {"MaxI/all_units/fused": p, "MaxI/all_units/main": p,
+              "MaxI/all_units/sub_0": p, "MainOnly/all_units/fused": p,
+              "MainOnly/all_units/main": p, "MainOnly/all_units/sub_0": p}
+    change = {"MaxI/all_units/fused": p.copy(), "MaxI/all_units/sub_0": p + 1e-16,
+              "MainOnly/all_units/fused": p.copy(), "MainOnly/all_units/main": p + 0.25,
+              "MeanI/all_units/sub_1": p}
+    assert tool.compare_predictions(parent, change) == [
+        "predict MainOnly/all_units: largest fused difference 0, argmax flips 0",
+        "predict MaxI/all_units: largest fused difference 0, argmax flips 0",
+        "predict: largest main-route difference 0.25, largest sub-path difference 1.11e-16",
+        "predict: routes run in one tree only: parent ['MainOnly/all_units/sub_0', "
+        "'MaxI/all_units/main']; change ['MeanI/all_units/sub_1']"]
 
 
 def test_one_tree_on_both_sides_is_identical(tool, tmp_path):

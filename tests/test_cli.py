@@ -131,13 +131,19 @@ class TestEvalCommand:
         assert fused == metrics[-1][4]  # tgt_acc_ensemble of the final epoch
 
     def test_strategy_key(self, pipeline, tmp_path):
+        """`accuracy.csv` holds the routes the rule read, then the fused row."""
         tmp, out, dataset, _ = pipeline
-        eval_cfg = write_config(
-            tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
-                 "strategy = MainOnly\n", "eval2.txt")
-        eout = tmp_path / "eo"
-        assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
-        rows = {r[0]: r[1] for r in read_csv(eout / "accuracy.csv")[1:]}
+        subs = ["sub_0", "sub_1", "sub_2"]
+        for strategy, routes in (("MainOnly", ["main"]), ("MeanI", subs), ("MaxI", subs),
+                                 ("MaxIM", ["main", *subs])):
+            eval_cfg = write_config(
+                tmp, f"checkpoint = {out / 'model.ckpt'}\ndataset = {dataset}\n"
+                     f"strategy = {strategy}\n", f"eval_{strategy}.txt")
+            eout = tmp_path / strategy
+            assert main(["eval", "--config", eval_cfg, "--out", str(eout)]) == 0
+            rows = {r[0]: r[1] for r in read_csv(eout / "accuracy.csv")[1:]}
+            assert list(rows) == [*routes, "fused"]
+        rows = {r[0]: r[1] for r in read_csv(tmp_path / "MainOnly" / "accuracy.csv")[1:]}
         assert rows["fused"] == rows["main"]
 
     def test_bad_strategy_is_usage_error(self, pipeline, tmp_path):

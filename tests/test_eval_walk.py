@@ -20,7 +20,6 @@ from normaug.inference import (
     _softmax_rows,
     evaluate,
     fuse,
-    main_accuracy,
     predict,
 )
 from normaug.model import EVAL_ROWS, ROW_BLOCK
@@ -76,8 +75,16 @@ def _misaligned_copy(x: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
+def _read_routes(strategy, subsets) -> list[str]:
+    """The routes `strategy` reads, as `predict` names them."""
+    return ((["main"] if strategy.reads_main else [])
+            + ([f"sub_{s.label()}" for s in subsets] if strategy.reads_subpaths else []))
+
+
 @pytest.mark.parametrize("scope", SCOPES)
 def test_matches_tape_composite(model, scope):
+    """Each rule's routes, exactly those it reads, and its fused matrix
+    are within 1e-13 of the tape composite."""
     subsets = [s for s in model.banks[0].subsets()
                if scope is SubpathScope.ALL_UNITS or s.size == 1]
     for n in ROW_COUNTS:
@@ -87,12 +94,33 @@ def test_matches_tape_composite(model, scope):
             ref[f"sub_{s.label()}"] = _softmax_rows(composite_eval_logits(model, x, s)[0])
         for strategy in FusionStrategy:
             fused, per_path = predict(model, x, strategy, scope)
-            assert list(per_path) == list(ref)
+            assert list(per_path) == _read_routes(strategy, subsets)
             for name, p in per_path.items():
                 assert np.abs(p - ref[name]).max() <= 1e-13, (n, name)
             ref_fused = fuse(ref["main"], list(ref.values())[1:], strategy)
             assert np.abs(fused - ref_fused).max() <= 1e-13, n
             assert np.array_equal(fused.argmax(1), ref_fused.argmax(1))
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_each_rule_walks_the_routes_it_reads(model, scope, monkeypatch):
+    """One `eval_logits` walk per `predict`: MainOnly walks the main route
+    alone, MeanI and MaxI the scope's sub-paths alone, and the other five
+    rules every route."""
+    subsets = inference.subpath_subsets(model, scope)
+    walks = []
+    eval_logits = type(model).eval_logits
+
+    def spy(self, x, subsets=(), main=True):
+        walks.append((["main"] if main else []) + [f"sub_{s.label()}" for s in subsets])
+        return eval_logits(self, x, subsets, main=main)
+
+    monkeypatch.setattr(type(model), "eval_logits", spy)
+    x = _rows(model, 20, seed=15)
+    for strategy in FusionStrategy:
+        walks.clear()
+        _, per_path = predict(model, x, strategy, scope)
+        assert walks == [_read_routes(strategy, subsets)] == [list(per_path)], strategy
 
 
 def test_features_match_tape_composite(model):
@@ -240,9 +268,11 @@ def test_non_finite_feature_names_its_row(bad):
     calls = [
         lambda: predict(m, x),
         lambda: evaluate(m, x, labels, FusionStrategy.MEAN_ALL, SubpathScope.ALL_UNITS),
-        lambda: main_accuracy(m, x, labels),
+        lambda: evaluate(m, x, labels, FusionStrategy.MAIN_ONLY),
+        lambda: predict(m, x, FusionStrategy.MAX_I),
         lambda: m.features(x),
         lambda: m.eval_logits(x, m.banks[0].subsets()),
+        lambda: m.eval_logits(x, m.banks[0].subsets(), main=False),
         lambda: divergence(m, {0: x, 1: x[6:]}, x[6:]),
         lambda: divergence(m, {0: x[6:], 1: x[6:]}, x),
         lambda: perturbation_probe(m, x, [("copy", x.copy())]),
@@ -312,8 +342,9 @@ def _one_walk(model, x, subsets):
 
 @pytest.mark.parametrize("scope", SCOPES)
 def test_pieces_bitwise_equal_one_walk(model, scope):
-    """`eval_logits`, `features`, `predict`, `evaluate` and `main_accuracy`
-    walk in pieces of at most EVAL_ROWS rows, with the bits of one walk."""
+    """`eval_logits`, `features`, `predict` and `evaluate` walk in pieces of
+    at most EVAL_ROWS rows, with the bits of one walk, whichever routes the
+    rule reads."""
     subsets = inference.subpath_subsets(model, scope)
     for n in SEAM_ROWS:
         x = _rows(model, n, seed=n)
@@ -325,17 +356,20 @@ def test_pieces_bitwise_equal_one_walk(model, scope):
         assert all(np.array_equal(a, b) for a, b in zip(got_subs, subs)), n
         assert np.array_equal(model.features(x), feats), n
         p_main, p_subs = _softmax_rows(main), [_softmax_rows(z) for z in subs]
-        for strategy in (FusionStrategy.MEAN_MEAN_IM, FusionStrategy.MAX_IM):
+        routes = {"main": p_main} | {f"sub_{s.label()}": p for s, p in zip(subsets, p_subs)}
+        for strategy in (FusionStrategy.MEAN_MEAN_IM, FusionStrategy.MAX_IM,
+                         FusionStrategy.MEAN_I):
             fused, per_path = predict(model, x, strategy, scope)
             assert np.array_equal(fused, fuse(p_main, p_subs, strategy)), (n, strategy)
-            assert all(np.array_equal(a, b) for a, b in zip(per_path.values(),
-                                                            [p_main, *p_subs])), n
+            assert list(per_path) == _read_routes(strategy, subsets)
+            assert all(np.array_equal(p, routes[name]) for name, p in per_path.items()), n
         report = evaluate(model, x, labels, FusionStrategy.MEAN_ALL, scope)
         ref = fuse(p_main, p_subs, FusionStrategy.MEAN_ALL)
         assert np.array_equal(report.fused_probabilities, ref), n
         assert report.fused_accuracy == float((ref.argmax(1) == labels).mean())
         accuracy = float((p_main.argmax(1) == labels).mean())
-        assert report.per_path["main"] == main_accuracy(model, x, labels) == accuracy
+        main_only = evaluate(model, x, labels, FusionStrategy.MAIN_ONLY, scope)
+        assert report.per_path["main"] == main_only.fused_accuracy == accuracy
 
 
 def test_walk_runs_in_pieces(monkeypatch):
@@ -369,9 +403,11 @@ def test_non_finite_row_named_past_the_first_piece():
     calls = [
         lambda: predict(m, x),
         lambda: evaluate(m, x, labels, FusionStrategy.MEAN_ALL, SubpathScope.ALL_UNITS),
-        lambda: main_accuracy(m, x, labels),
+        lambda: evaluate(m, x, labels, FusionStrategy.MAIN_ONLY),
+        lambda: predict(m, x, FusionStrategy.MEAN_I),
         lambda: m.features(x),
         lambda: m.eval_logits(x, [subset]),
+        lambda: m.eval_logits(x, [subset], main=False),
         lambda: m.forward_subpath(x, subset, mode="eval"),
         lambda: divergence(m, {0: x[:10], 1: x[10:20]}, x),
     ]

@@ -38,21 +38,16 @@ def test_run_variant_scores_only_inside_training(monkeypatch):
     """Training scores its last epoch only, twice (the main route on the
     source split, the ensemble on the target), and nothing else scores."""
     calls = []
+    scorer = inference.evaluate
 
-    def spy(name):
-        scorer = getattr(inference, name)
+    def spy(model, features, labels, strategy, *args):
+        calls.append(strategy.value)
+        return scorer(model, features, labels, strategy, *args)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return scorer(*args, **kwargs)
-
-        monkeypatch.setattr(inference, name, wrapper)
-
-    spy("evaluate")
-    spy("main_accuracy")
+    monkeypatch.setattr(inference, "evaluate", spy)
     dataset, target_domain = tiny_benchmark(0)
     experiments.run_variant(dataset, target_domain, "on_aug_ep", 0, TINY_TRAIN, TINY_MODEL)
-    assert sorted(calls) == ["evaluate", "main_accuracy"]
+    assert sorted(calls) == ["MainOnly", "MeanMeanIM"]
 
 
 @pytest.mark.parametrize("seed", [0, 3])

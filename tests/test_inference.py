@@ -14,7 +14,6 @@ from normaug.inference import (
     SubpathScope,
     evaluate,
     fuse,
-    main_accuracy,
     mean_paths,
     predict,
 )
@@ -92,19 +91,38 @@ class TestFusionArithmetic:
     @pytest.mark.parametrize("strategy", [FusionStrategy.MAX_I, FusionStrategy.MAX_IM,
                                           FusionStrategy.MEAN_MAX_I_M])
     def test_max_rules_build_no_sub_path_mean(self, strategy):
-        """A rule that does not read the sub-path mean does not build it:
-        `mean_paths` alone peaks at about 12 (n, C) matrices."""
+        """A Max rule builds no sub-path mean and no (k, n, C) stack of the
+        routes: it peaks within 4 (n, C) matrices with three sub-paths and
+        with six (`all_units` of a three-source bank, the benchmark's four
+        domains), where stacking the routes peaked at 7-8 with six."""
         rng = np.random.default_rng(0)
         n, c = 8192, 3
-        p_main, *p_subs = (rng.dirichlet(np.ones(c), size=n) for _ in range(4))
-        tracemalloc.start()
-        try:
-            fused = fuse(p_main, p_subs, strategy)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert fused.shape == (n, c)
-        assert peak <= 6 * n * c * 8
+        for k in (3, 6):
+            p_main, *p_subs = (rng.dirichlet(np.ones(c), size=n) for _ in range(k + 1))
+            tracemalloc.start()
+            try:
+                fused = fuse(p_main, p_subs, strategy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fused.shape == (n, c)
+            assert peak <= 4 * n * c * 8, (k, peak / (n * c * 8))
+
+    @pytest.mark.parametrize("strategy", [FusionStrategy.MEAN_I, FusionStrategy.MAX_I])
+    def test_sub_path_rules_take_no_main(self, strategy):
+        """MeanI and MaxI read no main matrix: None gives the same bits; a
+        rule that reads the main route refuses None."""
+        assert np.array_equal(fuse(None, SUBS, strategy), fuse(PM, SUBS, strategy))
+        for other in FusionStrategy:
+            if other not in (FusionStrategy.MEAN_I, FusionStrategy.MAX_I):
+                with pytest.raises(ValueError, match=(
+                        rf"^fuse: strategy {other.value} needs main-route predictions$")):
+                    fuse(None, SUBS, other)
+
+    def test_routes_each_rule_reads(self):
+        """MeanI and MaxI read no main route; MainOnly reads no sub-path."""
+        assert [s.value for s in FusionStrategy if not s.reads_main] == ["MeanI", "MaxI"]
+        assert [s.value for s in FusionStrategy if not s.reads_subpaths] == ["MainOnly"]
 
 
 class TestMeanPaths:
@@ -121,6 +139,23 @@ class TestMeanPaths:
     def test_single_path_identity(self):
         x = np.random.default_rng(2).dirichlet(np.ones(5), size=4)
         assert np.array_equal(mean_paths([x]), x)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_peak_memory(self, k):
+        """The accumulation and the division reuse their buffers: within 7
+        (n, C) matrices at any path count, where a new array per step
+        peaked at 12."""
+        rng = np.random.default_rng(k)
+        n, c = 8192, 3
+        paths = [rng.dirichlet(np.ones(c), size=n) for _ in range(k)]
+        tracemalloc.start()
+        try:
+            mean = mean_paths(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mean.shape == (n, c)
+        assert peak <= 7 * n * c * 8, peak / (n * c * 8)
 
 
 def _trained_toy(seed=0, steps=8, use_aug=True):
@@ -251,9 +286,7 @@ class TestEvaluate:
         m = _trained_toy()
         x = np.random.default_rng(11).standard_normal((50, 6))
         labels = np.zeros(shape, dtype=int)
-        with pytest.raises(ValueError, match=rf"^evaluate: {got} for 50 rows$"):
-            evaluate(m, x, labels)
-        with pytest.raises(ValueError, match=rf"^main_accuracy: {got} for 50 rows$"):
-            main_accuracy(m, x, labels)
-        assert main_accuracy(m, x, np.zeros(50, dtype=int)) == evaluate(
-            m, x, np.zeros(50, dtype=int), FusionStrategy.MAIN_ONLY).fused_accuracy
+        for strategy in (FusionStrategy.MEAN_MEAN_IM, FusionStrategy.MAIN_ONLY,
+                         FusionStrategy.MAX_I):
+            with pytest.raises(ValueError, match=rf"^evaluate: {got} for 50 rows$"):
+                evaluate(m, x, labels, strategy)

@@ -740,9 +740,9 @@ class TestTrainLoop:
         calls = []
         eval_logits = TwoPathNetwork.eval_logits
 
-        def spy(self, x, subsets=()):
-            calls.append((np.array(x), list(subsets)))
-            return eval_logits(self, x, subsets)
+        def spy(self, x, subsets=(), main=True):
+            calls.append((np.array(x), main, list(subsets)))
+            return eval_logits(self, x, subsets, main=main)
 
         monkeypatch.setattr(TwoPathNetwork, "eval_logits", spy)
         result = train(m, ds, 3, tc)
@@ -750,8 +750,9 @@ class TestTrainLoop:
         split_seed = np.random.SeedSequence(tc.seed).spawn(3)[0]
         _, val = datagen.split_train_val(sources, tc.val_fraction,
                                          seed=split_seed.generate_state(1)[0])
-        src_calls = [subsets for x, subsets in calls if np.array_equal(x, val.features)]
-        assert src_calls == [[]]
+        src_calls = [(main, subsets) for x, main, subsets in calls
+                     if np.array_equal(x, val.features)]
+        assert src_calls == [(True, [])]
         assert len(calls) == 2  # the source score and the target score
         want = inference.evaluate(m, val.features, val.labels,
                                   inference.FusionStrategy.MAIN_ONLY).fused_accuracy
@@ -763,15 +764,14 @@ class TestTrainLoop:
         per split; the earlier rows hold exactly `epoch` and `train_loss`,
         and every row equals the fully scored run's in what it holds."""
         calls = []
-        for name in ("evaluate", "main_accuracy"):
-            scorer = getattr(inference, name)
-            monkeypatch.setattr(inference, name, lambda *a, _f=scorer, _n=name, **k:
-                                calls.append(_n) or _f(*a, **k))
+        scorer = inference.evaluate
+        monkeypatch.setattr(inference, "evaluate", lambda model, x, y, strategy, *a:
+                            calls.append(strategy.value) or scorer(model, x, y, strategy, *a))
         every = self._run(epochs=epochs)
-        assert sorted(calls) == ["evaluate"] * epochs + ["main_accuracy"] * epochs
+        assert sorted(calls) == ["MainOnly"] * epochs + ["MeanMeanIM"] * epochs
         calls.clear()
         last = self._run(epochs=epochs, score_every_epoch=False)
-        assert sorted(calls) == ["evaluate", "main_accuracy"]
+        assert sorted(calls) == ["MainOnly", "MeanMeanIM"]
         assert [tuple(r) for r in last.metrics[:-1]] == [("epoch", "train_loss")] * (epochs - 1)
         assert tuple(last.final) == training.METRICS_COLUMNS
         for a, b in zip(every.metrics, last.metrics):
