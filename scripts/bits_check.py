@@ -14,9 +14,11 @@ all_units` alone, `diagnose` with the config's keys and with `probe_rows =
 and `checkpoint` keys replaced by paths into that directory, and the keys
 named here set; `ablate` reads the config as given, so its `seeds` list
 sets the grid's size). For every artifact the tool prints `identical`, `moved` or
-which tree did not write it (`missing in the parent`); for a moved one, its
-first differing line (a byte offset for `model.ckpt`) and the largest
-absolute difference over the numeric fields. Then each tree runs
+which tree did not write it (`missing in the parent`); for a moved CSV, its
+first differing line and the largest absolute difference over the numeric
+fields; for a moved `model.ckpt`, the versions if they differ, the first
+differing line of the config block, and the first differing array (name,
+shape or largest difference) or `arrays identical`. Then each tree runs
 `predict` for every fusion rule and sub-path scope on the parent's dataset
 and checkpoint, once on the held-out split and once on its rows repeated to
 `SEAM_ROWS` rows, which crosses the seams of the evaluation walk's
@@ -50,11 +52,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -234,14 +239,78 @@ def compare_bytes(parent: bytes, change: bytes, text: bool) -> str:
             f"{len(p_lines)} vs {len(c_lines)} lines; largest numeric difference {largest:.3g}")
 
 
+def checkpoint_parts(blob: bytes) -> tuple[int, list[str], list[tuple[str, tuple, bytes]]]:
+    """(version, config block lines, [(array name, shape, data bytes)]) of
+    a checkpoint, read by its documented layout: magic, u32 version, u64
+    block length, block, u32 array count, then per array u32 name length,
+    name, u32 ndim, u64 dims and float64 data. Bytes that do not follow it
+    raise ValueError or struct.error."""
+    version, length = struct.unpack_from("<IQ", blob, 4)
+    block = blob[16:16 + length].decode("utf-8")
+    (count,) = struct.unpack_from("<I", blob, 16 + length)
+    off = 20 + length
+    arrays = []
+    for _ in range(count):
+        (size,) = struct.unpack_from("<I", blob, off)
+        name = blob[off + 4:off + 4 + size].decode("utf-8")
+        (ndim,) = struct.unpack_from("<I", blob, off + 4 + size)
+        shape = struct.unpack_from(f"<{ndim}Q", blob, off + 8 + size)
+        off += 8 + size + 8 * ndim
+        arrays.append((name, shape, blob[off:off + 8 * math.prod(shape)]))
+        off += 8 * math.prod(shape)
+    if off != len(blob):
+        raise ValueError("not a checkpoint")
+    return version, block.splitlines(), arrays
+
+
+def _first_array_difference(parent: list, change: list) -> str:
+    for (p_name, p_shape, p_data), (c_name, c_shape, c_data) in zip_longest(
+            parent, change, fillvalue=("<none>", (), b"")):
+        if p_name != c_name:
+            return f"first differing array: parent {p_name}, change {c_name}"
+        if p_shape != c_shape:
+            return f"first differing array {p_name}: shape {p_shape} vs {c_shape}"
+        if p_data != c_data:
+            largest = np.abs(np.frombuffer(p_data, "<f8") - np.frombuffer(c_data, "<f8")).max()
+            return f"first differing array {p_name}: largest difference {largest:.3g}"
+    return "arrays identical"
+
+
+def _shown(lines: list[str], i: int, width: int = 48) -> str:
+    line = lines[i] if i < len(lines) else "<end of block>"
+    return repr(line if len(line) <= width else line[:width] + "...")
+
+
+def compare_checkpoints(parent: bytes, change: bytes) -> str:
+    """`identical`, or `moved` with the versions if they differ, the first
+    differing config block line, and the first differing array or `arrays
+    identical`; `compare_bytes` for bytes that are not a checkpoint."""
+    if parent == change:
+        return "identical"
+    try:
+        (p_version, p_block, p_arrays), (c_version, c_block, c_arrays) = (
+            checkpoint_parts(parent), checkpoint_parts(change))
+    except (ValueError, struct.error):
+        return compare_bytes(parent, change, text=False)
+    parts = [f"version {p_version} vs {c_version}"] if p_version != c_version else []
+    if p_block != c_block:
+        i = next((i for i, (a, b) in enumerate(zip(p_block, c_block)) if a != b),
+                 min(len(p_block), len(c_block)))
+        parts.append(f"config block differs (line {i + 1}: parent {_shown(p_block, i)}, "
+                     f"change {_shown(c_block, i)})")
+    return "moved: " + "; ".join(parts + [_first_array_difference(p_arrays, c_arrays)])
+
+
 def compare_files(parent: Path, change: Path) -> str:
-    """`compare_bytes` of two artifact files (a `.ckpt` as binary), or which
-    side lacks the file."""
+    """`compare_checkpoints` of two `.ckpt` files, `compare_bytes` of two
+    other artifact files, or which side lacks the file."""
     missing = [side for side, path in (("parent", parent), ("change", change))
                if not path.is_file()]
     if missing:
         return f"missing in the {' and the '.join(missing)}"
-    return compare_bytes(parent.read_bytes(), change.read_bytes(), parent.suffix != ".ckpt")
+    if parent.suffix == ".ckpt":
+        return compare_checkpoints(parent.read_bytes(), change.read_bytes())
+    return compare_bytes(parent.read_bytes(), change.read_bytes(), text=True)
 
 
 def compare_predictions(parent: dict, change: dict) -> list[str]:

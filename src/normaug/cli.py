@@ -5,11 +5,12 @@ flat key=value config file (UTF-8, `#` comments), which sets every run
 value; each command takes exactly `--config` and `--out`. Output files are
 written with a `.partial` suffix and renamed into place only when complete;
 `--out` is made by the first write, so a refused command leaves nothing
-behind. Exit codes: 0 success; 2 bad input, i.e. any ValueError, raised
-naming the key or file by the config, function or loader that owns the rule
-(a config value, a malformed dataset or checkpoint, or the two
-disagreeing); 1 anything else: an I/O failure, such as a missing dataset
-file, or diverged training.
+behind; `eval` and `diagnose` score the domain that `train` held out and
+recorded in the checkpoint. Exit codes: 0 success; 2 bad input, i.e. any
+ValueError, raised naming the key or file by the config, function or loader
+that owns the rule (a config value, a malformed dataset or checkpoint, or
+two of them disagreeing); 1 anything else: an I/O failure, such as a
+missing dataset file, or diverged training.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def cmd_train(cfg: dict, out: Path) -> None:
                        for r in result.metrics])
     ckpt_path = out / "model.ckpt"
     _write_atomic(ckpt_path, lambda partial: save_checkpoint(
-        result.model, partial, epoch=tc.epochs, rng_state=result.rng_state))
+        result.model, partial, epoch=tc.epochs, target_domain=result.target_domain))
     final = result.final
     print(f"wrote {ckpt_path} and {metrics_path}; "
           f"final target accuracy main={final['tgt_acc_main']:.4f} "
@@ -121,8 +122,8 @@ def cmd_eval(cfg: dict, out: Path) -> None:
     rows.append(["fused", _fmt(report.fused_accuracy)])
     path = out / "accuracy.csv"
     _write_csv_atomic(path, ["path_name", "accuracy"], rows)
-    print(f"wrote {path}; fused accuracy {report.fused_accuracy:.4f} "
-          f"({strategy.value}, {ec.scope.value})")
+    print(f"wrote {path}; held-out domain {target_set.domain_ids[0]}, fused accuracy "
+          f"{report.fused_accuracy:.4f} ({strategy.value}, {ec.scope.value})")
 
 
 def cmd_diagnose(cfg: dict, out: Path) -> None:
@@ -139,7 +140,8 @@ def cmd_diagnose(cfg: dict, out: Path) -> None:
         rows.append(["probe", name, _fmt(disp)])
     path = out / "diagnostics.csv"
     _write_csv_atomic(path, ["metric", "name", "value"], rows)
-    print(f"wrote {path}; d_s2s={report.d_s2s:.4f} d_s2t={report.d_s2t:.4f}")
+    print(f"wrote {path}; held-out domain {target_set.domain_ids[0]}, "
+          f"d_s2s={report.d_s2s:.4f} d_s2t={report.d_s2t:.4f}")
 
 
 def cmd_ablate(cfg: dict, out: Path) -> None:

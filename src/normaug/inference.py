@@ -166,9 +166,14 @@ class RunConfig(SplitConfig):
 
     def load(self) -> tuple[TwoPathNetwork, Dataset, Dataset]:
         """The checkpoint's model and the dataset's source and held-out
-        splits. The dataset must fit the model: its sources plus one
-        held-out domain, its input width, and labels it can score."""
-        model = load_checkpoint(self.checkpoint)[0]
+        splits, holding out the domain the checkpoint records (which a key
+        must match), else `target_domain`'s. The dataset must fit the model:
+        its sources plus one held out, its input width, and labels it can score."""
+        model, _, recorded = load_checkpoint(self.checkpoint)
+        target = self.target_domain if recorded is None else recorded
+        if self.target_domain not in (None, target):
+            raise ValueError(f"config key target_domain: the checkpoint's model was trained "
+                             f"holding out domain {recorded}, got {self.target_domain}")
         dataset = datagen.load(self.dataset)
         mc = model.config
         domains = int(np.unique(dataset.domain_ids).size)
@@ -181,7 +186,7 @@ class RunConfig(SplitConfig):
         if dataset.num_classes > mc.num_classes:
             raise ValueError(f"dataset has labels up to {dataset.num_classes - 1}, "
                              f"the model has num_classes {mc.num_classes}")
-        return (model, *datagen.split_lodo(dataset, self.target_domain))
+        return (model, *datagen.split_lodo(dataset, target))
 
 
 def default_strategy(model: TwoPathNetwork) -> FusionStrategy:

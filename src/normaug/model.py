@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import inspect
-import json
 import math
 import struct
 import typing
@@ -39,7 +38,7 @@ BACKBONES = ("mlp", "smallconv")
 EVAL_ROWS = 1024
 
 CHECKPOINT_MAGIC = b"NAUG"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -395,7 +394,7 @@ class TwoPathNetwork:
 
     def _bank_units(self, subset: DomainSubset) -> list[BNUnit]:
         if not self.config.use_aug:
-            raise ValueError("forward_subpath: model built with use_aug=False")
+            raise ValueError("model: no bank (built with use_aug=False)")
         return [bank.unit(subset) for bank in self.banks]
 
     def _route_logits(self, h: np.ndarray, units: list[BNUnit], classifier: Linear
@@ -571,19 +570,22 @@ def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
 # checkpoint container
 
 
-def _config_text(model: TwoPathNetwork, epoch: int, rng_state: str | None) -> str:
+def _config_text(model: TwoPathNetwork, epoch: int, target_domain: int | None) -> str:
     lines = [f"{f.name}={format_value(getattr(model.config, f.name))}"
              for f in fields(ModelConfig)]
-    lines += [f"seed={model.seed}", f"epoch={epoch}",
-              f"rng_state={rng_state if rng_state is not None else '-'}"]
+    lines += [f"seed={model.seed}", f"epoch={epoch}"]
+    if target_domain is not None:
+        lines.append(f"target_domain={target_domain}")
     if model.banks:
         lines.append("bank_subsets=" + ",".join(
             s.label() for s in nb.scheme_subsets(model.config.num_domains)))
     return "\n".join(lines) + "\n"
 
 
-# the keys `_config_text` writes
-_BLOCK_KEYS = {f.name for f in fields(ModelConfig)} | {"seed", "epoch", "rng_state", "bank_subsets"}
+# the keys `_config_text` writes; version 1's have `rng_state`, and no target
+_BLOCK_KEYS = {f.name for f in fields(ModelConfig)} | {"seed", "epoch", "target_domain",
+                                                        "bank_subsets"}
+_V1_KEYS = _BLOCK_KEYS - {"target_domain"} | {"rng_state"}
 
 
 def _units(model: TwoPathNetwork) -> list[tuple[str, BNUnit]]:
@@ -647,23 +649,14 @@ def _array(owner, attr: str) -> np.ndarray:
 
 
 def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
-                    rng_state: str | None = None) -> None:
-    """Versioned binary container: magic, version, config text block, then
-    named float64 arrays with shape prefixes, sorted by name. A non-finite
-    array, or an `rng_state` that would not load back as written (its
-    block line read by `read_config`; `-` stands for None), is refused
+                    target_domain: int | None = None) -> None:
+    """Versioned binary container: magic, version, config text block (with
+    the domain training held out, when given), then named float64 arrays
+    with shape prefixes, sorted by name. A non-finite array is refused
     before the file is opened, as `load_checkpoint` refuses it."""
     if (name := non_finite_array(model)) is not None:
         raise ValueError(f"save_checkpoint: array {name}: non-finite values")
-    if rng_state is not None:
-        try:
-            read_back = read_config(f"rng_state={rng_state}", {"rng_state"}, "rng_state")
-        except ValueError:
-            read_back = None
-        if rng_state == "-" or read_back != {"rng_state": rng_state}:
-            raise ValueError(f"save_checkpoint: rng_state {rng_state!r} does not "
-                             f"load back as written")
-    config = _config_text(model, epoch, rng_state).encode("utf-8")
+    config = _config_text(model, epoch, target_domain).encode("utf-8")
     state = _state(model)
     arrays = {name: np.ascontiguousarray(_array(*state[name]), dtype=np.float64)
               for name in sorted(state)}
@@ -683,24 +676,22 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
             f.write(arr.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path) -> tuple[TwoPathNetwork, int, str | None]:
+def load_checkpoint(path) -> tuple[TwoPathNetwork, int, int | None]:
     """Rebuild a model bit-exactly from `save_checkpoint` output.
 
     Strict: the config block exactly as `save_checkpoint` writes it for
-    the model it describes, exactly the model's array names and shapes,
-    finite values; anything else raises ValueError.
-    Returns (model, epoch, rng_state or None).
-    """
+    the model it describes (version 1 with its `rng_state` line), exactly
+    the model's array names and shapes, finite values; anything else raises
+    ValueError. Returns (model, epoch, held-out domain or None)."""
     with open(path, "rb") as f:
         blob = f.read()
     try:
-        model, epoch, rng_state = _read_checkpoint(blob)
+        return _read_checkpoint(blob)
     except ValueError as e:
         raise ValueError(f"checkpoint {path}: {e}") from None
-    return model, epoch, (None if rng_state == "-" else rng_state)
 
 
-def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
+def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, int | None]:
     off = 0
 
     def take(n: int) -> bytes:
@@ -717,10 +708,10 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError("bad magic")
     version = unpack("<I")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported version {version}")
     block = take(unpack("<Q")).decode("utf-8")
-    kv = read_config(block, _BLOCK_KEYS, "config block")
+    kv = read_config(block, _V1_KEYS if version == 1 else _BLOCK_KEYS, "config block")
     config = config_from_text(ModelConfig, kv, required=True)
     config.validate()
     # refuse before building: the model would allocate whatever the block names
@@ -729,8 +720,12 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
         raise ValueError(f"config block names {need} array values, more than the "
                          f"{len(blob) - off} bytes after it hold")
     model = TwoPathNetwork(config, seed=_parse_key(kv, "seed", int))
-    epoch, rng_state = _parse_key(kv, "epoch", int), _parse_key(kv, "rng_state", str)
-    written = _config_text(model, epoch, rng_state)
+    epoch = _parse_key(kv, "epoch", int)
+    target = _parse_key(kv, "target_domain", int) if "target_domain" in kv else None
+    written = _config_text(model, epoch, target)
+    if version == 1:  # its `rng_state` line, which nothing reads, follows `epoch`
+        rng_state = _parse_key(kv, "rng_state", str)
+        written = written.replace(f"\nepoch={epoch}\n", f"\nepoch={epoch}\nrng_state={rng_state}\n")
     if block != written:  # name the first differing line ("" for none)
         pairs = zip_longest(block.splitlines(True), written.splitlines(True), fillvalue="")
         ln, got, want = next((i, g, w) for i, (g, w) in enumerate(pairs, 1) if g != w)
@@ -759,8 +754,4 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, str]:
         raise ValueError("trailing bytes")
     if state:
         raise ValueError(f"missing arrays {', '.join(sorted(state))}")
-    return model, epoch, rng_state
-
-
-def encode_rng_state(rng: np.random.Generator) -> str:
-    return json.dumps(rng.bit_generator.state, sort_keys=True)
+    return model, epoch, target

@@ -17,7 +17,7 @@ from . import datagen, inference
 from . import normbank as nb
 from . import tensor as T
 from .datagen import Dataset
-from .model import ParamBlock, TwoPathNetwork, encode_rng_state, non_finite_array
+from .model import ParamBlock, TwoPathNetwork, non_finite_array
 from .normbank import Partition
 from .tensor import Tensor
 
@@ -294,12 +294,12 @@ def train_step(model: TwoPathNetwork, batch: DomainBatch,
 
 @dataclass
 class TrainResult:
-    """One metrics row per epoch (see `train` for the unscored ones);
-    `rng_state` is the batch sampler's final state."""
+    """One metrics row per epoch (see `train` for the unscored ones), and
+    the domain held out, resolved (never None)."""
 
     model: TwoPathNetwork
     metrics: list[dict]
-    rng_state: str
+    target_domain: int
 
     @property
     def final(self) -> dict:
@@ -313,10 +313,10 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int | None,
     and the target after every epoch, or, with `score_every_epoch=False`,
     after the last one only; an unscored epoch's row holds just `epoch` and
     `train_loss`.
-    Scoring touches no training state, so the final row, the parameters
-    and `rng_state` are the same either way. After each epoch every block
-    buffer and running moment must be finite, or the run aborts naming the
-    first that is not. Writes no file: the caller persists the result."""
+    Scoring touches no training state, so the final row and the parameters
+    are the same either way. After each epoch every block buffer and
+    running moment must be finite, or the run aborts naming the first that
+    is not. Writes no file: the caller persists the result."""
     config.validate()
     sources, target = datagen.split_lodo(dataset, target_domain)
     n_sources = np.unique(sources.domain_ids).size
@@ -329,10 +329,10 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int | None,
     split_seed, sampler_seed, combo_seed = ss.spawn(3)
     train_pool, val_pool = datagen.split_train_val(
         sources, config.val_fraction, seed=split_seed.generate_state(1)[0])
-    sampler_rng = np.random.default_rng(sampler_seed)
     combo_rng = np.random.default_rng(combo_seed)
 
-    sampler = EpochSampler(train_pool, config.batch_per_domain, sampler_rng)
+    sampler = EpochSampler(train_pool, config.batch_per_domain,
+                           np.random.default_rng(sampler_seed))
     optimizer = make_optimizer(model, config)
     partitions = (nb.enumerate_reduced_combinations(model.config.num_domains)
                   if model.config.use_aug else [])
@@ -365,4 +365,4 @@ def train(model: TwoPathNetwork, dataset: Dataset, target_domain: int | None,
                     "tgt_acc_ensemble": tgt.fused_accuracy}
         rows.append(row)
 
-    return TrainResult(model=model, metrics=rows, rng_state=encode_rng_state(sampler_rng))
+    return TrainResult(model=model, metrics=rows, target_domain=int(target.domain_ids[0]))

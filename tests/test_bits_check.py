@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normaug.model import load_checkpoint, save_checkpoint
+
 ROOT = Path(__file__).parents[1]
 SCRIPT = ROOT / "scripts" / "bits_check.py"
 TINY = """
@@ -55,6 +57,41 @@ def test_moved_text_of_other_length(tool):
 
 def test_moved_binary_names_the_first_byte(tool):
     assert tool.compare_bytes(b"NAUG\x01\x02", b"NAUG\x01\x03", text=False) == (
+        "moved: first difference at byte 5 (6 vs 6 bytes)")
+
+
+def test_checkpoint_config_block_moved_arrays_identical(tool, tmp_path):
+    """The version-1 fixture against the version-2 one: one model, so only
+    the version and the block line after `epoch` differ."""
+    data = ROOT / "tests" / "data"
+    v1, v2 = (data / "tiny_aug_v1.ckpt").read_bytes(), (data / "tiny_aug.ckpt").read_bytes()
+    rng_line = v1.decode("latin-1").split("\nrng_state=")[1].split("\n")[0]
+    shown = repr("rng_state=" + rng_line)[:49] + "...'"
+    assert tool.compare_checkpoints(v1, v2) == (
+        f"moved: version 1 vs 2; config block differs (line 13: parent {shown}, "
+        f"change 'target_domain=3'); arrays identical")
+    (tmp_path / "a.ckpt").write_bytes(v1)
+    (tmp_path / "b.ckpt").write_bytes(v2)
+    assert tool.compare_files(tmp_path / "a.ckpt", tmp_path / "b.ckpt") == (
+        tool.compare_checkpoints(v1, v2))
+
+
+def test_checkpoint_names_the_first_differing_array(tool, tmp_path):
+    model, epoch, target = load_checkpoint(ROOT / "tests" / "data" / "tiny_aug.ckpt")
+    save_checkpoint(model, tmp_path / "a.ckpt", epoch, target)
+    model.classifier_main.bias.data[1] += 0.5
+    model.main_units[0].running_var[0] += 0.25
+    save_checkpoint(model, tmp_path / "b.ckpt", epoch, target)
+    assert tool.compare_files(tmp_path / "a.ckpt", tmp_path / "b.ckpt") == (
+        "moved: first differing array classifier.main.b: largest difference 0.5")
+    save_checkpoint(model, tmp_path / "c.ckpt", epoch + 1, target)
+    assert tool.compare_files(tmp_path / "b.ckpt", tmp_path / "c.ckpt") == (
+        "moved: config block differs (line 12: parent 'epoch=1', change 'epoch=2'); "
+        "arrays identical")
+
+
+def test_bytes_that_are_not_a_checkpoint(tool):
+    assert tool.compare_checkpoints(b"NAUG\x01\x02", b"NAUG\x01\x03") == (
         "moved: first difference at byte 5 (6 vs 6 bytes)")
 
 

@@ -23,7 +23,6 @@ from normaug.model import (
     _array,
     _array_floats,
     _state,
-    encode_rng_state,
     init_model,
     load_checkpoint,
     non_finite_array,
@@ -45,6 +44,7 @@ MALFORMED = {
     "hidden_sizes=8,x": "config key hidden_sizes: expected comma-separated ints, got '8,x'",
     "seed=0_3": "config key seed: expected an integer, got '0_3'",
     "seed=\u0663": "config key seed: expected an integer, got '\u0663'",
+    "target_domain=x": "config key target_domain: expected an integer, got 'x'",
 }
 
 
@@ -72,15 +72,16 @@ def layout(blob: bytes):
     return blob[16:16 + clen].decode(), prefixes, records
 
 
-def assemble(text: str, records: list[bytes]) -> bytes:
+def assemble(text: str, records: list[bytes], version: int = CHECKPOINT_VERSION) -> bytes:
     config = text.encode()
-    return (CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(config)) + config
+    return (CHECKPOINT_MAGIC + struct.pack("<IQ", version, len(config)) + config
             + struct.pack("<I", len(records)) + b"".join(records))
 
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """Bytes of a trained-looking tiny checkpoint, and a temporary directory."""
+    """Bytes of a trained-looking tiny checkpoint that records held-out
+    domain 3, and a temporary directory."""
     model = tiny_model(seed=3)
     rng = np.random.default_rng(9)
     parts = nb.enumerate_reduced_combinations(3)
@@ -90,7 +91,7 @@ def saved(tmp_path_factory):
             model.forward_main(x, mode="train")
             model.forward_aux(x, ids, parts[i % len(parts)], mode="train")
     directory = tmp_path_factory.mktemp("ckpt")
-    save_checkpoint(model, directory / "m.ckpt")
+    save_checkpoint(model, directory / "m.ckpt", target_domain=3)
     return (directory / "m.ckpt").read_bytes(), directory
 
 
@@ -156,19 +157,26 @@ class TestStrictLoad:
     @pytest.mark.parametrize("key", ["input_dim", "hidden_sizes", "use_aug", "bn_eps",
                                      "seed", "epoch", "rng_state"])
     def test_missing_config_key(self, saved, key):
+        """Every key the block needs; `rng_state` in version 1."""
         blob, directory = saved
+        version = 1 if key == "rng_state" else CHECKPOINT_VERSION
+        if version == 1:
+            blob = TestFixture.FIXTURE_V1.read_bytes()
         text, _, records = layout(blob)
         lines = [ln for ln in text.splitlines() if ln.partition("=")[0] != key]
         with pytest.raises(ValueError, match=f"config key {key} is missing"):
-            load_bytes(directory, assemble("\n".join(lines) + "\n", [r for _, r in records]))
+            load_bytes(directory, assemble("\n".join(lines) + "\n", [r for _, r in records],
+                                           version))
 
     @pytest.mark.parametrize("line,bad", [("use_aug=true", "use_aug=tru!"),
                                           ("bn_eps=1e-05", "bn_eps=nan"),
                                           ("hidden_sizes=8,4", "hidden_sizes=8,x"),
                                           ("seed=3", "seed=0_3"),
                                           ("seed=3", "seed=\u0663"),
+                                          ("target_domain=3", "target_domain=x"),
                                           # parsed, but not as `save_checkpoint` writes them
                                           ("epoch=0", "epoch=+0"),
+                                          ("target_domain=3", "target_domain=03"),
                                           ("hidden_sizes=8,4", "hidden_sizes= 8,4"),
                                           ("hidden_sizes=8,4", "hidden_sizes=8, 4"),
                                           ("use_on=true", "use_on=yes"),
@@ -243,7 +251,7 @@ class TestStrictLoad:
     def test_bad_bank_subsets(self, saved, line, bad, fault):
         """The `bank_subsets` line lists exactly the scheme's subsets, and
         only a model with a bank has one: each `fault` is refused at line
-        14, the line after `rng_state`, naming the line written there
+        14, the line after `target_domain`, naming the line written there
         ('' for none) and the one found."""
         blob, directory = saved
         text, _, records = layout(blob)
@@ -306,63 +314,56 @@ class TestFiniteOnSave:
         assert not path.exists()
 
 
-class TestRngStateOnSave:
-    """`save_checkpoint` writes only an `rng_state` that `load_checkpoint`
-    gives back: its block line, read by `read_config`, holds the same
-    text, which is not empty, and it is not `-`, which stands for None."""
+class TestHeldOutDomain:
+    """The block records the domain training held out, after `epoch`, when
+    the saver names one; `load_checkpoint` gives it back, or None."""
 
-    @pytest.mark.parametrize("rng_state", ["a#b", " x", "a\nepoch=3", "-", ""],
-                             ids=["comment", "leading-space", "newline", "none-sentinel",
-                                  "empty"])
-    def test_refused_before_the_file_is_opened(self, tmp_path, rng_state):
-        path = tmp_path / "m.ckpt"
-        with pytest.raises(ValueError, match=re.escape(
-                f"save_checkpoint: rng_state {rng_state!r} does not load back as written") + "$"):
-            save_checkpoint(tiny_model(seed=3), path, rng_state=rng_state)
-        assert not path.exists()
+    @pytest.mark.parametrize("target", [None, 0, 3])
+    def test_round_trip(self, tmp_path, target):
+        save_checkpoint(tiny_model(seed=3), tmp_path / "m.ckpt", epoch=2, target_domain=target)
+        assert load_checkpoint(tmp_path / "m.ckpt")[1:] == (2, target)
+        text, _, _ = layout((tmp_path / "m.ckpt").read_bytes())
+        lines = text.splitlines()
+        after_epoch = lines[lines.index("epoch=2") + 1]
+        assert after_epoch == ("target_domain=" + str(target) if target is not None
+                               else f"bank_subsets={SCHEME}")
 
-    def test_empty_value_refused_on_load(self, saved):
-        """What save refuses to write, the loader refuses to read."""
+    def test_sampler_state_line_refused(self, saved):
+        """Version 2 has no `rng_state` line."""
         blob, directory = saved
         text, _, records = layout(blob)
-        lines = text.splitlines(True)
-        ln = next(i for i, line in enumerate(lines, 1) if line.startswith("rng_state="))
-        lines[ln - 1] = "rng_state=\n"
+        edited = text.replace("epoch=0\n", "epoch=0\nrng_state=x\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"config block:{ln}: config key 'rng_state' has an empty value") + "$"):
-            load_bytes(directory, assemble("".join(lines), [r for _, r in records]))
-
-    def test_encoded_state_and_none_round_trip(self, tmp_path):
-        model = tiny_model(seed=3)
-        encoded = encode_rng_state(np.random.default_rng(5))
-        for rng_state in (encoded, None):
-            save_checkpoint(model, tmp_path / "m.ckpt", epoch=2, rng_state=rng_state)
-            assert load_checkpoint(tmp_path / "m.ckpt")[1:] == (2, rng_state)
+                "config block:13: unknown config key 'rng_state'") + "$"):
+            load_bytes(directory, assemble(edited, [r for _, r in records]))
 
 
 class TestFixture:
     """`data/tiny_aug.ckpt` is a committed checkpoint: `fixture_model`'s
-    model saved with epoch 1 and the state of its batch generator."""
+    model saved with epoch 1 and held-out domain 3. `data/tiny_aug_v1.ckpt`
+    is the same model in version 1, with the batch generator's state in
+    place of the held-out domain."""
 
     FIXTURE = Path(__file__).parent / "data" / "tiny_aug.ckpt"
+    FIXTURE_V1 = Path(__file__).parent / "data" / "tiny_aug_v1.ckpt"
 
     @staticmethod
     def fixture_model():
         """A tiny three-domain `on_aug` model after one `train_step` on each
-        reduced partition, and the generator that drew the batches."""
+        reduced partition."""
         model = tiny_model(seed=3)
         opt = make_optimizer(model, TrainConfig())
         rng = np.random.default_rng(9)
         for part in nb.enumerate_reduced_combinations(3):
             x, labels, ids = toy_batch(rng)
             train_step(model, DomainBatch(x, labels, ids, per_domain=4), part, opt)
-        return model, rng
+        return model
 
     def test_resaves_byte_identically(self, tmp_path):
-        model, epoch, rng_state = load_checkpoint(self.FIXTURE)
-        assert epoch == 1
+        model, epoch, target = load_checkpoint(self.FIXTURE)
+        assert (epoch, target) == (1, 3)
         assert all(b.units[s].update_count > 0 for b in model.banks for s in b.subsets())
-        save_checkpoint(model, tmp_path / "again.ckpt", epoch, rng_state)
+        save_checkpoint(model, tmp_path / "again.ckpt", epoch, target)
         assert (tmp_path / "again.ckpt").read_bytes() == self.FIXTURE.read_bytes()
 
     @pytest.mark.parametrize("extra,error", [
@@ -380,23 +381,72 @@ class TestFixture:
             load_checkpoint(path)
 
     def test_recipe_writes_the_fixture(self, tmp_path):
-        model, rng = self.fixture_model()
-        save_checkpoint(model, tmp_path / "m.ckpt", epoch=1, rng_state=encode_rng_state(rng))
+        save_checkpoint(self.fixture_model(), tmp_path / "m.ckpt", epoch=1, target_domain=3)
         assert (tmp_path / "m.ckpt").read_bytes() == self.FIXTURE.read_bytes()
+
+    def test_version_1_loads_without_a_target(self, tmp_path):
+        """Version 1 loads with no held-out domain, and its arrays read as
+        version 2's: re-saved with the target, it is the version-2 fixture."""
+        assert struct.unpack_from("<I", self.FIXTURE_V1.read_bytes(), 4)[0] == 1
+        model, epoch, target = load_checkpoint(self.FIXTURE_V1)
+        assert (epoch, target) == (1, None)
+        save_checkpoint(model, tmp_path / "m.ckpt", epoch=1, target_domain=3)
+        assert (tmp_path / "m.ckpt").read_bytes() == self.FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize("edit,error", [
+        (("epoch=1\n", "epoch=1\ntarget_domain=3\n"),
+         "config block:13: unknown config key 'target_domain'"),
+        ("rng_state", "config block:13: config key 'rng_state' has an empty value"),
+        (("epoch=1\n", "epoch=1\nrng_state=x\n"),
+         "config block:14: config key 'rng_state' repeated (first on line 13)"),
+        ("swap", "config block:12: expected 'epoch=1\\n', got 'rng_state=")],
+        ids=["target", "empty-sampler-state", "two-sampler-states", "sampler-state-first"])
+    def test_version_1_is_strict(self, tmp_path, edit, error):
+        """A version-1 block has no held-out domain, and exactly one
+        `rng_state` line, right after `epoch`, not empty (a missing one:
+        `test_missing_config_key`)."""
+        text, _, records = layout(self.FIXTURE_V1.read_bytes())
+        lines = text.splitlines(keepends=True)
+        assert lines[11] == "epoch=1\n" and lines[12].startswith("rng_state=")
+        if edit == "rng_state":
+            edited = "".join(lines[:12] + ["rng_state=\n"] + lines[13:])
+        elif edit == "swap":
+            edited = "".join(lines[:11] + [lines[12], lines[11]] + lines[13:])
+        else:
+            edited = text.replace(*edit)
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(assemble(edited, [r for _, r in records], version=1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 3, 2 ** 32 - 1])
+    def test_other_versions_refused(self, tmp_path, version):
+        text, _, records = layout(self.FIXTURE.read_bytes())
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(assemble(text, [r for _, r in records], version=version))
+        with pytest.raises(ValueError, match=f"unsupported version {version}$"):
+            load_checkpoint(path)
 
 
 class TestFuzz:
-    @settings(max_examples=50, deadline=None)
+    """Corruptions of a version-2 checkpoint and of the version-1 fixture,
+    drawn alike, load or raise ValueError within the allocation bound."""
+
+    @staticmethod
+    def blob(saved, data) -> bytes:
+        return data.draw(st.sampled_from([saved[0], TestFixture.FIXTURE_V1.read_bytes()]))
+
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_truncation(self, saved, data):
-        blob, directory = saved
+        blob, directory = self.blob(saved, data), saved[1]
         cut = data.draw(st.integers(0, len(blob) - 1))
         assert not loads(directory, blob[:cut], blob)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_bit_flip(self, saved, data):
-        blob, directory = saved
+        blob, directory = self.blob(saved, data), saved[1]
         header = 20 + len(layout(blob)[0].encode())
         # half the flips land in the magic, version, config block and count
         bit = data.draw(st.one_of(st.integers(0, 8 * len(blob) - 1),
@@ -405,10 +455,10 @@ class TestFuzz:
         flipped[bit // 8] ^= 1 << (bit % 8)
         loads(directory, bytes(flipped), blob)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_oversized_prefix(self, saved, data):
-        blob, directory = saved
+        blob, directory = self.blob(saved, data), saved[1]
         _, prefixes, _ = layout(blob)
         offset, fmt = data.draw(st.sampled_from(prefixes))
         top = 2 ** (8 * struct.calcsize(fmt)) - 1

@@ -254,9 +254,11 @@ class TestDatasetFitsModel:
 
 
 class TestTargetDomain:
-    """A `target_domain` that is not one of the dataset's domains (the
-    pipeline's are 0-3) is refused before anything is trained, scored or
-    written."""
+    """`train` refuses a `target_domain` that is not one of the dataset's
+    domains (the pipeline's are 0-3), and records the one it held out in
+    the checkpoint; `eval` and `diagnose` score the recorded domain and
+    refuse a key that names another. Each refusal comes before anything
+    is trained, scored or written."""
 
     @pytest.mark.parametrize("target", ["7", "-1"])
     @pytest.mark.parametrize("command", ["train", "eval", "diagnose"])
@@ -265,15 +267,95 @@ class TestTargetDomain:
         tmp, out, dataset, _ = pipeline
         if command == "train":
             text = SMALL_TRAIN.replace("target_domain = 3", f"target_domain = {target}")
+            error = (f"split_lodo: target_domain {target} is not present in the dataset, "
+                     f"whose domains are 0, 1, 2, 3")
         else:
             text = f"checkpoint = {out / 'model.ckpt'}\ntarget_domain = {target}\n"
+            error = (f"config key target_domain: the checkpoint's model was trained "
+                     f"holding out domain 3, got {target}")
         cfg = write_config(tmp, text + f"dataset = {dataset}\n", "target.txt")
         capsys.readouterr()
         result = tmp_path / "result"
         assert main([command, "--config", cfg, "--out", str(result)]) == 2
+        assert capsys.readouterr().err == f"normaug {command}: {error}\n"
+        assert not result.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_unrecorded_domain_comes_from_the_key(self, pipeline, tmp_path, capsys, command):
+        """A checkpoint that records no held-out domain (as version 1 did)
+        holds out the key's, which must be one of the dataset's domains."""
+        tmp, out, dataset, _ = pipeline
+        model, epoch, _ = load_checkpoint(out / "model.ckpt")
+        save_checkpoint(model, tmp / "unrecorded.ckpt", epoch)
+        text = f"checkpoint = {tmp / 'unrecorded.ckpt'}\ndataset = {dataset}\n"
+        capsys.readouterr()
+        result = tmp_path / "result"
+        cfg = write_config(tmp, text + "target_domain = 7\n", "target.txt")
+        assert main([command, "--config", cfg, "--out", str(result)]) == 2
         assert capsys.readouterr().err == (
-            f"normaug {command}: split_lodo: target_domain {target} is not present in the "
+            f"normaug {command}: split_lodo: target_domain 7 is not present in the "
             f"dataset, whose domains are 0, 1, 2, 3\n")
+        assert not result.exists()
+        cfg = write_config(tmp, text + "target_domain = 1\n", "target.txt")
+        assert main([command, "--config", cfg, "--out", str(result)]) == 0
+        assert "; held-out domain 1, " in capsys.readouterr().out
+
+
+TINY_GEN = """
+num_domains = 3
+per_cell = 12
+feature_dim = 4
+seed = 0
+"""
+TINY_TRAIN = """
+hidden_sizes = 8
+epochs = 1
+iters_per_epoch = 2
+batch_per_domain = 4
+seed = 0
+"""
+
+
+class TestRecordedTarget:
+    """`eval` and `diagnose` score the domain the checkpoint's model was
+    trained without, whatever the config leaves out, on a three-domain
+    dataset whose last domain is a training source when domain 0 is held
+    out."""
+
+    @staticmethod
+    def train(tmp_path, target: int) -> Path:
+        out = tmp_path / f"held_out_{target}"
+        assert main(["gen-data", "--config", write_config(tmp_path, TINY_GEN, "gen.txt"),
+                     "--out", str(out)]) == 0
+        text = TINY_TRAIN + f"target_domain = {target}\ndataset = {out / 'dataset.csv'}\n"
+        assert main(["train", "--config", write_config(tmp_path, text, "train.txt"),
+                     "--out", str(out)]) == 0
+        return out
+
+    def test_eval_without_the_key_scores_the_trained_target(self, tmp_path, capsys):
+        out = self.train(tmp_path, 0)
+        cfg = write_config(tmp_path, f"checkpoint = {out / 'model.ckpt'}\n"
+                                     f"dataset = {out / 'dataset.csv'}\n", "eval.txt")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "eval")]) == 0
+        assert "; held-out domain 0, fused accuracy " in capsys.readouterr().out
+        fused = dict(read_csv(tmp_path / "eval" / "accuracy.csv")[1:])["fused"]
+        assert fused == read_csv(out / "metrics.csv")[-1][4]  # tgt_acc_ensemble
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "diag")]) == 0
+        assert "; held-out domain 0, d_s2s=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_key_naming_a_training_source_is_usage_error(self, tmp_path, capsys, command):
+        out = self.train(tmp_path, 2)
+        cfg = write_config(tmp_path, f"checkpoint = {out / 'model.ckpt'}\n"
+                                     f"dataset = {out / 'dataset.csv'}\n"
+                                     "target_domain = 0\n", "eval.txt")
+        capsys.readouterr()
+        result = tmp_path / "result"
+        assert main([command, "--config", cfg, "--out", str(result)]) == 2
+        assert capsys.readouterr().err == (
+            f"normaug {command}: config key target_domain: the checkpoint's model was "
+            f"trained holding out domain 2, got 0\n")
         assert not result.exists()
 
 

@@ -1,5 +1,6 @@
 """Two-path network: route equivalences, sharing, checkpoint round trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -173,6 +174,15 @@ class TestForwardAux:
         with pytest.raises(ValueError, match="use_aug"):
             m.forward_aux(np.ones((6, 6)), np.repeat([0, 1, 2], 2),
                           nb.all_singletons(3), mode="train")
+
+    @pytest.mark.parametrize("call", ["eval_logits", "forward_subpath"])
+    def test_subpath_requires_a_bank(self, call):
+        """A sub-path of a model without a bank is refused naming the
+        model, whichever method was asked."""
+        m, x, subset = tiny_model(use_aug=False), np.ones((6, 6)), DomainSubset.of(0)
+        with pytest.raises(ValueError, match=re.escape(
+                "model: no bank (built with use_aug=False)") + "$"):
+            m.eval_logits(x, [subset]) if call == "eval_logits" else m.forward_subpath(x, subset)
 
     def test_aux_is_train_only(self):
         with pytest.raises(ValueError, match="mode must be 'train'"):
@@ -457,10 +467,10 @@ class TestCheckpoint:
         self._exercise(m)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
-        save_checkpoint(m, p1, epoch=4, rng_state='{"x": 1}')
-        loaded, epoch, rng_state = load_checkpoint(p1)
-        assert epoch == 4 and rng_state == '{"x": 1}'
-        save_checkpoint(loaded, p2, epoch=4, rng_state='{"x": 1}')
+        save_checkpoint(m, p1, epoch=4, target_domain=2)
+        loaded, epoch, target = load_checkpoint(p1)
+        assert epoch == 4 and target == 2
+        save_checkpoint(loaded, p2, epoch=4, target_domain=2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip_forward_identical(self, tmp_path):
