@@ -27,12 +27,11 @@ largest difference in fused probabilities and the number of rows whose
 argmax flipped, and the largest difference of the main route and of the
 sub-paths over every route both trees ran; the routes only one tree ran
 (a tree may skip those a rule does not read) are named in one line. The
-tool resolves the held-out domain once (the config's
-`target_domain`, else the dataset's last domain) and passes it to both
-trees, so `predict` calls only the library, not the CLI's helpers. The
-tool reads the config and the dataset with its own tree's
-`normaug.cli.parse_config` and `normaug.datagen.load`, so it reads them by
-the same rules as the CLI.
+held-out domain is the one the parent's `model.ckpt` records; the tool
+reads it once, names it, and passes it to both trees, so `predict` calls
+only the library, not the CLI's helpers. The tool reads the config and
+both checkpoints with its own tree's `normaug.cli.parse_config` and
+`normaug.model` readers, so it reads them by the same rules as the CLI.
 
 Then each tree runs its own `tests/test_acceptance.py`, and the tool
 compares the ACCEPTANCE lines criterion by criterion, with timings (`0.3s`,
@@ -52,10 +51,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
-import struct
 import subprocess
 import sys
 import tempfile
@@ -66,9 +63,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from normaug import datagen  # noqa: E402  (this tree's readers)
-from normaug.cli import parse_config  # noqa: E402
-from normaug.model import parse_value  # noqa: E402
+from normaug.cli import parse_config  # noqa: E402  (this tree's readers)
+from normaug.model import checkpoint_parts, load_checkpoint  # noqa: E402
 
 # artifact name -> path inside a tree's run directory
 ARTIFACTS = {
@@ -169,15 +165,6 @@ def pipeline_config(config: Path, work: Path, **keys: str) -> str:
     return "".join(f"{key} = {value}\n" for key, value in cfg.items())
 
 
-def held_out_domain(config: Path, dataset: Path) -> int:
-    """The domain `train` held out: the config's `target_domain`, else the
-    dataset's last domain."""
-    cfg = parse_config(config)
-    if "target_domain" in cfg:
-        return parse_value("target_domain", cfg["target_domain"], int)
-    return datagen.load(dataset).num_domains - 1
-
-
 # the runs after `train` that set keys of their own: (command, output
 # directory, keys set over the pipeline config)
 KEYED_RUNS = [
@@ -187,9 +174,9 @@ KEYED_RUNS = [
 ]
 
 
-def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
-    """The README pipeline from `config` in `work`, and the `KEYED_RUNS`;
-    returns the config that points `dataset` and `checkpoint` into `work`."""
+def run_pipeline(tree: Path, config: Path, work: Path) -> None:
+    """The README pipeline from `config` in `work`, and the `KEYED_RUNS`,
+    with `dataset` and `checkpoint` pointing into `work`."""
     work.mkdir(parents=True)
     run_config = work / "run.txt"
     run_config.write_text(pipeline_config(config, work), encoding="utf-8")
@@ -203,7 +190,6 @@ def run_pipeline(tree: Path, config: Path, work: Path) -> Path:
         keyed.write_text(pipeline_config(config, work, **keys), encoding="utf-8")
         normaug(tree, work, command, "--config", str(keyed), "--out", str(work / out))
     normaug(tree, work, "ablate", "--config", str(config), "--out", str(work / "ablate"))
-    return run_config
 
 
 def _number(field: str) -> float | None:
@@ -239,30 +225,6 @@ def compare_bytes(parent: bytes, change: bytes, text: bool) -> str:
             f"{len(p_lines)} vs {len(c_lines)} lines; largest numeric difference {largest:.3g}")
 
 
-def checkpoint_parts(blob: bytes) -> tuple[int, list[str], list[tuple[str, tuple, bytes]]]:
-    """(version, config block lines, [(array name, shape, data bytes)]) of
-    a checkpoint, read by its documented layout: magic, u32 version, u64
-    block length, block, u32 array count, then per array u32 name length,
-    name, u32 ndim, u64 dims and float64 data. Bytes that do not follow it
-    raise ValueError or struct.error."""
-    version, length = struct.unpack_from("<IQ", blob, 4)
-    block = blob[16:16 + length].decode("utf-8")
-    (count,) = struct.unpack_from("<I", blob, 16 + length)
-    off = 20 + length
-    arrays = []
-    for _ in range(count):
-        (size,) = struct.unpack_from("<I", blob, off)
-        name = blob[off + 4:off + 4 + size].decode("utf-8")
-        (ndim,) = struct.unpack_from("<I", blob, off + 4 + size)
-        shape = struct.unpack_from(f"<{ndim}Q", blob, off + 8 + size)
-        off += 8 + size + 8 * ndim
-        arrays.append((name, shape, blob[off:off + 8 * math.prod(shape)]))
-        off += 8 * math.prod(shape)
-    if off != len(blob):
-        raise ValueError("not a checkpoint")
-    return version, block.splitlines(), arrays
-
-
 def _first_array_difference(parent: list, change: list) -> str:
     for (p_name, p_shape, p_data), (c_name, c_shape, c_data) in zip_longest(
             parent, change, fillvalue=("<none>", (), b"")):
@@ -289,8 +251,9 @@ def compare_checkpoints(parent: bytes, change: bytes) -> str:
         return "identical"
     try:
         (p_version, p_block, p_arrays), (c_version, c_block, c_arrays) = (
-            checkpoint_parts(parent), checkpoint_parts(change))
-    except (ValueError, struct.error):
+            (version, block.splitlines(), list(records))
+            for version, block, records in map(checkpoint_parts, (parent, change)))
+    except ValueError:
         return compare_bytes(parent, change, text=False)
     parts = [f"version {p_version} vs {c_version}"] if p_version != c_version else []
     if p_block != c_block:
@@ -401,18 +364,21 @@ def check_gate(parent: Path, change: Path, work: Path) -> list[str]:
 def check(parent: Path, change: Path, config: Path, work: Path) -> list[str]:
     """The pipeline's and `predict`'s comparison lines for the two trees,
     run under `work`."""
-    configs = {side: run_pipeline(tree, config, work / side)
-               for side, tree in (("parent", parent), ("change", change))}
+    for side, tree in (("parent", parent), ("change", change)):
+        run_pipeline(tree, config, work / side)
     lines = []
     for name, rel in ARTIFACTS.items():
         lines.append(f"{name}: {compare_files(work / 'parent' / rel, work / 'change' / rel)}")
+    dataset, checkpoint = work / "parent" / "dataset.csv", work / "parent" / "model.ckpt"
+    target = load_checkpoint(checkpoint)[2]
+    if target is None:
+        sys.exit(f"{checkpoint} records no held-out domain")
+    lines.append(f"predict: held-out domain {target} (recorded in the parent's model.ckpt)")
     probs = {}
-    dataset = work / "parent" / "dataset.csv"
-    target = held_out_domain(configs["parent"], dataset)
     for side, tree in (("parent", parent), ("change", change)):
         out = work / f"predict_{side}.npz"
-        run_python(tree, work, "-c", PREDICT, str(target),
-                   str(work / "parent" / "model.ckpt"), str(dataset), str(SEAM_ROWS), str(out))
+        run_python(tree, work, "-c", PREDICT, str(target), str(checkpoint), str(dataset),
+                   str(SEAM_ROWS), str(out))
         with np.load(out) as z:
             probs[side] = {k: z[k] for k in z.files}
     return lines + compare_predictions(probs["parent"], probs["change"])

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import normbank as nb
 from . import tensor as T
+from .datagen import check_utf8
 from .normbank import ROW_BLOCK, BNBank, BNUnit, DomainSubset, ONUnit, Partition
 from .tensor import Tensor
 
@@ -570,15 +571,14 @@ def config_from_text(cls, kv: dict[str, str], required: bool = False, **fixed):
 # checkpoint container
 
 
-def _config_text(model: TwoPathNetwork, epoch: int, target_domain: int | None) -> str:
-    lines = [f"{f.name}={format_value(getattr(model.config, f.name))}"
-             for f in fields(ModelConfig)]
-    lines += [f"seed={model.seed}", f"epoch={epoch}"]
+def _config_text(config: ModelConfig, seed: int, epoch: int, target_domain: int | None) -> str:
+    lines = [f"{f.name}={format_value(getattr(config, f.name))}" for f in fields(ModelConfig)]
+    lines += [f"seed={seed}", f"epoch={epoch}"]
     if target_domain is not None:
         lines.append(f"target_domain={target_domain}")
-    if model.banks:
+    if config.use_aug:
         lines.append("bank_subsets=" + ",".join(
-            s.label() for s in nb.scheme_subsets(model.config.num_domains)))
+            s.label() for s in nb.scheme_subsets(config.num_domains)))
     return "\n".join(lines) + "\n"
 
 
@@ -656,7 +656,7 @@ def save_checkpoint(model: TwoPathNetwork, path, epoch: int = 0,
     before the file is opened, as `load_checkpoint` refuses it."""
     if (name := non_finite_array(model)) is not None:
         raise ValueError(f"save_checkpoint: array {name}: non-finite values")
-    config = _config_text(model, epoch, target_domain).encode("utf-8")
+    config = _config_text(model.config, model.seed, epoch, target_domain).encode("utf-8")
     state = _state(model)
     arrays = {name: np.ascontiguousarray(_array(*state[name]), dtype=np.float64)
               for name in sorted(state)}
@@ -682,7 +682,8 @@ def load_checkpoint(path) -> tuple[TwoPathNetwork, int, int | None]:
     Strict: the config block exactly as `save_checkpoint` writes it for
     the model it describes (version 1 with its `rng_state` line), exactly
     the model's array names and shapes, finite values; anything else raises
-    ValueError. Returns (model, epoch, held-out domain or None)."""
+    ValueError. Every rule on the block runs before the model is built.
+    Returns (model, epoch, held-out domain or None)."""
     with open(path, "rb") as f:
         blob = f.read()
     try:
@@ -691,16 +692,22 @@ def load_checkpoint(path) -> tuple[TwoPathNetwork, int, int | None]:
         raise ValueError(f"checkpoint {path}: {e}") from None
 
 
-def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, int | None]:
+def checkpoint_parts(blob: bytes) -> tuple[int, str, typing.Iterator]:
+    """The layout `save_checkpoint` writes, unchecked: (version, config
+    block, records), the block and the array names decoded with
+    `surrogateescape`. `records` reads one (name, shape, data) per array
+    only as the caller walks it, `data` a view of `blob`'s bytes. Raises
+    ValueError for bad magic, a truncated file, or bytes after the last
+    record."""
+    view = memoryview(blob)
     off = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(blob):
             raise ValueError("truncated")
-        out = blob[off:off + n]
         off += n
-        return out
+        return view[off - n:off]
 
     def unpack(fmt: str) -> int:
         return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
@@ -708,21 +715,41 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, int | None]:
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError("bad magic")
     version = unpack("<I")
+    block = str(take(unpack("<Q")), "utf-8", "surrogateescape")
+
+    def records():
+        for _ in range(unpack("<I")):
+            name = str(take(unpack("<I")), "utf-8", "surrogateescape")
+            shape = tuple(unpack("<Q") for _ in range(unpack("<I")))
+            size = 8
+            for d in shape:  # capped past the end: no product of huge dimensions
+                size = min(size * d, len(blob) + 1)
+            yield name, shape, take(size)
+        if off != len(blob):
+            raise ValueError("trailing bytes")
+
+    return version, block, records()
+
+
+def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, int | None]:
+    version, block, records = checkpoint_parts(blob)
     if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported version {version}")
-    block = take(unpack("<Q")).decode("utf-8")
+    for ln, line in enumerate(block.split("\n"), start=1):  # as `read_config` breaks lines
+        check_utf8("config block", ln, line)
     kv = read_config(block, _V1_KEYS if version == 1 else _BLOCK_KEYS, "config block")
     config = config_from_text(ModelConfig, kv, required=True)
     config.validate()
-    # refuse before building: the model would allocate whatever the block names
+    # refuse before enumerating the scheme or building: both grow with what the block names
     need = _array_floats(config)
-    if 8 * need > len(blob) - off:
+    after = len(blob) - 16 - len(block.encode("utf-8", "surrogateescape"))
+    if 8 * need > after:
         raise ValueError(f"config block names {need} array values, more than the "
-                         f"{len(blob) - off} bytes after it hold")
-    model = TwoPathNetwork(config, seed=_parse_key(kv, "seed", int))
+                         f"{after} bytes after it hold")
+    seed = _parse_key(kv, "seed", int)
     epoch = _parse_key(kv, "epoch", int)
     target = _parse_key(kv, "target_domain", int) if "target_domain" in kv else None
-    written = _config_text(model, epoch, target)
+    written = _config_text(config, seed, epoch, target)
     if version == 1:  # its `rng_state` line, which nothing reads, follows `epoch`
         rng_state = _parse_key(kv, "rng_state", str)
         written = written.replace(f"\nepoch={epoch}\n", f"\nepoch={epoch}\nrng_state={rng_state}\n")
@@ -730,18 +757,16 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, int | None]:
         pairs = zip_longest(block.splitlines(True), written.splitlines(True), fillvalue="")
         ln, got, want = next((i, g, w) for i, (g, w) in enumerate(pairs, 1) if g != w)
         raise ValueError(f"config block:{ln}: expected {want!r}, got {got!r}")
+    model = TwoPathNetwork(config, seed=seed)
     state = _state(model)
-
-    for _ in range(unpack("<I")):
-        name = take(unpack("<I")).decode("utf-8")
+    for name, shape, data in records:
         if name not in state:
             raise ValueError(f"array {name!r}: unknown or repeated")
         owner, attr = state.pop(name)
-        shape = tuple(unpack("<Q") for _ in range(unpack("<I")))
         expected = _array(owner, attr).shape
         if shape != expected:
             raise ValueError(f"array {name}: shape {shape}, expected {expected}")
-        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(data, dtype="<f8").reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"array {name}: non-finite values")
         if attr == "update_count" and not (arr[0] >= 0 and arr[0].is_integer()):
@@ -749,9 +774,7 @@ def _read_checkpoint(blob: bytes) -> tuple[TwoPathNetwork, int, int | None]:
         if attr == "data":  # into the parameter's view of its block's buffer
             owner.data[...] = arr
         else:
-            setattr(owner, attr, int(arr[0]) if attr == "update_count" else arr)
-    if off != len(blob):
-        raise ValueError("trailing bytes")
+            setattr(owner, attr, int(arr[0]) if attr == "update_count" else arr.copy())
     if state:
         raise ValueError(f"missing arrays {', '.join(sorted(state))}")
     return model, epoch, target

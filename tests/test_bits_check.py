@@ -106,14 +106,14 @@ def test_missing_artifact(tool, tmp_path):
 
 def test_check_reports_an_artifact_one_tree_did_not_write(tool, tmp_path, monkeypatch):
     """A parent that predates an artifact: `check` names the missing side
-    and goes on to the others and to `predict`."""
+    and goes on to the others and to `predict`, which both trees run on the
+    held-out domain the parent's checkpoint records."""
     def pipeline(tree, config, work):
         for rel in tool.ARTIFACTS.values():
             if work.name == "change" or rel != "ablate/fusion.csv":
                 (work / rel).parent.mkdir(parents=True, exist_ok=True)
                 (work / rel).write_bytes(b"h\n1\n")
-        (work / "run.txt").write_text("target_domain = 1\n", encoding="utf-8")
-        return work / "run.txt"
+        shutil.copyfile(ROOT / "tests" / "data" / "tiny_aug.ckpt", work / "model.ckpt")
 
     predicted = []
 
@@ -126,8 +126,20 @@ def test_check_reports_an_artifact_one_tree_did_not_write(tool, tmp_path, monkey
     lines = tool.check(ROOT, ROOT, tmp_path / "tiny.txt", tmp_path)
     assert lines == [f"{name}: identical" for name in tool.ARTIFACTS if name != "fusion.csv"] \
         + ["fusion.csv: missing in the parent",
+           "predict: held-out domain 3 (recorded in the parent's model.ckpt)",
            "predict: largest main-route difference 0, largest sub-path difference 0"]
-    assert predicted == ["1", "1"]
+    assert predicted == ["3", "3"]
+
+
+def test_check_stops_on_a_checkpoint_without_a_held_out_domain(tool, tmp_path, monkeypatch):
+    def pipeline(tree, config, work):
+        work.mkdir(parents=True)
+        shutil.copyfile(ROOT / "tests" / "data" / "tiny_aug_v1.ckpt", work / "model.ckpt")
+
+    monkeypatch.setattr(tool, "run_pipeline", pipeline)
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{tmp_path / 'parent' / 'model.ckpt'} records no held-out domain") + "$"):
+        tool.check(ROOT, ROOT, tmp_path / "tiny.txt", tmp_path)
 
 
 def test_seam_split_crosses_two_evaluation_pieces(tool):
@@ -136,38 +148,6 @@ def test_seam_split_crosses_two_evaluation_pieces(tool):
     from normaug.model import EVAL_ROWS, ROW_BLOCK
 
     assert tool.SEAM_ROWS > 2 * EVAL_ROWS and tool.SEAM_ROWS % EVAL_ROWS > ROW_BLOCK
-
-
-def test_held_out_domain(tool, tmp_path):
-    """The config's `target_domain` (comments and spaces aside), else the
-    dataset's last domain; both trees' `predict` get the same one."""
-    config, dataset = tmp_path / "c.txt", tmp_path / "d.csv"
-    dataset.write_text("domain,label,f0\n0,0,1.0\n2,1,2.0\n1,0,3.0\n0,1,4.0\n2,0,5.0\n"
-                       "1,1,6.0\n", encoding="utf-8")
-    config.write_text("# target_domain = 5\nepochs = 1\n target_domain=1  # held out\n",
-                      encoding="utf-8")
-    assert tool.held_out_domain(config, dataset) == 1
-    config.write_text("epochs = 1\n", encoding="utf-8")
-    assert tool.held_out_domain(config, dataset) == 2
-
-
-def test_held_out_domain_reads_as_the_cli(tool, tmp_path):
-    """Lines end at `\\n` only, so a key after a form feed in a comment is
-    still the comment; a value the CLI refuses is refused here too."""
-    config, dataset = tmp_path / "c.txt", tmp_path / "d.csv"
-    dataset.write_text("domain,label,f0\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.0\n",
-                       encoding="utf-8")
-    config.write_text("# note\ftarget_domain = 0\n", encoding="utf-8")
-    assert tool.held_out_domain(config, dataset) == 1
-    for value in ("1_0", "\u0661"):
-        config.write_text(f"target_domain = {value}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(
-                f"config key target_domain: expected an integer, got {value!r}") + "$"):
-            tool.held_out_domain(config, dataset)
-    config.write_text("epochs = 1\ftarget_domain = 0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{config}:1: unprintable character in 'epochs = 1\\x0ctarget_domain = 0'") + "$"):
-        tool.held_out_domain(config, dataset)
 
 
 def test_prediction_summary(tool):
@@ -214,7 +194,9 @@ def test_one_tree_on_both_sides_is_identical(tool, tmp_path):
     lines = tool.check(ROOT, ROOT, config, tmp_path / "work")
     assert [line.split(": ")[1] for line in lines[:len(tool.ARTIFACTS)]] == \
         ["identical"] * len(tool.ARTIFACTS)
-    predicted = lines[len(tool.ARTIFACTS):-1]
+    assert lines[len(tool.ARTIFACTS)] == (
+        "predict: held-out domain 2 (recorded in the parent's model.ckpt)")
+    predicted = lines[len(tool.ARTIFACTS) + 1:-1]
     assert len(predicted) == 32  # 8 rules x 2 scopes x 2 splits
     assert sum(f"({tool.SEAM_ROWS} rows): " in line for line in predicted) == 16
     assert all(line.endswith("largest fused difference 0, argmax flips 0")

@@ -20,9 +20,11 @@ from normaug.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     ModelConfig,
+    TwoPathNetwork,
     _array,
     _array_floats,
     _state,
+    checkpoint_parts,
     init_model,
     load_checkpoint,
     non_finite_array,
@@ -466,3 +468,116 @@ class TestFuzz:
         changed = bytearray(blob)
         struct.pack_into(fmt, changed, offset, value)
         loads(directory, bytes(changed), blob)
+
+
+class TestReader:
+    """`checkpoint_parts`, the one reader of the layout, against `layout`,
+    and the order and cost of what `load_checkpoint` refuses: every rule on
+    the block before the model is built, the records read one at a time."""
+
+    @staticmethod
+    def blobs(saved) -> list[bytes]:
+        return [saved[0], TestFixture.FIXTURE.read_bytes(), TestFixture.FIXTURE_V1.read_bytes()]
+
+    def test_parts_match_the_layout(self, saved):
+        for blob in self.blobs(saved):
+            version, block, records = checkpoint_parts(blob)
+            text, _, expected = layout(blob)
+            assert (version, block) == (struct.unpack_from("<I", blob, 4)[0], text)
+            records = list(records)
+            assert [name for name, _, _ in records] == [name for name, _ in expected]
+            for (name, shape, data), (_, record) in zip(records, expected):
+                raw = name.encode()
+                assert record == (struct.pack("<I", len(raw)) + raw
+                                  + struct.pack(f"<I{len(shape)}Q", len(shape), *shape) + data)
+
+    @pytest.mark.parametrize("blob,error", [
+        (b"NAU", "truncated"), (b"NAUX\x02\0\0\0", "bad magic"),
+        (CHECKPOINT_MAGIC + struct.pack("<IQ", 2, 5) + b"a=1", "truncated")])
+    def test_parts_of_a_broken_header(self, blob, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            checkpoint_parts(blob)
+
+    def test_records_end_at_the_last_byte(self, saved):
+        *_, records = checkpoint_parts(saved[0] + b"\0")
+        with pytest.raises(ValueError, match="^trailing bytes$"):
+            list(records)
+
+    def test_undecodable_block_byte_names_its_line(self, saved):
+        blob, directory = saved
+        text, _, records = layout(blob)
+        edited = bytearray(assemble(text, [r for _, r in records]))
+        edited[16 + text.index("\nseed=") + 3] = 0xFF  # the `e` of `seed`
+        line = text[:text.index("\nseed=")].count("\n") + 2
+        with pytest.raises(ValueError, match=re.escape(
+                f"config block:{line}: not valid UTF-8 (byte 0xff)") + "$"):
+            load_bytes(directory, bytes(edited))
+
+    def test_undecodable_fixture_byte(self, tmp_path):
+        edited = bytearray(TestFixture.FIXTURE.read_bytes())
+        edited[20] = 0xFF
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(edited))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: config block:1: not valid UTF-8 (byte 0xff)") + "$"):
+            load_checkpoint(path)
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> list:
+        """Every `TwoPathNetwork` construction, recorded."""
+        built, init = [], TwoPathNetwork.__init__
+
+        def spy(model, *args, **kwargs):
+            built.append(args)
+            init(model, *args, **kwargs)
+
+        monkeypatch.setattr(TwoPathNetwork, "__init__", spy)
+        return built
+
+    def test_intact_file_builds_once(self, saved, builds):
+        load_bytes(saved[1], saved[0])
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("case", ["reordered", "comment", "crlf", "epoch=+0"])
+    def test_block_refused_before_building(self, saved, builds, case):
+        if case == "epoch=+0":
+            TestStrictLoad().test_malformed_config_value(saved, "epoch=0", case)
+        else:
+            TestStrictLoad().test_block_not_as_written(saved, case)
+        assert builds == []
+
+    def test_size_guard_before_the_scheme(self, saved, monkeypatch):
+        """A block naming 2**40 source domains with a bank is refused by the
+        size guard, before `bank_subsets` would enumerate 2**41 subsets."""
+        blob, directory = saved
+        text, _, records = layout(blob)
+        assert "num_domains=3" in text.splitlines() and "use_aug=true" in text.splitlines()
+        enumerated = []
+
+        def scheme_subsets(num_domains):
+            enumerated.append(num_domains)
+            raise AssertionError("the scheme was enumerated")
+
+        monkeypatch.setattr(nb, "scheme_subsets", scheme_subsets)
+        with pytest.raises(ValueError, match=r"config block names \d+ array values, more than"):
+            load_bytes(directory, assemble(text.replace("num_domains=3", "num_domains=1099511627776"),
+                                           [r for _, r in records]))
+        assert enumerated == []
+
+    def test_records_read_one_at_a_time(self, tmp_path):
+        """A file of the fixture's header and block and 65,536 records with
+        an empty name, refused at its first record, within a small multiple
+        of its size: a list of every record would take about 18 times it."""
+        text, _, _ = layout(TestFixture.FIXTURE.read_bytes())
+        record = struct.pack("<II", 0, 0) + struct.pack("<d", 0.0)
+        blob = assemble(text, [record] * 65536)
+        path = tmp_path / "many.ckpt"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="array '': unknown or repeated$"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == 1048810 and peak <= 4 * len(blob)

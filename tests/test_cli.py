@@ -814,6 +814,19 @@ class TestUsageErrors:
             f"expected 'bn_momentum=0.1\\n', got 'bn_momentum=.10\\n'")
         assert not (tmp_path / "r").exists()
 
+    def test_undecodable_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        """A byte of the config block that is not UTF-8 names the block's line."""
+        tmp, out, dataset, _ = pipeline
+        ckpt = tmp_path / "bad.ckpt"
+        blob = bytearray((out / "model.ckpt").read_bytes())
+        blob[20] = 0xFF  # in `input_dim=...`, the block's first line
+        ckpt.write_bytes(bytes(blob))
+        cfg = write_config(tmp, f"checkpoint = {ckpt}\ndataset = {dataset}\n", "bad.txt")
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"normaug eval: checkpoint {ckpt}: config block:1: not valid UTF-8 (byte 0xff)")
+
     def test_only_config_and_out_are_flags(self, pipeline, capsys):
         """The config file sets every run value: `--seed` is refused by every
         command, and `--strategy` and `--scope` by eval, as unknown flags."""
